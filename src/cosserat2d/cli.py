@@ -45,7 +45,7 @@ from .errors import (
 from .fields import FieldState, save_snapshot
 from .materials import CHIRAL, MaterialParams, ModelSelector
 from .reduction3d import full_reduction_report
-from .report import VerificationReport
+from .report import _FMT, VerificationReport
 from .rng import random_smooth_state
 from .waves import (
     WaveParams,
@@ -59,8 +59,6 @@ from .waves import (
     vt,
     wave_matrix,
 )
-
-_FMT = "%.17g"
 
 TIMESERIES_HEADER = ("step,time,elastic,curvature,interaction,coupling,"
                      "chiral_elastic,mixing,kin_trans,kin_rot,total")
@@ -387,6 +385,19 @@ def _verify_state(cfg: ScenarioConfig) -> FieldState:
     return random_smooth_state(cfg.grid, 1234, 0.05, 3)
 
 
+def _write_report(report: VerificationReport, path: str) -> int:
+    """Write ``report`` to ``path``, print the pass count and one FAIL line
+    per failed check; exit code 0 if every check passed, else 3."""
+    report.to_csv(path)
+    failures = report.failures()
+    print(f"{len(report.checks) - len(failures)}/{len(report.checks)} "
+          f"checks passed")
+    for failure in failures:
+        print(f"FAIL {failure.name}: error {failure.max_abs_error:.3e} "
+              f"> tolerance {failure.tolerance:.3e}", file=sys.stderr)
+    return 0 if report.all_pass else 3
+
+
 def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
     _ensure_outdir(outdir)
     scale = cfg.verify.tolerance_scale
@@ -408,27 +419,13 @@ def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
     report.extend(_wave_identity_report(scale))
     report.extend(_flag_report(scale))
 
-    report.to_csv(os.path.join(outdir, "verify_report.csv"))
-    failures = report.failures()
-    print(f"{len(report.checks) - len(failures)}/{len(report.checks)} "
-          f"checks passed")
-    for failure in failures:
-        print(f"FAIL {failure.name}: error {failure.max_abs_error:.3e} "
-              f"> tolerance {failure.tolerance:.3e}", file=sys.stderr)
-    return 0 if report.all_pass else 3
+    return _write_report(report, os.path.join(outdir, "verify_report.csv"))
 
 
 def cmd_reduce3d(cfg: ScenarioConfig, outdir: str) -> int:
     _ensure_outdir(outdir)
     report = full_reduction_report().scaled(cfg.verify.tolerance_scale)
-    report.to_csv(os.path.join(outdir, "reduction_report.csv"))
-    failures = report.failures()
-    print(f"{len(report.checks) - len(failures)}/{len(report.checks)} "
-          f"checks passed")
-    for failure in failures:
-        print(f"FAIL {failure.name}: error {failure.max_abs_error:.3e} "
-              f"> tolerance {failure.tolerance:.3e}", file=sys.stderr)
-    return 0 if report.all_pass else 3
+    return _write_report(report, os.path.join(outdir, "reduction_report.csv"))
 
 
 # --------------------------------------------------------------------------

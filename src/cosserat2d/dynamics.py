@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import mat_mul, polar2, rot2, trace2, transpose2
 from .energy import (
     DEFAULT_EPS_REG,
+    _reg_norm,
     analytic_variations,
     potential_total,
 )
@@ -55,14 +56,6 @@ class RhsFields:
 def _eps_trace(m: np.ndarray) -> np.ndarray:
     """tr(EPS2 @ M) = M[1,0] - M[0,1]; equals 2 sin(phi) for rot2(phi)."""
     return m[1, 0] - m[0, 1]
-
-
-def _smoothed_norm(g: np.ndarray, eps_reg: float):
-    """Same convention as the energy module: the divisor is inf at the
-    eps_reg = 0 kink, making the direction factor g/s the symmetric
-    subgradient choice 0 there."""
-    s = np.sqrt(g[0] ** 2 + g[1] ** 2 + eps_reg**2)
-    return s - eps_reg, np.where(s > 0.0, s, np.inf)
 
 
 def _eps_t_left(m: np.ndarray) -> np.ndarray:
@@ -110,7 +103,7 @@ def rhs_nonlinear(state: FieldState, p: MaterialParams, coupling: str = "polar",
         raise ValueError(f"unknown coupling kind: {coupling!r}")
 
     if p.chi != 0.0:
-        n, s = _smoothed_norm(g, eps_reg)
+        n, s = _reg_norm(g, eps_reg)
         c = p.mu * p.L_c * p.chi
         p_total = p_total + (c * n) * r
         torque = torque + 0.5 * c * (div_vector(trx * g / s, grid) - n * tx)

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IoError, NonFiniteState
-
-_FMT = "%.17g"
+from .report import _FMT
 
 
 @dataclass(frozen=True)

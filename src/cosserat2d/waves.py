@@ -6,11 +6,15 @@ stiffness ``gamma = 2 * d1`` with ``d1 = mu * L_c**2``, and a single chiral
 modulus ``A`` tying the starred constants together
 (``mu_s = A``, ``lam_s = -2A``, ``mu_c_s = -A``, ``m1/2 + m2 = -A``).
 
-The dispersion relation is a cubic in ``x = omega**2``; its coefficients are
-assembled in closed form and the real roots are isolated by splitting
-``[0, x_max]`` at the cubic's critical points (each piece is monotone, so a
-sign check plus bisection finds every root; a critical point where the cubic
-itself vanishes is a double root and is reported with multiplicity).
+The wave matrix is the pencil ``K(k) - omega**2 D`` with ``K(k)`` Hermitian
+and ``D = diag(rho, rho, varrho_rot)``. Because ``rho > 0`` and
+``varrho_rot > 0`` (``WaveParams`` rejects anything else), ``D`` is positive
+definite and the pencil is singular exactly when ``x = omega**2`` is an
+eigenvalue of the Hermitian matrix ``D^-1/2 K(k) D^-1/2``. So the squared
+frequencies are all real, and they are the roots of the dispersion cubic
+(kept in closed form as an independent check). Each eigenvector mapped
+through ``D^-1/2`` is an amplitude triple annihilating the wave matrix; a
+double root yields two ``D``-orthogonal polarizations.
 """
 
 from __future__ import annotations
@@ -125,88 +129,6 @@ def dispersion_cubic(k: float, wp: WaveParams) -> tuple[float, float, float, flo
     return c3, c2, c1, c0
 
 
-def _poly_eval(coeffs, x: float) -> float:
-    c3, c2, c1, c0 = coeffs
-    return ((c3 * x + c2) * x + c1) * x + c0
-
-
-def _bisect(coeffs, lo: float, hi: float) -> float:
-    flo = _poly_eval(coeffs, lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = _poly_eval(coeffs, mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _squared_frequency_roots(k: float, wp: WaveParams) -> list[float]:
-    """All roots x >= 0 of the dispersion cubic, double roots twice."""
-    coeffs = dispersion_cubic(k, wp)
-    c3, c2, c1, c0 = coeffs
-
-    # Characteristic speeds only widen the bracket; skip any that are not
-    # real for these moduli (the Cauchy bound below is what guarantees
-    # containment).
-    speeds = [0.0]
-    if wp.mu > 0.0:
-        speeds.append(vt(wp))
-    if wp.mu_c != 0.0:
-        radicand = ((wp.lam + 2.0 * wp.mu) / wp.rho
-                    - wp.a**2 / (wp.rho * wp.mu_c))
-        if radicand > 0.0:
-            speeds.append(math.sqrt(radicand))
-    if wp.gamma > 0.0:
-        speeds.append(math.sqrt(wp.gamma / wp.varrho_rot))
-    x_hi = (10.0 * abs(k) * max(speeds)) ** 2
-    # Cauchy bound guarantees every real root lies below it.
-    cauchy = 1.0 + max(abs(c2), abs(c1), abs(c0)) / abs(c3)
-    x_hi = max(x_hi, cauchy, 1e-30)
-
-    # Critical points of the cubic split [0, x_hi] into monotone pieces.
-    crit = []
-    disc = (2.0 * c2) ** 2 - 4.0 * (3.0 * c3) * c1
-    if disc > 0.0:
-        sq = math.sqrt(disc)
-        crit = sorted(((-2.0 * c2 + s * sq) / (6.0 * c3) for s in (1.0, -1.0)))
-    knots = [0.0] + [c for c in crit if 0.0 < c < x_hi] + [x_hi]
-
-    roots: list[float] = []
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        flo, fhi = _poly_eval(coeffs, lo), _poly_eval(coeffs, hi)
-        if flo == 0.0:
-            roots.append(lo)
-            lo = lo + 1e-12 * (hi - lo)  # step off the knot root
-            flo = _poly_eval(coeffs, lo)
-            if flo == 0.0:
-                continue
-        if fhi != 0.0 and (flo > 0.0) != (fhi > 0.0):
-            roots.append(_bisect(coeffs, lo, hi))
-    if _poly_eval(coeffs, knots[-1]) == 0.0:
-        roots.append(knots[-1])
-
-    # A critical point where the cubic itself vanishes is a double root.
-    for c in crit:
-        if not 0.0 <= c <= x_hi:
-            continue
-        scale = abs(c3) * abs(c) ** 3 + abs(c2) * c**2 + abs(c1) * abs(c) + abs(c0)
-        if abs(_poly_eval(coeffs, c)) <= 1e-12 * max(scale, 1e-300):
-            near = [r for r in roots if abs(r - c) <= 1e-9 * max(1.0, abs(c))]
-            if not near:
-                roots.extend([c, c])
-            elif len(near) == 1:
-                roots.append(c)
-    return sorted(roots)
-
-
 def _phase_normalize(z: np.ndarray) -> np.ndarray:
     """Rotate the global phase so u_hat, v_hat are real and phi_hat is
     imaginary (possible because the matrix is real except for the
@@ -229,19 +151,25 @@ def _phase_normalize(z: np.ndarray) -> np.ndarray:
 
 def dispersion_branches(k: float, wp: WaveParams) -> list[WaveBranch]:
     """All branches omega >= 0 with singular wave matrix at this wavenumber,
-    sorted by omega; raises NoRealBranch if the cubic has no root x >= 0."""
-    roots = _squared_frequency_roots(k, wp)
-    if not roots:
-        raise NoRealBranch(
-            f"dispersion cubic has no nonnegative real root at k = {k!r}")
+    sorted by omega; raises NoRealBranch if no squared frequency is >= 0."""
+    stiffness = wave_matrix(k, 0.0, wp)
+    if not np.all(np.isfinite(stiffness)):
+        raise NoRealBranch(f"wave matrix is not finite at k = {k!r}")
+    d_inv_sqrt = 1.0 / np.sqrt([wp.rho, wp.rho, wp.varrho_rot])
+    scaled = d_inv_sqrt[:, None] * stiffness * d_inv_sqrt
+    squared_frequencies, vectors = np.linalg.eigh(scaled)
     branches = []
-    for x in roots:
-        omega = math.sqrt(max(x, 0.0))
-        m = wave_matrix(k, omega, wp)
-        _, _, vh = np.linalg.svd(m)
-        z = _phase_normalize(vh[-1].conj())
-        branches.append(WaveBranch(k=k, omega=omega, u_hat=complex(z[0]),
-                                   v_hat=complex(z[1]), phi_hat=complex(z[2])))
+    for x, y in zip(squared_frequencies, vectors.T):
+        if x < 0.0:
+            continue
+        z = d_inv_sqrt * y
+        z = _phase_normalize(z / np.linalg.norm(z))
+        branches.append(WaveBranch(k=k, omega=math.sqrt(x),
+                                   u_hat=complex(z[0]), v_hat=complex(z[1]),
+                                   phi_hat=complex(z[2])))
+    if not branches:
+        raise NoRealBranch(
+            f"wave matrix has no nonnegative squared frequency at k = {k!r}")
     return branches
 
 

@@ -96,6 +96,29 @@ def test_branches_annihilate_the_matrix():
             npt.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-12)
             residual = np.linalg.norm(m @ z)
             assert residual < 1e-10 * max(np.max(np.abs(m)), 1e-30)
+        # no root is missing: one branch per nonnegative real root
+        roots = np.roots(dispersion_cubic(k, wp))
+        real = np.sort(roots[np.abs(roots.imag) <= 1e-12 * np.abs(roots)].real)
+        real = real[real >= 0.0]
+        assert len(branches) == len(real)
+        npt.assert_allclose([b.omega**2 for b in branches], real, rtol=1e-10)
+
+
+def test_double_root_gives_two_orthogonal_polarizations():
+    wp = WaveParams()
+    branches = dispersion_branches(0.0, wp)
+    npt.assert_allclose(
+        [b.omega for b in branches],
+        [0.0, 0.0, math.sqrt(4.0 * (wp.mu_c + wp.a) / wp.varrho_rot)],
+        rtol=1e-14, atol=0.0)
+    for b in branches:
+        assert math.copysign(1.0, b.omega) == 1.0
+    static = [b.amplitudes() for b in branches[:2]]
+    assert abs(np.vdot(static[0], static[1])) < 1e-14
+    m = wave_matrix(0.0, 0.0, wp)
+    for z in static:
+        npt.assert_allclose(np.linalg.norm(z), 1.0, rtol=1e-14)
+        assert np.linalg.norm(m @ z) < 1e-14
 
 
 def test_branch_phase_normalization():
@@ -228,6 +251,10 @@ def test_no_real_branch_is_reported():
                     rho=1.0, varrho_rot=4.0)
     with pytest.raises(NoRealBranch):
         dispersion_branches(1.0, wp)
+    # a non-finite wavenumber has no branch either (typed error, not a crash)
+    for k in (math.nan, math.inf):
+        with pytest.raises(NoRealBranch):
+            dispersion_branches(k, WaveParams())
 
 
 def test_material_round_trip_preserves_wave_parameters():
