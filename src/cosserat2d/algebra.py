@@ -54,11 +54,6 @@ def mat_mul(a, b):
     return np.einsum("ij...,jk...->ik...", a, b)
 
 
-def mat_vec(a, v):
-    """Matrix–vector product on the leading axes."""
-    return np.einsum("ij...,j...->i...", a, v)
-
-
 def transpose2(a):
     """Transpose of the leading matrix axes."""
     return np.swapaxes(a, 0, 1)
@@ -72,12 +67,6 @@ def trace2(a):
 def det2(a):
     """Determinant over the leading matrix axes."""
     return a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-
-
-def decompose(m):
-    """Split ``m`` into (symmetric part, skew part, trace)."""
-    mt = transpose2(m)
-    return 0.5 * (m + mt), 0.5 * (m - mt), trace2(m)
 
 
 def frobenius(a, b):
@@ -120,24 +109,12 @@ def polar2(f):
     return r, u
 
 
-def dpolar2_dir(f, e):
-    """Directional derivative of ``polar2`` at ``F`` in direction ``E``.
-
-    ``d polar(F)[E] = (E - R E^T R) / tr(U)``; at ``F = I`` this reduces to
-    ``skew(E)``.
-    """
-    f = np.asarray(f, dtype=float)
-    e = np.asarray(e, dtype=float)
-    tru = _polar_denominator(f)
-    r, _ = polar2(f)
-    return (e - mat_mul(r, mat_mul(transpose2(e), r))) / tru
-
-
 def dpolar2_dF(f):
     """Full fourth-order derivative ``T[i,j,k,l] = d polar(F)_ij / d F_kl``.
 
     ``T[i,j,k,l] = (delta_ik delta_jl - R[i,l] R[k,j]) / tr(U)``, so that
-    ``einsum('ijkl...,kl...->ij...', T, E)`` equals :func:`dpolar2_dir`.
+    ``einsum('ijkl...,kl...->ij...', T, E)`` is the directional derivative
+    ``(E - R E^T R) / tr(U)``; at ``F = I`` it reduces to ``skew(E)``.
     """
     f = np.asarray(f, dtype=float)
     tru = _polar_denominator(f)

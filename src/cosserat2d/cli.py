@@ -45,7 +45,7 @@ from .errors import (
 from .fields import FieldState, save_snapshot
 from .materials import CHIRAL, MaterialParams, ModelSelector
 from .reduction3d import full_reduction_report
-from .report import _FMT, VerificationReport
+from .report import VerificationReport, write_csv
 from .rng import random_smooth_state
 from .waves import (
     WaveParams,
@@ -64,24 +64,6 @@ TIMESERIES_HEADER = ("step,time,elastic,curvature,interaction,coupling,"
                      "chiral_elastic,mixing,kin_trans,kin_rot,total")
 DISPERSION_HEADER = ("k,branch_index,omega,u_hat,v_hat,phi_hat_imag,"
                      "ratio,phase_velocity")
-
-
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return _FMT % (value + 0.0)  # +0.0 folds negative zero
-
-
-def _write_rows(path: str, header: str, rows) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _ensure_outdir(path: str) -> None:
@@ -113,7 +95,11 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
     n_periods = max(1, round(cfg.initial.k * grid.lx / (2.0 * math.pi)))
     k = 2.0 * math.pi * n_periods / grid.lx
     branches = dispersion_branches(k, wp)
-    branch = branches[min(cfg.initial.branch, len(branches) - 1)]
+    if cfg.initial.branch >= len(branches):
+        raise ConfigError(
+            f"initial.branch {cfg.initial.branch} does not exist: the model "
+            f"has {len(branches)} branches at k = {k:.6g}")
+    branch = branches[cfg.initial.branch]
     omega = branch.omega
     amp = cfg.initial.amplitude
 
@@ -171,7 +157,8 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
         record(step, state)
         if step % sim.output_every == 0 or step == sim.steps:
             snapshot(step, state)
-    _write_rows(os.path.join(outdir, "timeseries.csv"), TIMESERIES_HEADER, rows)
+    write_csv(os.path.join(outdir, "timeseries.csv"), TIMESERIES_HEADER,
+              zip(*rows))
     return 0
 
 
@@ -207,15 +194,16 @@ def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
             rows.append((k, index, branch.omega, branch.u_hat.real,
                          branch.v_hat.real, branch.phi_hat.imag, ratio, speed))
             per_branch_points.setdefault(index, []).append((k, branch.omega))
-    _write_rows(os.path.join(outdir, "dispersion.csv"), DISPERSION_HEADER, rows)
+    write_csv(os.path.join(outdir, "dispersion.csv"), DISPERSION_HEADER,
+              zip(*rows))
 
     try:
         curve = velocity_curve(wp)
     except Cosserat2DError as exc:
         print(f"warning: velocity curve unavailable: {exc}", file=sys.stderr)
     else:
-        _write_rows(os.path.join(outdir, "ratio_velocity.csv"),
-                    "ratio,velocity", curve)
+        write_csv(os.path.join(outdir, "ratio_velocity.csv"),
+                  "ratio,velocity", zip(*curve))
 
     if svg:
         _write_dispersion_svg(os.path.join(outdir, "dispersion.svg"),
@@ -291,7 +279,8 @@ def cmd_homogeneous(cfg: ScenarioConfig, outdir: str) -> int:
         rows.append(("nontrivial_root", angle))
         rows.append(("residual_at_nontrivial",
                      homogeneous_residual(angle, p, sel)))
-    _write_rows(os.path.join(outdir, "homogeneous.csv"), "quantity,value", rows)
+    write_csv(os.path.join(outdir, "homogeneous.csv"), "quantity,value",
+              zip(*rows))
     return 0
 
 

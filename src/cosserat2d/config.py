@@ -11,7 +11,9 @@ in Python, so the dataclass fields are ``lam`` / ``lam_s``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError, IoError
 from .fields import Grid
@@ -114,67 +116,31 @@ class ScenarioConfig:
 
     @classmethod
     def default(cls) -> "ScenarioConfig":
-        return cls(material=MaterialParams(), model=ModelSelector(),
-                   grid=Grid(nx=32, ny=32), sim=SimSettings(),
-                   wave=WaveSweep(), initial=InitialCondition(),
-                   verify=VerifySettings())
+        return cls.from_dict({})
 
     def to_dict(self) -> dict:
-        m = self.material
-        return {
-            "material": {
-                "mu": m.mu, "lambda": m.lam, "mu_c": m.mu_c, "L_c": m.L_c,
-                "chi": m.chi, "rho": m.rho, "rho_rot": m.rho_rot,
-                "mu_s": m.mu_s, "lambda_s": m.lam_s, "mu_c_s": m.mu_c_s,
-                "m1": m.m1, "m2": m.m2, "m3": m.m3,
-            },
-            "model": {"kind": self.model.kind,
-                      "coupling": self.model.coupling},
-            "grid": {"nx": self.grid.nx, "ny": self.grid.ny,
-                     "lx": self.grid.lx, "ly": self.grid.ly},
-            "sim": {"dt": self.sim.dt, "steps": self.sim.steps,
-                    "output_every": self.sim.output_every,
-                    "eps_reg": self.sim.eps_reg},
-            "wave": {"k_min": self.wave.k_min, "k_max": self.wave.k_max,
-                     "k_steps": self.wave.k_steps},
-            "initial": {"kind": self.initial.kind, "seed": self.initial.seed,
-                        "amplitude": self.initial.amplitude,
-                        "modes": self.initial.modes, "k": self.initial.k,
-                        "branch": self.initial.branch},
-            "verify": {"tolerance_scale": self.verify.tolerance_scale},
-        }
+        return {name: {_JSON_NAMES.get(key, key): value
+                       for key, value in section.items()}
+                for name, section in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         if not isinstance(data, dict):
             raise ConfigError("configuration root must be a JSON object")
-        _reject_unknown(data, ("material", "model", "grid", "sim", "wave",
-                               "initial", "verify"), path="")
-        material = _build(
-            MaterialParams, data.get("material", {}), "material",
-            floats=("mu", "mu_c", "L_c", "chi", "rho", "rho_rot", "mu_s",
-                    "mu_c_s", "m1", "m2", "m3"),
-            renamed_floats={"lambda": "lam", "lambda_s": "lam_s"})
-        model = _build(ModelSelector, data.get("model", {}), "model",
-                       strings=("kind", "coupling"))
+        sections = get_type_hints(cls)
+        _reject_unknown(data, sections, path="")
         # The core Grid class requires explicit sizes; the scenario layer
-        # defaults to the 32x32 square used by ScenarioConfig.default().
-        grid_section = data.get("grid", {})
-        if isinstance(grid_section, dict):
-            grid_section = {"nx": 32, "ny": 32, **grid_section}
-        grid = _build(Grid, grid_section, "grid",
-                      ints=("nx", "ny"), floats=("lx", "ly"))
-        sim = _build(SimSettings, data.get("sim", {}), "sim",
-                     ints=("steps", "output_every"), floats=("dt", "eps_reg"))
-        wave = _build(WaveSweep, data.get("wave", {}), "wave",
-                      ints=("k_steps",), floats=("k_min", "k_max"))
-        initial = _build(InitialCondition, data.get("initial", {}), "initial",
-                         ints=("seed", "modes", "branch"),
-                         floats=("amplitude", "k"), strings=("kind",))
-        verify = _build(VerifySettings, data.get("verify", {}), "verify",
-                        floats=("tolerance_scale",))
-        return cls(material=material, model=model, grid=grid, sim=sim,
-                   wave=wave, initial=initial, verify=verify)
+        # defaults to a 32x32 square.
+        grid = data.get("grid", {})
+        if isinstance(grid, dict):
+            data = {**data, "grid": {"nx": 32, "ny": 32, **grid}}
+        return cls(**{name: _build(factory, data.get(name, {}), name)
+                      for name, factory in sections.items()})
+
+
+#: JSON spelling of the fields whose Python name is not usable there
+#: (``lambda`` is a reserved word in Python).
+_JSON_NAMES = {"lam": "lambda", "lam_s": "lambda_s"}
 
 
 def _reject_unknown(section: dict, allowed, path: str) -> None:
@@ -187,6 +153,8 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
 def _coerce_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where!r} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -202,27 +170,22 @@ def _coerce_str(value, where: str) -> str:
     return value
 
 
-def _build(factory, section, path, *, ints=(), floats=(), strings=(),
-           renamed_floats=None):
+_COERCE = {float: _coerce_float, int: _coerce_int, str: _coerce_str}
+
+
+def _build(factory, section, path):
     """Construct a section dataclass from its JSON object, enforcing key
-    and scalar-type strictness; value-range validation lives in the
-    dataclasses themselves."""
-    renamed_floats = renamed_floats or {}
+    and scalar-type strictness from the dataclass's field annotations;
+    value-range validation lives in the dataclasses themselves."""
     if not isinstance(section, dict):
         raise ConfigError(f"section {path!r} must be a JSON object")
-    _reject_unknown(section, tuple(ints) + tuple(floats) + tuple(strings)
-                    + tuple(renamed_floats), path)
+    schema = {_JSON_NAMES.get(name, name): (name, _COERCE[kind])
+              for name, kind in get_type_hints(factory).items()}
+    _reject_unknown(section, schema, path)
     kwargs = {}
     for key, value in section.items():
-        where = f"{path}.{key}"
-        if key in renamed_floats:
-            kwargs[renamed_floats[key]] = _coerce_float(value, where)
-        elif key in ints:
-            kwargs[key] = _coerce_int(value, where)
-        elif key in floats:
-            kwargs[key] = _coerce_float(value, where)
-        else:
-            kwargs[key] = _coerce_str(value, where)
+        name, coerce = schema[key]
+        kwargs[name] = coerce(value, f"{path}.{key}")
     try:
         return factory(**kwargs)
     except ConfigError:

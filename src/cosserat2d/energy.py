@@ -69,25 +69,6 @@ def elastic_density(f, theta, p: MaterialParams):
     return p.mu * frobenius(sym, sym) + 0.5 * p.lam * trace2(sym) ** 2
 
 
-def elastic_density_expanded(f, theta, p: MaterialParams):
-    """Fully expanded algebraic form of :func:`elastic_density`.
-
-    ``2mu - 2mu tr(F R^T) + mu/2 (tr(R^T F R^T F) + tr(F F^T))
-    + 2lam - 2lam tr(R^T F) + lam/2 tr(R^T F)^2`` — kept as an independent
-    cross-check of the norm form.
-    """
-    x = _first_stretch(f, theta)
-    trx = trace2(x)
-    return (
-        2.0 * p.mu
-        - 2.0 * p.mu * trx
-        + 0.5 * p.mu * (trace2(mat_mul(x, x)) + frobenius(f, f))
-        + 2.0 * p.lam
-        - 2.0 * p.lam * trx
-        + 0.5 * p.lam * trx**2
-    )
-
-
 def curvature_density(grad_theta, p: MaterialParams):
     """mu L_c^2 |grad theta|^2."""
     return p.mu * p.L_c**2 * (grad_theta[0] ** 2 + grad_theta[1] ** 2)
@@ -105,12 +86,6 @@ def coupling_density(f, theta, p: MaterialParams):
     q, _ = polar2(f)
     d = mat_mul(transpose2(rot2(theta)), q) - identity2(q)
     return p.mu_c * frobenius(d, d)
-
-
-def coupling_density_expanded(f, theta, p: MaterialParams):
-    """Expanded form 4 mu_c - 2 mu_c tr(R^T polar F) of :func:`coupling_density`."""
-    q, _ = polar2(f)
-    return 4.0 * p.mu_c - 2.0 * p.mu_c * trace2(mat_mul(transpose2(rot2(theta)), q))
 
 
 def coupling2_density(f, theta, p: MaterialParams, mu_c: float | None = None):

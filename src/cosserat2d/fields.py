@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IoError, NonFiniteState
-from .report import _FMT
+from .errors import ConfigError
+from .report import write_csv
 
 
 @dataclass(frozen=True)
@@ -98,17 +98,6 @@ def div_matrix(m: np.ndarray, grid: Grid) -> np.ndarray:
     return ddx(m[:, 0], grid) + ddy(m[:, 1], grid)
 
 
-def curl2_matrix(m: np.ndarray, grid: Grid) -> np.ndarray:
-    """Planar matrix curl ``(curl M)_i = d_x M_i1 - d_y M_i0``.
-
-    The orientation matches ``EPS2`` (``eps_01 = +1``). A consequence used by
-    the tests: for a rotation field built from an angle ``t``,
-    ``rot2(t)^T @ curl2_matrix(rot2(t))`` equals ``-grad t`` (the norms of the
-    two sides always agree).
-    """
-    return ddx(m[:, 1], grid) - ddy(m[:, 0], grid)
-
-
 @dataclass
 class FieldState:
     """Displacements, microrotation angle, and their time derivatives."""
@@ -138,10 +127,6 @@ class FieldState:
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for a in self.field_arrays())
 
-    def require_finite(self):
-        if not self.is_finite():
-            raise NonFiniteState("field state contains non-finite values")
-
 
 def deformation_gradients(state: FieldState):
     """Deformation gradients ``F = I + grad u`` and ``F* = I + grad u*``.
@@ -164,16 +149,7 @@ def deformation_gradients(state: FieldState):
 def save_snapshot(state: FieldState, path) -> None:
     """Write one CSV row per node: ``i,j,x,y,u1,u2,theta,v1,v2,omega``."""
     grid = state.grid
-    x, y = grid.coords()
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("i,j,x,y,u1,u2,theta,v1,v2,omega\n")
-            for i in range(grid.nx):
-                for j in range(grid.ny):
-                    row = (x[i, j], y[i, j], state.u1[i, j], state.u2[i, j],
-                           state.theta[i, j], state.v1[i, j], state.v2[i, j],
-                           state.omega[i, j])
-                    fh.write(f"{i},{j}," + ",".join(_FMT % v for v in row)
-                             + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write snapshot to {path}: {exc}") from exc
+    i, j = np.indices(grid.shape)
+    columns = (i, j, *grid.coords(), *state.field_arrays())
+    write_csv(path, "i,j,x,y,u1,u2,theta,v1,v2,omega",
+              [c.ravel() for c in columns])

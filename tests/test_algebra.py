@@ -12,13 +12,10 @@ import pytest
 from cosserat2d.algebra import (
     EPS2,
     cof2,
-    decompose,
     det2,
     dpolar2_dF,
-    dpolar2_dir,
     frobenius,
     mat_mul,
-    mat_vec,
     polar2,
     rot2,
     trace2,
@@ -27,6 +24,25 @@ from cosserat2d.algebra import (
 from cosserat2d.errors import DegenerateDeformation
 
 from conftest import random_f_stack
+
+
+def mat_vec(a, v):
+    """Matrix–vector product on the leading axes."""
+    return np.einsum("ij...,j...->i...", a, v)
+
+
+def decompose(m):
+    """Split ``m`` into (symmetric part, skew part, trace)."""
+    mt = transpose2(m)
+    return 0.5 * (m + mt), 0.5 * (m - mt), trace2(m)
+
+
+def dpolar2_dir(f, e):
+    """Directional derivative of ``polar2`` at ``F`` in direction ``E``:
+    ``(E - R E^T R) / tr(U)``, with ``tr(U)^2 = |F|^2 + 2 det F``."""
+    r, _ = polar2(f)
+    tru = np.sqrt(frobenius(f, f) + 2.0 * det2(f))
+    return (e - mat_mul(r, mat_mul(transpose2(e), r))) / tru
 
 
 def polar_by_eigendecomposition(f):

@@ -8,7 +8,11 @@ import os
 import numpy as np
 import pytest
 
+from cosserat2d import cli
 from cosserat2d.cli import main
+from cosserat2d.errors import IoError
+from cosserat2d.fields import FieldState, Grid, save_snapshot
+from cosserat2d.report import VerificationReport
 
 
 def run(tmp_path, *argv):
@@ -81,6 +85,23 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out",
                  str(tmp_path / "boom")]) == 2
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_missing_plane_wave_branch_exits_1(tmp_path, capsys):
+    # mu_s = -0.9 makes the wave stiffness indefinite: 2 branches at k = 2 pi
+    cfg = write_config(tmp_path, {
+        "material": {"mu_s": -0.9},
+        "model": {"kind": "chiral"},
+        "grid": {"nx": 16, "ny": 16},
+        "sim": {"dt": 0.001, "steps": 2},
+        "initial": {"kind": "plane_wave", "k": 6.3, "branch": 2},
+    })
+    out = tmp_path / "pw"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "initial.branch 2 does not exist" in err
+    assert "2 branches at k = 6.28319" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_missing_config_exits_1(tmp_path, capsys):
@@ -219,3 +240,21 @@ def test_outdir_is_created_nested(tmp_path):
     nested = tmp_path / "deep" / "er" / "dir"
     assert main(["homogeneous", "--out", str(nested)]) == 0
     assert (nested / "homogeneous.csv").exists()
+
+
+@pytest.mark.parametrize("target", ["snapshot", "report", "cli_table"])
+def test_csv_write_into_missing_directory_is_an_io_error(
+        tmp_path, monkeypatch, capsys, target):
+    missing = tmp_path / "missing"
+    if target == "cli_table":
+        # The CLI creates --out itself; skip that so the table write is the
+        # step that meets the missing directory.
+        monkeypatch.setattr(cli, "_ensure_outdir", lambda path: None)
+        assert main(["homogeneous", "--out", str(missing)]) == 1
+        assert "cannot write" in capsys.readouterr().err
+        return
+    write = {"snapshot": lambda path: save_snapshot(
+                 FieldState.zero(Grid(nx=4, ny=4)), path),
+             "report": VerificationReport().to_csv}[target]
+    with pytest.raises(IoError, match="cannot write"):
+        write(missing / "out.csv")

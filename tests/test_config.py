@@ -2,6 +2,7 @@
 unknown keys and wrong scalar types, and typed file errors."""
 
 import json
+import math
 
 import pytest
 
@@ -63,6 +64,13 @@ def test_scalar_types_are_strict():
         ScenarioConfig.from_dict({"grid": {"nx": True}})
     with pytest.raises(ConfigError, match="'model.kind' must be a string"):
         ScenarioConfig.from_dict({"model": {"kind": 3}})
+    # JSON's Infinity and NaN parse to floats but are no usable setting
+    with pytest.raises(ConfigError,
+                       match="'wave.k_max' must be a finite number, got inf"):
+        ScenarioConfig.from_dict({"wave": {"k_max": math.inf}})
+    with pytest.raises(ConfigError,
+                       match="'material.chi' must be a finite number, got nan"):
+        ScenarioConfig.from_dict({"material": {"chi": math.nan}})
     # JSON integers are accepted where floats are expected
     assert ScenarioConfig.from_dict({"material": {"mu": 2}}).material.mu == 2.0
 

@@ -8,17 +8,23 @@ under superposed rotations, and nodal finite differences of the totals.
 import numpy as np
 import numpy.testing as npt
 
-from cosserat2d.algebra import EPS2, mat_mul, rot2
+from cosserat2d.algebra import (
+    EPS2,
+    frobenius,
+    mat_mul,
+    polar2,
+    rot2,
+    trace2,
+    transpose2,
+)
 from cosserat2d.energy import (
     DEFAULT_EPS_REG,
     analytic_variations,
     chiral_elastic_density,
     coupling2_density,
     coupling_density,
-    coupling_density_expanded,
     curvature_density,
     elastic_density,
-    elastic_density_expanded,
     interaction_density,
     mixing_density,
     potential_total,
@@ -29,6 +35,28 @@ from cosserat2d.materials import MaterialParams, ModelSelector
 from cosserat2d.rng import random_smooth_state
 
 from conftest import random_f_stack, random_material
+
+
+def elastic_density_expanded(f, theta, p):
+    """Fully expanded algebraic form of ``elastic_density``:
+    ``2mu - 2mu tr(F R^T) + mu/2 (tr(R^T F R^T F) + tr(F F^T))
+    + 2lam - 2lam tr(R^T F) + lam/2 tr(R^T F)^2``."""
+    x = mat_mul(transpose2(rot2(theta)), f)
+    trx = trace2(x)
+    return (
+        2.0 * p.mu
+        - 2.0 * p.mu * trx
+        + 0.5 * p.mu * (trace2(mat_mul(x, x)) + frobenius(f, f))
+        + 2.0 * p.lam
+        - 2.0 * p.lam * trx
+        + 0.5 * p.lam * trx**2
+    )
+
+
+def coupling_density_expanded(f, theta, p):
+    """Expanded form 4 mu_c - 2 mu_c tr(R^T polar F) of ``coupling_density``."""
+    q, _ = polar2(f)
+    return 4.0 * p.mu_c - 2.0 * p.mu_c * trace2(mat_mul(transpose2(rot2(theta)), q))
 
 
 def random_inputs(seed, n=40):

@@ -10,12 +10,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cosserat2d import report
 from cosserat2d.algebra import mat_mul, rot2, transpose2
 from cosserat2d.errors import ConfigError, NonFiniteState
 from cosserat2d.fields import (
     FieldState,
     Grid,
-    curl2_matrix,
     ddx,
     ddxx,
     ddy,
@@ -27,6 +27,17 @@ from cosserat2d.fields import (
     save_snapshot,
 )
 from cosserat2d.rng import random_smooth_state
+
+
+def curl2_matrix(m, grid):
+    """Planar matrix curl ``(curl M)_i = d_x M_i1 - d_y M_i0``; the
+    orientation matches ``EPS2`` (``eps_01 = +1``)."""
+    return ddx(m[:, 1], grid) - ddy(m[:, 0], grid)
+
+
+def require_finite(state):
+    if not state.is_finite():
+        raise NonFiniteState("field state contains non-finite values")
 
 
 def smooth_field(grid):
@@ -175,12 +186,15 @@ def test_field_state_copy_is_deep_and_finiteness_is_checked():
     state.v2[3, 3] = np.nan
     assert not state.is_finite()
     with pytest.raises(NonFiniteState):
-        state.require_finite()
+        require_finite(state)
 
 
-def test_snapshot_round_trip(tmp_path):
+def test_snapshot_round_trip(tmp_path, monkeypatch):
+    # 20 rows over blocks of 7: the last block is a partial one
+    monkeypatch.setattr(report, "BLOCK_ROWS", 7)
     grid = Grid(nx=4, ny=5, lx=1.0, ly=1.0)
     state = random_smooth_state(grid, seed=9, amplitude=0.3, modes=1)
+    state.theta[1, 2] = -0.0
     path = tmp_path / "snap.csv"
     save_snapshot(state, path)
     lines = path.read_text().splitlines()
@@ -188,14 +202,15 @@ def test_snapshot_round_trip(tmp_path):
     assert len(lines) == 1 + grid.nx * grid.ny
 
     # Row order is i-major, j-minor; values restore exactly from %.17g.
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "0"
-    second = lines[2].split(",")
-    assert second[0] == "0" and second[1] == "1"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        (str(i), str(j)) for i in range(grid.nx) for j in range(grid.ny)]
     i, j = 2, 3
-    row = lines[1 + i * grid.ny + j].split(",")
+    row = rows[i * grid.ny + j]
     assert float(row[4]) == state.u1[i, j]
     assert float(row[9]) == state.omega[i, j]
+    # negative zero prints as 0, like every other CSV number
+    assert rows[1 * grid.ny + 2][6] == "0"
 
 
 def test_rotation_matrix_transpose_convention():
