@@ -33,12 +33,14 @@ from .dynamics import (
     step_leapfrog,
     verify_variational_consistency,
 )
-from .energy import total_energy
+from .energy import energy_breakdown
 from .errors import (
     ConfigError,
     Cosserat2DError,
+    DegenerateDeformation,
     ImaginarySpeed,
     IoError,
+    NonFiniteState,
     NoRealBranch,
     ZeroDenominator,
 )
@@ -139,22 +141,27 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
     _ensure_outdir(outdir)
     state = build_initial_state(cfg)
     rhs = _rhs_for(cfg)
-    p, sel, sim = cfg.material, cfg.model, cfg.sim
+    p, sim = cfg.material, cfg.sim
 
     rows = []
 
-    def record(step: int, current: FieldState) -> None:
-        breakdown = total_energy(current, p, sel, eps_reg=sim.eps_reg)
+    def record(step: int, current: FieldState, acc) -> None:
+        breakdown = energy_breakdown(acc.potential, current, p)
         rows.append((step, step * sim.dt) + breakdown.csv_row())
 
     def snapshot(step: int, current: FieldState) -> None:
         save_snapshot(current, os.path.join(outdir, "snapshot_%06d.csv" % step))
 
-    record(0, state)
+    acc = rhs(state, p)
+    record(0, state, acc)
     snapshot(0, state)
     for step in range(1, sim.steps + 1):
-        state = step_leapfrog(state, sim.dt, rhs, p)
-        record(step, state)
+        try:
+            state, acc = step_leapfrog(state, sim.dt, rhs, p, acc)
+        except (NonFiniteState, DegenerateDeformation) as exc:
+            raise type(exc)(f"step {step} (t = {step * sim.dt:.6g}): "
+                            f"{exc}") from exc
+        record(step, state, acc)
         if step % sim.output_every == 0 or step == sim.steps:
             snapshot(step, state)
     write_csv(os.path.join(outdir, "timeseries.csv"), TIMESERIES_HEADER,
@@ -367,10 +374,10 @@ def _flag_report(scale: float) -> VerificationReport:
 
 
 def _verify_state(cfg: ScenarioConfig) -> FieldState:
-    init = cfg.initial
-    if init.kind == "random_smooth":
-        return random_smooth_state(cfg.grid, init.seed, init.amplitude,
-                                   init.modes)
+    """The configured random state, or a fixed one for the other kinds
+    (a zero or plane-wave state would leave most checks without signal)."""
+    if cfg.initial.kind == "random_smooth":
+        return build_initial_state(cfg)
     return random_smooth_state(cfg.grid, 1234, 0.05, 3)
 
 

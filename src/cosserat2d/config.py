@@ -153,7 +153,12 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
 def _coerce_float(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the largest double
+        raise ConfigError(f"{where!r} must be a finite number, got an "
+                          f"integer too large for a double") from None
+    if not finite:
         raise ConfigError(f"{where!r} must be a finite number, got {value!r}")
     return float(value)
 
@@ -203,7 +208,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise IoError(f"cannot read configuration {path!r}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigError(f"configuration {path!r} is not valid JSON: {exc}")
     return ScenarioConfig.from_dict(data)
 

@@ -18,6 +18,7 @@ the verification report.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .energy import (
     _reg_norm,
     analytic_variations,
     potential_total,
+    stretch_densities,
+    term_totals,
 )
 from .errors import NonFiniteState, ZeroDenominator
 from .fields import (
@@ -47,10 +50,17 @@ from .report import VerificationReport
 
 @dataclass(frozen=True)
 class RhsFields:
-    """Accelerations: ``acc_u`` shape (2, nx, ny), ``acc_theta`` (nx, ny)."""
+    """Accelerations: ``acc_u`` shape (2, nx, ny), ``acc_theta`` (nx, ny).
+
+    ``potential`` maps each active energy term to its discrete total at the
+    same state, taken from the stretches the kernel already built (the keys
+    and values :func:`cosserat2d.energy.total_energy` uses); it is ``None``
+    for :func:`rhs_linear_chiral`, which has no matching energy.
+    """
 
     acc_u: np.ndarray
     acc_theta: np.ndarray
+    potential: Mapping[str, float] | None = None
 
 
 def _eps_trace(m: np.ndarray) -> np.ndarray:
@@ -66,7 +76,8 @@ def _eps_t_left(m: np.ndarray) -> np.ndarray:
 def rhs_nonlinear(state: FieldState, p: MaterialParams, coupling: str = "polar",
                   eps_reg: float = DEFAULT_EPS_REG) -> RhsFields:
     """Accelerations of the non-chiral model (elastic + curvature +
-    rotation/strain coupling + optional chiral-interaction term).
+    rotation/strain coupling + optional chiral-interaction term), with the
+    per-term potential totals of the same state.
 
     ``coupling='polar'`` penalizes microrotation vs. the continuum rotation
     ``polar(F)`` (this path needs ``det F > 0`` and raises
@@ -91,30 +102,42 @@ def rhs_nonlinear(state: FieldState, p: MaterialParams, coupling: str = "polar",
     torque = p.mu * p.L_c**2 * div_vector(g, grid)
     torque = torque + (p.mu + p.lam) * tx - 0.5 * p.mu * txx - 0.5 * p.lam * trx * tx
 
+    rtq = None  # R^T polar(F), polar coupling only
     if coupling == "polar":
         q, stretch = polar2(f)
         tru = trace2(stretch)  # trace of sqrt(F^T F)
-        p_total = p_total + (2.0 * p.mu_c / tru) * (mat_mul(q, mat_mul(rt, q)) - r)
-        torque = torque + p.mu_c * _eps_trace(mat_mul(rt, q))
+        del stretch
+        rtq = mat_mul(rt, q)
+        p_total = p_total + (2.0 * p.mu_c / tru) * (mat_mul(q, rtq) - r)
+        torque = torque + p.mu_c * _eps_trace(rtq)
+        del q
     elif coupling == "skew":
         p_total = p_total + p.mu_c * (f - rftr)
         torque = torque + 0.5 * p.mu_c * txx
     else:
         raise ValueError(f"unknown coupling kind: {coupling!r}")
 
+    n = None
     if p.chi != 0.0:
         n, s = _reg_norm(g, eps_reg)
         c = p.mu * p.L_c * p.chi
         p_total = p_total + (c * n) * r
         torque = torque + 0.5 * c * (div_vector(trx * g / s, grid) - n * tx)
 
-    return RhsFields(acc_u=div_matrix(p_total, grid) / p.rho,
-                     acc_theta=torque / p.rho_rot)
+    acc_u = div_matrix(p_total, grid) / p.rho
+    acc_theta = torque / p.rho_rot
+    # Release the stress temporaries before the energy densities are built.
+    del f, r, rt, rftr, p_total, torque
+    terms = ModelSelector.nonchiral(coupling).active_terms()
+    potential = term_totals(
+        stretch_densities(terms, p, x=x, g=g, n=n, rtq=rtq), grid.cell_area)
+    return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
 
 
 def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
     """Accelerations of the chiral model (elastic + curvature + skew coupling
-    + starred elastic on the 90-degree-rotated displacement + mixing)."""
+    + starred elastic on the 90-degree-rotated displacement + mixing), with
+    the per-term potential totals of the same state."""
     grid = state.grid
     f, fstar = deformation_gradients(state)
     r = rot2(state.theta)
@@ -139,6 +162,7 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
                   + p.m2 * (trx - 2.0) * r
                   + 0.5 * p.m3 * (f - rftr))
     p_total = p_total + p_mix_direct + _eps_t_left(p_star + p_mix_star)
+    del p_star, p_mix_direct, p_mix_star  # not held through the angle terms
 
     # --- angle equation ---
     tx = _eps_trace(x)
@@ -148,7 +172,8 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
     txxs = _eps_trace(mat_mul(x, xs))
     txsx = _eps_trace(mat_mul(xs, x))
 
-    torque = p.mu * p.L_c**2 * div_vector(grad_scalar(state.theta, grid), grid)
+    g = grad_scalar(state.theta, grid)
+    torque = p.mu * p.L_c**2 * div_vector(g, grid)
     torque = torque + (p.mu + p.lam) * tx - 0.5 * p.mu * txx - 0.5 * p.lam * trx * tx
     torque = torque + 0.5 * p.mu_c * txx
     torque = (torque + (p.mu_s + p.lam_s) * txs - 0.5 * p.mu_s * txsxs
@@ -158,8 +183,14 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
               - 0.5 * p.m2 * ((trxs - 2.0) * tx + (trx - 2.0) * txs)
               + 0.25 * p.m3 * (txxs + txsx))
 
-    return RhsFields(acc_u=div_matrix(p_total, grid) / p.rho,
-                     acc_theta=torque / p.rho_rot)
+    acc_u = div_matrix(p_total, grid) / p.rho
+    acc_theta = torque / p.rho_rot
+    # Release the stress temporaries before the energy densities are built.
+    del f, fstar, r, rt, rftr, rfstr, p_total, torque
+    potential = term_totals(
+        stretch_densities(ModelSelector.chiral().active_terms(), p,
+                          x=x, xs=xs, g=g), grid.cell_area)
+    return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
 
 
 @dataclass(frozen=True)
@@ -304,17 +335,21 @@ def homogeneous_roots(p: MaterialParams, sel: ModelSelector) -> HomogeneousRoots
                             feasible=-2.0 <= fraction <= 0.0)
 
 
-def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams) -> FieldState:
-    """One velocity-Verlet step: half-kick, drift, re-evaluate, half-kick.
+def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams,
+                  acc: RhsFields) -> tuple[FieldState, RhsFields]:
+    """One velocity-Verlet step: half-kick, drift, evaluate, half-kick.
 
-    ``rhs`` is any callable ``(state, p) -> RhsFields``. Time-reversible:
-    stepping ``+dt`` then ``-dt`` returns the initial state to round-off.
+    ``rhs`` is any callable ``(state, p) -> RhsFields`` and ``acc`` is its
+    value at ``state``.  Returns the new state and ``rhs`` at the new state,
+    which is the next step's ``acc``: every right-hand side reads only the
+    positions, so carrying it over gives the same bits as evaluating it
+    again, with one ``rhs`` call per step.  Time-reversible: stepping ``+dt``
+    then ``-dt`` returns the initial state to round-off.
     """
     g = state.grid
-    a0 = rhs(state, p)
-    v1h = state.v1 + 0.5 * dt * a0.acc_u[0]
-    v2h = state.v2 + 0.5 * dt * a0.acc_u[1]
-    omh = state.omega + 0.5 * dt * a0.acc_theta
+    v1h = state.v1 + 0.5 * dt * acc.acc_u[0]
+    v2h = state.v2 + 0.5 * dt * acc.acc_u[1]
+    omh = state.omega + 0.5 * dt * acc.acc_theta
     drifted = FieldState(grid=g,
                          u1=state.u1 + dt * v1h,
                          u2=state.u2 + dt * v2h,
@@ -327,7 +362,7 @@ def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams) -> Field
                      omega=omh + 0.5 * dt * a1.acc_theta)
     if not out.is_finite():
         raise NonFiniteState("state became non-finite during leapfrog step")
-    return out
+    return out, a1
 
 
 def _relative_max_error(diff: np.ndarray, reference: np.ndarray) -> float:

@@ -62,11 +62,58 @@ def _reg_norm(grad_theta, eps_reg):
     return s - eps_reg, np.where(s > 0.0, s, np.inf)
 
 
+# Each density formula below is written once, on the stretches it reads:
+# ``x = R^T F``, ``xs = R^T F*``, the angle gradient ``g``, its regularized
+# norm ``n`` and ``rtq = R^T polar(F)``.  The public ``*_density(f, theta,
+# ...)`` functions and :func:`stretch_densities` both call them.
+
+def _sym_minus_eye(x):
+    return 0.5 * (x + transpose2(x)) - identity2(x)
+
+
+def _skew(x):
+    return 0.5 * (x - transpose2(x))
+
+
+def _elastic(x, p: MaterialParams):
+    sym = _sym_minus_eye(x)
+    return p.mu * frobenius(sym, sym) + 0.5 * p.lam * trace2(sym) ** 2
+
+
+def _interaction(n, x, p: MaterialParams):
+    return p.mu * p.L_c * p.chi * n * trace2(x)
+
+
+def _coupling(rtq, p: MaterialParams):
+    d = rtq - identity2(rtq)
+    return p.mu_c * frobenius(d, d)
+
+
+def _coupling2(x, mu_c: float):
+    sk = _skew(x)
+    return mu_c * frobenius(sk, sk)
+
+
+def _chiral_elastic(xs, p: MaterialParams):
+    sym = _sym_minus_eye(xs)
+    sk = _skew(xs)
+    return (p.mu_s * frobenius(sym, sym)
+            + 0.5 * p.lam_s * trace2(sym) ** 2
+            + p.mu_c_s * frobenius(sk, sk))
+
+
+def _mixing(x, xs, p: MaterialParams):
+    sym = _sym_minus_eye(x)
+    syms = _sym_minus_eye(xs)
+    out = p.m1 * frobenius(syms, sym) + p.m2 * trace2(syms) * trace2(sym)
+    if p.m3 != 0.0:
+        out = out + p.m3 * frobenius(_skew(xs), _skew(x))
+    return out
+
+
 def elastic_density(f, theta, p: MaterialParams):
     """mu |sym(R^T F) - I|^2 + lam/2 (tr(sym(R^T F) - I))^2."""
-    x = _first_stretch(f, theta)
-    sym = 0.5 * (x + transpose2(x)) - identity2(x)
-    return p.mu * frobenius(sym, sym) + 0.5 * p.lam * trace2(sym) ** 2
+    return _elastic(_first_stretch(f, theta), p)
 
 
 def curvature_density(grad_theta, p: MaterialParams):
@@ -78,46 +125,61 @@ def interaction_density(f, theta, grad_theta, p: MaterialParams,
                         eps_reg: float = DEFAULT_EPS_REG):
     """mu L_c chi * reg|grad theta| * tr(R^T F) with the smoothed norm."""
     n, _ = _reg_norm(grad_theta, eps_reg)
-    return p.mu * p.L_c * p.chi * n * trace2(_first_stretch(f, theta))
+    return _interaction(n, _first_stretch(f, theta), p)
 
 
 def coupling_density(f, theta, p: MaterialParams):
     """mu_c |R^T polar(F) - I|^2  (both factors are rotations)."""
     q, _ = polar2(f)
-    d = mat_mul(transpose2(rot2(theta)), q) - identity2(q)
-    return p.mu_c * frobenius(d, d)
+    return _coupling(mat_mul(transpose2(rot2(theta)), q), p)
 
 
 def coupling2_density(f, theta, p: MaterialParams, mu_c: float | None = None):
     """mu_c |skew(R^T F - I)|^2  (the skew part kills the identity shift)."""
     mu_c = p.mu_c if mu_c is None else mu_c
-    x = _first_stretch(f, theta)
-    sk = 0.5 * (x - transpose2(x))
-    return mu_c * frobenius(sk, sk)
+    return _coupling2(_first_stretch(f, theta), mu_c)
 
 
 def chiral_elastic_density(fstar, theta, p: MaterialParams):
     """Starred elastic energy: the elastic + skew-coupling shape on F*."""
-    x = _first_stretch(fstar, theta)
-    sym = 0.5 * (x + transpose2(x)) - identity2(x)
-    sk = 0.5 * (x - transpose2(x))
-    return (p.mu_s * frobenius(sym, sym)
-            + 0.5 * p.lam_s * trace2(sym) ** 2
-            + p.mu_c_s * frobenius(sk, sk))
+    return _chiral_elastic(_first_stretch(fstar, theta), p)
 
 
 def mixing_density(f, fstar, theta, p: MaterialParams):
     """m1 <sym* - I, sym - I> + m2 (tr* - 2)(tr - 2) + m3 <skew*, skew>."""
-    x = _first_stretch(f, theta)
-    xs = _first_stretch(fstar, theta)
-    sym = 0.5 * (x + transpose2(x)) - identity2(x)
-    syms = 0.5 * (xs + transpose2(xs)) - identity2(xs)
-    out = p.m1 * frobenius(syms, sym) + p.m2 * trace2(syms) * trace2(sym)
-    if p.m3 != 0.0:
-        sk = 0.5 * (x - transpose2(x))
-        sks = 0.5 * (xs - transpose2(xs))
-        out = out + p.m3 * frobenius(sks, sk)
-    return out
+    return _mixing(_first_stretch(f, theta), _first_stretch(fstar, theta), p)
+
+
+def stretch_densities(terms, p: MaterialParams, *, x=None, xs=None, g=None,
+                      n=None, rtq=None):
+    """Yield ``(term, density)`` for each of ``terms`` from prebuilt stretches.
+
+    Only the inputs the requested terms read need to be given: ``x`` for
+    elastic, interaction, coupling2 and mixing, ``xs`` for chiral_elastic and
+    mixing, ``g`` for curvature, ``n`` for interaction (skipped when
+    ``chi = 0``) and ``rtq`` for coupling.  Densities come one at a time, in
+    :data:`ALL_TERMS` order, so a caller that sums each keeps one alive.
+    """
+    if "elastic" in terms:
+        yield "elastic", _elastic(x, p)
+    if "curvature" in terms:
+        yield "curvature", curvature_density(g, p)
+    if "interaction" in terms and p.chi != 0.0:
+        yield "interaction", _interaction(n, x, p)
+    if "coupling" in terms:
+        yield "coupling", _coupling(rtq, p)
+    if "coupling2" in terms:
+        yield "coupling2", _coupling2(x, p.mu_c)
+    if "chiral_elastic" in terms:
+        yield "chiral_elastic", _chiral_elastic(xs, p)
+    if "mixing" in terms:
+        yield "mixing", _mixing(x, xs, p)
+
+
+def term_totals(densities, cell_area: float) -> dict[str, float]:
+    """Discrete per-term totals (node sum times cell area) of
+    ``(term, density)`` pairs."""
+    return {name: float(np.sum(d)) * cell_area for name, d in densities}
 
 
 @dataclass(frozen=True)
@@ -151,59 +213,62 @@ class EnergyBreakdown:
 
 def _potential_densities(state: FieldState, p: MaterialParams, terms,
                          eps_reg: float):
-    grid = state.grid
+    """:func:`stretch_densities` of ``state``, building only the stretches
+    the requested terms read."""
+    need = set(terms)
+    if p.chi == 0.0:
+        need.discard("interaction")
     f, fstar = deformation_gradients(state)
-    g = grad_scalar(state.theta, grid)
-    out = {}
-    if "elastic" in terms:
-        out["elastic"] = elastic_density(f, state.theta, p)
-    if "curvature" in terms:
-        out["curvature"] = curvature_density(g, p)
-    if "interaction" in terms and p.chi != 0.0:
-        out["interaction"] = interaction_density(f, state.theta, g, p, eps_reg)
-    if "coupling" in terms:
-        out["coupling"] = coupling_density(f, state.theta, p)
-    if "coupling2" in terms:
-        out["coupling2"] = coupling2_density(f, state.theta, p)
-    if "chiral_elastic" in terms:
-        out["chiral_elastic"] = chiral_elastic_density(fstar, state.theta, p)
-    if "mixing" in terms:
-        out["mixing"] = mixing_density(f, fstar, state.theta, p)
-    return out
+    # every term but curvature reads R
+    rt = transpose2(rot2(state.theta)) if need - {"curvature"} else None
+    rtq = mat_mul(rt, polar2(f)[0]) if "coupling" in need else None
+    x = (mat_mul(rt, f)
+         if need & {"elastic", "interaction", "coupling2", "mixing"} else None)
+    xs = mat_mul(rt, fstar) if need & {"chiral_elastic", "mixing"} else None
+    g = (grad_scalar(state.theta, state.grid)
+         if need & {"curvature", "interaction"} else None)
+    n = _reg_norm(g, eps_reg)[0] if "interaction" in need else None
+    return stretch_densities(need, p, x=x, xs=xs, g=g, n=n, rtq=rtq)
 
 
-def total_energy(state: FieldState, p: MaterialParams, sel: ModelSelector,
-                 eps_reg: float = DEFAULT_EPS_REG) -> EnergyBreakdown:
-    """Discrete energy breakdown for the selected model.
+def energy_breakdown(potential, state: FieldState,
+                     p: MaterialParams) -> EnergyBreakdown:
+    """Breakdown from per-term potential totals (as :func:`term_totals`
+    returns them) and the kinetic energy of ``state``.
 
     Kinetic terms: translational ``rho/2 |u_t|^2`` and rotational
     ``rho_rot |theta_t|^2`` (note: no 1/2 — the rotation-matrix rate form
     ``tr(Rdot^T Rdot)`` equals ``2 theta_t^2``, and this convention keeps the
     angle equation's inertia factor at ``2 rho_rot``).
     """
-    grid = state.grid
-    dens = _potential_densities(state, p, sel.active_terms(), eps_reg)
-    totals = {name: float(np.sum(d)) * grid.cell_area for name, d in dens.items()}
-    coupling_total = totals.get("coupling", 0.0) + totals.get("coupling2", 0.0)
-    kin_t = 0.5 * p.rho * float(np.sum(state.v1**2 + state.v2**2)) * grid.cell_area
-    kin_r = p.rho_rot * float(np.sum(state.omega**2)) * grid.cell_area
+    area = state.grid.cell_area
+    kin_t = 0.5 * p.rho * float(np.sum(state.v1**2 + state.v2**2)) * area
+    kin_r = p.rho_rot * float(np.sum(state.omega**2)) * area
     return EnergyBreakdown(
-        elastic=totals.get("elastic", 0.0),
-        curvature=totals.get("curvature", 0.0),
-        interaction=totals.get("interaction", 0.0),
-        coupling=coupling_total,
-        chiral_elastic=totals.get("chiral_elastic", 0.0),
-        mixing=totals.get("mixing", 0.0),
+        elastic=potential.get("elastic", 0.0),
+        curvature=potential.get("curvature", 0.0),
+        interaction=potential.get("interaction", 0.0),
+        coupling=potential.get("coupling", 0.0) + potential.get("coupling2", 0.0),
+        chiral_elastic=potential.get("chiral_elastic", 0.0),
+        mixing=potential.get("mixing", 0.0),
         kinetic_translational=kin_t,
         kinetic_rotational=kin_r,
     )
+
+
+def total_energy(state: FieldState, p: MaterialParams, sel: ModelSelector,
+                 eps_reg: float = DEFAULT_EPS_REG) -> EnergyBreakdown:
+    """Discrete energy breakdown for the selected model (see
+    :func:`energy_breakdown` for the kinetic terms)."""
+    dens = _potential_densities(state, p, sel.active_terms(), eps_reg)
+    return energy_breakdown(term_totals(dens, state.grid.cell_area), state, p)
 
 
 def potential_total(state: FieldState, p: MaterialParams, terms,
                     eps_reg: float = DEFAULT_EPS_REG) -> float:
     """Discrete potential energy restricted to ``terms`` (test/FD helper)."""
     dens = _potential_densities(state, p, terms, eps_reg)
-    return float(sum(np.sum(d) for d in dens.values())) * state.grid.cell_area
+    return float(sum(np.sum(d) for _, d in dens)) * state.grid.cell_area
 
 
 def _variation_conjugates(state: FieldState, p: MaterialParams, terms,

@@ -84,7 +84,10 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, data)
     assert main(["simulate", "--config", cfg, "--out",
                  str(tmp_path / "boom")]) == 2
-    assert "numerical error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical error" in err
+    # the polar factor fails first, on the first step
+    assert "step 1 (t = 50): det(F) <= 1e-12" in err
 
 
 def test_missing_plane_wave_branch_exits_1(tmp_path, capsys):
@@ -258,3 +261,42 @@ def test_csv_write_into_missing_directory_is_an_io_error(
              "report": VerificationReport().to_csv}[target]
     with pytest.raises(IoError, match="cannot write"):
         write(missing / "out.csv")
+
+
+@pytest.mark.parametrize("kind, name", [("nonchiral", "rhs_nonlinear"),
+                                        ("chiral", "rhs_chiral")])
+def test_simulate_evaluates_rhs_once_per_step(tmp_path, monkeypatch, kind,
+                                              name):
+    calls = []
+    kernel = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    cfg = write_config(tmp_path, dict(SMALL_SIM, model={"kind": kind}))
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "sim")]) == 0
+    assert len(calls) == SMALL_SIM["sim"]["steps"] + 1
+
+
+def test_simulate_failure_names_the_step(tmp_path, monkeypatch, capsys):
+    # The fourth evaluation is the end of step 3 (the first is the initial
+    # state); make it blow up.
+    calls = []
+    kernel = cli.rhs_nonlinear
+
+    def blowing_up(*args, **kwargs):
+        calls.append(1)
+        acc = kernel(*args, **kwargs)
+        if len(calls) == 4:
+            acc.acc_theta[0, 0] = math.inf
+        return acc
+
+    monkeypatch.setattr(cli, "rhs_nonlinear", blowing_up)
+    cfg = write_config(tmp_path, SMALL_SIM)
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "boom")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical error: step 3 (t = 0.006): state became non-finite" in err

@@ -71,6 +71,10 @@ def test_scalar_types_are_strict():
     with pytest.raises(ConfigError,
                        match="'material.chi' must be a finite number, got nan"):
         ScenarioConfig.from_dict({"material": {"chi": math.nan}})
+    # a JSON integer too large for a double cannot be converted at all
+    with pytest.raises(ConfigError,
+                       match="'material.mu' must be a finite number, "):
+        ScenarioConfig.from_dict({"material": {"mu": 10**400}})
     # JSON integers are accepted where floats are expected
     assert ScenarioConfig.from_dict({"material": {"mu": 2}}).material.mu == 2.0
 
@@ -106,6 +110,10 @@ def test_load_errors_are_typed(tmp_path):
         load_config(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(bad))
+    # longer than Python's integer-parsing limit (4300 digits)
+    bad.write_text('{"material": {"mu": 1' + "0" * 5000 + "}}")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
 

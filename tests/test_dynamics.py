@@ -22,7 +22,12 @@ from cosserat2d.dynamics import (
     step_leapfrog,
     verify_variational_consistency,
 )
-from cosserat2d.energy import total_energy
+from cosserat2d.energy import (
+    ALL_TERMS,
+    energy_breakdown,
+    potential_total,
+    total_energy,
+)
 from cosserat2d.errors import NonFiniteState
 from cosserat2d.fields import FieldState, Grid, ddx, ddxx, ddy, ddyy
 from cosserat2d.materials import MaterialParams, ModelSelector
@@ -306,10 +311,11 @@ def test_leapfrog_is_time_reversible():
 
     dt = 0.002
     state = state0.copy()
+    acc = rhs(state, p)
     for _ in range(100):
-        state = step_leapfrog(state, dt, rhs, p)
+        state, acc = step_leapfrog(state, dt, rhs, p, acc)
     for _ in range(100):
-        state = step_leapfrog(state, -dt, rhs, p)
+        state, acc = step_leapfrog(state, -dt, rhs, p, acc)
 
     for name, (a, b) in {
             "u1": (state.u1, state0.u1), "u2": (state.u2, state0.u2),
@@ -334,8 +340,9 @@ def test_leapfrog_energy_drift_is_bounded():
     # bounded by the translational wave speed, so leave margin in the step.
     dt = 0.05 * grid.hx / math.sqrt((p.lam + 2.0 * p.mu) / p.rho)
     e0 = total_energy(state, p, sel).total
+    acc = rhs(state, p)
     for _ in range(300):
-        state = step_leapfrog(state, dt, rhs, p)
+        state, acc = step_leapfrog(state, dt, rhs, p, acc)
     e1 = total_energy(state, p, sel).total
     assert e0 > 0.0
     assert abs(e1 - e0) / e0 < 1e-3
@@ -345,7 +352,83 @@ def test_leapfrog_raises_on_nonfinite_state():
     grid = Grid(nx=6, ny=6)
     state = FieldState.zero(grid)
     state.v1[2, 2] = np.inf
+    def rhs(s, q):
+        return rhs_nonlinear(s, q, coupling="skew")
+
+    p = MaterialParams()
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteState):
-        step_leapfrog(state, 0.1,
-                      lambda s, q: rhs_nonlinear(s, q, coupling="skew"),
-                      MaterialParams())
+        step_leapfrog(state, 0.1, rhs, p, rhs(state, p))
+
+
+def _stepper_cases(rng):
+    """(rhs, material) for every right-hand side the stepper can carry."""
+    return [
+        (lambda s, q: rhs_nonlinear(s, q, coupling="polar"),
+         random_material(rng, chi=0.4)),
+        (lambda s, q: rhs_nonlinear(s, q, coupling="skew"),
+         random_material(rng)),
+        (rhs_chiral, random_material(rng, chiral=True)),
+        (rhs_linear_chiral, random_material(rng, chiral=True)),
+    ]
+
+
+def test_carried_acceleration_matches_reevaluation():
+    # Every right-hand side reads only u and theta, so the end-of-step
+    # acceleration is bit for bit the next step's start acceleration.
+    grid = Grid(nx=12, ny=10, lx=2.0, ly=1.5)
+    state0 = random_smooth_state(grid, seed=12, amplitude=0.02, modes=2)
+    for rhs, p in _stepper_cases(np.random.default_rng(61)):
+        carried, acc = state0.copy(), rhs(state0, p)
+        fresh = state0.copy()
+        for _ in range(10):
+            carried, acc = step_leapfrog(carried, 0.003, rhs, p, acc)
+            fresh, _ = step_leapfrog(fresh, 0.003, rhs, p, rhs(fresh, p))
+        for name in ("u1", "u2", "theta", "v1", "v2", "omega"):
+            npt.assert_array_equal(getattr(carried, name),
+                                   getattr(fresh, name), err_msg=name)
+        again = rhs(carried, p)
+        npt.assert_array_equal(acc.acc_u, again.acc_u)
+        npt.assert_array_equal(acc.acc_theta, again.acc_theta)
+
+
+def test_kernel_potential_matches_total_energy_bitwise():
+    grid = Grid(nx=12, ny=10, lx=2.0, ly=1.5)
+    state = random_smooth_state(grid, seed=13, amplitude=0.05, modes=3)
+    rng = np.random.default_rng(62)
+    for chi in (0.0, 0.7):
+        for sel in (ModelSelector.nonchiral("polar"),
+                    ModelSelector.nonchiral("skew"), ModelSelector.chiral()):
+            p = random_material(rng, chiral=sel.is_chiral, chi=chi)
+            if sel.is_chiral:
+                acc = rhs_chiral(state, p)
+            else:
+                acc = rhs_nonlinear(state, p, coupling=sel.coupling,
+                                    eps_reg=1e-6)
+            expected = total_energy(state, p, sel, eps_reg=1e-6)
+            terms = [t for t in sel.active_terms()
+                     if t != "interaction" or chi != 0.0]
+            assert sorted(acc.potential) == sorted(terms)
+            assert energy_breakdown(acc.potential, state, p) == expected
+            assert all(acc.potential[t] != 0.0 for t in terms)
+    assert rhs_linear_chiral(state, random_material(rng)).potential is None
+
+
+def test_checkerboard_is_a_null_mode_of_the_nonlinear_discretization():
+    # Known defect, pinned here: the central-difference gradient cannot see
+    # the grid-scale checkerboard, so the nonlinear energy and its
+    # accelerations vanish on it, while the compact 3-point second
+    # differences of the linearized equations push it back.
+    grid = Grid(nx=32, ny=32)
+    i, j = np.indices(grid.shape)
+    state = FieldState.zero(grid)
+    state.u1 = 0.01 * (-1.0) ** (i + j)
+    state.u2 = 0.01 * (-1.0) ** i
+    p = MaterialParams(chi=0.3)
+    assert potential_total(state, p, ALL_TERMS) == 0.0
+    for acc in (rhs_nonlinear(state, p, coupling="polar"),
+                rhs_nonlinear(state, p, coupling="skew"),
+                rhs_chiral(state, p)):
+        assert np.max(np.abs(acc.acc_u)) == 0.0
+        assert np.max(np.abs(acc.acc_theta)) == 0.0
+    linear = rhs_linear_chiral(state, p)
+    assert np.max(np.abs(linear.acc_u)) == pytest.approx(204.8, rel=1e-12)
