@@ -44,7 +44,7 @@ from .fields import (
     div_vector,
     grad_scalar,
 )
-from .materials import ModelSelector, MaterialParams
+from .materials import POLAR_COUPLING, SKEW_COUPLING, MaterialParams, ModelSelector
 from .report import VerificationReport
 
 
@@ -73,6 +73,97 @@ def _eps_t_left(m: np.ndarray) -> np.ndarray:
     return np.stack([-m[1], m[0]])
 
 
+def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
+         eps_reg: float) -> RhsFields:
+    """Accelerations and per-term potential totals of the energy made of
+    ``terms`` (a :meth:`ModelSelector.active_terms` tuple).
+
+    ``F``, ``R``, ``R^T F``, ``R F^T R`` and ``grad theta`` are built once;
+    each term then adds its stress to ``p_total`` (``rho u_tt = div P``) and
+    its torque to ``torque`` (``rho_rot theta_tt = torque``): elastic and
+    curvature, one coupling, the interaction, then the chiral block.  That
+    order fixes the rounding of every acceleration.
+    """
+    grid = state.grid
+    f, fstar = deformation_gradients(state)
+    if "chiral_elastic" not in terms:
+        fstar = None  # only the chiral block reads F*
+    r = rot2(state.theta)
+    rt = transpose2(r)
+    x = mat_mul(rt, f)
+    trx = trace2(x)
+    rftr = mat_mul(r, mat_mul(transpose2(f), r))  # R F^T R
+
+    # --- elastic and curvature ---
+    p_total = p.mu * (rftr + f) + (p.lam * trx - 2.0 * (p.mu + p.lam)) * r
+    tx = _eps_trace(x)
+    txx = _eps_trace(mat_mul(x, x))
+    g = grad_scalar(state.theta, grid)
+    torque = p.mu * p.L_c**2 * div_vector(g, grid)
+    torque = torque + (p.mu + p.lam) * tx - 0.5 * p.mu * txx - 0.5 * p.lam * trx * tx
+
+    # --- rotation/strain coupling ---
+    rtq = None  # R^T polar(F), polar coupling only
+    if "coupling" in terms:
+        q, stretch = polar2(f)
+        tru = trace2(stretch)  # trace of sqrt(F^T F)
+        del stretch
+        rtq = mat_mul(rt, q)
+        p_total = p_total + (2.0 * p.mu_c / tru) * (mat_mul(q, rtq) - r)
+        torque = torque + p.mu_c * _eps_trace(rtq)
+        del q
+    else:  # coupling2: the skew part of R^T F
+        p_total = p_total + p.mu_c * (f - rftr)
+        torque = torque + 0.5 * p.mu_c * txx
+
+    # --- chiral interaction ---
+    n = None
+    if "interaction" in terms and p.chi != 0.0:
+        n, s = _reg_norm(g, eps_reg)
+        c = p.mu * p.L_c * p.chi
+        p_total = p_total + (c * n) * r
+        torque = torque + 0.5 * c * (div_vector(trx * g / s, grid) - n * tx)
+
+    # --- starred elastic on F* = I + grad u*, and mixing ---
+    xs = None
+    if "chiral_elastic" in terms:
+        xs = mat_mul(rt, fstar)
+        trxs = trace2(xs)
+        rfstr = mat_mul(r, mat_mul(transpose2(fstar), r))
+        # Each partial stress is folded in as soon as it is built, to keep
+        # the allocation peak low; the sum is (P + P_mix) + EPS2^T (P* + P*_mix).
+        p_total = p_total + (p.m1 * (0.5 * (fstar + rfstr) - r)
+                             + p.m2 * (trxs - 2.0) * r
+                             + 0.5 * p.m3 * (fstar - rfstr))
+        p_star = (p.mu_s * (rfstr + fstar)
+                  + (p.lam_s * trxs - 2.0 * (p.mu_s + p.lam_s)) * r
+                  + p.mu_c_s * (fstar - rfstr))
+        p_star += (p.m1 * (0.5 * (f + rftr) - r)
+                   + p.m2 * (trx - 2.0) * r
+                   + 0.5 * p.m3 * (f - rftr))
+        p_total = p_total + _eps_t_left(p_star)
+        del p_star, rfstr
+        txs = _eps_trace(xs)
+        txsxs = _eps_trace(mat_mul(xs, xs))
+        txxs = _eps_trace(mat_mul(x, xs))
+        txsx = _eps_trace(mat_mul(xs, x))
+        torque = (torque + (p.mu_s + p.lam_s) * txs - 0.5 * p.mu_s * txsxs
+                  - 0.5 * p.lam_s * trxs * txs + 0.5 * p.mu_c_s * txsxs)
+        torque = (torque
+                  - 0.5 * p.m1 * (0.5 * (txxs + txsx) - tx - txs)
+                  - 0.5 * p.m2 * ((trxs - 2.0) * tx + (trx - 2.0) * txs)
+                  + 0.25 * p.m3 * (txxs + txsx))
+
+    acc_u = div_matrix(p_total, grid) / p.rho
+    acc_theta = torque / p.rho_rot
+    # Release the stress temporaries before the energy densities are built.
+    del f, fstar, r, rt, rftr, p_total, torque
+    potential = term_totals(
+        stretch_densities(terms, p, x=x, xs=xs, g=g, n=n, rtq=rtq),
+        grid.cell_area)
+    return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
+
+
 def rhs_nonlinear(state: FieldState, p: MaterialParams, coupling: str = "polar",
                   eps_reg: float = DEFAULT_EPS_REG) -> RhsFields:
     """Accelerations of the non-chiral model (elastic + curvature +
@@ -84,113 +175,18 @@ def rhs_nonlinear(state: FieldState, p: MaterialParams, coupling: str = "polar",
     ``DegenerateDeformation`` otherwise); ``coupling='skew'`` penalizes the
     skew part of ``R^T F``.
     """
-    grid = state.grid
-    f, _ = deformation_gradients(state)
-    r = rot2(state.theta)
-    rt = transpose2(r)
-    x = mat_mul(rt, f)
-    trx = trace2(x)
-    rftr = mat_mul(r, mat_mul(transpose2(f), r))  # R F^T R
-
-    # --- displacement equation: rho u_tt = div(P_total) ---
-    p_total = p.mu * (rftr + f) + (p.lam * trx - 2.0 * (p.mu + p.lam)) * r
-
-    # --- angle equation accumulator: rho_rot theta_tt = torque ---
-    tx = _eps_trace(x)
-    txx = _eps_trace(mat_mul(x, x))
-    g = grad_scalar(state.theta, grid)
-    torque = p.mu * p.L_c**2 * div_vector(g, grid)
-    torque = torque + (p.mu + p.lam) * tx - 0.5 * p.mu * txx - 0.5 * p.lam * trx * tx
-
-    rtq = None  # R^T polar(F), polar coupling only
-    if coupling == "polar":
-        q, stretch = polar2(f)
-        tru = trace2(stretch)  # trace of sqrt(F^T F)
-        del stretch
-        rtq = mat_mul(rt, q)
-        p_total = p_total + (2.0 * p.mu_c / tru) * (mat_mul(q, rtq) - r)
-        torque = torque + p.mu_c * _eps_trace(rtq)
-        del q
-    elif coupling == "skew":
-        p_total = p_total + p.mu_c * (f - rftr)
-        torque = torque + 0.5 * p.mu_c * txx
-    else:
+    if coupling not in (POLAR_COUPLING, SKEW_COUPLING):
         raise ValueError(f"unknown coupling kind: {coupling!r}")
-
-    n = None
-    if p.chi != 0.0:
-        n, s = _reg_norm(g, eps_reg)
-        c = p.mu * p.L_c * p.chi
-        p_total = p_total + (c * n) * r
-        torque = torque + 0.5 * c * (div_vector(trx * g / s, grid) - n * tx)
-
-    acc_u = div_matrix(p_total, grid) / p.rho
-    acc_theta = torque / p.rho_rot
-    # Release the stress temporaries before the energy densities are built.
-    del f, r, rt, rftr, p_total, torque
-    terms = ModelSelector.nonchiral(coupling).active_terms()
-    potential = term_totals(
-        stretch_densities(terms, p, x=x, g=g, n=n, rtq=rtq), grid.cell_area)
-    return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
+    return _rhs(state, p, ModelSelector.nonchiral(coupling).active_terms(),
+                eps_reg)
 
 
 def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
     """Accelerations of the chiral model (elastic + curvature + skew coupling
     + starred elastic on the 90-degree-rotated displacement + mixing), with
     the per-term potential totals of the same state."""
-    grid = state.grid
-    f, fstar = deformation_gradients(state)
-    r = rot2(state.theta)
-    rt = transpose2(r)
-    x = mat_mul(rt, f)
-    xs = mat_mul(rt, fstar)
-    trx = trace2(x)
-    trxs = trace2(xs)
-    rftr = mat_mul(r, mat_mul(transpose2(f), r))
-    rfstr = mat_mul(r, mat_mul(transpose2(fstar), r))
-
-    # --- displacement equation ---
-    p_total = p.mu * (rftr + f) + (p.lam * trx - 2.0 * (p.mu + p.lam)) * r
-    p_total = p_total + p.mu_c * (f - rftr)
-    p_star = (p.mu_s * (rfstr + fstar)
-              + (p.lam_s * trxs - 2.0 * (p.mu_s + p.lam_s)) * r
-              + p.mu_c_s * (fstar - rfstr))
-    p_mix_direct = (p.m1 * (0.5 * (fstar + rfstr) - r)
-                    + p.m2 * (trxs - 2.0) * r
-                    + 0.5 * p.m3 * (fstar - rfstr))
-    p_mix_star = (p.m1 * (0.5 * (f + rftr) - r)
-                  + p.m2 * (trx - 2.0) * r
-                  + 0.5 * p.m3 * (f - rftr))
-    p_total = p_total + p_mix_direct + _eps_t_left(p_star + p_mix_star)
-    del p_star, p_mix_direct, p_mix_star  # not held through the angle terms
-
-    # --- angle equation ---
-    tx = _eps_trace(x)
-    txs = _eps_trace(xs)
-    txx = _eps_trace(mat_mul(x, x))
-    txsxs = _eps_trace(mat_mul(xs, xs))
-    txxs = _eps_trace(mat_mul(x, xs))
-    txsx = _eps_trace(mat_mul(xs, x))
-
-    g = grad_scalar(state.theta, grid)
-    torque = p.mu * p.L_c**2 * div_vector(g, grid)
-    torque = torque + (p.mu + p.lam) * tx - 0.5 * p.mu * txx - 0.5 * p.lam * trx * tx
-    torque = torque + 0.5 * p.mu_c * txx
-    torque = (torque + (p.mu_s + p.lam_s) * txs - 0.5 * p.mu_s * txsxs
-              - 0.5 * p.lam_s * trxs * txs + 0.5 * p.mu_c_s * txsxs)
-    torque = (torque
-              - 0.5 * p.m1 * (0.5 * (txxs + txsx) - tx - txs)
-              - 0.5 * p.m2 * ((trxs - 2.0) * tx + (trx - 2.0) * txs)
-              + 0.25 * p.m3 * (txxs + txsx))
-
-    acc_u = div_matrix(p_total, grid) / p.rho
-    acc_theta = torque / p.rho_rot
-    # Release the stress temporaries before the energy densities are built.
-    del f, fstar, r, rt, rftr, rfstr, p_total, torque
-    potential = term_totals(
-        stretch_densities(ModelSelector.chiral().active_terms(), p,
-                          x=x, xs=xs, g=g), grid.cell_area)
-    return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
+    return _rhs(state, p, ModelSelector.chiral().active_terms(),
+                DEFAULT_EPS_REG)
 
 
 @dataclass(frozen=True)
@@ -275,12 +271,12 @@ class HomogeneousRoots:
     """Spatially constant equilibrium angles of the selected model."""
 
     trivial_roots: tuple[float, ...]
-    nontrivial_cos: float | None
+    nontrivial_cos: float
     feasible: bool
 
     def all_roots(self) -> list[float]:
         roots = list(self.trivial_roots)
-        if self.feasible and self.nontrivial_cos is not None:
+        if self.feasible:
             c = min(1.0, max(-1.0, self.nontrivial_cos))
             t = math.acos(c)
             for candidate in (t, -t):
@@ -398,8 +394,13 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
         minus = state.copy()
         getattr(plus, name)[i, j] += step
         getattr(minus, name)[i, j] -= step
+        if getattr(plus, name)[i, j] == getattr(minus, name)[i, j]:
+            return math.inf  # the step is lost to rounding: nothing to compare
         vp = potential_total(plus, p, terms, eps_reg)
         vm = potential_total(minus, p, terms, eps_reg)
+        # An overflowed total or gradient is a failure, not a noise floor.
+        if not all(map(math.isfinite, (vp, vm, analytic * area))):
+            return math.inf
         vmax = max(vmax, abs(vp), abs(vm))
         fd = (vp - vm) / (2.0 * step)
         scale = max(scale, abs(fd))
@@ -425,10 +426,7 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
     base_tol = (1e-10 if p.chi == 0.0 else 1e-8) * tolerance_scale
     fd_tol = 1e-6 * tolerance_scale
 
-    if sel.is_chiral:
-        acc = rhs_chiral(state, p)
-    else:
-        acc = rhs_nonlinear(state, p, coupling=sel.coupling, eps_reg=eps_reg)
+    acc = _rhs(state, p, sel.active_terms(), eps_reg)
     dv_du, dv_dth = analytic_variations(state, p, sel, eps_reg)
 
     report.add("acc_u_vs_energy_gradient",

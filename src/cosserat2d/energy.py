@@ -286,42 +286,38 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
     y_conj = np.zeros_like(f)   # conjugate to delta R
     q_conj = np.zeros((2,) + grid.shape)  # conjugate to delta grad theta
 
-    def stretch_conjugates(xmat, fmat, w):
+    def stretch_conjugates(fmat, w):
         """Push a conjugate-to-(R^T F) back to (delta F, delta R) conjugates."""
         return mat_mul(r, w), mat_mul(fmat, transpose2(w))
 
     if "elastic" in terms:
-        sym = 0.5 * (x + transpose2(x)) - eye
-        w = 2.0 * p.mu * sym + p.lam * (trace2(x) - 2.0) * eye
-        dp, dy = stretch_conjugates(x, f, w)
+        w = 2.0 * p.mu * _sym_minus_eye(x) + p.lam * (trace2(x) - 2.0) * eye
+        dp, dy = stretch_conjugates(f, w)
         p_conj += dp
         y_conj += dy
 
     if "coupling2" in terms:
         w = p.mu_c * (x - transpose2(x))  # 2 mu_c skew(X)
-        dp, dy = stretch_conjugates(x, f, w)
+        dp, dy = stretch_conjugates(f, w)
         p_conj += dp
         y_conj += dy
 
     if "chiral_elastic" in terms:
-        syms = 0.5 * (xs + transpose2(xs)) - eye
-        w = (2.0 * p.mu_s * syms + p.lam_s * (trace2(xs) - 2.0) * eye
+        w = (2.0 * p.mu_s * _sym_minus_eye(xs) + p.lam_s * (trace2(xs) - 2.0) * eye
              + p.mu_c_s * (xs - transpose2(xs)))
-        dp, dy = stretch_conjugates(xs, fstar, w)
+        dp, dy = stretch_conjugates(fstar, w)
         # delta F* = EPS2 @ delta F, so the F-conjugate picks up EPS2^T.
         p_conj += np.einsum("ji,jk...->ik...", EPS2, dp)
         y_conj += dy
 
     if "mixing" in terms:
-        sym = 0.5 * (x + transpose2(x)) - eye
-        syms = 0.5 * (xs + transpose2(xs)) - eye
-        w_x = p.m1 * syms + p.m2 * (trace2(xs) - 2.0) * eye
-        w_xs = p.m1 * sym + p.m2 * (trace2(x) - 2.0) * eye
+        w_x = p.m1 * _sym_minus_eye(xs) + p.m2 * (trace2(xs) - 2.0) * eye
+        w_xs = p.m1 * _sym_minus_eye(x) + p.m2 * (trace2(x) - 2.0) * eye
         if p.m3 != 0.0:
             w_x = w_x + 0.5 * p.m3 * (xs - transpose2(xs))
             w_xs = w_xs + 0.5 * p.m3 * (x - transpose2(x))
-        dp, dy = stretch_conjugates(x, f, w_x)
-        dps, dys = stretch_conjugates(xs, fstar, w_xs)
+        dp, dy = stretch_conjugates(f, w_x)
+        dps, dys = stretch_conjugates(fstar, w_xs)
         p_conj += dp + np.einsum("ji,jk...->ik...", EPS2, dps)
         y_conj += dy + dys
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import dataclasses
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -42,9 +43,7 @@ class MaterialParams:
             raise ConfigError(f"rho_rot must be positive, got {self.rho_rot}")
 
     def replace(self, **kwargs) -> "MaterialParams":
-        vals = {f.name: getattr(self, f.name) for f in fields(self)}
-        vals.update(kwargs)
-        return MaterialParams(**vals)
+        return dataclasses.replace(self, **kwargs)
 
 
 NONCHIRAL = "nonchiral"

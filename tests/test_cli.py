@@ -4,6 +4,7 @@ the error paths promised by the tool."""
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,6 @@ def test_simulate_energy_column_is_consistent(tmp_path):
         assert abs(sum(parts[:-1]) - parts[-1]) < 1e-12 * max(1.0, parts[-1])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_simulate_blow_up_exits_2(tmp_path, capsys):
     data = dict(SMALL_SIM)
     data["sim"] = {"dt": 50.0, "steps": 200, "output_every": 200}
@@ -88,6 +88,25 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     assert "numerical error" in err
     # the polar factor fails first, on the first step
     assert "step 1 (t = 50): det(F) <= 1e-12" in err
+
+
+def test_simulate_blow_up_prints_no_numpy_warnings(tmp_path, capsys):
+    # The skew run grows for a few steps through huge but finite values
+    # before the finiteness check fires; the typed error is the only report.
+    data = dict(SMALL_SIM)
+    data["model"] = {"coupling": "skew"}
+    data["sim"] = {"dt": 0.5, "steps": 200, "output_every": 200}
+    data["initial"] = {"kind": "random_smooth", "seed": 7, "amplitude": 0.1}
+    cfg = write_config(tmp_path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "boom")]) == 2
+    assert [w.category for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "numerical error: step 83 (t = 41.5): state became non-finite" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_missing_plane_wave_branch_exits_1(tmp_path, capsys):

@@ -277,6 +277,41 @@ def test_rhs_rejects_unknown_coupling():
                       coupling="both")
 
 
+def test_chiral_kernel_with_zero_chiral_moduli_is_the_skew_model():
+    # The chiral model is the skew-coupled non-chiral model plus the starred
+    # and mixing terms; with those moduli at zero the two share every bit.
+    grid = Grid(nx=12, ny=10, lx=2.0, ly=1.5)
+    state = random_smooth_state(grid, seed=21, amplitude=0.05, modes=3)
+    p = random_material(np.random.default_rng(8), chiral=True, chi=0.0,
+                        mu_s=0.0, lam_s=0.0, mu_c_s=0.0, m1=0.0, m2=0.0, m3=0.0)
+    chiral = rhs_chiral(state, p)
+    skew = rhs_nonlinear(state, p, coupling="skew")
+    npt.assert_array_equal(chiral.acc_u, skew.acc_u)
+    npt.assert_array_equal(chiral.acc_theta, skew.acc_theta)
+    assert sorted(skew.potential) == ["coupling2", "curvature", "elastic"]
+    for term in skew.potential:
+        assert chiral.potential[term] == skew.potential[term]
+    assert chiral.potential["chiral_elastic"] == 0.0
+    assert chiral.potential["mixing"] == 0.0
+
+
+def test_fd_rows_fail_when_no_difference_can_be_taken():
+    # A finite-difference row has no signal when the energy overflows
+    # (amplitude 1e3 with mu = 1e300) or when the state is so large that
+    # the step is lost to rounding (amplitude 1e150); neither is a pass.
+    grid = Grid(nx=16, ny=16)
+    sel = ModelSelector.nonchiral("skew")
+    cases = [(1e150, MaterialParams(chi=0.3), "fd_gradient_curvature"),
+             (1e3, MaterialParams(mu=1e300, chi=0.3), "fd_gradient_elastic")]
+    for amplitude, p, row in cases:
+        state = random_smooth_state(grid, seed=3, amplitude=amplitude)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = verify_variational_consistency(state, p, sel)
+        check = {c.name: c for c in report.checks}[row]
+        assert check.max_abs_error == math.inf
+        assert not check.passed
+
+
 def test_rhs_is_linearizable_at_the_origin():
     # rhs(eps * s)/eps approaches a limit as eps -> 0: no kinks hiding in
     # the smooth-term assembly (chi = 0).
