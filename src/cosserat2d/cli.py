@@ -44,7 +44,7 @@ from .errors import (
     NoRealBranch,
     ZeroDenominator,
 )
-from .fields import FieldState, save_snapshot
+from .fields import FieldState, snapshot_writer
 from .materials import CHIRAL, MaterialParams, ModelSelector
 from .reduction3d import full_reduction_report
 from .report import VerificationReport, write_csv
@@ -149,12 +149,14 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
         breakdown = energy_breakdown(acc.potential, current, p)
         rows.append((step, step * sim.dt) + breakdown.csv_row())
 
-    def snapshot(step: int, current: FieldState) -> None:
-        save_snapshot(current, os.path.join(outdir, "snapshot_%06d.csv" % step))
-
     # A state that grows without bound overflows for a few steps before
     # step_leapfrog's finiteness check fires; that typed error is the report.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # Snapshots are written by forked children while the stepping goes on.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            snapshot_writer() as write:
+        def snapshot(step: int, current: FieldState) -> None:
+            write(current, os.path.join(outdir, "snapshot_%06d.csv" % step))
+
         acc = rhs(state, p)
         record(0, state, acc)
         snapshot(0, state)

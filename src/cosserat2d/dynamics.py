@@ -437,12 +437,20 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
 
     # Record the inertia normalization of the angle equation explicitly:
     # the least-squares factor m in (-dV/dtheta) = m * rho_rot * acc_theta.
-    denom = float(np.sum(acc.acc_theta**2)) * p.rho_rot
-    if denom > 0.0:
-        factor = float(np.sum(-dv_dth * acc.acc_theta)) / denom
-        report.add("theta_inertia_factor_is_two", abs(factor - 2.0), base_tol)
-    else:
+    # Both sums run on the fields divided by the power of two just above
+    # max|acc_theta|: the division is exact, so the factor is unchanged, and
+    # the sums cannot overflow however large the state.
+    peak = float(np.max(np.abs(acc.acc_theta)))
+    if peak == 0.0:
         report.add("theta_inertia_factor_is_two", 0.0, base_tol)
+    else:
+        scale = math.ldexp(1.0, math.frexp(peak)[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_th, dv = acc.acc_theta / scale, dv_dth / scale
+            factor = float(np.sum(-dv * a_th)) / (float(np.sum(a_th**2))
+                                                  * p.rho_rot)
+        error = abs(factor - 2.0) if math.isfinite(factor) else math.inf
+        report.add("theta_inertia_factor_is_two", error, base_tol)
 
     g = grad_scalar(state.theta, state.grid)
     gnorm_min = float(np.min(np.sqrt(g[0] ** 2 + g[1] ** 2)))

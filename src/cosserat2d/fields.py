@@ -14,11 +14,15 @@ exact to rounding — the variational checks in :mod:`cosserat2d.energy` and
 
 from __future__ import annotations
 
+import os
+import signal
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IoError
 from .report import write_csv
 
 
@@ -153,3 +157,73 @@ def save_snapshot(state: FieldState, path) -> None:
     columns = (i, j, *grid.coords(), *state.field_arrays())
     write_csv(path, "i,j,x,y,u1,u2,theta,v1,v2,omega",
               [c.ravel() for c in columns])
+
+
+@contextmanager
+def snapshot_writer():
+    """Yield ``write(state, path)``, which saves a snapshot in a forked child
+    while the caller goes on.
+
+    At most one child per usable CPU is in flight; past that, ``write`` first
+    waits for the oldest.  Leaving the block waits for every child.  The
+    first child that failed, in write order, is raised as the
+    :class:`IoError` of its ``save_snapshot``.  A child sees the state as it
+    was at the fork, so nothing is copied.  Without ``os.fork``, ``write`` is
+    ``save_snapshot`` itself.
+    """
+    if not hasattr(os, "fork"):
+        yield save_snapshot
+        return
+    try:
+        limit = len(os.sched_getaffinity(0))
+    except AttributeError:
+        limit = os.cpu_count() or 1
+    pending = deque()  # (pid, read end of the child's error pipe, path)
+
+    def wait_oldest() -> str:
+        """Reap the oldest child; return its error message, or ``""``."""
+        pid, read_fd, path = pending.popleft()
+        with os.fdopen(read_fd, "rb") as pipe:
+            message = pipe.read().decode("utf-8", "replace")
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0 and not message:
+            message = f"cannot write {path!r}: writer exited with {code}"
+        return message
+
+    def write(state, path) -> None:
+        while len(pending) >= limit:
+            message = wait_oldest()
+            if message:
+                while pending:  # later writes cannot outrank this failure
+                    wait_oldest()
+                raise IoError(message)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise IoError(f"cannot start a writer for {path!r}: {exc}") from exc
+        if pid == 0:
+            status = 1
+            try:
+                # An interrupt stops the stepping, not a half-written file.
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(read_fd)
+                save_snapshot(state, path)
+                status = 0
+            except IoError as exc:
+                os.write(write_fd, str(exc).encode("utf-8"))
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        pending.append((pid, read_fd, path))
+
+    try:
+        yield write
+    finally:
+        # A failed write still pending came before whatever ended the block.
+        messages = [wait_oldest() for _ in range(len(pending))]
+        message = next(filter(None, messages), "")
+        if message:
+            raise IoError(message)

@@ -1,9 +1,24 @@
 """Shared helpers for the test suite (imported via pytest's rootdir path)."""
 
+import os
+
 import numpy as np
+import pytest
 
 from cosserat2d.fields import Grid
 from cosserat2d.materials import MaterialParams
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a finished child process nobody waited for
+    (a snapshot writer, say)."""
+    yield
+    try:
+        reaped = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    assert reaped == (0, 0), f"unreaped child process {reaped[0]}"
 
 
 def random_f_stack(rng, n=8, spread=0.4):

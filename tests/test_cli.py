@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, byte determinism, and
 the error paths promised by the tool."""
 
+import contextlib
 import json
 import math
 import os
@@ -303,6 +304,9 @@ def test_simulate_evaluates_rhs_once_per_step(tmp_path, monkeypatch, kind,
 def test_simulate_failure_names_the_step(tmp_path, monkeypatch, capsys):
     # The fourth evaluation is the end of step 3 (the first is the initial
     # state); make it blow up.
+    cfg = write_config(tmp_path, SMALL_SIM)
+    reference = tmp_path / "reference"
+    assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
     calls = []
     kernel = cli.rhs_nonlinear
 
@@ -314,8 +318,104 @@ def test_simulate_failure_names_the_step(tmp_path, monkeypatch, capsys):
         return acc
 
     monkeypatch.setattr(cli, "rhs_nonlinear", blowing_up)
-    cfg = write_config(tmp_path, SMALL_SIM)
     assert main(["simulate", "--config", cfg, "--out",
                  str(tmp_path / "boom")]) == 2
     err = capsys.readouterr().err
     assert "numerical error: step 3 (t = 0.006): state became non-finite" in err
+    # The run that died keeps every snapshot from before the failing step.
+    for name in ("snapshot_000000.csv", "snapshot_000002.csv"):
+        assert ((tmp_path / "boom" / name).read_bytes()
+                == (reference / name).read_bytes())
+
+
+def test_simulate_failed_snapshot_write_exits_1(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_SIM)
+    reference, out = tmp_path / "reference", tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
+    blocked = out / "snapshot_000002.csv"
+    blocked.mkdir(parents=True)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: cannot write {str(blocked)!r}" in capsys.readouterr().err
+    # The writes before it, and any begun after it, finished whole.
+    assert (out / "snapshot_000000.csv").is_file()
+    for path in out.glob("snapshot_*.csv"):
+        if path != blocked:
+            assert path.read_bytes() == (reference / path.name).read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CHIRAL_SIM = {
+    "grid": {"nx": 16, "ny": 16, "lx": 1.0, "ly": 1.0},
+    "model": {"kind": "chiral"},
+    "material": {"mu_s": 0.2, "lambda_s": 0.1, "mu_c_s": 0.1, "m1": 0.1,
+                 "m2": -0.05, "m3": 0.05},
+    "sim": {"dt": 0.002, "steps": 6, "output_every": 1},
+    "initial": {"kind": "random_smooth", "seed": 5, "amplitude": 0.01,
+                "modes": 2},
+}
+
+
+def unreaped(pids):
+    """How many of ``pids`` are children not yet waited for."""
+    count = 0
+    for pid in pids:
+        try:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        except ChildProcessError:
+            continue
+        count += 1
+    return count
+
+
+def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
+        tmp_path, monkeypatch):
+    handed = []  # (state as handed to write, path)
+    writer = cli.snapshot_writer
+
+    @contextlib.contextmanager
+    def recording_writer():
+        with writer() as write:
+            def recording(state, path):
+                handed.append((state.copy(), path))
+                write(state, path)
+            yield recording
+
+    forked, alive_at_fork = [], []
+    fork = os.fork
+
+    def counting_fork():
+        alive_at_fork.append(unreaped(forked))
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "snapshot_writer", recording_writer)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    cfg = write_config(tmp_path, CHIRAL_SIM)
+    out, inline = tmp_path / "out", tmp_path / "inline"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+    assert len(handed) == len(forked) == CHIRAL_SIM["sim"]["steps"] + 1
+    assert max(alive_at_fork) == 0  # one CPU: one writer alive at a time
+    inline.mkdir()
+    for state, path in handed:
+        name = os.path.basename(path)
+        save_snapshot(state, inline / name)
+        assert (out / name).read_bytes() == (inline / name).read_bytes()
+
+
+def test_simulate_without_fork_writes_inline(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, CHIRAL_SIM)
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    assert main(["simulate", "--config", cfg, "--out", str(forked)]) == 0
+    monkeypatch.delattr(os, "fork")
+    assert main(["simulate", "--config", cfg, "--out", str(inline)]) == 0
+    names = sorted(p.name for p in forked.iterdir())
+    assert names == sorted(p.name for p in inline.iterdir())
+    for name in names:
+        assert (forked / name).read_bytes() == (inline / name).read_bytes()

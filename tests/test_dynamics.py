@@ -8,6 +8,7 @@ closed forms assembled independently inside the tests.
 """
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -310,6 +311,29 @@ def test_fd_rows_fail_when_no_difference_can_be_taken():
         check = {c.name: c for c in report.checks}[row]
         assert check.max_abs_error == math.inf
         assert not check.passed
+
+
+def test_inertia_factor_row_survives_a_huge_state():
+    # |acc_theta| reaches about 2e300 here: squared unscaled it overflows,
+    # the row read nan and numpy warned. Scaled, the factor is still 2.
+    state = random_smooth_state(Grid(nx=16, ny=16), seed=3, amplitude=1e150)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = verify_variational_consistency(
+            state, MaterialParams(chi=0.3), ModelSelector.nonchiral("skew"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    check = {c.name: c for c in report.checks}["theta_inertia_factor_is_two"]
+    assert check.passed
+
+
+def test_inertia_factor_row_is_inf_for_a_nonfinite_acceleration():
+    state = random_smooth_state(Grid(nx=16, ny=16), seed=3, amplitude=1e160)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = verify_variational_consistency(
+            state, MaterialParams(chi=0.3), ModelSelector.nonchiral("skew"))
+    check = {c.name: c for c in report.checks}["theta_inertia_factor_is_two"]
+    assert check.max_abs_error == math.inf
+    assert not check.passed
 
 
 def test_rhs_is_linearizable_at_the_origin():
