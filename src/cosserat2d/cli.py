@@ -404,9 +404,12 @@ def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
     report = VerificationReport()
 
     state = _verify_state(cfg)
-    report.extend(verify_variational_consistency(
-        state, cfg.material, cfg.model, eps_reg=cfg.sim.eps_reg,
-        tolerance_scale=scale))
+    # A huge state overflows in the kernels; the rows it spoils read inf and
+    # fail, and that is the report.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report.extend(verify_variational_consistency(
+            state, cfg.material, cfg.model, eps_reg=cfg.sim.eps_reg,
+            tolerance_scale=scale))
 
     # Uniform equilibria of the configured model: every reported root must
     # actually zero the residual.

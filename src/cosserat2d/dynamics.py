@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -364,6 +364,8 @@ def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams,
 def _relative_max_error(diff: np.ndarray, reference: np.ndarray) -> float:
     num = float(np.max(np.abs(diff))) if np.size(diff) else 0.0
     den = float(np.max(np.abs(reference))) if np.size(reference) else 0.0
+    if not (math.isfinite(num) and math.isfinite(den)):
+        return math.inf  # an overflowed field is a failure, not a ratio
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den
@@ -374,42 +376,77 @@ def _fd_nodes(grid) -> list[tuple[int, int]]:
     return [(1, 2), (nx // 2, ny // 3), (nx - 3, ny - 2), (nx // 4, 2 * ny // 3)]
 
 
+#: Nodal finite-difference step (the interaction term's angle step is
+#: smaller, see :func:`_fd_step`).
+FD_STEP = 1e-6
+
+
+def _fd_step(state: FieldState, term: str, name: str,
+             node: tuple[int, int]) -> float:
+    """The step of the central difference of ``term`` in unknown ``name``
+    at ``node``.
+
+    The interaction density ``chi |grad theta|_reg tr(R^T F)`` is linear in
+    ``u``, but its regularized norm curves on the scale of ``|grad theta|``
+    itself, and a step ``d`` of ``theta`` moves the four neighbours'
+    gradients by ``d / 2h``.  So the angle step is ``1e-4 h`` times their
+    smallest ``|grad theta|``, which keeps the truncation error near 1e-9 of
+    the gradient, and never more than :data:`FD_STEP`.  A gradient below
+    1e-4 counts as 1e-4: a smaller step would lose more to rounding than it
+    gains in truncation.
+    """
+    if term != "interaction" or name != "theta":
+        return FD_STEP
+    grid = state.grid
+    g = grad_scalar(state.theta, grid, node)[:, (0, 1, 1, 2), (1, 0, 2, 1)]
+    gmin = float(np.min(np.sqrt(g[0] ** 2 + g[1] ** 2)))
+    return min(FD_STEP, 1e-4 * min(grid.hx, grid.hy) * max(gmin, 1e-4))
+
+
 def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
-                   eps_reg: float, step: float = 1e-6) -> float:
+                   eps_reg: float) -> float:
     """Max relative error of the analytic gradient of one energy term vs a
-    central finite difference of its discrete total, over a few nodes."""
+    central finite difference of its discrete total, over a few nodes.
+
+    Each difference is taken on the 3x3 window of densities the nodal step
+    reaches (``potential_total(..., window=node)``): every density outside
+    it is bitwise equal in the two perturbed states, so the whole-grid sums
+    would add rounding and nothing else.  The step is :func:`_fd_step`.
+    """
     terms = (term,)
     dv_du, dv_dth = analytic_variations(state, p, None, eps_reg, terms=terms)
     area = state.grid.cell_area
-    worst = 0.0
     entries = []
-    for (i, j) in _fd_nodes(state.grid):
-        entries.append(("u1", i, j, dv_du[0, i, j]))
-        entries.append(("u2", i, j, dv_du[1, i, j]))
-        entries.append(("theta", i, j, dv_dth[i, j]))
-    scale = max((abs(e[3]) * area for e in entries), default=0.0)
-    vmax = 0.0
-    for name, i, j, analytic in entries:
-        plus = state.copy()
-        minus = state.copy()
-        getattr(plus, name)[i, j] += step
-        getattr(minus, name)[i, j] -= step
-        if getattr(plus, name)[i, j] == getattr(minus, name)[i, j]:
+    for node in _fd_nodes(state.grid):
+        entries.append(("u1", node, dv_du[0][node]))
+        entries.append(("u2", node, dv_du[1][node]))
+        entries.append(("theta", node, dv_dth[node]))
+    scale = max((abs(e[2]) * area for e in entries), default=0.0)
+    worst = noise = 0.0
+    for name, node, analytic in entries:
+        step = _fd_step(state, term, name, node)
+        plus, minus = getattr(state, name).copy(), getattr(state, name).copy()
+        plus[node] += step
+        minus[node] -= step
+        if plus[node] == minus[node]:
             return math.inf  # the step is lost to rounding: nothing to compare
-        vp = potential_total(plus, p, terms, eps_reg)
-        vm = potential_total(minus, p, terms, eps_reg)
+        width = plus[node] - minus[node]  # the step the floats really took
+        vp = potential_total(replace(state, **{name: plus}), p, terms,
+                             eps_reg, window=node)
+        vm = potential_total(replace(state, **{name: minus}), p, terms,
+                             eps_reg, window=node)
         # An overflowed total or gradient is a failure, not a noise floor.
         if not all(map(math.isfinite, (vp, vm, analytic * area))):
             return math.inf
-        vmax = max(vmax, abs(vp), abs(vm))
-        fd = (vp - vm) / (2.0 * step)
+        fd = (vp - vm) / width
+        noise = max(noise, 64.0 * np.finfo(float).eps * max(abs(vp), abs(vm))
+                    / width)
         scale = max(scale, abs(fd))
         worst = max(worst, abs(analytic * area - fd))
     # The central difference cancels to rounding when the state sits at a
     # stationary point of the term; below that noise floor there is no signal
     # to compare (a wrong analytic gradient would still raise `scale` far
     # above the floor and be caught).
-    noise = 64.0 * np.finfo(float).eps * vmax / (2.0 * step)
     if scale <= noise:
         return 0.0
     return worst / scale

@@ -35,7 +35,14 @@ from .algebra import (
     trace2,
     transpose2,
 )
-from .fields import FieldState, deformation_gradients, div_matrix, div_vector, grad_scalar
+from .fields import (
+    FieldState,
+    deformation_gradients,
+    div_matrix,
+    div_vector,
+    grad_scalar,
+    node_window,
+)
 from .materials import MaterialParams, ModelSelector
 
 #: Default regularization scale for the norm of the angle gradient.
@@ -212,20 +219,28 @@ class EnergyBreakdown:
 
 
 def _potential_densities(state: FieldState, p: MaterialParams, terms,
-                         eps_reg: float):
+                         eps_reg: float, window=None):
     """:func:`stretch_densities` of ``state``, building only the stretches
-    the requested terms read."""
+    the requested terms read.
+
+    With ``window`` a node ``(i, j)``, the densities of the 3x3 nodes around
+    it only: every stretch is built there from ``u`` and ``theta`` on the
+    5x5 block around the node, with the full-grid bits.  They are the only
+    densities a change of ``u`` or ``theta`` at that node can change.
+    """
     need = set(terms)
     if p.chi == 0.0:
         need.discard("interaction")
-    f, fstar = deformation_gradients(state)
+    f, fstar = deformation_gradients(state, window)
+    theta = (state.theta if window is None
+             else state.theta[node_window(state.grid, window)])
     # every term but curvature reads R
-    rt = transpose2(rot2(state.theta)) if need - {"curvature"} else None
+    rt = transpose2(rot2(theta)) if need - {"curvature"} else None
     rtq = mat_mul(rt, polar2(f)[0]) if "coupling" in need else None
     x = (mat_mul(rt, f)
          if need & {"elastic", "interaction", "coupling2", "mixing"} else None)
     xs = mat_mul(rt, fstar) if need & {"chiral_elastic", "mixing"} else None
-    g = (grad_scalar(state.theta, state.grid)
+    g = (grad_scalar(state.theta, state.grid, window)
          if need & {"curvature", "interaction"} else None)
     n = _reg_norm(g, eps_reg)[0] if "interaction" in need else None
     return stretch_densities(need, p, x=x, xs=xs, g=g, n=n, rtq=rtq)
@@ -265,9 +280,11 @@ def total_energy(state: FieldState, p: MaterialParams, sel: ModelSelector,
 
 
 def potential_total(state: FieldState, p: MaterialParams, terms,
-                    eps_reg: float = DEFAULT_EPS_REG) -> float:
-    """Discrete potential energy restricted to ``terms`` (test/FD helper)."""
-    dens = _potential_densities(state, p, terms, eps_reg)
+                    eps_reg: float = DEFAULT_EPS_REG, window=None) -> float:
+    """Discrete potential energy restricted to ``terms`` (test/FD helper);
+    with ``window`` a node, the part on the 3x3 nodes around it (see
+    :func:`_potential_densities`)."""
+    dens = _potential_densities(state, p, terms, eps_reg, window)
     return float(sum(np.sum(d) for _, d in dens)) * state.grid.cell_area
 
 

@@ -182,6 +182,49 @@ def test_verify_reports_interaction_skip_at_kink(tmp_path):
     assert any("skipped_not_differentiable" in n for n in names)
 
 
+def test_verify_overflowing_state_fails_as_inf_without_numpy_warnings(
+        tmp_path, capsys):
+    # The accelerations of this state overflow; the rows they spoil fail as
+    # inf rather than nan, and numpy prints nothing.
+    cfg = write_config(tmp_path, {
+        "material": {"chi": 0.3},
+        "model": {"coupling": "skew"},
+        "grid": {"nx": 16, "ny": 16},
+        "initial": {"kind": "random_smooth", "seed": 3, "amplitude": 1e155},
+    })
+    out = tmp_path / "v"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert [w.category for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert "numpy" not in err
+    _, rows = read_csv(out / "verify_report.csv")
+    errors = {row[0]: row[1] for row in rows}
+    assert errors["acc_u_vs_energy_gradient"] == "inf"
+    assert errors["acc_theta_vs_energy_gradient"] == "inf"
+
+
+def test_verify_passes_at_256(tmp_path, capsys):
+    # At this size the whole-grid finite differences used to fail the
+    # interaction row (6.9e-5 against 1e-6).
+    cfg = write_config(tmp_path, {
+        "material": {"chi": 0.3},
+        "model": {"kind": "nonchiral", "coupling": "polar"},
+        "grid": {"nx": 256, "ny": 256},
+        "initial": {"kind": "random_smooth", "seed": 1234,
+                    "amplitude": 0.01},
+    })
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().err
+    _, rows = read_csv(out / "verify_report.csv")
+    assert "fd_gradient_interaction" in [row[0] for row in rows]
+    assert all(row[3] == "true" for row in rows)
+
+
 def test_dispersion_outputs_with_zero_chiral_modulus(tmp_path):
     cfg = write_config(tmp_path, {
         "wave": {"k_min": 0.5, "k_max": 3.0, "k_steps": 7},

@@ -7,6 +7,7 @@ for the angle); everything else is cross-checked against hand-derived
 closed forms assembled independently inside the tests.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -14,7 +15,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cosserat2d import dynamics, energy
 from cosserat2d.dynamics import (
+    _fd_nodes,
+    _fd_step,
     homogeneous_residual,
     homogeneous_roots,
     rhs_chiral,
@@ -30,7 +34,16 @@ from cosserat2d.energy import (
     total_energy,
 )
 from cosserat2d.errors import NonFiniteState
-from cosserat2d.fields import FieldState, Grid, ddx, ddxx, ddy, ddyy
+from cosserat2d.fields import (
+    FieldState,
+    Grid,
+    ddx,
+    ddxx,
+    ddy,
+    ddyy,
+    deformation_gradients,
+    node_window,
+)
 from cosserat2d.materials import MaterialParams, ModelSelector
 from cosserat2d.rng import random_smooth_state
 
@@ -298,12 +311,12 @@ def test_chiral_kernel_with_zero_chiral_moduli_is_the_skew_model():
 
 def test_fd_rows_fail_when_no_difference_can_be_taken():
     # A finite-difference row has no signal when the energy overflows
-    # (amplitude 1e3 with mu = 1e300) or when the state is so large that
+    # (amplitude 1e4 with mu = 1e300) or when the state is so large that
     # the step is lost to rounding (amplitude 1e150); neither is a pass.
     grid = Grid(nx=16, ny=16)
     sel = ModelSelector.nonchiral("skew")
     cases = [(1e150, MaterialParams(chi=0.3), "fd_gradient_curvature"),
-             (1e3, MaterialParams(mu=1e300, chi=0.3), "fd_gradient_elastic")]
+             (1e4, MaterialParams(mu=1e300, chi=0.3), "fd_gradient_elastic")]
     for amplitude, p, row in cases:
         state = random_smooth_state(grid, seed=3, amplitude=amplitude)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -311,6 +324,121 @@ def test_fd_rows_fail_when_no_difference_can_be_taken():
         check = {c.name: c for c in report.checks}[row]
         assert check.max_abs_error == math.inf
         assert not check.passed
+
+
+def _central_difference(state, p, term, name, node, step, window):
+    """(V(s + step e) - V(s - step e)) / 2 step for the unknown ``name`` at
+    ``node``, with ``V`` the total of ``term`` (on ``window`` if given)."""
+    totals = []
+    for sign in (1.0, -1.0):
+        field = getattr(state, name).copy()
+        field[node] += sign * step
+        moved = dataclasses.replace(state, **{name: field})
+        totals.append(potential_total(moved, p, (term,), window=window))
+    return (totals[0] - totals[1]) / (2.0 * step)
+
+
+def test_window_difference_equals_full_grid_difference():
+    # The 3x3 window holds every density a nodal step changes, so its
+    # central difference is the whole grid's, less the other nodes' rounding.
+    grid = Grid(nx=16, ny=16)
+    state = random_smooth_state(grid, seed=9, amplitude=0.05, modes=3)
+    p = random_material(np.random.default_rng(71), chiral=True, chi=0.4)
+    for term in ALL_TERMS:
+        pairs = []
+        for node in _fd_nodes(grid):
+            for name in ("u1", "u2", "theta"):
+                step = _fd_step(state, term, name, node)
+                pairs.append(
+                    (_central_difference(state, p, term, name, node, step, node),
+                     _central_difference(state, p, term, name, node, step, None)))
+        scale = max(abs(full) for _, full in pairs)
+        assert scale > 0.0, term
+        for window, full in pairs:
+            assert abs(window - full) <= 1e-8 * scale, (term, window, full)
+
+
+def test_fd_rows_pass_where_a_periodic_patch_would_degenerate():
+    # The whole grid is a valid polar state (min det F = 0.082), but a
+    # periodic patch around a node would join far-apart displacements at its
+    # wrapped edge; the window builds F only where the grid has it.
+    grid = Grid(nx=16, ny=16)
+    x, y = grid.coords()
+    state = FieldState.zero(grid)
+    state.u1 = 0.15 * np.sin(2.0 * np.pi * x)
+    state.theta = 0.01 * np.cos(2.0 * np.pi * (x + 2.0 * y))
+    f, _ = deformation_gradients(state)
+    assert float(np.min(f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])) == \
+        pytest.approx(0.082, abs=1e-3)
+    report = verify_variational_consistency(
+        state, MaterialParams(chi=0.3), ModelSelector.nonchiral("polar"))
+    check = {c.name: c for c in report.checks}["fd_gradient_coupling"]
+    assert check.passed
+    assert report.all_pass, [c.name for c in report.failures()]
+
+
+def test_fd_evaluations_read_only_the_block_around_their_node(monkeypatch):
+    # Every value outside the 5x5 block around the node is replaced by nan
+    # before the energy helper runs: an evaluation that reads past the block
+    # gets a nan density.
+    grid = Grid(nx=64, ny=64)
+    state = random_smooth_state(grid, seed=14, amplitude=0.02, modes=3)
+    original = energy._potential_densities
+    windows = []
+
+    def recorder(s, p, terms, eps_reg, window=None):
+        assert window is not None, "a finite difference summed the whole grid"
+        windows.append(window)
+        masked = s.copy()
+        block = node_window(s.grid, window, 2)
+        for name in ("u1", "u2", "theta", "v1", "v2", "omega"):
+            field = np.full(s.grid.shape, np.nan)
+            field[block] = getattr(s, name)[block]
+            setattr(masked, name, field)
+        densities = list(original(masked, p, terms, eps_reg, window))
+        for term, density in densities:
+            assert np.all(np.isfinite(density)), (term, window)
+        return densities
+
+    monkeypatch.setattr(energy, "_potential_densities", recorder)
+    rng = np.random.default_rng(72)
+    for p, sel in ((random_material(rng, chi=0.3), ModelSelector.nonchiral("polar")),
+                   (random_material(rng, chiral=True), ModelSelector.chiral())):
+        windows.clear()
+        report = verify_variational_consistency(state, p, sel)
+        assert report.all_pass, [c.name for c in report.failures()]
+        assert sorted(set(windows)) == sorted(_fd_nodes(grid))
+        assert len(windows) == 2 * 3 * len(_fd_nodes(grid)) * len(sel.active_terms())
+
+
+@pytest.mark.parametrize("kind", ["polar", "chiral"])
+def test_fd_row_catches_a_gradient_off_by_one_part_in_1e5(monkeypatch, kind):
+    grid = Grid(nx=64, ny=64)
+    state = random_smooth_state(grid, seed=15, amplitude=0.02, modes=3)
+    rng = np.random.default_rng(73)
+    if kind == "polar":
+        p, sel = random_material(rng, chi=0.3), ModelSelector.nonchiral("polar")
+    else:
+        p, sel = random_material(rng, chiral=True), ModelSelector.chiral()
+    original = dynamics.analytic_variations
+
+    def fd_rows():
+        return {c.name: c.passed for c in
+                verify_variational_consistency(state, p, sel).checks
+                if c.name.startswith("fd_gradient_")}
+
+    assert all(fd_rows().values())
+    for wrong in sel.active_terms():
+        def scaled(s, q, selector, eps_reg, terms=None, wrong=wrong):
+            dv_du, dv_dth = original(s, q, selector, eps_reg, terms=terms)
+            if terms == (wrong,):
+                return dv_du * (1.0 + 1e-5), dv_dth * (1.0 + 1e-5)
+            return dv_du, dv_dth
+
+        monkeypatch.setattr(dynamics, "analytic_variations", scaled)
+        rows = fd_rows()
+        assert not rows.pop(f"fd_gradient_{wrong}"), wrong
+        assert all(rows.values()), wrong
 
 
 def test_inertia_factor_row_survives_a_huge_state():
