@@ -94,9 +94,13 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
     wavenumber snapped to the grid period so the field is exactly periodic."""
     grid = cfg.grid
     wp = WaveParams.from_material(cfg.material)
-    n_periods = max(1, round(cfg.initial.k * grid.lx / (2.0 * math.pi)))
-    k = 2.0 * math.pi * n_periods / grid.lx
-    branches = dispersion_branches(k, wp)
+    try:
+        n_periods = max(1, round(cfg.initial.k * grid.lx / (2.0 * math.pi)))
+        k = 2.0 * math.pi * n_periods / grid.lx
+        branches = dispersion_branches(k, wp)
+    except OverflowError as exc:
+        raise ConfigError(f"initial.k = {cfg.initial.k!r} is too large for a "
+                          f"plane wave on grid.lx = {grid.lx!r}: {exc}") from exc
     if cfg.initial.branch >= len(branches):
         raise ConfigError(
             f"initial.branch {cfg.initial.branch} does not exist: the model "
@@ -178,19 +182,12 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
 # dispersion
 # --------------------------------------------------------------------------
 
-def _sweep_wavenumbers(cfg: ScenarioConfig):
-    w = cfg.wave
-    if w.k_steps == 1:
-        return [w.k_min]
-    return list(np.linspace(w.k_min, w.k_max, w.k_steps))
-
-
 def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
     _ensure_outdir(outdir)
     wp = WaveParams.from_material(cfg.material)
     rows = []
-    per_branch_points: dict[int, list[tuple[float, float]]] = {0: [], 1: [], 2: []}
-    for k in _sweep_wavenumbers(cfg):
+    per_branch_points: dict[int, list[tuple[float, float]]] = {}
+    for k in np.linspace(cfg.wave.k_min, cfg.wave.k_max, cfg.wave.k_steps):
         try:
             branches = dispersion_branches(k, wp)
         except NoRealBranch as exc:
@@ -255,10 +252,7 @@ def _write_dispersion_svg(path: str, per_branch) -> None:
         f'transform="rotate(-90 16 {height // 2})">angular frequency</text>',
     ]
     for index in sorted(per_branch):
-        pts = per_branch[index]
-        if not pts:
-            continue
-        coords = " ".join(to_xy(k, w) for k, w in pts)
+        coords = " ".join(to_xy(k, w) for k, w in per_branch[index])
         parts.append(f'<polyline fill="none" stroke="{colors[index % 3]}" '
                      f'stroke-width="1.5" points="{coords}"/>')
     parts.append("</svg>")
@@ -286,7 +280,7 @@ def cmd_homogeneous(cfg: ScenarioConfig, outdir: str) -> int:
         ("residual_at_pi", homogeneous_residual(math.pi, p, sel)),
     ]
     if roots.feasible:
-        angle = math.acos(max(-1.0, min(1.0, roots.nontrivial_cos)))
+        angle = math.acos(roots.nontrivial_cos)
         rows.append(("nontrivial_root", angle))
         rows.append(("residual_at_nontrivial",
                      homogeneous_residual(angle, p, sel)))

@@ -228,9 +228,7 @@ def _potential_densities(state: FieldState, p: MaterialParams, terms,
     5x5 block around the node, with the full-grid bits.  They are the only
     densities a change of ``u`` or ``theta`` at that node can change.
     """
-    need = set(terms)
-    if p.chi == 0.0:
-        need.discard("interaction")
+    need = {t for t in terms if t != "interaction" or p.chi != 0.0}
     f, fstar = deformation_gradients(state, window)
     theta = (state.theta if window is None
              else state.theta[node_window(state.grid, window)])
@@ -290,13 +288,19 @@ def potential_total(state: FieldState, p: MaterialParams, terms,
 
 def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
                           eps_reg: float):
-    """Conjugates (P to F, Y to R, q to grad theta) of the selected terms."""
+    """Conjugates (P to F, Y to R, q to grad theta) of ``terms``, building
+    each stretch once and only for the terms that read it, as
+    :func:`_potential_densities` does."""
+    need = {t for t in terms if t != "interaction" or p.chi != 0.0}
     grid = state.grid
     f, fstar = deformation_gradients(state)
     r = rot2(state.theta)
     rt = transpose2(r)
-    x = mat_mul(rt, f)
-    xs = mat_mul(rt, fstar)
+    x = (mat_mul(rt, f)
+         if need & {"elastic", "interaction", "coupling2", "mixing"} else None)
+    xs = mat_mul(rt, fstar) if need & {"chiral_elastic", "mixing"} else None
+    g = (grad_scalar(state.theta, grid)
+         if need & {"curvature", "interaction"} else None)
     eye = identity2(f)
 
     p_conj = np.zeros_like(f)   # conjugate to delta F
@@ -307,19 +311,19 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         """Push a conjugate-to-(R^T F) back to (delta F, delta R) conjugates."""
         return mat_mul(r, w), mat_mul(fmat, transpose2(w))
 
-    if "elastic" in terms:
+    if "elastic" in need:
         w = 2.0 * p.mu * _sym_minus_eye(x) + p.lam * (trace2(x) - 2.0) * eye
         dp, dy = stretch_conjugates(f, w)
         p_conj += dp
         y_conj += dy
 
-    if "coupling2" in terms:
+    if "coupling2" in need:
         w = p.mu_c * (x - transpose2(x))  # 2 mu_c skew(X)
         dp, dy = stretch_conjugates(f, w)
         p_conj += dp
         y_conj += dy
 
-    if "chiral_elastic" in terms:
+    if "chiral_elastic" in need:
         w = (2.0 * p.mu_s * _sym_minus_eye(xs) + p.lam_s * (trace2(xs) - 2.0) * eye
              + p.mu_c_s * (xs - transpose2(xs)))
         dp, dy = stretch_conjugates(fstar, w)
@@ -327,7 +331,7 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         p_conj += np.einsum("ji,jk...->ik...", EPS2, dp)
         y_conj += dy
 
-    if "mixing" in terms:
+    if "mixing" in need:
         w_x = p.m1 * _sym_minus_eye(xs) + p.m2 * (trace2(xs) - 2.0) * eye
         w_xs = p.m1 * _sym_minus_eye(x) + p.m2 * (trace2(x) - 2.0) * eye
         if p.m3 != 0.0:
@@ -338,19 +342,17 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         p_conj += dp + np.einsum("ji,jk...->ik...", EPS2, dps)
         y_conj += dy + dys
 
-    if "interaction" in terms and p.chi != 0.0:
-        g = grad_scalar(state.theta, grid)
+    if "interaction" in need:
         n, s = _reg_norm(g, eps_reg)
         c = p.mu * p.L_c * p.chi
         p_conj += c * n * r
         y_conj += c * n * f
         q_conj += c * trace2(x) * g / s
 
-    if "curvature" in terms:
-        g = grad_scalar(state.theta, grid)
+    if "curvature" in need:
         q_conj += 2.0 * p.mu * p.L_c**2 * g
 
-    if "coupling" in terms:
+    if "coupling" in need:
         q, _ = polar2(f)
         # The F-conjugate goes through the full polar-derivative tensor:
         # <R, dpolar(F)[dF]> = <adjoint applied to R, dF>.
@@ -361,20 +363,16 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
     return p_conj, y_conj, q_conj
 
 
-def analytic_variations(state: FieldState, p: MaterialParams,
-                        sel: ModelSelector,
-                        eps_reg: float = DEFAULT_EPS_REG,
-                        terms=None):
-    """L2 gradient of the discrete potential: ``(dV_du, dV_dtheta)``.
+def analytic_variations(state: FieldState, p: MaterialParams, terms,
+                        eps_reg: float = DEFAULT_EPS_REG):
+    """L2 gradient of the discrete potential made of ``terms`` (as for
+    :func:`potential_total`): ``(dV_du, dV_dtheta)``.
 
     ``dV_du`` has shape ``(2, nx, ny)`` and ``dV_dtheta`` ``(nx, ny)``; the
     derivative of the nodal total with respect to one nodal unknown equals the
-    returned value times the cell area. ``terms`` overrides the selector's
-    active set (used by the per-term finite-difference tests).
+    returned value times the cell area.
     """
     grid = state.grid
-    if terms is None:
-        terms = sel.active_terms()
     p_conj, y_conj, q_conj = _variation_conjugates(state, p, terms, eps_reg)
     dv_du = -div_matrix(p_conj, grid)
     # dR/dtheta = -EPS2 @ R, contracted against the delta-R conjugate.

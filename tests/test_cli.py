@@ -127,6 +127,22 @@ def test_missing_plane_wave_branch_exits_1(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("k", [1e308, 1e200])
+def test_plane_wave_overflowing_wavenumber_exits_1(tmp_path, capsys, k):
+    # k = 1e308 overflowed the period count, k = 1e200 the wave matrix
+    cfg = write_config(tmp_path, {
+        "grid": {"nx": 8, "ny": 8, "lx": 10.0, "ly": 10.0},
+        "sim": {"steps": 2},
+        "initial": {"kind": "plane_wave", "k": k},
+    })
+    out = tmp_path / "pw"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: initial.k = {k!r} is too large"), err
+    assert "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_missing_config_exits_1(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])

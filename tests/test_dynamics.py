@@ -55,7 +55,9 @@ def model_cases(rng):
         (random_material(rng), ModelSelector.nonchiral("polar"), 1e-10),
         (random_material(rng), ModelSelector.nonchiral("skew"), 1e-10),
         (random_material(rng, chi=0.8), ModelSelector.nonchiral("polar"), 1e-8),
-        (random_material(rng, chiral=True), ModelSelector.chiral(), 1e-10),
+        # the chiral model has no interaction term, so chi leaves it at 1e-10
+        (random_material(rng, chiral=True, chi=0.3), ModelSelector.chiral(),
+         1e-10),
     ]
 
 
@@ -70,6 +72,9 @@ def test_accelerations_are_exact_energy_gradients():
         assert rows["acc_u_vs_energy_gradient"].max_abs_error < tol
         assert rows["acc_theta_vs_energy_gradient"].max_abs_error < tol
         assert rows["theta_inertia_factor_is_two"].max_abs_error < 1e-8
+        for name in ("acc_u_vs_energy_gradient", "acc_theta_vs_energy_gradient",
+                     "theta_inertia_factor_is_two"):
+            assert rows[name].tolerance == tol, (index, name)
         assert report.all_pass, [c.name for c in report.failures()]
 
 
@@ -82,6 +87,34 @@ def test_interaction_gradient_skip_row_at_unregularized_kink():
     names = [c.name for c in report.checks]
     assert any("skipped" in n and "interaction" in n for n in names)
     assert report.all_pass
+
+
+def test_verify_differentiates_each_term_once(monkeypatch):
+    # One gradient pass per term, never one of the whole energy: the passes
+    # serve both the finite-difference rows and, summed, the acc_* rows.
+    grid = Grid(nx=16, ny=16)
+    state = random_smooth_state(grid, seed=21, amplitude=0.05, modes=3)
+    original = dynamics.analytic_variations
+    calls = []
+
+    def counted(s, p, terms, eps_reg):
+        calls.append(tuple(terms))
+        return original(s, p, terms, eps_reg)
+
+    monkeypatch.setattr(dynamics, "analytic_variations", counted)
+    rng = np.random.default_rng(74)
+    for p, sel in ((random_material(rng, chi=0.3), ModelSelector.nonchiral("polar")),
+                   (random_material(rng, chi=0.3), ModelSelector.nonchiral("skew")),
+                   (random_material(rng, chiral=True), ModelSelector.chiral())):
+        calls.clear()
+        report = verify_variational_consistency(state, p, sel)
+        assert report.all_pass, [c.name for c in report.failures()]
+        assert calls == [(term,) for term in sel.active_terms()]
+    # at chi = 0 the interaction term has no energy to differentiate
+    calls.clear()
+    verify_variational_consistency(state, random_material(rng),
+                                   ModelSelector.nonchiral("polar"))
+    assert calls == [("elastic",), ("curvature",), ("coupling",)]
 
 
 def uniform_state(grid, theta0):
@@ -429,8 +462,8 @@ def test_fd_row_catches_a_gradient_off_by_one_part_in_1e5(monkeypatch, kind):
 
     assert all(fd_rows().values())
     for wrong in sel.active_terms():
-        def scaled(s, q, selector, eps_reg, terms=None, wrong=wrong):
-            dv_du, dv_dth = original(s, q, selector, eps_reg, terms=terms)
+        def scaled(s, q, terms, eps_reg, wrong=wrong):
+            dv_du, dv_dth = original(s, q, terms, eps_reg)
             if terms == (wrong,):
                 return dv_du * (1.0 + 1e-5), dv_dth * (1.0 + 1e-5)
             return dv_du, dv_dth

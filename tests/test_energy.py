@@ -234,8 +234,7 @@ def test_zero_state_has_zero_energy():
 def variation_fd_error(state, p, terms, nodes, step=1e-6,
                        eps_reg=DEFAULT_EPS_REG):
     """Max relative error of the analytic nodal gradient vs central FD."""
-    dv_du, dv_dth = analytic_variations(state, p, None, eps_reg=eps_reg,
-                                        terms=terms)
+    dv_du, dv_dth = analytic_variations(state, p, terms, eps_reg)
     area = state.grid.cell_area
     worst = 0.0
     arrays = {"u1": (state.u1, dv_du[0]), "u2": (state.u2, dv_du[1]),
