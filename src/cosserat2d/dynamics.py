@@ -26,6 +26,7 @@ import numpy as np
 from .algebra import mat_mul, polar2, rot2, trace2, transpose2
 from .energy import (
     DEFAULT_EPS_REG,
+    _live_terms,
     _reg_norm,
     analytic_variations,
     potential_total,
@@ -85,6 +86,7 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     order fixes the rounding of every acceleration.
     """
     grid = state.grid
+    terms = _live_terms(terms, p)
     f, fstar = deformation_gradients(state)
     if "chiral_elastic" not in terms:
         fstar = None  # only the chiral block reads F*
@@ -118,7 +120,7 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
 
     # --- chiral interaction ---
     n = None
-    if "interaction" in terms and p.chi != 0.0:
+    if "interaction" in terms:
         n, s = _reg_norm(g, eps_reg)
         c = p.mu * p.L_c * p.chi
         p_total = p_total + (c * n) * r
@@ -330,6 +332,17 @@ def homogeneous_roots(p: MaterialParams, sel: ModelSelector) -> HomogeneousRoots
                             feasible=-2.0 <= fraction <= 0.0)
 
 
+def _homogeneous_root_error(p: MaterialParams, sel: ModelSelector) -> float:
+    """Largest ``|homogeneous_residual|`` over the reported roots, relative
+    to the stiffness the residual is made of: ``|lam + mu| + |mu_c|``, or
+    ``|B| + |C|`` for the chiral model."""
+    b, c = (_chiral_stiffness_sums(p) if sel.is_chiral
+            else (p.lam + p.mu, p.mu_c))
+    worst = max(abs(homogeneous_residual(r, p, sel))
+                for r in homogeneous_roots(p, sel).all_roots())
+    return worst / (abs(b) + abs(c))
+
+
 def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams,
                   acc: RhsFields) -> tuple[FieldState, RhsFields]:
     """One velocity-Verlet step: half-kick, drift, evaluate, half-kick.
@@ -459,12 +472,11 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
     energy gradient (with inertia rho for u and 2*rho_rot for theta), and that
     the analytic gradient matches nodal finite differences term by term."""
     report = VerificationReport()
-    # interaction at chi = 0 has no energy, no gradient and no row
-    terms = [t for t in sel.active_terms() if t != "interaction" or p.chi != 0.0]
+    terms = _live_terms(sel.active_terms(), p)
     base_tol = (1e-8 if "interaction" in terms else 1e-10) * tolerance_scale
     fd_tol = 1e-6 * tolerance_scale
 
-    acc = _rhs(state, p, sel.active_terms(), eps_reg)
+    acc = _rhs(state, p, terms, eps_reg)
     # One gradient pass per term: each feeds that term's finite-difference
     # row, and their sum is the whole energy's gradient.
     dv_du = dv_dth = 0.0

@@ -1,8 +1,10 @@
 """Energy densities, discrete totals, and analytic first variations.
 
-Every density is a pointwise function of the deformation gradient(s), the
-microrotation angle, and (for the curvature/interaction terms) the angle
-gradient; all accept trailing grid axes.
+Every density is a pointwise function of a few kinematic fields, built once
+per evaluation by :func:`_kinematics` for the terms that read them: the
+stretch ``x = R^T F``, the chiral stretch ``xs = R^T F*`` of the
+quarter-turned displacement, the angle gradient and ``R^T polar(F)``; all
+accept trailing grid axes.
 
 :func:`analytic_variations` assembles the exact gradient of the *discrete*
 total energy by the conjugate-table route: each term contributes
@@ -52,9 +54,17 @@ ALL_TERMS = ("elastic", "curvature", "interaction", "coupling", "coupling2",
              "chiral_elastic", "mixing")
 
 
-def _first_stretch(f, theta):
-    """R(theta)^T F — the nonsymmetric stretch the energies are built from."""
-    return mat_mul(transpose2(rot2(theta)), f)
+#: The kinematic fields each term reads: ``x = R^T F``, ``xs = R^T F*``,
+#: ``g = grad theta`` and ``q = polar(F)``.
+_READS = {"elastic": {"x"}, "curvature": {"g"}, "interaction": {"x", "g"},
+          "coupling": {"q"}, "coupling2": {"x"}, "chiral_elastic": {"xs"},
+          "mixing": {"x", "xs"}}
+
+
+def _live_terms(terms, p: MaterialParams) -> tuple[str, ...]:
+    """``terms`` without the interaction when ``chi = 0``: it then has no
+    energy, no gradient and no verify row."""
+    return tuple(t for t in terms if t != "interaction" or p.chi != 0.0)
 
 
 def _reg_norm(grad_theta, eps_reg):
@@ -69,10 +79,8 @@ def _reg_norm(grad_theta, eps_reg):
     return s - eps_reg, np.where(s > 0.0, s, np.inf)
 
 
-# Each density formula below is written once, on the stretches it reads:
-# ``x = R^T F``, ``xs = R^T F*``, the angle gradient ``g``, its regularized
-# norm ``n`` and ``rtq = R^T polar(F)``.  The public ``*_density(f, theta,
-# ...)`` functions and :func:`stretch_densities` both call them.
+# The density formulas, each written once on the fields it reads; only
+# :func:`stretch_densities` calls them.
 
 def _sym_minus_eye(x):
     return 0.5 * (x + transpose2(x)) - identity2(x)
@@ -83,25 +91,35 @@ def _skew(x):
 
 
 def _elastic(x, p: MaterialParams):
+    """mu |sym(R^T F) - I|^2 + lam/2 (tr(sym(R^T F) - I))^2."""
     sym = _sym_minus_eye(x)
     return p.mu * frobenius(sym, sym) + 0.5 * p.lam * trace2(sym) ** 2
 
 
+def _curvature(g, p: MaterialParams):
+    """mu L_c^2 |grad theta|^2."""
+    return p.mu * p.L_c**2 * (g[0] ** 2 + g[1] ** 2)
+
+
 def _interaction(n, x, p: MaterialParams):
+    """mu L_c chi * reg|grad theta| * tr(R^T F) with the smoothed norm."""
     return p.mu * p.L_c * p.chi * n * trace2(x)
 
 
 def _coupling(rtq, p: MaterialParams):
+    """mu_c |R^T polar(F) - I|^2  (both factors are rotations)."""
     d = rtq - identity2(rtq)
     return p.mu_c * frobenius(d, d)
 
 
-def _coupling2(x, mu_c: float):
+def _coupling2(x, p: MaterialParams):
+    """mu_c |skew(R^T F - I)|^2  (the skew part kills the identity shift)."""
     sk = _skew(x)
-    return mu_c * frobenius(sk, sk)
+    return p.mu_c * frobenius(sk, sk)
 
 
 def _chiral_elastic(xs, p: MaterialParams):
+    """Starred elastic energy: the elastic + skew-coupling shape on F*."""
     sym = _sym_minus_eye(xs)
     sk = _skew(xs)
     return (p.mu_s * frobenius(sym, sym)
@@ -110,6 +128,7 @@ def _chiral_elastic(xs, p: MaterialParams):
 
 
 def _mixing(x, xs, p: MaterialParams):
+    """m1 <sym* - I, sym - I> + m2 (tr* - 2)(tr - 2) + m3 <skew*, skew>."""
     sym = _sym_minus_eye(x)
     syms = _sym_minus_eye(xs)
     out = p.m1 * frobenius(syms, sym) + p.m2 * trace2(syms) * trace2(sym)
@@ -118,65 +137,25 @@ def _mixing(x, xs, p: MaterialParams):
     return out
 
 
-def elastic_density(f, theta, p: MaterialParams):
-    """mu |sym(R^T F) - I|^2 + lam/2 (tr(sym(R^T F) - I))^2."""
-    return _elastic(_first_stretch(f, theta), p)
-
-
-def curvature_density(grad_theta, p: MaterialParams):
-    """mu L_c^2 |grad theta|^2."""
-    return p.mu * p.L_c**2 * (grad_theta[0] ** 2 + grad_theta[1] ** 2)
-
-
-def interaction_density(f, theta, grad_theta, p: MaterialParams,
-                        eps_reg: float = DEFAULT_EPS_REG):
-    """mu L_c chi * reg|grad theta| * tr(R^T F) with the smoothed norm."""
-    n, _ = _reg_norm(grad_theta, eps_reg)
-    return _interaction(n, _first_stretch(f, theta), p)
-
-
-def coupling_density(f, theta, p: MaterialParams):
-    """mu_c |R^T polar(F) - I|^2  (both factors are rotations)."""
-    q, _ = polar2(f)
-    return _coupling(mat_mul(transpose2(rot2(theta)), q), p)
-
-
-def coupling2_density(f, theta, p: MaterialParams, mu_c: float | None = None):
-    """mu_c |skew(R^T F - I)|^2  (the skew part kills the identity shift)."""
-    mu_c = p.mu_c if mu_c is None else mu_c
-    return _coupling2(_first_stretch(f, theta), mu_c)
-
-
-def chiral_elastic_density(fstar, theta, p: MaterialParams):
-    """Starred elastic energy: the elastic + skew-coupling shape on F*."""
-    return _chiral_elastic(_first_stretch(fstar, theta), p)
-
-
-def mixing_density(f, fstar, theta, p: MaterialParams):
-    """m1 <sym* - I, sym - I> + m2 (tr* - 2)(tr - 2) + m3 <skew*, skew>."""
-    return _mixing(_first_stretch(f, theta), _first_stretch(fstar, theta), p)
-
-
 def stretch_densities(terms, p: MaterialParams, *, x=None, xs=None, g=None,
                       n=None, rtq=None):
     """Yield ``(term, density)`` for each of ``terms`` from prebuilt stretches.
 
-    Only the inputs the requested terms read need to be given: ``x`` for
-    elastic, interaction, coupling2 and mixing, ``xs`` for chiral_elastic and
-    mixing, ``g`` for curvature, ``n`` for interaction (skipped when
-    ``chi = 0``) and ``rtq`` for coupling.  Densities come one at a time, in
+    Only the fields the requested terms read (:data:`_READS`) need to be
+    given; the interaction reads ``n``, the regularized norm of ``g``, and
+    the coupling ``rtq = R^T polar(F)``.  Densities come one at a time, in
     :data:`ALL_TERMS` order, so a caller that sums each keeps one alive.
     """
     if "elastic" in terms:
         yield "elastic", _elastic(x, p)
     if "curvature" in terms:
-        yield "curvature", curvature_density(g, p)
-    if "interaction" in terms and p.chi != 0.0:
+        yield "curvature", _curvature(g, p)
+    if "interaction" in terms:
         yield "interaction", _interaction(n, x, p)
     if "coupling" in terms:
         yield "coupling", _coupling(rtq, p)
     if "coupling2" in terms:
-        yield "coupling2", _coupling2(x, p.mu_c)
+        yield "coupling2", _coupling2(x, p)
     if "chiral_elastic" in terms:
         yield "chiral_elastic", _chiral_elastic(xs, p)
     if "mixing" in terms:
@@ -218,30 +197,49 @@ class EnergyBreakdown:
                 self.kinetic_rotational, self.total)
 
 
+def _kinematics(state: FieldState, p: MaterialParams, terms, window=None):
+    """The live ``terms`` (:func:`_live_terms`) and the fields they read
+    (:data:`_READS`): ``(terms, F, F*, R, R^T F, R^T F*, grad theta)``, each
+    built once and only if a live term reads it, else ``None``.
+
+    With ``window`` a node ``(i, j)``, every field is built on the 3x3 nodes
+    around it only, from ``u`` and ``theta`` on the 5x5 block around the
+    node, with the full-grid bits.
+    """
+    live = _live_terms(terms, p)
+    reads = set().union(*(_READS[t] for t in live))
+    f = fstar = r = x = xs = g = None
+    if reads - {"g"}:  # every term but curvature reads R
+        f, fstar = deformation_gradients(state, window)
+        theta = (state.theta if window is None
+                 else state.theta[node_window(state.grid, window)])
+        r = rot2(theta)
+        rt = transpose2(r)
+        if "x" in reads:
+            x = mat_mul(rt, f)
+        if "xs" in reads:
+            xs = mat_mul(rt, fstar)
+        else:
+            fstar = None
+        if not reads & {"x", "q"}:
+            f = None
+    if "g" in reads:
+        g = grad_scalar(state.theta, state.grid, window)
+    return live, f, fstar, r, x, xs, g
+
+
 def _potential_densities(state: FieldState, p: MaterialParams, terms,
                          eps_reg: float, window=None):
-    """:func:`stretch_densities` of ``state``, building only the stretches
-    the requested terms read.
+    """:func:`stretch_densities` of ``state`` from :func:`_kinematics`.
 
-    With ``window`` a node ``(i, j)``, the densities of the 3x3 nodes around
-    it only: every stretch is built there from ``u`` and ``theta`` on the
-    5x5 block around the node, with the full-grid bits.  They are the only
-    densities a change of ``u`` or ``theta`` at that node can change.
+    With ``window`` a node, the densities of the 3x3 nodes around it only:
+    they are the only densities a change of ``u`` or ``theta`` at that node
+    can change.
     """
-    need = {t for t in terms if t != "interaction" or p.chi != 0.0}
-    f, fstar = deformation_gradients(state, window)
-    theta = (state.theta if window is None
-             else state.theta[node_window(state.grid, window)])
-    # every term but curvature reads R
-    rt = transpose2(rot2(theta)) if need - {"curvature"} else None
-    rtq = mat_mul(rt, polar2(f)[0]) if "coupling" in need else None
-    x = (mat_mul(rt, f)
-         if need & {"elastic", "interaction", "coupling2", "mixing"} else None)
-    xs = mat_mul(rt, fstar) if need & {"chiral_elastic", "mixing"} else None
-    g = (grad_scalar(state.theta, state.grid, window)
-         if need & {"curvature", "interaction"} else None)
-    n = _reg_norm(g, eps_reg)[0] if "interaction" in need else None
-    return stretch_densities(need, p, x=x, xs=xs, g=g, n=n, rtq=rtq)
+    live, f, _, r, x, xs, g = _kinematics(state, p, terms, window)
+    rtq = mat_mul(transpose2(r), polar2(f)[0]) if "coupling" in live else None
+    n = _reg_norm(g, eps_reg)[0] if "interaction" in live else None
+    return stretch_densities(live, p, x=x, xs=xs, g=g, n=n, rtq=rtq)
 
 
 def energy_breakdown(potential, state: FieldState,
@@ -288,23 +286,17 @@ def potential_total(state: FieldState, p: MaterialParams, terms,
 
 def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
                           eps_reg: float):
-    """Conjugates (P to F, Y to R, q to grad theta) of ``terms``, building
-    each stretch once and only for the terms that read it, as
-    :func:`_potential_densities` does."""
-    need = {t for t in terms if t != "interaction" or p.chi != 0.0}
+    """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``
+    from :func:`_kinematics`, and the ``R`` they were built with.  ``Y`` and
+    ``R`` are ``None`` when no live term reads ``R`` (curvature alone)."""
+    need, f, fstar, r, x, xs, g = _kinematics(state, p, terms)
     grid = state.grid
-    f, fstar = deformation_gradients(state)
-    r = rot2(state.theta)
-    rt = transpose2(r)
-    x = (mat_mul(rt, f)
-         if need & {"elastic", "interaction", "coupling2", "mixing"} else None)
-    xs = mat_mul(rt, fstar) if need & {"chiral_elastic", "mixing"} else None
-    g = (grad_scalar(state.theta, grid)
-         if need & {"curvature", "interaction"} else None)
-    eye = identity2(f)
+    eye = (identity2(r)
+           if {"elastic", "chiral_elastic", "mixing"}.intersection(need)
+           else None)
 
-    p_conj = np.zeros_like(f)   # conjugate to delta F
-    y_conj = np.zeros_like(f)   # conjugate to delta R
+    p_conj = np.zeros((2, 2) + grid.shape)  # conjugate to delta F
+    y_conj = None if r is None else np.zeros_like(r)  # conjugate to delta R
     q_conj = np.zeros((2,) + grid.shape)  # conjugate to delta grad theta
 
     def stretch_conjugates(fmat, w):
@@ -360,7 +352,7 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         p_conj += -2.0 * p.mu_c * np.einsum("ij...,ijkl...->kl...", r, t4)
         y_conj += -2.0 * p.mu_c * q
 
-    return p_conj, y_conj, q_conj
+    return p_conj, y_conj, q_conj, r
 
 
 def analytic_variations(state: FieldState, p: MaterialParams, terms,
@@ -373,9 +365,12 @@ def analytic_variations(state: FieldState, p: MaterialParams, terms,
     returned value times the cell area.
     """
     grid = state.grid
-    p_conj, y_conj, q_conj = _variation_conjugates(state, p, terms, eps_reg)
+    p_conj, y_conj, q_conj, r = _variation_conjugates(state, p, terms,
+                                                      eps_reg)
     dv_du = -div_matrix(p_conj, grid)
+    if r is None:
+        return dv_du, -div_vector(q_conj, grid)
     # dR/dtheta = -EPS2 @ R, contracted against the delta-R conjugate.
-    minus_eps_r = -np.einsum("ij,jk...->ik...", EPS2, rot2(state.theta))
+    minus_eps_r = -np.einsum("ij,jk...->ik...", EPS2, r)
     dv_dtheta = frobenius(y_conj, minus_eps_r) - div_vector(q_conj, grid)
     return dv_du, dv_dtheta

@@ -154,7 +154,8 @@ def dispersion_branches(k: float, wp: WaveParams) -> list[WaveBranch]:
     sorted by omega; raises NoRealBranch if no squared frequency is >= 0."""
     stiffness = wave_matrix(k, 0.0, wp)
     if not np.all(np.isfinite(stiffness)):
-        raise NoRealBranch(f"wave matrix is not finite at k = {k!r}")
+        raise NoRealBranch(
+            f"wave matrix is not finite at k = {float(k)!r}")
     d_inv_sqrt = 1.0 / np.sqrt([wp.rho, wp.rho, wp.varrho_rot])
     scaled = d_inv_sqrt[:, None] * stiffness * d_inv_sqrt
     squared_frequencies, vectors = np.linalg.eigh(scaled)
@@ -169,7 +170,8 @@ def dispersion_branches(k: float, wp: WaveParams) -> list[WaveBranch]:
                                    phi_hat=complex(z[2])))
     if not branches:
         raise NoRealBranch(
-            f"wave matrix has no nonnegative squared frequency at k = {k!r}")
+            f"wave matrix has no nonnegative squared frequency at k = "
+            f"{float(k)!r}")
     return branches
 
 

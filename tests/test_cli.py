@@ -5,12 +5,16 @@ import contextlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cosserat2d import cli
+import cosserat2d
+from cosserat2d import cli, dynamics
 from cosserat2d.cli import main
 from cosserat2d.errors import IoError
 from cosserat2d.fields import FieldState, Grid, save_snapshot
@@ -241,6 +245,43 @@ def test_verify_passes_at_256(tmp_path, capsys):
     assert all(row[3] == "true" for row in rows)
 
 
+SI_MATERIAL = {"mu": 3e9, "lambda": 2e9, "mu_c": 1e9}
+
+
+@pytest.mark.parametrize("kind", ["nonchiral", "chiral"])
+def test_verify_si_material_passes(tmp_path, capsys, kind):
+    # The homogeneous residual is in stress units: at these moduli its
+    # round-off read 1.3e-6 (chiral 1.1e-6) against the absolute 1e-12.
+    cfg = write_config(tmp_path, {"material": SI_MATERIAL,
+                                  "model": {"kind": kind},
+                                  "grid": {"nx": 16, "ny": 16}})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().err
+    _, rows = read_csv(out / "verify_report.csv")
+    row = {r[0]: r for r in rows}["homogeneous_roots_zero_residual"]
+    assert float(row[1]) < 1e-15 and row[3] == "true"
+
+
+@pytest.mark.parametrize("kind", ["nonchiral", "chiral"])
+def test_verify_fails_a_homogeneous_root_off_by_1e_6(tmp_path, monkeypatch,
+                                                     capsys, kind):
+    exact = dynamics.homogeneous_roots
+
+    def shifted(p, sel):
+        roots = exact(p, sel)
+        return replace(roots, trivial_roots=(1e-6, math.pi))
+
+    monkeypatch.setattr(dynamics, "homogeneous_roots", shifted)
+    cfg = write_config(tmp_path, {"material": SI_MATERIAL,
+                                  "model": {"kind": kind},
+                                  "grid": {"nx": 16, "ny": 16}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("FAIL homogeneous_roots_zero_residual: error 1."), err
+    assert err.count("FAIL") == 1
+
+
 def test_dispersion_outputs_with_zero_chiral_modulus(tmp_path):
     cfg = write_config(tmp_path, {
         "wave": {"k_min": 0.5, "k_max": 3.0, "k_steps": 7},
@@ -274,6 +315,41 @@ def test_dispersion_is_byte_deterministic(tmp_path):
     assert main(["dispersion", "--out", str(out_b)]) == 0
     assert ((out_a / "dispersion.csv").read_bytes()
             == (out_b / "dispersion.csv").read_bytes())
+
+
+def test_dispersion_overflowing_wavenumber_warns_once_per_k(tmp_path,
+                                                           capsys):
+    # k = 5e199 and 1e200 overflow the wave matrix; k = 1 has its branches.
+    cfg = write_config(tmp_path, {
+        "wave": {"k_min": 1, "k_max": 1e200, "k_steps": 3}})
+    out = tmp_path / "d"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dispersion", "--config", cfg, "--out", str(out)]) == 0
+    assert [w.category for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: no real branch: wave matrix is not finite at k = {k}"
+        for k in ("5e+199", "1e+200")]
+    _, rows = read_csv(out / "dispersion.csv")
+    assert [row[0] for row in rows] == ["1"] * 3
+
+
+@pytest.mark.parametrize("material", [{"mu_s": 1e200}, {"L_c": 1e200}])
+def test_dispersion_overflowing_modulus_exits_2(tmp_path, capsys, material):
+    # The square of the chiral modulus A = mu_s, or of L_c in the angle
+    # stiffness gamma, overflows a double.
+    cfg = write_config(tmp_path, {"material": material})
+    out = tmp_path / "d"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["dispersion", "--config", cfg, "--out", str(out)]) == 2
+    assert [w.category for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err == ("numerical error: dispersion sweep overflows a double: "
+                   "Numerical result out of range\n"), err
+    assert not list(out.glob("*.csv"))
 
 
 def test_homogeneous_nonchiral_infeasible_root(tmp_path):
@@ -316,6 +392,20 @@ def test_reduce3d_writes_passing_report(tmp_path):
     _, rows = read_csv(out / "reduction_report.csv")
     assert len(rows) == 35
     assert all(row[3] == "true" for row in rows)
+
+
+def test_module_entry_point_runs(tmp_path):
+    # ``python -m cosserat2d`` is the documented alternative to the script.
+    src = os.path.dirname(os.path.dirname(cosserat2d.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "r"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cosserat2d", "reduce3d",
+         "--out", str(out)], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (out / "reduction_report.csv").exists()
 
 
 def test_outdir_is_created_nested(tmp_path):

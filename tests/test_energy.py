@@ -8,6 +8,7 @@ under superposed rotations, and nodal finite differences of the totals.
 import numpy as np
 import numpy.testing as npt
 
+from cosserat2d import energy
 from cosserat2d.algebra import (
     EPS2,
     frobenius,
@@ -20,14 +21,8 @@ from cosserat2d.algebra import (
 from cosserat2d.energy import (
     DEFAULT_EPS_REG,
     analytic_variations,
-    chiral_elastic_density,
-    coupling2_density,
-    coupling_density,
-    curvature_density,
-    elastic_density,
-    interaction_density,
-    mixing_density,
     potential_total,
+    stretch_densities,
     total_energy,
 )
 from cosserat2d.fields import FieldState, Grid, deformation_gradients
@@ -37,8 +32,22 @@ from cosserat2d.rng import random_smooth_state
 from conftest import random_f_stack, random_material
 
 
+def density(term, p, f=None, theta=None, *, fstar=None, g=None,
+             eps_reg=DEFAULT_EPS_REG):
+    """The density of ``term`` at pointwise ``F``, ``theta``, ``F*`` and
+    ``grad theta = g``, through :func:`stretch_densities`."""
+    rt = None if theta is None else transpose2(rot2(theta))
+    x = None if f is None else mat_mul(rt, f)
+    xs = None if fstar is None else mat_mul(rt, fstar)
+    rtq = mat_mul(rt, polar2(f)[0]) if term == "coupling" else None
+    n = (None if g is None
+         else np.sqrt(g[0] ** 2 + g[1] ** 2 + eps_reg**2) - eps_reg)
+    [(_, value)] = stretch_densities((term,), p, x=x, xs=xs, g=g, n=n, rtq=rtq)
+    return value
+
+
 def elastic_density_expanded(f, theta, p):
-    """Fully expanded algebraic form of ``elastic_density``:
+    """Fully expanded algebraic form of the elastic density:
     ``2mu - 2mu tr(F R^T) + mu/2 (tr(R^T F R^T F) + tr(F F^T))
     + 2lam - 2lam tr(R^T F) + lam/2 tr(R^T F)^2``."""
     x = mat_mul(transpose2(rot2(theta)), f)
@@ -54,7 +63,7 @@ def elastic_density_expanded(f, theta, p):
 
 
 def coupling_density_expanded(f, theta, p):
-    """Expanded form 4 mu_c - 2 mu_c tr(R^T polar F) of ``coupling_density``."""
+    """Expanded form 4 mu_c - 2 mu_c tr(R^T polar F) of the coupling density."""
     q, _ = polar2(f)
     return 4.0 * p.mu_c - 2.0 * p.mu_c * trace2(mat_mul(transpose2(rot2(theta)), q))
 
@@ -71,7 +80,7 @@ def test_elastic_density_matches_expanded_form():
     for seed in range(5):
         rng, f, theta, _ = random_inputs(seed)
         p = random_material(rng)
-        direct = elastic_density(f, theta, p)
+        direct = density("elastic", p, f, theta)
         expanded = elastic_density_expanded(f, theta, p)
         npt.assert_allclose(direct, expanded, rtol=1e-12, atol=1e-13)
 
@@ -80,7 +89,7 @@ def test_coupling_density_matches_expanded_form():
     for seed in range(5):
         rng, f, theta, _ = random_inputs(seed)
         p = random_material(rng)
-        npt.assert_allclose(coupling_density(f, theta, p),
+        npt.assert_allclose(density("coupling", p, f, theta),
                             coupling_density_expanded(f, theta, p),
                             rtol=1e-11, atol=1e-12)
 
@@ -90,10 +99,10 @@ def test_coupling_at_half_turn_without_deformation():
     # rotation: the penalty saturates at 8 mu_c.
     p = MaterialParams(mu_c=0.75)
     f = np.eye(2)
-    value = coupling_density(f, np.pi, p)
+    value = density("coupling", p, f, np.pi)
     npt.assert_allclose(value, 8.0 * p.mu_c, rtol=1e-14)
     # and the skew variant vanishes there (skew of a symmetric matrix).
-    npt.assert_allclose(coupling2_density(f, np.pi, p), 0.0, atol=1e-15)
+    npt.assert_allclose(density("coupling2", p, f, np.pi), 0.0, atol=1e-15)
 
 
 def test_uniform_rotation_closed_forms():
@@ -106,20 +115,20 @@ def test_uniform_rotation_closed_forms():
         fstar = np.eye(2)
         c = np.cos(theta) - 1.0
 
-        npt.assert_allclose(elastic_density(f, theta, p),
+        npt.assert_allclose(density("elastic", p, f, theta),
                             2.0 * (p.mu + p.lam) * c * c, rtol=1e-12, atol=1e-14)
         npt.assert_allclose(
-            chiral_elastic_density(fstar, theta, p),
+            density("chiral_elastic", p, theta=theta, fstar=fstar),
             2.0 * (p.mu_s + p.lam_s) * c * c
             + p.mu_c_s * (2.0 * np.sin(theta) ** 2), rtol=1e-11, atol=1e-13)
         npt.assert_allclose(
-            mixing_density(f, fstar, theta, p),
+            density("mixing", p, f, theta, fstar=fstar),
             2.0 * (p.m1 + 2.0 * p.m2) * c * c
             + 2.0 * p.m3 * np.sin(theta) ** 2, rtol=1e-11, atol=1e-13)
-        npt.assert_allclose(coupling2_density(f, theta, p),
+        npt.assert_allclose(density("coupling2", p, f, theta),
                             2.0 * p.mu_c * np.sin(theta) ** 2,
                             rtol=1e-12, atol=1e-14)
-        npt.assert_allclose(coupling_density(f, theta, p),
+        npt.assert_allclose(density("coupling", p, f, theta),
                             4.0 * p.mu_c * (1.0 - np.cos(theta)),
                             rtol=1e-12, atol=1e-14)
 
@@ -135,12 +144,14 @@ def test_objectivity_of_nonchiral_densities():
         f_rot = mat_mul(rot2(np.full(theta.shape, alpha)), f)
         theta_rot = theta + alpha
 
-        for density in (elastic_density, coupling_density, coupling2_density):
-            npt.assert_allclose(density(f_rot, theta_rot, p),
-                                density(f, theta, p), rtol=1e-10, atol=1e-12)
+        for term in ("elastic", "coupling", "coupling2"):
+            npt.assert_allclose(density(term, p, f_rot, theta_rot),
+                                density(term, p, f, theta),
+                                rtol=1e-10, atol=1e-12)
         npt.assert_allclose(
-            interaction_density(f_rot, theta_rot, grad_theta, p, 1e-8),
-            interaction_density(f, theta, grad_theta, p, 1e-8),
+            density("interaction", p, f_rot, theta_rot, g=grad_theta,
+                    eps_reg=1e-8),
+            density("interaction", p, f, theta, g=grad_theta, eps_reg=1e-8),
             rtol=1e-10, atol=1e-12)
 
 
@@ -148,29 +159,29 @@ def test_nonnegative_densities():
     for seed in range(3):
         rng, f, theta, grad_theta = random_inputs(seed)
         p = random_material(rng)
-        assert np.all(elastic_density(f, theta, p) > -1e-14)
-        assert np.all(curvature_density(grad_theta, p) >= 0.0)
-        assert np.all(coupling_density(f, theta, p) > -1e-12)
-        assert np.all(coupling2_density(f, theta, p) > -1e-14)
+        assert np.all(density("elastic", p, f, theta) > -1e-14)
+        assert np.all(density("curvature", p, g=grad_theta) >= 0.0)
+        assert np.all(density("coupling", p, f, theta) > -1e-12)
+        assert np.all(density("coupling2", p, f, theta) > -1e-14)
 
 
 def test_curvature_density_value():
     p = MaterialParams(mu=2.0, L_c=0.3)
     g = np.array([[3.0], [4.0]])
-    npt.assert_allclose(curvature_density(g, p), 2.0 * 0.09 * 25.0)
+    npt.assert_allclose(density("curvature", p, g=g), 2.0 * 0.09 * 25.0)
 
 
 def test_interaction_density_scaling_and_regularization():
     rng, f, theta, grad_theta = random_inputs(123)
     p1 = random_material(rng, chi=0.5)
     p2 = p1.replace(chi=1.0)
-    v1 = interaction_density(f, theta, grad_theta, p1, 0.0)
-    v2 = interaction_density(f, theta, grad_theta, p2, 0.0)
+    v1 = density("interaction", p1, f, theta, g=grad_theta, eps_reg=0.0)
+    v2 = density("interaction", p2, f, theta, g=grad_theta, eps_reg=0.0)
     npt.assert_allclose(v2, 2.0 * v1, rtol=1e-13)
 
     # eps_reg = 0 uses the exact norm; small eps_reg stays within eps_reg
     # of it in the norm factor.
-    v_reg = interaction_density(f, theta, grad_theta, p1, 1e-6)
+    v_reg = density("interaction", p1, f, theta, g=grad_theta, eps_reg=1e-6)
     norm = np.sqrt(grad_theta[0] ** 2 + grad_theta[1] ** 2)
     trace_factor = np.abs(v1 / (p1.mu * p1.L_c * p1.chi * norm))
     assert np.max(np.abs(v_reg - v1)) <= 1.1e-6 * p1.mu * p1.L_c * abs(p1.chi) * np.max(trace_factor)
@@ -182,9 +193,11 @@ def test_interaction_zero_at_zero_gradient():
     theta = rng.standard_normal(5)
     p = random_material(rng, chi=0.9)
     g = np.zeros((2, 5))
-    npt.assert_array_equal(interaction_density(f, theta, g, p, 0.0), 0.0)
-    npt.assert_allclose(interaction_density(f, theta, g, p, 1e-8), 0.0,
-                        atol=1e-20)
+    npt.assert_array_equal(
+        density("interaction", p, f, theta, g=g, eps_reg=0.0), 0.0)
+    npt.assert_allclose(
+        density("interaction", p, f, theta, g=g, eps_reg=1e-8), 0.0,
+        atol=1e-20)
 
 
 def test_total_energy_breakdown_consistency():
@@ -264,3 +277,24 @@ def test_each_term_gradient_matches_finite_differences():
                  "coupling2", "chiral_elastic", "mixing"):
         err = variation_fd_error(state, p, (term,), nodes)
         assert err < 1e-6, f"{term}: {err}"
+
+
+def test_analytic_variations_builds_each_field_once(monkeypatch):
+    # One rotation build per gradient, reused for dR/dtheta, none for the
+    # curvature alone; the identity only for the terms whose conjugate has
+    # an identity shift.
+    calls = {"rot2": 0, "identity2": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(energy, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(energy, name, counted)
+    state = random_smooth_state(Grid(nx=8, ny=8), seed=4, amplitude=0.05,
+                                modes=2)
+    p = random_material(np.random.default_rng(8), chiral=True, chi=0.6)
+    for terms in [(t,) for t in energy.ALL_TERMS] + [energy.ALL_TERMS]:
+        calls.update(rot2=0, identity2=0)
+        analytic_variations(state, p, terms)
+        assert calls["rot2"] == (0 if terms == ("curvature",) else 1), terms
+        if terms in (("curvature",), ("interaction",), ("coupling",)):
+            assert calls["identity2"] == 0, terms
