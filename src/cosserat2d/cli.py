@@ -185,18 +185,31 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
 
 def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
     _ensure_outdir(outdir)
+    wp = WaveParams.from_material(cfg.material)
+    rows = []
+    per_branch_points: dict[int, list[tuple[float, float]]] = {}
     # Past about k = 1e154 the wave matrix overflows: numpy stays quiet and
-    # that k gets the typed no-real-branch warning.  A Python-float square
-    # that overflows (a modulus past about 1e154, say) raises OverflowError,
-    # which ends the sweep as a numerical error.
-    try:
-        wp = WaveParams.from_material(cfg.material)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows, per_branch_points = _dispersion_rows(cfg, wp)
-            curve = velocity_curve(wp)
-    except OverflowError as exc:
-        raise Cosserat2DError(
-            f"dispersion sweep overflows a double: {exc.args[-1]}") from exc
+    # that k gets the typed no-real-branch warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in np.linspace(cfg.wave.k_min, cfg.wave.k_max,
+                             cfg.wave.k_steps):
+            try:
+                branches = dispersion_branches(k, wp)
+            except NoRealBranch as exc:
+                print(f"warning: no real branch: {exc}", file=sys.stderr)
+                continue
+            for index, branch in enumerate(branches):
+                try:
+                    ratio = amplitude_ratio(k, branch.omega, wp)
+                except ZeroDenominator:
+                    ratio = math.nan
+                speed = branch.omega / k
+                rows.append((k, index, branch.omega, branch.u_hat.real,
+                             branch.v_hat.real, branch.phi_hat.imag, ratio,
+                             speed))
+                per_branch_points.setdefault(index, []).append(
+                    (k, branch.omega))
+        curve = velocity_curve(wp)
     write_csv(os.path.join(outdir, "dispersion.csv"), DISPERSION_HEADER,
               zip(*rows))
     write_csv(os.path.join(outdir, "ratio_velocity.csv"), "ratio,velocity",
@@ -205,29 +218,6 @@ def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
         _write_dispersion_svg(os.path.join(outdir, "dispersion.svg"),
                               per_branch_points)
     return 0
-
-
-def _dispersion_rows(cfg: ScenarioConfig, wp: WaveParams):
-    """``dispersion.csv`` rows and each branch's ``(k, omega)`` points; a
-    wavenumber with no real branch is skipped with a warning."""
-    rows = []
-    per_branch_points: dict[int, list[tuple[float, float]]] = {}
-    for k in np.linspace(cfg.wave.k_min, cfg.wave.k_max, cfg.wave.k_steps):
-        try:
-            branches = dispersion_branches(k, wp)
-        except NoRealBranch as exc:
-            print(f"warning: no real branch: {exc}", file=sys.stderr)
-            continue
-        for index, branch in enumerate(branches):
-            try:
-                ratio = amplitude_ratio(k, branch.omega, wp)
-            except ZeroDenominator:
-                ratio = math.nan
-            speed = branch.omega / k
-            rows.append((k, index, branch.omega, branch.u_hat.real,
-                         branch.v_hat.real, branch.phi_hat.imag, ratio, speed))
-            per_branch_points.setdefault(index, []).append((k, branch.omega))
-    return rows, per_branch_points
 
 
 def _write_dispersion_svg(path: str, per_branch) -> None:
@@ -479,6 +469,12 @@ def main(argv=None) -> int:
         return 1
     except Cosserat2DError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # A Python-float power of a huge modulus (L_c**2 past about 1e154,
+        # say) raises where numpy would give inf.
+        print(f"numerical error: a value overflows a double: {exc.args[-1]}",
+              file=sys.stderr)
         return 2
 
 

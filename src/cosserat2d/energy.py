@@ -55,7 +55,8 @@ ALL_TERMS = ("elastic", "curvature", "interaction", "coupling", "coupling2",
 
 
 #: The kinematic fields each term reads: ``x = R^T F``, ``xs = R^T F*``,
-#: ``g = grad theta`` and ``q = polar(F)``.
+#: ``g = grad theta`` and ``q = polar(F)``; :func:`_kinematics` builds
+#: exactly these.
 _READS = {"elastic": {"x"}, "curvature": {"g"}, "interaction": {"x", "g"},
           "coupling": {"q"}, "coupling2": {"x"}, "chiral_elastic": {"xs"},
           "mixing": {"x", "xs"}}
@@ -84,6 +85,11 @@ def _reg_norm(grad_theta, eps_reg):
 
 def _sym_minus_eye(x):
     return 0.5 * (x + transpose2(x)) - identity2(x)
+
+
+def _trace_eye(c, x):
+    """c (tr x - 2) I, the conjugate of c/2 (tr x - 2)^2 to x."""
+    return c * (trace2(x) - 2.0) * identity2(x)
 
 
 def _skew(x):
@@ -199,8 +205,10 @@ class EnergyBreakdown:
 
 def _kinematics(state: FieldState, p: MaterialParams, terms, window=None):
     """The live ``terms`` (:func:`_live_terms`) and the fields they read
-    (:data:`_READS`): ``(terms, F, F*, R, R^T F, R^T F*, grad theta)``, each
-    built once and only if a live term reads it, else ``None``.
+    (:data:`_READS`): ``(terms, F, F*, R, R^T F, R^T F*, grad theta,
+    polar(F))``, each built once and only if a live term reads it, else
+    ``None``.  ``R`` is built for every term but the curvature, and ``F`` and
+    ``F*`` are kept for the conjugates that push back through them.
 
     With ``window`` a node ``(i, j)``, every field is built on the 3x3 nodes
     around it only, from ``u`` and ``theta`` on the 5x5 block around the
@@ -208,8 +216,8 @@ def _kinematics(state: FieldState, p: MaterialParams, terms, window=None):
     """
     live = _live_terms(terms, p)
     reads = set().union(*(_READS[t] for t in live))
-    f = fstar = r = x = xs = g = None
-    if reads - {"g"}:  # every term but curvature reads R
+    f = fstar = r = x = xs = g = q = None
+    if reads - {"g"}:
         f, fstar = deformation_gradients(state, window)
         theta = (state.theta if window is None
                  else state.theta[node_window(state.grid, window)])
@@ -221,11 +229,13 @@ def _kinematics(state: FieldState, p: MaterialParams, terms, window=None):
             xs = mat_mul(rt, fstar)
         else:
             fstar = None
+        if "q" in reads:
+            q = polar2(f)[0]
         if not reads & {"x", "q"}:
             f = None
     if "g" in reads:
         g = grad_scalar(state.theta, state.grid, window)
-    return live, f, fstar, r, x, xs, g
+    return live, f, fstar, r, x, xs, g, q
 
 
 def _potential_densities(state: FieldState, p: MaterialParams, terms,
@@ -236,8 +246,8 @@ def _potential_densities(state: FieldState, p: MaterialParams, terms,
     they are the only densities a change of ``u`` or ``theta`` at that node
     can change.
     """
-    live, f, _, r, x, xs, g = _kinematics(state, p, terms, window)
-    rtq = mat_mul(transpose2(r), polar2(f)[0]) if "coupling" in live else None
+    live, _, _, r, x, xs, g, q = _kinematics(state, p, terms, window)
+    rtq = None if q is None else mat_mul(transpose2(r), q)
     n = _reg_norm(g, eps_reg)[0] if "interaction" in live else None
     return stretch_densities(live, p, x=x, xs=xs, g=g, n=n, rtq=rtq)
 
@@ -289,11 +299,8 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
     """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``
     from :func:`_kinematics`, and the ``R`` they were built with.  ``Y`` and
     ``R`` are ``None`` when no live term reads ``R`` (curvature alone)."""
-    need, f, fstar, r, x, xs, g = _kinematics(state, p, terms)
+    need, f, fstar, r, x, xs, g, q = _kinematics(state, p, terms)
     grid = state.grid
-    eye = (identity2(r)
-           if {"elastic", "chiral_elastic", "mixing"}.intersection(need)
-           else None)
 
     p_conj = np.zeros((2, 2) + grid.shape)  # conjugate to delta F
     y_conj = None if r is None else np.zeros_like(r)  # conjugate to delta R
@@ -304,7 +311,7 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         return mat_mul(r, w), mat_mul(fmat, transpose2(w))
 
     if "elastic" in need:
-        w = 2.0 * p.mu * _sym_minus_eye(x) + p.lam * (trace2(x) - 2.0) * eye
+        w = 2.0 * p.mu * _sym_minus_eye(x) + _trace_eye(p.lam, x)
         dp, dy = stretch_conjugates(f, w)
         p_conj += dp
         y_conj += dy
@@ -316,7 +323,7 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         y_conj += dy
 
     if "chiral_elastic" in need:
-        w = (2.0 * p.mu_s * _sym_minus_eye(xs) + p.lam_s * (trace2(xs) - 2.0) * eye
+        w = (2.0 * p.mu_s * _sym_minus_eye(xs) + _trace_eye(p.lam_s, xs)
              + p.mu_c_s * (xs - transpose2(xs)))
         dp, dy = stretch_conjugates(fstar, w)
         # delta F* = EPS2 @ delta F, so the F-conjugate picks up EPS2^T.
@@ -324,8 +331,8 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         y_conj += dy
 
     if "mixing" in need:
-        w_x = p.m1 * _sym_minus_eye(xs) + p.m2 * (trace2(xs) - 2.0) * eye
-        w_xs = p.m1 * _sym_minus_eye(x) + p.m2 * (trace2(x) - 2.0) * eye
+        w_x = p.m1 * _sym_minus_eye(xs) + _trace_eye(p.m2, xs)
+        w_xs = p.m1 * _sym_minus_eye(x) + _trace_eye(p.m2, x)
         if p.m3 != 0.0:
             w_x = w_x + 0.5 * p.m3 * (xs - transpose2(xs))
             w_xs = w_xs + 0.5 * p.m3 * (x - transpose2(x))
@@ -345,7 +352,6 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         q_conj += 2.0 * p.mu * p.L_c**2 * g
 
     if "coupling" in need:
-        q, _ = polar2(f)
         # The F-conjugate goes through the full polar-derivative tensor:
         # <R, dpolar(F)[dF]> = <adjoint applied to R, dF>.
         t4 = dpolar2_dF(f)

@@ -335,19 +335,21 @@ def test_dispersion_overflowing_wavenumber_warns_once_per_k(tmp_path,
     assert [row[0] for row in rows] == ["1"] * 3
 
 
-@pytest.mark.parametrize("material", [{"mu_s": 1e200}, {"L_c": 1e200}])
-def test_dispersion_overflowing_modulus_exits_2(tmp_path, capsys, material):
+@pytest.mark.parametrize("command, material", [
+    ("dispersion", {"mu_s": 1e200}), ("dispersion", {"L_c": 1e200}),
+    ("verify", {"L_c": 1e200}), ("simulate", {"L_c": 1e200})])
+def test_overflowing_modulus_exits_2(tmp_path, capsys, command, material):
     # The square of the chiral modulus A = mu_s, or of L_c in the angle
-    # stiffness gamma, overflows a double.
-    cfg = write_config(tmp_path, {"material": material})
+    # stiffness, overflows a Python float.
+    cfg = write_config(tmp_path, dict(SMALL_SIM, material=material))
     out = tmp_path / "d"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["dispersion", "--config", cfg, "--out", str(out)]) == 2
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert [w.category for w in caught
             if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    assert err == ("numerical error: dispersion sweep overflows a double: "
+    assert err == ("numerical error: a value overflows a double: "
                    "Numerical result out of range\n"), err
     assert not list(out.glob("*.csv"))
 

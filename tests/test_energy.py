@@ -40,8 +40,7 @@ def density(term, p, f=None, theta=None, *, fstar=None, g=None,
     x = None if f is None else mat_mul(rt, f)
     xs = None if fstar is None else mat_mul(rt, fstar)
     rtq = mat_mul(rt, polar2(f)[0]) if term == "coupling" else None
-    n = (None if g is None
-         else np.sqrt(g[0] ** 2 + g[1] ** 2 + eps_reg**2) - eps_reg)
+    n = None if g is None else energy._reg_norm(g, eps_reg)[0]
     [(_, value)] = stretch_densities((term,), p, x=x, xs=xs, g=g, n=n, rtq=rtq)
     return value
 
