@@ -84,14 +84,16 @@ def cof2(f):
     return out
 
 
-def _polar_denominator(f):
-    """tr(U) for F = R U, via  tr(U)^2 = |F|^2 + 2 det F  (positive det only)."""
+def _polar_rotation(f):
+    """``(R, tr U)`` of ``F = R U``: ``R = (F + cof F) / tr U`` with
+    ``tr(U)^2 = |F|^2 + 2 det F`` (positive det only)."""
     det = det2(f)
     if np.any(det <= DEGENERATE_DET):
         raise DegenerateDeformation(
             f"det(F) <= {DEGENERATE_DET:g} somewhere; polar factor undefined"
         )
-    return np.sqrt(frobenius(f, f) + 2.0 * det)
+    tru = np.sqrt(frobenius(f, f) + 2.0 * det)
+    return (f + cof2(f)) / tru, tru
 
 
 def polar2(f):
@@ -102,8 +104,7 @@ def polar2(f):
     :class:`DegenerateDeformation` when ``det F <= 1e-12`` anywhere.
     """
     f = np.asarray(f, dtype=float)
-    tru = _polar_denominator(f)
-    r = (f + cof2(f)) / tru
+    r, _ = _polar_rotation(f)
     u = mat_mul(transpose2(r), f)
     u = 0.5 * (u + transpose2(u))  # exact symmetry up to rounding
     return r, u
@@ -117,10 +118,12 @@ def dpolar2_dF(f):
     ``(E - R E^T R) / tr(U)``; at ``F = I`` it reduces to ``skew(E)``.
     """
     f = np.asarray(f, dtype=float)
-    tru = _polar_denominator(f)
-    r, _ = polar2(f)
+    r, tru = _polar_rotation(f)
     eye = np.eye(2)
     delta = np.einsum("ik,jl->ijkl", eye, eye)
     delta = delta.reshape((2, 2, 2, 2) + (1,) * (f.ndim - 2))
-    rr = np.einsum("il...,kj...->ijkl...", r, r)
-    return (delta - rr) / tru
+    # In place: these 16 fields are the largest array of a gradient pass.
+    t4 = np.einsum("il...,kj...->ijkl...", r, r)
+    np.subtract(delta, t4, out=t4)
+    t4 /= tru
+    return t4

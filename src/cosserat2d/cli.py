@@ -34,7 +34,7 @@ from .dynamics import (
     step_leapfrog,
     verify_variational_consistency,
 )
-from .energy import energy_breakdown
+from .energy import EnergyBreakdown, energy_breakdown
 from .errors import (
     ConfigError,
     Cosserat2DError,
@@ -63,8 +63,6 @@ from .waves import (
     wave_matrix,
 )
 
-TIMESERIES_HEADER = ("step,time,elastic,curvature,interaction,coupling,"
-                     "chiral_elastic,mixing,kin_trans,kin_rot,total")
 DISPERSION_HEADER = ("k,branch_index,omega,u_hat,v_hat,phi_hat_imag,"
                      "ratio,phase_velocity")
 
@@ -174,8 +172,8 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
             record(step, state, acc)
             if step % sim.output_every == 0 or step == sim.steps:
                 snapshot(step, state)
-    write_csv(os.path.join(outdir, "timeseries.csv"), TIMESERIES_HEADER,
-              zip(*rows))
+    write_csv(os.path.join(outdir, "timeseries.csv"),
+              "step,time," + EnergyBreakdown.CSV_HEADER, zip(*rows))
     return 0
 
 

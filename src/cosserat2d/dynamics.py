@@ -23,11 +23,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import mat_mul, polar2, rot2, trace2, transpose2
+from .algebra import mat_mul, trace2, transpose2
 from .energy import (
     DEFAULT_EPS_REG,
+    _kinematics,
     _live_terms,
-    _reg_norm,
     analytic_variations,
     potential_total,
     stretch_densities,
@@ -40,7 +40,6 @@ from .fields import (
     ddxx,
     ddy,
     ddyy,
-    deformation_gradients,
     div_matrix,
     div_vector,
     grad_scalar,
@@ -79,20 +78,15 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     """Accelerations and per-term potential totals of the energy made of
     ``terms`` (a :meth:`ModelSelector.active_terms` tuple).
 
-    ``F``, ``R``, ``R^T F``, ``R F^T R`` and ``grad theta`` are built once;
-    each term then adds its stress to ``p_total`` (``rho u_tt = div P``) and
-    its torque to ``torque`` (``rho_rot theta_tt = torque``): elastic and
-    curvature, one coupling, the interaction, then the chiral block.  That
-    order fixes the rounding of every acceleration.
+    The fields come from :func:`cosserat2d.energy._kinematics`; each term
+    adds its stress to ``p_total`` (``rho u_tt = div P``) and its torque to
+    ``torque`` (``rho_rot theta_tt = torque``): elastic and curvature, one
+    coupling, the interaction, then the chiral block.  That order fixes the
+    rounding of every acceleration.
     """
     grid = state.grid
-    terms = _live_terms(terms, p)
-    f, fstar = deformation_gradients(state)
-    if "chiral_elastic" not in terms:
-        fstar = None  # only the chiral block reads F*
-    r = rot2(state.theta)
-    rt = transpose2(r)
-    x = mat_mul(rt, f)
+    k = _kinematics(state, p, terms, eps_reg)
+    terms, f, fstar, r, x = k.terms, k.f, k.fstar, k.r, k.x
     trx = trace2(x)
     rftr = mat_mul(r, mat_mul(transpose2(f), r))  # R F^T R
 
@@ -100,36 +94,30 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     p_total = p.mu * (rftr + f) + (p.lam * trx - 2.0 * (p.mu + p.lam)) * r
     tx = _eps_trace(x)
     txx = _eps_trace(mat_mul(x, x))
-    g = grad_scalar(state.theta, grid)
-    torque = p.mu * p.L_c**2 * div_vector(g, grid)
+    torque = p.mu * p.L_c**2 * div_vector(k.g, grid)
     torque = torque + (p.mu + p.lam) * tx - 0.5 * p.mu * txx - 0.5 * p.lam * trx * tx
 
     # --- rotation/strain coupling ---
-    rtq = None  # R^T polar(F), polar coupling only
     if "coupling" in terms:
-        q, stretch = polar2(f)
-        tru = trace2(stretch)  # trace of sqrt(F^T F)
-        del stretch
-        rtq = mat_mul(rt, q)
-        p_total = p_total + (2.0 * p.mu_c / tru) * (mat_mul(q, rtq) - r)
-        torque = torque + p.mu_c * _eps_trace(rtq)
-        del q
+        stress = mat_mul(k.q, k.rtq)  # (2 mu_c / tr U)(Q R^T Q - R), in place
+        stress -= r
+        stress *= 2.0 * p.mu_c / k.tru
+        p_total += stress
+        del stress
+        torque = torque + p.mu_c * _eps_trace(k.rtq)
     else:  # coupling2: the skew part of R^T F
         p_total = p_total + p.mu_c * (f - rftr)
         torque = torque + 0.5 * p.mu_c * txx
 
     # --- chiral interaction ---
-    n = None
     if "interaction" in terms:
-        n, s = _reg_norm(g, eps_reg)
         c = p.mu * p.L_c * p.chi
-        p_total = p_total + (c * n) * r
-        torque = torque + 0.5 * c * (div_vector(trx * g / s, grid) - n * tx)
+        p_total = p_total + (c * k.n) * r
+        torque = torque + 0.5 * c * (div_vector(trx * k.g / k.s, grid) - k.n * tx)
 
     # --- starred elastic on F* = I + grad u*, and mixing ---
-    xs = None
     if "chiral_elastic" in terms:
-        xs = mat_mul(rt, fstar)
+        xs = k.xs
         trxs = trace2(xs)
         rfstr = mat_mul(r, mat_mul(transpose2(fstar), r))
         # Each partial stress is folded in as soon as it is built, to keep
@@ -159,10 +147,9 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     acc_u = div_matrix(p_total, grid) / p.rho
     acc_theta = torque / p.rho_rot
     # Release the stress temporaries before the energy densities are built.
-    del f, fstar, r, rt, rftr, p_total, torque
-    potential = term_totals(
-        stretch_densities(terms, p, x=x, xs=xs, g=g, n=n, rtq=rtq),
-        grid.cell_area)
+    del f, fstar, r, rftr, p_total, torque
+    k = k._replace(f=None, fstar=None, r=None, q=None)
+    potential = term_totals(stretch_densities(k, p), grid.cell_area)
     return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
 
 
@@ -286,47 +273,47 @@ class HomogeneousRoots:
         return roots
 
 
-def _chiral_stiffness_sums(p: MaterialParams) -> tuple[float, float]:
-    """(B, C) with homogeneous chiral energy 2B(cos t - 1)^2 + 2C sin^2 t."""
-    b = p.mu + p.lam + p.mu_s + p.lam_s + p.m1 + 2.0 * p.m2
-    c = p.mu_c + p.mu_c_s + p.m3
+def _stiffness_sums(p: MaterialParams, sel: ModelSelector):
+    """``(B, C)`` with ``B = mu + lam`` and ``C = mu_c``, plus the starred
+    and mixing sums for the chiral model.  The uniform energy is
+    ``2B(cos t - 1)^2 + 4C(1 - cos t)`` with the polar coupling and
+    ``2B(cos t - 1)^2 + 2C sin^2 t`` with the skew one (chiral or not)."""
+    b, c = p.mu + p.lam, p.mu_c
+    if sel.is_chiral:
+        b = b + p.mu_s + p.lam_s + p.m1 + 2.0 * p.m2
+        c = c + p.mu_c_s + p.m3
     return b, c
 
 
 def homogeneous_residual(theta0, p: MaterialParams, sel: ModelSelector):
     """Stationarity residual for a spatially constant angle, zero displacement.
 
-    Non-chiral: ``((lam + mu)(1 - cos t) + mu_c) sin t``; chiral:
-    ``(-B + (B - C) cos t) sin t`` with B, C the grouped stiffness sums.
-    Roots of the residual are the homogeneous equilibria (overall sign is a
-    convention). The non-chiral form is the rotation-coupling variant.
+    Polar coupling: ``(B (1 - cos t) + C) sin t``; skew coupling (the skew
+    and the chiral model): ``(-B + (B - C) cos t) sin t``, with B, C the
+    grouped stiffness sums of :func:`_stiffness_sums`.  Roots of the
+    residual are the homogeneous equilibria (overall sign is a convention).
     """
     t = np.asarray(theta0, dtype=float)
-    if sel.is_chiral:
-        b, c = _chiral_stiffness_sums(p)
-        res = (-b + (b - c) * np.cos(t)) * np.sin(t)
+    b, c = _stiffness_sums(p, sel)
+    if "coupling" in sel.active_terms():
+        res = (b * (1.0 - np.cos(t)) + c) * np.sin(t)
     else:
-        res = ((p.lam + p.mu) * (1.0 - np.cos(t)) + p.mu_c) * np.sin(t)
+        res = (-b + (b - c) * np.cos(t)) * np.sin(t)
     return float(res) if np.isscalar(theta0) else res
 
 
 def homogeneous_roots(p: MaterialParams, sel: ModelSelector) -> HomogeneousRoots:
     """All homogeneous equilibrium angles: {0, pi} always; a nontrivial
     ``+-arccos`` pair when ``cos t0 = 1 + fraction`` lands in [-1, 1]
-    (fraction in [-2, 0])."""
-    if sel.is_chiral:
-        b, c = _chiral_stiffness_sums(p)
-        denom = b - c
-        if denom == 0.0:
-            raise ZeroDenominator(
-                "chiral homogeneous branch undefined: B - C = 0")
-        fraction = c / denom
-    else:
-        denom = p.lam + p.mu
-        if denom == 0.0:
-            raise ZeroDenominator(
-                "non-chiral homogeneous branch undefined: lam + mu = 0")
-        fraction = p.mu_c / denom
+    (fraction in [-2, 0]): ``C / B`` with the polar coupling, ``C / (B - C)``
+    with the skew one."""
+    b, c = _stiffness_sums(p, sel)
+    polar = "coupling" in sel.active_terms()
+    denom = b if polar else b - c
+    if denom == 0.0:
+        raise ZeroDenominator("homogeneous branch undefined: "
+                              + ("B = 0" if polar else "B - C = 0"))
+    fraction = c / denom
     return HomogeneousRoots(trivial_roots=(0.0, math.pi),
                             nontrivial_cos=1.0 + fraction,
                             feasible=-2.0 <= fraction <= 0.0)
@@ -334,10 +321,8 @@ def homogeneous_roots(p: MaterialParams, sel: ModelSelector) -> HomogeneousRoots
 
 def _homogeneous_root_error(p: MaterialParams, sel: ModelSelector) -> float:
     """Largest ``|homogeneous_residual|`` over the reported roots, relative
-    to the stiffness the residual is made of: ``|lam + mu| + |mu_c|``, or
-    ``|B| + |C|`` for the chiral model."""
-    b, c = (_chiral_stiffness_sums(p) if sel.is_chiral
-            else (p.lam + p.mu, p.mu_c))
+    to the stiffness ``|B| + |C|`` the residual is made of."""
+    b, c = _stiffness_sums(p, sel)
     worst = max(abs(homogeneous_residual(r, p, sel))
                 for r in homogeneous_roots(p, sel).all_roots())
     return worst / (abs(b) + abs(c))

@@ -3,8 +3,8 @@
 Every density is a pointwise function of a few kinematic fields, built once
 per evaluation by :func:`_kinematics` for the terms that read them: the
 stretch ``x = R^T F``, the chiral stretch ``xs = R^T F*`` of the
-quarter-turned displacement, the angle gradient and ``R^T polar(F)``; all
-accept trailing grid axes.
+quarter-turned displacement, the angle gradient, its regularized norm and
+``R^T polar(F)``; all accept trailing grid axes.
 
 :func:`analytic_variations` assembles the exact gradient of the *discrete*
 total energy by the conjugate-table route: each term contributes
@@ -22,7 +22,9 @@ grid, those expressions are the machine-precision gradient of
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -54,12 +56,21 @@ ALL_TERMS = ("elastic", "curvature", "interaction", "coupling", "coupling2",
              "chiral_elastic", "mixing")
 
 
-#: The kinematic fields each term reads: ``x = R^T F``, ``xs = R^T F*``,
-#: ``g = grad theta`` and ``q = polar(F)``; :func:`_kinematics` builds
-#: exactly these.
-_READS = {"elastic": {"x"}, "curvature": {"g"}, "interaction": {"x", "g"},
+#: The fields each term reads, named as in :data:`_Kinematics` (``q`` for
+#: all three of the polar coupling); :func:`_kinematics` builds exactly these.
+_READS = {"elastic": {"x"}, "curvature": {"g"}, "interaction": {"x", "g", "n"},
           "coupling": {"q"}, "coupling2": {"x"}, "chiral_elastic": {"xs"},
           "mixing": {"x", "xs"}}
+
+
+#: The live ``terms`` (:func:`_live_terms`) and their fields, each ``None``
+#: unless a live term reads it: ``F``, ``F*``, ``R(theta)``, ``R^T F``,
+#: ``R^T F*``, ``grad theta``, the interaction's regularized norm of it and
+#: divisor (:func:`_reg_norm`), and the polar coupling's ``polar(F)``,
+#: ``tr U`` and ``R^T polar(F)``.  No density reads ``f``, ``fstar``, ``r``
+#: or ``q``.
+_Kinematics = namedtuple("_Kinematics", "terms f fstar r x xs g n s q tru rtq",
+                         defaults=(None,) * 11)
 
 
 def _live_terms(terms, p: MaterialParams) -> tuple[str, ...]:
@@ -143,29 +154,27 @@ def _mixing(x, xs, p: MaterialParams):
     return out
 
 
-def stretch_densities(terms, p: MaterialParams, *, x=None, xs=None, g=None,
-                      n=None, rtq=None):
-    """Yield ``(term, density)`` for each of ``terms`` from prebuilt stretches.
+def stretch_densities(k: _Kinematics, p: MaterialParams):
+    """Yield ``(term, density)`` for each of ``k.terms`` from the fields of
+    ``k`` (:func:`_kinematics`).
 
-    Only the fields the requested terms read (:data:`_READS`) need to be
-    given; the interaction reads ``n``, the regularized norm of ``g``, and
-    the coupling ``rtq = R^T polar(F)``.  Densities come one at a time, in
-    :data:`ALL_TERMS` order, so a caller that sums each keeps one alive.
+    Densities come one at a time, in :data:`ALL_TERMS` order, so a caller
+    that sums each keeps one alive.
     """
-    if "elastic" in terms:
-        yield "elastic", _elastic(x, p)
-    if "curvature" in terms:
-        yield "curvature", _curvature(g, p)
-    if "interaction" in terms:
-        yield "interaction", _interaction(n, x, p)
-    if "coupling" in terms:
-        yield "coupling", _coupling(rtq, p)
-    if "coupling2" in terms:
-        yield "coupling2", _coupling2(x, p)
-    if "chiral_elastic" in terms:
-        yield "chiral_elastic", _chiral_elastic(xs, p)
-    if "mixing" in terms:
-        yield "mixing", _mixing(x, xs, p)
+    if "elastic" in k.terms:
+        yield "elastic", _elastic(k.x, p)
+    if "curvature" in k.terms:
+        yield "curvature", _curvature(k.g, p)
+    if "interaction" in k.terms:
+        yield "interaction", _interaction(k.n, k.x, p)
+    if "coupling" in k.terms:
+        yield "coupling", _coupling(k.rtq, p)
+    if "coupling2" in k.terms:
+        yield "coupling2", _coupling2(k.x, p)
+    if "chiral_elastic" in k.terms:
+        yield "chiral_elastic", _chiral_elastic(k.xs, p)
+    if "mixing" in k.terms:
+        yield "mixing", _mixing(k.x, k.xs, p)
 
 
 def term_totals(densities, cell_area: float) -> dict[str, float]:
@@ -196,19 +205,21 @@ class EnergyBreakdown:
     def total(self) -> float:
         return self.potential + self.kinetic_translational + self.kinetic_rotational
 
+    #: The columns of :meth:`csv_row`, in order.
+    CSV_HEADER: ClassVar[str] = ("elastic,curvature,interaction,coupling,"
+                                 "chiral_elastic,mixing,kin_trans,kin_rot,total")
+
     def csv_row(self) -> tuple[float, ...]:
-        """Values for the header elastic,curvature,interaction,coupling,chiral_elastic,mixing,kin_trans,kin_rot,total."""
+        """Values for the columns of :attr:`CSV_HEADER`."""
         return (self.elastic, self.curvature, self.interaction, self.coupling,
                 self.chiral_elastic, self.mixing, self.kinetic_translational,
                 self.kinetic_rotational, self.total)
 
 
-def _kinematics(state: FieldState, p: MaterialParams, terms, window=None):
-    """The live ``terms`` (:func:`_live_terms`) and the fields they read
-    (:data:`_READS`): ``(terms, F, F*, R, R^T F, R^T F*, grad theta,
-    polar(F))``, each built once and only if a live term reads it, else
-    ``None``.  ``R`` is built for every term but the curvature, and ``F`` and
-    ``F*`` are kept for the conjugates that push back through them.
+def _kinematics(state: FieldState, p: MaterialParams, terms, eps_reg: float,
+                window=None) -> _Kinematics:
+    """The :data:`_Kinematics` of ``terms``: each field built once, and only
+    if a live term reads it (:data:`_READS`); ``R`` for all but the curvature.
 
     With ``window`` a node ``(i, j)``, every field is built on the 3x3 nodes
     around it only, from ``u`` and ``theta`` on the 5x5 block around the
@@ -216,26 +227,29 @@ def _kinematics(state: FieldState, p: MaterialParams, terms, window=None):
     """
     live = _live_terms(terms, p)
     reads = set().union(*(_READS[t] for t in live))
-    f = fstar = r = x = xs = g = q = None
-    if reads - {"g"}:
+    fields = {}
+    if reads - {"g", "n"}:
         f, fstar = deformation_gradients(state, window)
         theta = (state.theta if window is None
                  else state.theta[node_window(state.grid, window)])
-        r = rot2(theta)
+        fields["r"] = r = rot2(theta)
         rt = transpose2(r)
-        if "x" in reads:
-            x = mat_mul(rt, f)
         if "xs" in reads:
-            xs = mat_mul(rt, fstar)
-        else:
-            fstar = None
+            fields.update(fstar=fstar, xs=mat_mul(rt, fstar))
+        del fstar
+        if "x" in reads:
+            fields["x"] = mat_mul(rt, f)
         if "q" in reads:
-            q = polar2(f)[0]
-        if not reads & {"x", "q"}:
-            f = None
+            q, stretch = polar2(f)
+            fields.update(q=q, tru=trace2(stretch), rtq=mat_mul(rt, q))
+            del stretch
+        if reads & {"x", "q"}:
+            fields["f"] = f
     if "g" in reads:
-        g = grad_scalar(state.theta, state.grid, window)
-    return live, f, fstar, r, x, xs, g, q
+        fields["g"] = g = grad_scalar(state.theta, state.grid, window)
+        if "n" in reads:
+            fields["n"], fields["s"] = _reg_norm(g, eps_reg)
+    return _Kinematics(live, **fields)
 
 
 def _potential_densities(state: FieldState, p: MaterialParams, terms,
@@ -246,10 +260,8 @@ def _potential_densities(state: FieldState, p: MaterialParams, terms,
     they are the only densities a change of ``u`` or ``theta`` at that node
     can change.
     """
-    live, _, _, r, x, xs, g, q = _kinematics(state, p, terms, window)
-    rtq = None if q is None else mat_mul(transpose2(r), q)
-    n = _reg_norm(g, eps_reg)[0] if "interaction" in live else None
-    return stretch_densities(live, p, x=x, xs=xs, g=g, n=n, rtq=rtq)
+    k = _kinematics(state, p, terms, eps_reg, window)
+    return stretch_densities(k._replace(f=None, fstar=None, r=None, q=None), p)
 
 
 def energy_breakdown(potential, state: FieldState,
@@ -299,7 +311,8 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
     """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``
     from :func:`_kinematics`, and the ``R`` they were built with.  ``Y`` and
     ``R`` are ``None`` when no live term reads ``R`` (curvature alone)."""
-    need, f, fstar, r, x, xs, g, q = _kinematics(state, p, terms)
+    k = _kinematics(state, p, terms, eps_reg)
+    need, f, fstar, r, x, xs, g = k.terms, k.f, k.fstar, k.r, k.x, k.xs, k.g
     grid = state.grid
 
     p_conj = np.zeros((2, 2) + grid.shape)  # conjugate to delta F
@@ -342,11 +355,10 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         y_conj += dy + dys
 
     if "interaction" in need:
-        n, s = _reg_norm(g, eps_reg)
         c = p.mu * p.L_c * p.chi
-        p_conj += c * n * r
-        y_conj += c * n * f
-        q_conj += c * trace2(x) * g / s
+        p_conj += c * k.n * r
+        y_conj += c * k.n * f
+        q_conj += c * trace2(x) * g / k.s
 
     if "curvature" in need:
         q_conj += 2.0 * p.mu * p.L_c**2 * g
@@ -356,7 +368,7 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         # <R, dpolar(F)[dF]> = <adjoint applied to R, dF>.
         t4 = dpolar2_dF(f)
         p_conj += -2.0 * p.mu_c * np.einsum("ij...,ijkl...->kl...", r, t4)
-        y_conj += -2.0 * p.mu_c * q
+        y_conj += -2.0 * p.mu_c * k.q
 
     return p_conj, y_conj, q_conj, r
 

@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from cosserat2d import algebra
 from cosserat2d.algebra import (
     EPS2,
     cof2,
@@ -193,3 +194,16 @@ def test_polar_derivative_is_tangent_to_rotations():
         dr = dpolar2_dir(f, rng.standard_normal((2, 2)))
         product = r.T @ dr
         npt.assert_allclose(product, -product.T, atol=1e-13)
+
+
+def test_polar_derivative_takes_one_polar_factor(monkeypatch):
+    # One determinant check and square root per call, shared by R and tr U.
+    calls = []
+
+    def counted(f):
+        calls.append(f.shape)
+        return det2(f)
+
+    monkeypatch.setattr(algebra, "det2", counted)
+    dpolar2_dF(random_f_stack(np.random.default_rng(14), n=5))
+    assert calls == [(2, 2, 5)]

@@ -194,6 +194,35 @@ def test_chiral_uniform_roots_zero_the_residual():
     assert found_feasible > 10  # the sampler does hit feasible branches
 
 
+@pytest.mark.parametrize("sel, p, cosine", [
+    # B = mu + lam = -1, C = mu_c = 1/2: cos t = 1 + C / B
+    (ModelSelector.nonchiral("polar"),
+     MaterialParams(mu=0.5, lam=-1.5, mu_c=0.5), 0.5),
+    # B = 1, C = 3: cos t = 1 + C / (B - C)
+    (ModelSelector.nonchiral("skew"),
+     MaterialParams(mu=0.5, lam=0.5, mu_c=3.0), -0.5),
+    (ModelSelector.chiral(), MaterialParams(mu=0.5, lam=0.5, mu_c=3.0), -0.5),
+    # B = 0, C = 1/2: the quarter turn
+    (ModelSelector.chiral(),
+     MaterialParams(mu=1.0, lam=1.0, mu_c=1.0, mu_s=1.0, lam_s=-2.0,
+                    mu_c_s=-1.0, m1=0.0, m2=-0.5, m3=0.5), 0.0),
+], ids=["polar", "skew", "chiral-as-skew", "chiral"])
+def test_uniform_roots_are_equilibria_of_the_kernel(sel, p, cosine):
+    # Every reported uniform root must stop the matching kernel's angle.
+    roots = homogeneous_roots(p, sel)
+    assert roots.feasible and roots.nontrivial_cos == pytest.approx(
+        cosine, abs=1e-15)
+    grid = Grid(nx=8, ny=8)
+    scale = (abs(p.mu) + abs(p.lam) + abs(p.mu_c) + abs(p.mu_s)
+             + abs(p.lam_s) + abs(p.mu_c_s) + abs(p.m2) + abs(p.m3))
+    assert len(roots.all_roots()) == 4
+    for root in roots.all_roots():
+        state = uniform_state(grid, root)
+        acc = (rhs_chiral(state, p) if sel.is_chiral
+               else rhs_nonlinear(state, p, coupling=sel.coupling))
+        assert np.max(np.abs(acc.acc_theta)) * p.rho_rot < 1e-15 * scale, root
+
+
 def test_chiral_balanced_stiffness_construction():
     # Choosing m2 = -(mu + lam + mu_s + lam_s + m1)/2 zeroes the
     # (cos t - 1)^2 stiffness B in exact float arithmetic, so the cosine

@@ -8,7 +8,7 @@ under superposed rotations, and nodal finite differences of the totals.
 import numpy as np
 import numpy.testing as npt
 
-from cosserat2d import energy
+from cosserat2d import dynamics, energy
 from cosserat2d.algebra import (
     EPS2,
     frobenius,
@@ -41,7 +41,8 @@ def density(term, p, f=None, theta=None, *, fstar=None, g=None,
     xs = None if fstar is None else mat_mul(rt, fstar)
     rtq = mat_mul(rt, polar2(f)[0]) if term == "coupling" else None
     n = None if g is None else energy._reg_norm(g, eps_reg)[0]
-    [(_, value)] = stretch_densities((term,), p, x=x, xs=xs, g=g, n=n, rtq=rtq)
+    k = energy._Kinematics((term,), x=x, xs=xs, g=g, n=n, rtq=rtq)
+    [(_, value)] = stretch_densities(k, p)
     return value
 
 
@@ -297,3 +298,27 @@ def test_analytic_variations_builds_each_field_once(monkeypatch):
         assert calls["rot2"] == (0 if terms == ("curvature",) else 1), terms
         if terms in (("curvature",), ("interaction",), ("coupling",)):
             assert calls["identity2"] == 0, terms
+
+
+def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
+    # The right-hand sides read every field from energy._kinematics: one
+    # rotation, one pair of deformation gradients, one angle gradient and,
+    # for the polar coupling only, one polar factor per call.
+    calls = dict.fromkeys(("rot2", "deformation_gradients", "grad_scalar",
+                           "polar2"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(energy, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(energy, name, counted)
+    state = random_smooth_state(Grid(nx=8, ny=8), seed=5, amplitude=0.05,
+                                modes=2)
+    rng = np.random.default_rng(9)
+    for rhs, polar in (
+            (lambda p: dynamics.rhs_nonlinear(state, p, "polar"), 1),
+            (lambda p: dynamics.rhs_nonlinear(state, p, "skew"), 0),
+            (lambda p: dynamics.rhs_chiral(state, p), 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        rhs(random_material(rng, chiral=True, chi=0.6))
+        assert calls == {"rot2": 1, "deformation_gradients": 1,
+                         "grad_scalar": 1, "polar2": polar}
