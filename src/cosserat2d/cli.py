@@ -26,9 +26,10 @@ import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .dynamics import (
-    _homogeneous_root_error,
     homogeneous_residual,
+    homogeneous_root_report,
     homogeneous_roots,
+    quarter_turn_flag_report,
     rhs_chiral,
     rhs_nonlinear,
     step_leapfrog,
@@ -39,28 +40,24 @@ from .errors import (
     ConfigError,
     Cosserat2DError,
     DegenerateDeformation,
-    ImaginarySpeed,
     IoError,
     NonFiniteState,
     NoRealBranch,
-    ZeroDenominator,
 )
 from .fields import FieldState, snapshot_writer
-from .materials import CHIRAL, MaterialParams, ModelSelector
+from .materials import CHIRAL
 from .reduction3d import full_reduction_report
 from .report import VerificationReport, write_csv
 from .rng import random_smooth_state
 from .waves import (
+    BranchTable,
     WaveParams,
-    amplitude_ratio,
+    amplitude_ratios,
     dispersion_branches,
-    dispersion_cubic,
-    phase_velocity,
-    transverse_free_residual,
+    dispersion_sweep,
+    realizability_flag_report,
     velocity_curve,
-    vl,
-    vt,
-    wave_matrix,
+    wave_identity_report,
 )
 
 DISPERSION_HEADER = ("k,branch_index,omega,u_hat,v_hat,phi_hat_imag,"
@@ -184,49 +181,34 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
 def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
     _ensure_outdir(outdir)
     wp = WaveParams.from_material(cfg.material)
-    rows = []
-    per_branch_points: dict[int, list[tuple[float, float]]] = {}
-    # Past about k = 1e154 the wave matrix overflows: numpy stays quiet and
-    # that k gets the typed no-real-branch warning.
+    table = dispersion_sweep(
+        np.linspace(cfg.wave.k_min, cfg.wave.k_max, cfg.wave.k_steps), wp)
+    for message in table.missing:
+        print(f"warning: no real branch: {message}", file=sys.stderr)
+    # Extreme moduli overflow the ratio: the row reads inf or nan, quietly.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in np.linspace(cfg.wave.k_min, cfg.wave.k_max,
-                             cfg.wave.k_steps):
-            try:
-                branches = dispersion_branches(k, wp)
-            except NoRealBranch as exc:
-                print(f"warning: no real branch: {exc}", file=sys.stderr)
-                continue
-            for index, branch in enumerate(branches):
-                try:
-                    ratio = amplitude_ratio(k, branch.omega, wp)
-                except ZeroDenominator:
-                    ratio = math.nan
-                speed = branch.omega / k
-                rows.append((k, index, branch.omega, branch.u_hat.real,
-                             branch.v_hat.real, branch.phi_hat.imag, ratio,
-                             speed))
-                per_branch_points.setdefault(index, []).append(
-                    (k, branch.omega))
+        ratio = amplitude_ratios(table.k, table.omega, wp)
+        speed = table.omega / table.k
         curve = velocity_curve(wp)
+    z = table.amplitudes
     write_csv(os.path.join(outdir, "dispersion.csv"), DISPERSION_HEADER,
-              zip(*rows))
+              [table.k, table.index, table.omega, z[:, 0].real, z[:, 1].real,
+               z[:, 2].imag, ratio, speed])
     write_csv(os.path.join(outdir, "ratio_velocity.csv"), "ratio,velocity",
               zip(*curve))
     if svg:
-        _write_dispersion_svg(os.path.join(outdir, "dispersion.svg"),
-                              per_branch_points)
+        _write_dispersion_svg(os.path.join(outdir, "dispersion.svg"), table)
     return 0
 
 
-def _write_dispersion_svg(path: str, per_branch) -> None:
+def _write_dispersion_svg(path: str, table: BranchTable) -> None:
     """Minimal standalone SVG: one polyline per branch over (k, omega)."""
     width, height, margin = 640, 480, 50
-    points = [pt for pts in per_branch.values() for pt in pts]
-    if not points:
+    if not len(table.k):
         raise NoRealBranch("dispersion sweep produced no plottable branch")
-    k_lo = min(pt[0] for pt in points)
-    k_hi = max(pt[0] for pt in points)
-    w_hi = max(pt[1] for pt in points)
+    k_lo = float(table.k.min())
+    k_hi = float(table.k.max())
+    w_hi = float(table.omega.max())
     k_span = (k_hi - k_lo) or 1.0
     w_span = w_hi or 1.0
 
@@ -249,8 +231,10 @@ def _write_dispersion_svg(path: str, per_branch) -> None:
         f'<text x="16" y="{height // 2}" font-size="14" text-anchor="middle" '
         f'transform="rotate(-90 16 {height // 2})">angular frequency</text>',
     ]
-    for index in sorted(per_branch):
-        coords = " ".join(to_xy(k, w) for k, w in per_branch[index])
+    for index in np.unique(table.index).tolist():
+        pick = table.index == index
+        coords = " ".join(to_xy(k, w) for k, w in zip(
+            table.k[pick].tolist(), table.omega[pick].tolist()))
         parts.append(f'<polyline fill="none" stroke="{colors[index % 3]}" '
                      f'stroke-width="1.5" points="{coords}"/>')
     parts.append("</svg>")
@@ -291,84 +275,6 @@ def cmd_homogeneous(cfg: ScenarioConfig, outdir: str) -> int:
 # verify
 # --------------------------------------------------------------------------
 
-def _wave_identity_report(scale: float) -> VerificationReport:
-    """Plane-wave identities on a fixed realizable preset: branch residuals,
-    the ratio/velocity loop, the two speed limits, curve monotonicity, and
-    the transverse-displacement-free wave."""
-    report = VerificationReport()
-    wp = WaveParams()
-
-    det_worst = 0.0
-    null_worst = 0.0
-    loop_worst = 0.0
-    for k in (0.3, 1.0, 2.7):
-        coeffs = dispersion_cubic(k, wp)
-        for branch in dispersion_branches(k, wp):
-            x = branch.omega**2
-            value = abs(((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x
-                        + coeffs[3])
-            det_scale = max(abs(coeffs[0] * x**3), abs(coeffs[1] * x**2),
-                            abs(coeffs[2] * x), abs(coeffs[3]), 1e-300)
-            det_worst = max(det_worst, value / det_scale)
-
-            m = wave_matrix(k, branch.omega, wp)
-            vec = branch.amplitudes()
-            null_worst = max(
-                null_worst,
-                float(np.linalg.norm(m @ vec))
-                / (float(np.linalg.norm(m)) * float(np.linalg.norm(vec))))
-
-            try:
-                ratio = amplitude_ratio(k, branch.omega, wp)
-                speed = phase_velocity(ratio, wp)
-            except (ZeroDenominator, ImaginarySpeed):
-                continue
-            loop_worst = max(loop_worst,
-                             abs(speed - branch.omega / k) / (branch.omega / k))
-    report.add("wave_determinant_residual", det_worst, 1e-10 * scale)
-    report.add("wave_nullspace_residual", null_worst, 1e-10 * scale)
-    report.add("wave_velocity_loop_closure", loop_worst, 1e-8 * scale)
-
-    report.add("wave_transverse_speed_limit",
-               abs(phase_velocity(0.0, wp) - vt(wp)) / vt(wp), 1e-8 * scale)
-    report.add("wave_longitudinal_speed_limit",
-               abs(phase_velocity(1e12, wp) - vl(wp)) / vl(wp), 1e-8 * scale)
-
-    curve = velocity_curve(wp, samples=200)
-    finite = [v for r, v in curve if math.isfinite(r)]
-    increasing = all(b >= a for a, b in zip(finite, finite[1:]))
-    decreasing = all(b <= a for a, b in zip(finite, finite[1:]))
-    report.add("wave_velocity_curve_monotone",
-               0.0 if (increasing or decreasing) else 1.0, 0.5)
-
-    tf_worst = max(transverse_free_residual(1.2, 0.9, wp),
-                   transverse_free_residual(0.7, 1.3, wp))
-    report.add("wave_transverse_free_residual", tf_worst, 1e-10 * scale)
-    return report
-
-
-def _flag_report(scale: float) -> VerificationReport:
-    """Convention indicator rows: conditions that hold only in the corrected
-    form are checked in that corrected form (see the README notes)."""
-    report = VerificationReport()
-
-    # Uniform-rotation residual at a quarter turn reduces to lam + mu only
-    # once the couple modulus is absent.
-    p0 = MaterialParams(mu=1.7, lam=0.9, mu_c=0.0)
-    sel0 = ModelSelector.nonchiral()
-    value = homogeneous_residual(0.5 * math.pi, p0, sel0)
-    report.add("flag_quarter_turn_residual_needs_zero_couple_modulus",
-               abs(value - (p0.lam + p0.mu)), 1e-13 * scale)
-
-    # Realizability of the longitudinal branch: A^2 strictly below
-    # mu_c (lam + 2 mu). Indicator checks both sides of the inequality.
-    good = WaveParams().realizable()
-    bad = WaveParams(a=2.0).realizable()
-    report.add("flag_realizability_inequality_orientation",
-               0.0 if (good and not bad) else 1.0, 0.5)
-    return report
-
-
 def _verify_state(cfg: ScenarioConfig) -> FieldState:
     """The configured random state, or a fixed one for the other kinds
     (a zero or plane-wave state would leave most checks without signal)."""
@@ -403,14 +309,11 @@ def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
             state, cfg.material, cfg.model, eps_reg=cfg.sim.eps_reg,
             tolerance_scale=scale))
 
-    # Uniform equilibria of the configured model: every reported root must
-    # actually zero the residual, to round-off of the moduli it is made of.
-    report.add("homogeneous_roots_zero_residual",
-               _homogeneous_root_error(cfg.material, cfg.model), 1e-12 * scale)
-
+    report.extend(homogeneous_root_report(cfg.material, cfg.model, scale))
     report.extend(full_reduction_report().scaled(scale))
-    report.extend(_wave_identity_report(scale))
-    report.extend(_flag_report(scale))
+    report.extend(wave_identity_report(scale))
+    report.extend(quarter_turn_flag_report(scale))
+    report.extend(realizability_flag_report())
 
     return _write_report(report, os.path.join(outdir, "verify_report.csv"))
 

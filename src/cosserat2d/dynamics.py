@@ -85,7 +85,7 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     rounding of every acceleration.
     """
     grid = state.grid
-    k = _kinematics(state, p, terms, eps_reg)
+    k = _kinematics(state, p, terms, eps_reg, ("rhs", "energy"))
     terms, f, fstar, r, x = k.terms, k.f, k.fstar, k.r, k.x
     trx = trace2(x)
     rftr = mat_mul(r, mat_mul(transpose2(f), r))  # R F^T R
@@ -148,7 +148,7 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     acc_theta = torque / p.rho_rot
     # Release the stress temporaries before the energy densities are built.
     del f, fstar, r, rftr, p_total, torque
-    k = k._replace(f=None, fstar=None, r=None, q=None)
+    k = k._replace(f=None, fstar=None, r=None, s=None, q=None, tru=None)
     potential = term_totals(stretch_densities(k, p), grid.cell_area)
     return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
 
@@ -319,13 +319,32 @@ def homogeneous_roots(p: MaterialParams, sel: ModelSelector) -> HomogeneousRoots
                             feasible=-2.0 <= fraction <= 0.0)
 
 
-def _homogeneous_root_error(p: MaterialParams, sel: ModelSelector) -> float:
-    """Largest ``|homogeneous_residual|`` over the reported roots, relative
-    to the stiffness ``|B| + |C|`` the residual is made of."""
+def homogeneous_root_report(p: MaterialParams, sel: ModelSelector,
+                            scale: float) -> VerificationReport:
+    """Row ``homogeneous_roots_zero_residual``: the largest
+    ``|homogeneous_residual|`` over the reported roots, relative to the
+    stiffness ``|B| + |C|`` the residual is made of, so every root must
+    zero it to round-off of the moduli."""
     b, c = _stiffness_sums(p, sel)
     worst = max(abs(homogeneous_residual(r, p, sel))
                 for r in homogeneous_roots(p, sel).all_roots())
-    return worst / (abs(b) + abs(c))
+    report = VerificationReport()
+    report.add("homogeneous_roots_zero_residual", worst / (abs(b) + abs(c)),
+               1e-12 * scale)
+    return report
+
+
+def quarter_turn_flag_report(scale: float) -> VerificationReport:
+    """Convention indicator row of :func:`homogeneous_residual`: at a quarter
+    turn the residual reduces to ``lam + mu`` only once the couple modulus
+    is absent, so the condition is checked in that corrected form (see the
+    README notes)."""
+    p0 = MaterialParams(mu=1.7, lam=0.9, mu_c=0.0)
+    value = homogeneous_residual(0.5 * math.pi, p0, ModelSelector.nonchiral())
+    report = VerificationReport()
+    report.add("flag_quarter_turn_residual_needs_zero_couple_modulus",
+               abs(value - (p0.lam + p0.mu)), 1e-13 * scale)
+    return report
 
 
 def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams,

@@ -30,6 +30,7 @@ import numpy as np
 
 from .algebra import (
     EPS2,
+    _polar_rotation,
     dpolar2_dF,
     frobenius,
     identity2,
@@ -56,19 +57,36 @@ ALL_TERMS = ("elastic", "curvature", "interaction", "coupling", "coupling2",
              "chiral_elastic", "mixing")
 
 
-#: The fields each term reads, named as in :data:`_Kinematics` (``q`` for
-#: all three of the polar coupling); :func:`_kinematics` builds exactly these.
-_READS = {"elastic": {"x"}, "curvature": {"g"}, "interaction": {"x", "g", "n"},
-          "coupling": {"q"}, "coupling2": {"x"}, "chiral_elastic": {"xs"},
-          "mixing": {"x", "xs"}}
+#: The fields each consumer of :func:`_kinematics` reads for each term,
+#: named as in :data:`_Kinematics`: the densities (``"energy"``,
+#: :func:`stretch_densities`), the conjugates (``"gradient"``,
+#: :func:`_variation_conjugates`) and the stresses and torques of
+#: :func:`cosserat2d.dynamics._rhs` (``"rhs"``, where the chiral elastic
+#: block also serves the mixing term).  :func:`_kinematics` builds exactly
+#: the fields its consumers read.
+_READS = {
+    "energy": {"elastic": {"x"}, "curvature": {"g"},
+               "interaction": {"x", "g", "n"}, "coupling": {"rtq"},
+               "coupling2": {"x"}, "chiral_elastic": {"xs"},
+               "mixing": {"x", "xs"}},
+    "gradient": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
+                 "interaction": {"f", "r", "x", "g", "n", "s"},
+                 "coupling": {"f", "r", "q"}, "coupling2": {"f", "r", "x"},
+                 "chiral_elastic": {"fstar", "r", "xs"},
+                 "mixing": {"f", "fstar", "r", "x", "xs"}},
+    "rhs": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
+            "interaction": {"r", "x", "g", "n", "s"},
+            "coupling": {"r", "q", "rtq", "tru"}, "coupling2": {"f", "r", "x"},
+            "chiral_elastic": {"f", "fstar", "r", "x", "xs"},
+            "mixing": {"f", "fstar", "r", "x", "xs"}},
+}
 
 
 #: The live ``terms`` (:func:`_live_terms`) and their fields, each ``None``
-#: unless a live term reads it: ``F``, ``F*``, ``R(theta)``, ``R^T F``,
+#: unless a consumer reads it: ``F``, ``F*``, ``R(theta)``, ``R^T F``,
 #: ``R^T F*``, ``grad theta``, the interaction's regularized norm of it and
 #: divisor (:func:`_reg_norm`), and the polar coupling's ``polar(F)``,
-#: ``tr U`` and ``R^T polar(F)``.  No density reads ``f``, ``fstar``, ``r``
-#: or ``q``.
+#: ``tr U`` and ``R^T polar(F)``.
 _Kinematics = namedtuple("_Kinematics", "terms f fstar r x xs g n s q tru rtq",
                          defaults=(None,) * 11)
 
@@ -217,38 +235,58 @@ class EnergyBreakdown:
 
 
 def _kinematics(state: FieldState, p: MaterialParams, terms, eps_reg: float,
-                window=None) -> _Kinematics:
-    """The :data:`_Kinematics` of ``terms``: each field built once, and only
-    if a live term reads it (:data:`_READS`); ``R`` for all but the curvature.
+                consumers, window=None) -> _Kinematics:
+    """The :data:`_Kinematics` of ``terms`` for ``consumers`` (keys of
+    :data:`_READS`): each field built once, and kept only if a consumer
+    reads it for a live term.
 
     With ``window`` a node ``(i, j)``, every field is built on the 3x3 nodes
     around it only, from ``u`` and ``theta`` on the 5x5 block around the
     node, with the full-grid bits.
     """
     live = _live_terms(terms, p)
-    reads = set().union(*(_READS[t] for t in live))
+    reads = set().union(*(_READS[c][t] for c in consumers for t in live))
     fields = {}
-    if reads - {"g", "n"}:
-        f, fstar = deformation_gradients(state, window)
+    if reads - {"g", "n", "s"}:
+        star = bool(reads & {"fstar", "xs"})
+        f, fstar = deformation_gradients(state, window, star)
         theta = (state.theta if window is None
                  else state.theta[node_window(state.grid, window)])
-        fields["r"] = r = rot2(theta)
+        r = rot2(theta)
         rt = transpose2(r)
         if "xs" in reads:
-            fields.update(fstar=fstar, xs=mat_mul(rt, fstar))
+            fields["xs"] = mat_mul(rt, fstar)
+        if "fstar" in reads:
+            fields["fstar"] = fstar
         del fstar
         if "x" in reads:
             fields["x"] = mat_mul(rt, f)
-        if "q" in reads:
-            q, stretch = polar2(f)
-            fields.update(q=q, tru=trace2(stretch), rtq=mat_mul(rt, q))
-            del stretch
-        if reads & {"x", "q"}:
+        if reads & {"q", "rtq", "tru"}:
+            # The right-hand side divides by tr U summed from U itself; the
+            # rotation alone has the same bits without U.
+            if "tru" in reads:
+                q, stretch = polar2(f)
+                fields["tru"] = trace2(stretch)
+                del stretch
+            else:
+                q, _ = _polar_rotation(f)
+            if "rtq" in reads:
+                fields["rtq"] = mat_mul(rt, q)
+            if "q" in reads:
+                fields["q"] = q
+            del q
+        if "f" in reads:
             fields["f"] = f
+        if "r" in reads:
+            fields["r"] = r
+        del f, r, rt
     if "g" in reads:
         fields["g"] = g = grad_scalar(state.theta, state.grid, window)
         if "n" in reads:
-            fields["n"], fields["s"] = _reg_norm(g, eps_reg)
+            n, s = _reg_norm(g, eps_reg)
+            fields["n"] = n
+            if "s" in reads:
+                fields["s"] = s
     return _Kinematics(live, **fields)
 
 
@@ -260,8 +298,8 @@ def _potential_densities(state: FieldState, p: MaterialParams, terms,
     they are the only densities a change of ``u`` or ``theta`` at that node
     can change.
     """
-    k = _kinematics(state, p, terms, eps_reg, window)
-    return stretch_densities(k._replace(f=None, fstar=None, r=None, q=None), p)
+    return stretch_densities(
+        _kinematics(state, p, terms, eps_reg, ("energy",), window), p)
 
 
 def energy_breakdown(potential, state: FieldState,
@@ -311,7 +349,7 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
     """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``
     from :func:`_kinematics`, and the ``R`` they were built with.  ``Y`` and
     ``R`` are ``None`` when no live term reads ``R`` (curvature alone)."""
-    k = _kinematics(state, p, terms, eps_reg)
+    k = _kinematics(state, p, terms, eps_reg, ("gradient",))
     need, f, fstar, r, x, xs, g = k.terms, k.f, k.fstar, k.r, k.x, k.xs, k.g
     grid = state.grid
 

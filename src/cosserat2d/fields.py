@@ -57,11 +57,13 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
+    def axes(self):
+        """Node coordinates along each axis: ``x[i]`` and ``y[j]``."""
+        return np.arange(self.nx) * self.hx, np.arange(self.ny) * self.hy
+
     def coords(self):
         """Node coordinate arrays ``x[i, j], y[i, j]``."""
-        x = np.arange(self.nx) * self.hx
-        y = np.arange(self.ny) * self.hy
-        return np.meshgrid(x, y, indexing="ij")
+        return np.meshgrid(*self.axes(), indexing="ij")
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -148,8 +150,9 @@ class FieldState:
         return all(np.all(np.isfinite(a)) for a in self.field_arrays())
 
 
-def deformation_gradients(state: FieldState, node=None):
-    """Deformation gradients ``F = I + grad u`` and ``F* = I + grad u*``.
+def deformation_gradients(state: FieldState, node=None, star: bool = True):
+    """Deformation gradients ``F = I + grad u`` and ``F* = I + grad u*``
+    (``None`` unless ``star``).
 
     ``u* = (u2, -u1)`` is the quarter-turned displacement, so the rows of
     ``grad u*`` are (row 2 of ``grad u``, minus row 1 of ``grad u``).  With
@@ -161,9 +164,13 @@ def deformation_gradients(state: FieldState, node=None):
     f = np.stack([g1, g2])
     f[0, 0] += 1.0
     f[1, 1] += 1.0
-    fstar = np.stack([g2, -g1])
-    fstar[0, 0] += 1.0
-    fstar[1, 1] += 1.0
+    fstar = None
+    if star:
+        fstar = np.empty_like(f)
+        fstar[0] = g2
+        np.negative(g1, out=fstar[1])
+        fstar[0, 0] += 1.0
+        fstar[1, 1] += 1.0
     return f, fstar
 
 

@@ -62,17 +62,25 @@ def random_smooth_state(grid: Grid, seed: int, amplitude: float,
     number of summands so the field magnitude never exceeds ``amplitude``.
     """
     rng = SplitMix64(seed)
-    x, y = grid.coords()
+    x, y = grid.axes()
     count = (modes + 1) * (2 * modes + 1)
     built = {}
+    wave = np.empty(grid.shape)
     for name in _FIELD_ORDER:
         acc = np.zeros(grid.shape)
         for mx in range(0, modes + 1):
             for my in range(-modes, modes + 1):
                 coeff = rng.next_uniform(-1.0, 1.0)
                 phase = rng.next_uniform(0.0, 2.0 * math.pi)
-                acc += coeff * np.cos(
-                    2.0 * math.pi * (mx * x / grid.lx + my * y / grid.ly)
-                    + phase)
-        built[name] = amplitude * acc / count
+                # coeff cos(2 pi (mx x / lx + my y / ly) + phase), in place
+                np.add((mx * x / grid.lx)[:, None], my * y / grid.ly,
+                       out=wave)
+                wave *= 2.0 * math.pi
+                wave += phase
+                np.cos(wave, out=wave)
+                wave *= coeff
+                acc += wave
+        acc *= amplitude
+        acc /= count
+        built[name] = acc
     return FieldState(grid=grid, **built)

@@ -14,13 +14,16 @@ eigenvalue of the Hermitian matrix ``D^-1/2 K(k) D^-1/2``. So the squared
 frequencies are all real, and they are the roots of the dispersion cubic
 (kept in closed form as an independent check). Each eigenvector mapped
 through ``D^-1/2`` is an amplitude triple annihilating the wave matrix; a
-double root yields two ``D``-orthogonal polarizations.
+double root yields two ``D``-orthogonal polarizations.  A sweep over many
+wavenumbers solves these eigenproblems stacked (:func:`dispersion_sweep`);
+one wavenumber is the sweep of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .materials import MaterialParams
+from .report import BLOCK_ROWS, VerificationReport
 
 
 @dataclass(frozen=True)
@@ -101,15 +105,36 @@ class WaveBranch:
 
 def wave_matrix(k: float, omega: float, wp: WaveParams) -> np.ndarray:
     """Hermitian 3x3 system matrix acting on (u_hat, v_hat, phi_hat)."""
-    x = omega**2
-    p_l = k**2 * (wp.lam + 2.0 * wp.mu)
-    q_t = k**2 * (wp.mu + wp.mu_c)
-    s_r = wp.gamma * k**2 + 4.0 * wp.mu_c + 4.0 * wp.a
-    return np.array([
-        [p_l - wp.rho * x, -wp.a * k**2, 2.0j * wp.a * k],
-        [-wp.a * k**2, q_t - wp.rho * x, -2.0j * k * wp.mu_c],
-        [-2.0j * wp.a * k, 2.0j * k * wp.mu_c, s_r - wp.varrho_rot * x],
-    ])
+    return _wave_matrix(k, k**2, omega**2, wp)
+
+
+def _wave_matrix(k, k2, x, wp: WaveParams) -> np.ndarray:
+    """:func:`wave_matrix` from ``k``, ``k2 = k**2`` and ``x = omega**2``;
+    with ``k`` and ``k2`` arrays, the stack of shape ``k.shape + (3, 3)``."""
+    p_l = k2 * (wp.lam + 2.0 * wp.mu)
+    q_t = k2 * (wp.mu + wp.mu_c)
+    s_r = wp.gamma * k2 + 4.0 * wp.mu_c + 4.0 * wp.a
+    m = np.empty(np.shape(k) + (3, 3), dtype=complex)
+    m[..., 0, 0] = p_l - wp.rho * x
+    m[..., 0, 1] = m[..., 1, 0] = -wp.a * k2
+    m[..., 0, 2] = 2.0j * wp.a * k
+    m[..., 1, 1] = q_t - wp.rho * x
+    m[..., 1, 2] = -2.0j * k * wp.mu_c
+    m[..., 2, 0] = -2.0j * wp.a * k
+    m[..., 2, 1] = 2.0j * k * wp.mu_c
+    m[..., 2, 2] = s_r - wp.varrho_rot * x
+    return m
+
+
+def _squares(values) -> np.ndarray:
+    """``v**2`` of each ``v`` of ``values``, each by the scalar power.
+
+    numpy squares an array by multiplying, which differs from the scalar
+    power (C ``pow``) in the last bit on a few values; this keeps an array
+    bitwise equal to its values taken one at a time, and a Python float
+    keeps its ``OverflowError``.
+    """
+    return np.array([v**2 for v in values], dtype=float)
 
 
 def dispersion_cubic(k: float, wp: WaveParams) -> tuple[float, float, float, float]:
@@ -129,50 +154,115 @@ def dispersion_cubic(k: float, wp: WaveParams) -> tuple[float, float, float, flo
     return c3, c2, c1, c0
 
 
+class BranchTable(NamedTuple):
+    """The branches of a wavenumber sweep, one row per branch: wavenumber
+    by wavenumber, each by increasing ``omega``."""
+
+    k: np.ndarray
+    #: The branch's place among the branches of its wavenumber.
+    index: np.ndarray
+    omega: np.ndarray
+    #: ``(u_hat, v_hat, phi_hat)`` of each row, shape ``(rows, 3)``.
+    amplitudes: np.ndarray
+    #: One message per wavenumber without a branch, in sweep order.
+    missing: list[str]
+
+
+def _norms(z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each triple on the last axis of the C-ordered
+    complex ``z``, with its bits.
+
+    The norm sums the squares through the BLAS dot, which some builds
+    fuse; a row-by-column ``matmul`` goes through the same dot.
+    """
+    re, im = z.real, z.imag
+    return np.sqrt(np.matmul(re[..., None, :], re[..., :, None])[..., 0, 0]
+                   + np.matmul(im[..., None, :], im[..., :, None])[..., 0, 0])
+
+
 def _phase_normalize(z: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so u_hat, v_hat are real and phi_hat is
-    imaginary (possible because the matrix is real except for the
-    imaginary phi couplings), then fix the overall sign."""
-    j = int(np.argmax(np.abs(z)))
-    if abs(z[j]) == 0.0:
-        return z
-    if j < 2:
-        factor = z[j] / abs(z[j])
-    else:
-        factor = z[2] / (1j * abs(z[2]))
-    z = z / factor
-    for lead in (z[0].real, z[1].real, z[2].imag):
-        if abs(lead) > 1e-12:
-            if lead < 0.0:
-                z = -z
-            break
-    return z
+    """Rotate the global phase of each triple on the last axis so u_hat,
+    v_hat are real and phi_hat is imaginary (possible because the matrix is
+    real except for the imaginary phi couplings), then fix the overall
+    sign: the first of u_hat.real, v_hat.real, phi_hat.imag above 1e-12 in
+    size is positive.  The largest component sets the phase."""
+    j = np.argmax(np.abs(z), axis=-1)[..., None]
+    lead = np.take_along_axis(z, j, axis=-1)
+    # The size of one complex number is its hypot, which the array abs
+    # does not always reproduce.
+    size = np.hypot(lead.real, lead.imag)
+    z = z / np.where(j < 2, lead / size, lead / (1j * size))
+    leads = np.stack([z[..., 0].real, z[..., 1].real, z[..., 2].imag], axis=-1)
+    big = np.abs(leads) > 1e-12
+    first = np.take_along_axis(np.where(big, leads, 0.0),
+                               np.argmax(big, axis=-1)[..., None], axis=-1)
+    return np.where(first < 0.0, -z, z)
+
+
+def _branch_block(ks, wp: WaveParams) -> BranchTable:
+    """:func:`dispersion_sweep` of one block of wavenumbers."""
+    k = np.asarray(ks, dtype=float)
+    # Past about k = 1e154 the matrix overflows; it is then reported missing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stiffness = _wave_matrix(k, _squares(ks), 0.0, wp)
+    finite = np.isfinite(stiffness).all(axis=(-2, -1))
+    d_inv_sqrt = 1.0 / np.sqrt([wp.rho, wp.rho, wp.varrho_rot])
+    scaled = d_inv_sqrt[:, None] * stiffness[finite] * d_inv_sqrt
+    squared_frequencies, vectors = np.linalg.eigh(scaled)
+    # One C-ordered amplitude triple per (wavenumber, branch).
+    z = np.ascontiguousarray(d_inv_sqrt * np.swapaxes(vectors, -2, -1))
+    z = _phase_normalize(z / _norms(z)[..., None])
+    real = ~(squared_frequencies < 0.0)
+    found = np.zeros(k.shape, dtype=bool)
+    found[finite] = real.any(axis=-1)
+    missing = [
+        f"wave matrix is not finite at k = {value!r}" if not is_finite else
+        f"wave matrix has no nonnegative squared frequency at k = {value!r}"
+        for value, is_finite in zip(k[~found].tolist(), finite[~found])]
+    return BranchTable(
+        k=np.broadcast_to(k[finite][:, None], real.shape)[real],
+        index=(np.cumsum(real, axis=-1) - 1)[real],
+        omega=np.sqrt(squared_frequencies[real]),
+        amplitudes=z[real],
+        missing=missing)
+
+
+def dispersion_sweep(ks, wp: WaveParams) -> BranchTable:
+    """All branches ``omega >= 0`` with singular wave matrix at each
+    wavenumber of ``ks``, by one stacked eigenproblem per block of
+    :data:`~cosserat2d.report.BLOCK_ROWS` wavenumbers.
+
+    ``x = omega**2`` runs over the eigenvalues ``x >= 0`` of
+    ``D^-1/2 K(k) D^-1/2``; each eigenvector mapped through ``D^-1/2`` and
+    normalized is the amplitude triple, its phase and sign fixed by
+    :func:`_phase_normalize`.  A wavenumber whose matrix is not finite, or
+    that has no branch, is named in :attr:`BranchTable.missing`.
+    """
+    blocks = [_branch_block(ks[start:start + BLOCK_ROWS], wp)
+              for start in range(0, len(ks), BLOCK_ROWS)]
+    return BranchTable(
+        *(np.concatenate(column) for column in zip(*(b[:4] for b in blocks))),
+        missing=[message for b in blocks for message in b.missing])
 
 
 def dispersion_branches(k: float, wp: WaveParams) -> list[WaveBranch]:
     """All branches omega >= 0 with singular wave matrix at this wavenumber,
-    sorted by omega; raises NoRealBranch if no squared frequency is >= 0."""
-    stiffness = wave_matrix(k, 0.0, wp)
-    if not np.all(np.isfinite(stiffness)):
-        raise NoRealBranch(
-            f"wave matrix is not finite at k = {float(k)!r}")
-    d_inv_sqrt = 1.0 / np.sqrt([wp.rho, wp.rho, wp.varrho_rot])
-    scaled = d_inv_sqrt[:, None] * stiffness * d_inv_sqrt
-    squared_frequencies, vectors = np.linalg.eigh(scaled)
-    branches = []
-    for x, y in zip(squared_frequencies, vectors.T):
-        if x < 0.0:
-            continue
-        z = d_inv_sqrt * y
-        z = _phase_normalize(z / np.linalg.norm(z))
-        branches.append(WaveBranch(k=k, omega=math.sqrt(x),
-                                   u_hat=complex(z[0]), v_hat=complex(z[1]),
-                                   phi_hat=complex(z[2])))
-    if not branches:
-        raise NoRealBranch(
-            f"wave matrix has no nonnegative squared frequency at k = "
-            f"{float(k)!r}")
-    return branches
+    sorted by omega (the one-``k`` :func:`dispersion_sweep`); raises
+    NoRealBranch if the matrix is not finite or no squared frequency is
+    >= 0."""
+    table = dispersion_sweep([k], wp)
+    if table.missing:
+        raise NoRealBranch(table.missing[0])
+    return [WaveBranch(k, omega, *amplitudes) for omega, amplitudes
+            in zip(table.omega.tolist(), table.amplitudes.tolist())]
+
+
+def _ratio_terms(k2, x, wp: WaveParams):
+    """Numerator and denominator of :func:`amplitude_ratio` from
+    ``k2 = k**2`` and ``x = omega**2``."""
+    num = wp.a * (k2 * wp.mu - wp.rho * x)
+    den = wp.a**2 * k2 - wp.mu_c * (k2 * (wp.lam + 2.0 * wp.mu) - wp.rho * x)
+    return num, den
 
 
 def amplitude_ratio(k: float, omega: float, wp: WaveParams) -> float:
@@ -181,12 +271,21 @@ def amplitude_ratio(k: float, omega: float, wp: WaveParams) -> float:
     Identically zero for A = 0 (pure transverse)."""
     if wp.a == 0.0:
         return 0.0
-    num = wp.a * (k**2 * wp.mu - wp.rho * omega**2)
-    den = wp.a**2 * k**2 - wp.mu_c * (k**2 * (wp.lam + 2.0 * wp.mu)
-                                      - wp.rho * omega**2)
+    num, den = _ratio_terms(k**2, omega**2, wp)
     if den == 0.0:
         raise ZeroDenominator("amplitude ratio denominator vanishes")
     return num / den
+
+
+def amplitude_ratios(k: np.ndarray, omega: np.ndarray,
+                     wp: WaveParams) -> np.ndarray:
+    """:func:`amplitude_ratio` of each ``(k, omega)`` pair of two arrays,
+    ``nan`` where its denominator vanishes."""
+    if wp.a == 0.0:
+        return np.zeros(len(k))
+    num, den = _ratio_terms(_squares(k), _squares(omega), wp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den == 0.0, np.nan, num / den)
 
 
 def phase_velocity(ratio: float, wp: WaveParams) -> float:
@@ -302,3 +401,70 @@ def velocity_curve(wp: WaveParams, samples: int = 100):
     except (ZeroDenominator, ImaginarySpeed):
         pass
     return rows
+
+
+def wave_identity_report(scale: float) -> VerificationReport:
+    """Plane-wave identities on a fixed realizable preset: branch residuals,
+    the ratio/velocity loop, the two speed limits, curve monotonicity, and
+    the transverse-displacement-free wave."""
+    report = VerificationReport()
+    wp = WaveParams()
+
+    det_worst = 0.0
+    null_worst = 0.0
+    loop_worst = 0.0
+    table = dispersion_sweep((0.3, 1.0, 2.7), wp)
+    for k, omega, vec in zip(table.k.tolist(), table.omega.tolist(),
+                             table.amplitudes):
+        coeffs = dispersion_cubic(k, wp)
+        x = omega**2
+        value = abs(((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x
+                    + coeffs[3])
+        det_scale = max(abs(coeffs[0] * x**3), abs(coeffs[1] * x**2),
+                        abs(coeffs[2] * x), abs(coeffs[3]), 1e-300)
+        det_worst = max(det_worst, value / det_scale)
+
+        m = wave_matrix(k, omega, wp)
+        null_worst = max(
+            null_worst,
+            float(np.linalg.norm(m @ vec))
+            / (float(np.linalg.norm(m)) * float(np.linalg.norm(vec))))
+
+        try:
+            speed = phase_velocity(amplitude_ratio(k, omega, wp), wp)
+        except (ZeroDenominator, ImaginarySpeed):
+            continue
+        loop_worst = max(loop_worst, abs(speed - omega / k) / (omega / k))
+    report.add("wave_determinant_residual", det_worst, 1e-10 * scale)
+    report.add("wave_nullspace_residual", null_worst, 1e-10 * scale)
+    report.add("wave_velocity_loop_closure", loop_worst, 1e-8 * scale)
+
+    report.add("wave_transverse_speed_limit",
+               abs(phase_velocity(0.0, wp) - vt(wp)) / vt(wp), 1e-8 * scale)
+    report.add("wave_longitudinal_speed_limit",
+               abs(phase_velocity(1e12, wp) - vl(wp)) / vl(wp), 1e-8 * scale)
+
+    curve = velocity_curve(wp, samples=200)
+    finite = [v for r, v in curve if math.isfinite(r)]
+    increasing = all(b >= a for a, b in zip(finite, finite[1:]))
+    decreasing = all(b <= a for a, b in zip(finite, finite[1:]))
+    report.add("wave_velocity_curve_monotone",
+               0.0 if (increasing or decreasing) else 1.0, 0.5)
+
+    tf_worst = max(transverse_free_residual(1.2, 0.9, wp),
+                   transverse_free_residual(0.7, 1.3, wp))
+    report.add("wave_transverse_free_residual", tf_worst, 1e-10 * scale)
+    return report
+
+
+def realizability_flag_report() -> VerificationReport:
+    """Convention indicator row of :meth:`WaveParams.realizable`: the
+    inequality ``A^2 < mu_c (lam + 2 mu)`` holds for the preset and fails
+    for ``A = 2``, so its orientation is the corrected one (see the README
+    notes)."""
+    report = VerificationReport()
+    good = WaveParams().realizable()
+    bad = WaveParams(a=2.0).realizable()
+    report.add("flag_realizability_inequality_orientation",
+               0.0 if (good and not bad) else 1.0, 0.5)
+    return report

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite (imported via pytest's rootdir path)."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
+from cosserat2d.errors import NoRealBranch
 from cosserat2d.fields import Grid
 from cosserat2d.materials import MaterialParams
 
@@ -55,3 +57,59 @@ def random_material(rng, chiral=False, **overrides):
 
 def square_grid(n=16, length=2.0 * np.pi):
     return Grid(nx=n, ny=n, lx=length, ly=length)
+
+
+def reference_wave_matrix(k, wp):
+    """The wave stiffness ``K(k)`` (the wave matrix at ``omega = 0``), one
+    wavenumber at a time with scalar arithmetic."""
+    return np.array([
+        [k**2 * (wp.lam + 2.0 * wp.mu), -wp.a * k**2, 2.0j * wp.a * k],
+        [-wp.a * k**2, k**2 * (wp.mu + wp.mu_c), -2.0j * k * wp.mu_c],
+        [-2.0j * wp.a * k, 2.0j * k * wp.mu_c,
+         wp.gamma * k**2 + 4.0 * wp.mu_c + 4.0 * wp.a],
+    ])
+
+
+def reference_phase_normalize(z):
+    """Rotate the global phase so u_hat, v_hat are real and phi_hat is
+    imaginary, then make the first of u_hat.real, v_hat.real, phi_hat.imag
+    above 1e-12 in size positive."""
+    j = int(np.argmax(np.abs(z)))
+    if abs(z[j]) == 0.0:
+        return z
+    if j < 2:
+        factor = z[j] / abs(z[j])
+    else:
+        factor = z[2] / (1j * abs(z[2]))
+    z = z / factor
+    for lead in (z[0].real, z[1].real, z[2].imag):
+        if abs(lead) > 1e-12:
+            if lead < 0.0:
+                z = -z
+            break
+    return z
+
+
+def reference_branches(k, wp):
+    """The branches at one wavenumber by a 3x3 eigenproblem of its own:
+    ``[(omega, amplitudes)]`` by increasing omega; raises NoRealBranch as
+    ``dispersion_branches`` does."""
+    stiffness = reference_wave_matrix(k, wp)
+    if not np.all(np.isfinite(stiffness)):
+        raise NoRealBranch(
+            f"wave matrix is not finite at k = {float(k)!r}")
+    d_inv_sqrt = 1.0 / np.sqrt([wp.rho, wp.rho, wp.varrho_rot])
+    scaled = d_inv_sqrt[:, None] * stiffness * d_inv_sqrt
+    squared_frequencies, vectors = np.linalg.eigh(scaled)
+    branches = []
+    for x, y in zip(squared_frequencies, vectors.T):
+        if x < 0.0:
+            continue
+        z = d_inv_sqrt * y
+        branches.append((math.sqrt(x),
+                         reference_phase_normalize(z / np.linalg.norm(z))))
+    if not branches:
+        raise NoRealBranch(
+            f"wave matrix has no nonnegative squared frequency at k = "
+            f"{float(k)!r}")
+    return branches

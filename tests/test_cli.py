@@ -14,11 +14,19 @@ import numpy as np
 import pytest
 
 import cosserat2d
+from conftest import reference_branches
 from cosserat2d import cli, dynamics
 from cosserat2d.cli import main
-from cosserat2d.errors import IoError
+from cosserat2d.config import load_config
+from cosserat2d.errors import IoError, NoRealBranch, ZeroDenominator
 from cosserat2d.fields import FieldState, Grid, save_snapshot
-from cosserat2d.report import VerificationReport
+from cosserat2d.report import VerificationReport, write_csv
+from cosserat2d.waves import (
+    BranchTable,
+    WaveParams,
+    amplitude_ratio,
+    velocity_curve,
+)
 
 
 def run(tmp_path, *argv):
@@ -333,6 +341,59 @@ def test_dispersion_overflowing_wavenumber_warns_once_per_k(tmp_path,
         for k in ("5e+199", "1e+200")]
     _, rows = read_csv(out / "dispersion.csv")
     assert [row[0] for row in rows] == ["1"] * 3
+
+
+def per_k_dispersion(cfg, outdir, svg):
+    """``dispersion`` one wavenumber at a time (conftest.reference_branches);
+    returns the warning lines it would print."""
+    wp = WaveParams.from_material(cfg.material)
+    rows, warned = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in np.linspace(cfg.wave.k_min, cfg.wave.k_max,
+                             cfg.wave.k_steps):
+            try:
+                branches = reference_branches(k, wp)
+            except NoRealBranch as exc:
+                warned.append(f"warning: no real branch: {exc}")
+                continue
+            for index, (omega, z) in enumerate(branches):
+                try:
+                    ratio = amplitude_ratio(k, omega, wp)
+                except ZeroDenominator:
+                    ratio = math.nan
+                rows.append((k, index, omega, z[0].real, z[1].real,
+                             z[2].imag, ratio, omega / k))
+        curve = velocity_curve(wp)
+    os.makedirs(outdir)
+    write_csv(outdir / "dispersion.csv", cli.DISPERSION_HEADER, zip(*rows))
+    write_csv(outdir / "ratio_velocity.csv", "ratio,velocity", zip(*curve))
+    if svg:
+        k, index, omega = (np.array(c) for c in list(zip(*rows))[:3])
+        cli._write_dispersion_svg(str(outdir / "dispersion.svg"),
+                                  BranchTable(k, index, omega, None, []))
+    return warned
+
+
+@pytest.mark.parametrize("svg", [False, True])
+@pytest.mark.parametrize("material, wave", [
+    ({"mu_s": 0.3}, {"k_min": 0.01, "k_max": 40.0, "k_steps": 500}),
+    # two branches below about k = 9.8, three above
+    ({"mu_s": -0.9}, {"k_min": 0.1, "k_max": 20.0, "k_steps": 300}),
+    ({}, {"k_min": 1, "k_max": 1e200, "k_steps": 3}),
+])
+def test_dispersion_writes_the_per_wavenumber_bytes(tmp_path, capsys, svg,
+                                                    material, wave):
+    cfg = write_config(tmp_path, {"material": material, "wave": wave})
+    argv = ["dispersion", "--config", cfg, "--out", str(tmp_path / "sweep")]
+    assert main(argv + ["--svg"] if svg else argv) == 0
+    warned = capsys.readouterr().err.splitlines()
+    assert warned == per_k_dispersion(load_config(cfg), tmp_path / "loop", svg)
+    written = sorted(p.name for p in (tmp_path / "sweep").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "loop").iterdir())
+    assert ("dispersion.svg" in written) == svg
+    for name in written:
+        assert ((tmp_path / "sweep" / name).read_bytes()
+                == (tmp_path / "loop" / name).read_bytes()), name
 
 
 @pytest.mark.parametrize("command, material", [

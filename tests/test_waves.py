@@ -7,6 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import reference_branches
+from cosserat2d import waves
 from cosserat2d.errors import (
     ImaginarySpeed,
     InfeasibleDensity,
@@ -16,8 +18,10 @@ from cosserat2d.errors import (
 from cosserat2d.waves import (
     WaveParams,
     amplitude_ratio,
+    amplitude_ratios,
     dispersion_branches,
     dispersion_cubic,
+    dispersion_sweep,
     liu_material,
     phase_velocity,
     transverse_free_residual,
@@ -255,6 +259,111 @@ def test_no_real_branch_is_reported():
     for k in (math.nan, math.inf):
         with pytest.raises(NoRealBranch):
             dispersion_branches(k, WaveParams())
+
+
+def reference_sweep(ks, wp):
+    """The rows and missing messages of a sweep, one wavenumber at a time
+    (:func:`conftest.reference_branches`)."""
+    rows, missing = [], []
+    for k in ks:
+        try:
+            # a huge k overflows the matrix: no branch, and no warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                branches = reference_branches(k, wp)
+        except NoRealBranch as exc:
+            missing.append(str(exc))
+            continue
+        rows += [(k, index, omega, z)
+                 for index, (omega, z) in enumerate(branches)]
+    return rows, missing
+
+
+def assert_sweep_matches_reference(ks, wp):
+    """The stacked sweep gives the per-wavenumber bits: wavenumbers,
+    branch indices, omega and the full complex amplitudes."""
+    table = dispersion_sweep(ks, wp)
+    rows, missing = reference_sweep(ks, wp)
+    assert table.missing == missing
+    k, index, omega, z = (np.array(c) for c in zip(*rows)) if rows else (
+        np.zeros(0), np.zeros(0, int), np.zeros(0), np.zeros((0, 3), complex))
+    assert table.k.tobytes() == k.tobytes()
+    assert table.index.tolist() == index.tolist()
+    assert table.omega.tobytes() == omega.tobytes()
+    assert table.amplitudes.tobytes() == z.tobytes()
+
+
+# nan and inf have no branch; a negative chiral modulus leaves two branches
+# at k = 2 pi and none of the unstable set has any; k = 0 is a double root.
+SWEEP_CASES = [
+    (WaveParams(), [0.0, 0.5, -1.0]),
+    (WaveParams(), [1.0, math.nan, 2.0, math.inf, -math.inf]),
+    (WaveParams(a=-0.9), np.linspace(0.0, 4.0 * math.pi, 41)),
+    (WaveParams(a=-1.0, gamma=0.1, mu=-1.0, lam=-2.0, mu_c=-3.0), [0.5, 1.0]),
+    (WaveParams(), np.array([1.0, 1e200, 1e300])),
+]
+
+
+@pytest.mark.parametrize("wp, ks", SWEEP_CASES)
+def test_sweep_is_bitwise_the_per_wavenumber_loop(wp, ks):
+    assert_sweep_matches_reference(ks, wp)
+
+
+def test_sweep_of_random_parameters_is_bitwise_the_per_wavenumber_loop():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        wp = random_wave_params(rng, chiral_fraction=1.2)
+        ks = np.linspace(rng.uniform(0.0, 1.0), rng.uniform(1.0, 60.0), 300)
+        assert_sweep_matches_reference(ks, wp)
+
+
+def test_sweep_blocks_do_not_change_the_rows(monkeypatch):
+    wp = WaveParams(a=-0.9)
+    ks = np.linspace(0.0, 12.0, 50)
+    whole = dispersion_sweep(ks, wp)
+    monkeypatch.setattr(waves, "BLOCK_ROWS", 7)
+    blocked = dispersion_sweep(ks, wp)
+    for column, other in zip(whole, blocked):
+        assert np.asarray(column).tobytes() == np.asarray(other).tobytes()
+    assert_sweep_matches_reference(ks, wp)
+
+
+@pytest.mark.parametrize("wp, ks", SWEEP_CASES)
+def test_one_wavenumber_is_the_reference(wp, ks):
+    for k in ks:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = reference_branches(k, wp)
+        except NoRealBranch as exc:
+            with pytest.raises(NoRealBranch) as raised:
+                dispersion_branches(k, wp)
+            assert str(raised.value) == str(exc)
+            continue
+        branches = dispersion_branches(k, wp)
+        assert [b.omega for b in branches] == [omega for omega, _ in expected]
+        assert (np.array([b.amplitudes() for b in branches]).tobytes()
+                == np.array([z for _, z in expected]).tobytes())
+
+
+def test_amplitude_ratios_are_the_scalar_ratios():
+    rng = np.random.default_rng(60)
+    for _ in range(10):
+        wp = random_wave_params(rng)
+        table = dispersion_sweep(np.linspace(0.05, 30.0, 200), wp)
+        ratios = amplitude_ratios(table.k, table.omega, wp)
+        expected = []
+        for k, omega in zip(table.k, table.omega.tolist()):
+            try:
+                expected.append(amplitude_ratio(k, omega, wp))
+            except ZeroDenominator:
+                expected.append(math.nan)
+        assert ratios.tobytes() == np.array(expected).tobytes()
+    # a vanishing denominator reads nan; A = 0 reads zero
+    wp = WaveParams(a=1.0, mu_c=1.0, lam=1.0, mu=1.0, rho=2.0)
+    with pytest.raises(ZeroDenominator):
+        amplitude_ratio(1.0, 1.0, wp)
+    assert np.isnan(amplitude_ratios(np.array([1.0]), np.array([1.0]), wp)[0])
+    assert amplitude_ratios(np.array([1.0, 2.0]), np.array([0.5, 1.0]),
+                            WaveParams(a=0.0)).tolist() == [0.0, 0.0]
 
 
 def test_material_round_trip_preserves_wave_parameters():
