@@ -37,8 +37,12 @@ def rot2(theta):
     ``(2, 2) + theta.shape``.
     """
     theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, -s]), np.stack([s, c])])
+    r = np.empty((2, 2) + theta.shape)
+    np.cos(theta, out=r[0, 0, ...])
+    np.sin(theta, out=r[1, 0, ...])
+    np.negative(r[1, 0], out=r[0, 1, ...])
+    r[1, 1] = r[0, 0]
+    return r
 
 
 def identity2(template):

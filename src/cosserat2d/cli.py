@@ -185,6 +185,9 @@ def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
         np.linspace(cfg.wave.k_min, cfg.wave.k_max, cfg.wave.k_steps), wp)
     for message in table.missing:
         print(f"warning: no real branch: {message}", file=sys.stderr)
+    if not len(table.k):
+        raise NoRealBranch("dispersion sweep produced no branch at any "
+                           "wavenumber")
     # Extreme moduli overflow the ratio: the row reads inf or nan, quietly.
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = amplitude_ratios(table.k, table.omega, wp)
@@ -204,8 +207,6 @@ def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
 def _write_dispersion_svg(path: str, table: BranchTable) -> None:
     """Minimal standalone SVG: one polyline per branch over (k, omega)."""
     width, height, margin = 640, 480, 50
-    if not len(table.k):
-        raise NoRealBranch("dispersion sweep produced no plottable branch")
     k_lo = float(table.k.min())
     k_hi = float(table.k.max())
     w_hi = float(table.omega.max())

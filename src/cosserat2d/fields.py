@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import signal
+import struct
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IoError
-from .report import write_csv
+from .report import write_grid_csv
 
 
 @dataclass(frozen=True)
@@ -176,24 +177,110 @@ def deformation_gradients(state: FieldState, node=None, star: bool = True):
 
 def save_snapshot(state: FieldState, path) -> None:
     """Write one CSV row per node: ``i,j,x,y,u1,u2,theta,v1,v2,omega``."""
-    grid = state.grid
-    i, j = np.indices(grid.shape)
-    columns = (i, j, *grid.coords(), *state.field_arrays())
-    write_csv(path, "i,j,x,y,u1,u2,theta,v1,v2,omega",
-              [c.ravel() for c in columns])
+    write_grid_csv(path, "i,j,x,y,u1,u2,theta,v1,v2,omega",
+                   *state.grid.axes(), state.field_arrays())
+
+
+#: The fixed head of a snapshot sent to a writer: ``nx, ny, lx, ly`` and the
+#: length of the path in bytes; the path and the six fields follow.
+_REQUEST = struct.Struct("<qqddq")
+#: The head of a writer's reply: the length of its error message (0: written).
+_REPLY = struct.Struct("<q")
+
+
+@dataclass
+class _Writer:
+    """A forked snapshot writer and the parent's ends of its two pipes."""
+
+    pid: int
+    requests: int
+    replies: int
+
+
+def _send(fd: int, data) -> None:
+    """Write all of the buffer ``data`` to ``fd``."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive_into(fd: int, buffer) -> bool:
+    """Fill ``buffer`` from ``fd``; ``False`` if the pipe closed first."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        count = os.readv(fd, [view])
+        if not count:
+            return False
+        view = view[count:]
+    return True
+
+
+def _serve(requests: int, replies: int) -> None:
+    """A writer's loop: save each snapshot read from ``requests`` and reply
+    on ``replies`` with nothing or the :class:`IoError` message; return once
+    the parent closes ``requests``."""
+    head = bytearray(_REQUEST.size)
+    while _receive_into(requests, head):
+        nx, ny, lx, ly, path_size = _REQUEST.unpack(head)
+        path = bytearray(path_size)
+        fields = np.empty((6, nx, ny))
+        if not (_receive_into(requests, path)
+                and _receive_into(requests, fields)):
+            raise EOFError("the snapshot request was cut short")
+        try:
+            save_snapshot(FieldState(Grid(nx, ny, lx, ly), *fields),
+                          os.fsdecode(bytes(path)))
+            message = b""
+        except IoError as exc:
+            message = str(exc).encode("utf-8")
+        _send(replies, _REPLY.pack(len(message)) + message)
+
+
+def _start_writer(others) -> _Writer:
+    """Fork a writer running :func:`_serve`; ``others`` are the writers
+    already running, whose pipe ends the new one closes."""
+    request_read, request_write = os.pipe()
+    reply_read, reply_write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (request_read, request_write, reply_read, reply_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            # An interrupt stops the stepping, not a half-written file.
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            # Only the parent may hold a writer's request pipe open, or the
+            # writer never sees it close.
+            for fd in (request_write, reply_read,
+                       *(fd for w in others for fd in (w.requests, w.replies))):
+                os.close(fd)
+            _serve(request_read, reply_write)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(request_read)
+    os.close(reply_write)
+    return _Writer(pid, request_write, reply_read)
 
 
 @contextmanager
 def snapshot_writer():
-    """Yield ``write(state, path)``, which saves a snapshot in a forked child
-    while the caller goes on.
+    """Yield ``write(state, path)``, which hands a snapshot to a writer
+    process and returns while the writer saves it.
 
-    At most one child per usable CPU is in flight; past that, ``write`` first
-    waits for the oldest.  Leaving the block waits for every child.  The
-    first child that failed, in write order, is raised as the
-    :class:`IoError` of its ``save_snapshot``.  A child sees the state as it
-    was at the fork, so nothing is copied.  Without ``os.fork``, ``write`` is
-    ``save_snapshot`` itself.
+    The writers are forked on demand, at most one per usable CPU, and live
+    until the block ends; each takes one snapshot at a time, sent down a
+    pipe straight from the state's arrays, so at most one snapshot per CPU
+    is in flight.  With every writer busy, ``write`` first waits for the
+    oldest snapshot.  The first snapshot that failed, in write order, is
+    raised as the :class:`IoError` of its ``save_snapshot`` (or, for a
+    writer that died, as ``cannot write '<path>': writer exited with
+    <code>``).  Leaving the block waits for every snapshot and every writer.
+    Paths are made absolute before they are sent.  Without ``os.fork``,
+    ``write`` is ``save_snapshot`` itself.
     """
     if not hasattr(os, "fork"):
         yield save_snapshot
@@ -202,52 +289,72 @@ def snapshot_writer():
         limit = len(os.sched_getaffinity(0))
     except AttributeError:
         limit = os.cpu_count() or 1
-    pending = deque()  # (pid, read end of the child's error pipe, path)
+    writers, idle = [], []
+    pending = deque()  # (writer, absolute path) in write order
+
+    def retire(writer) -> int:
+        """Close the pipes to ``writer``, reap it and return its exit code."""
+        writers.remove(writer)
+        os.close(writer.requests)
+        os.close(writer.replies)
+        return os.waitstatus_to_exitcode(os.waitpid(writer.pid, 0)[1])
 
     def wait_oldest() -> str:
-        """Reap the oldest child; return its error message, or ``""``."""
-        pid, read_fd, path = pending.popleft()
-        with os.fdopen(read_fd, "rb") as pipe:
-            message = pipe.read().decode("utf-8", "replace")
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0 and not message:
-            message = f"cannot write {path!r}: writer exited with {code}"
-        return message
+        """Wait for the oldest pending snapshot; return its error message,
+        or ``""``."""
+        writer, path = pending.popleft()
+        head = bytearray(_REPLY.size)
+        if _receive_into(writer.replies, head):
+            message = bytearray(_REPLY.unpack(head)[0])
+            if _receive_into(writer.replies, message):
+                idle.append(writer)
+                return message.decode("utf-8", "replace")
+        return f"cannot write {path!r}: writer exited with {retire(writer)}"
+
+    def first_failure() -> str:
+        messages = [wait_oldest() for _ in range(len(pending))]
+        return next(filter(None, messages), "")
 
     def write(state, path) -> None:
-        while len(pending) >= limit:
+        if not idle and len(writers) < limit:
+            try:
+                writers.append(_start_writer(writers))
+            except OSError as exc:
+                raise IoError(
+                    f"cannot start a writer for {path!r}: {exc}") from exc
+            idle.append(writers[-1])
+        if not idle:
             message = wait_oldest()
             if message:
-                while pending:  # later writes cannot outrank this failure
-                    wait_oldest()
+                first_failure()  # later writes cannot outrank this failure
                 raise IoError(message)
-        read_fd, write_fd = os.pipe()
+        writer = idle.pop()
+        path = os.path.abspath(path)
+        pending.append((writer, path))
+        grid, encoded = state.grid, os.fsencode(path)
         try:
-            pid = os.fork()
-        except OSError as exc:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise IoError(f"cannot start a writer for {path!r}: {exc}") from exc
-        if pid == 0:
-            status = 1
-            try:
-                # An interrupt stops the stepping, not a half-written file.
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                os.close(read_fd)
-                save_snapshot(state, path)
-                status = 0
-            except IoError as exc:
-                os.write(write_fd, str(exc).encode("utf-8"))
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        pending.append((pid, read_fd, path))
+            _send(writer.requests, _REQUEST.pack(
+                grid.nx, grid.ny, grid.lx, grid.ly, len(encoded)) + encoded)
+            for field in state.field_arrays():
+                _send(writer.requests,
+                      np.ascontiguousarray(field, dtype=np.float64))
+        except BrokenPipeError:
+            pass  # the writer died; waiting for its reply reports it
+        except BaseException:
+            # Cut short (by an interrupt, say): the writer sees its request
+            # end early and exits, and the snapshot is not pending.
+            pending.pop()
+            retire(writer)
+            raise
 
     try:
         yield write
     finally:
         # A failed write still pending came before whatever ended the block.
-        messages = [wait_oldest() for _ in range(len(pending))]
-        message = next(filter(None, messages), "")
+        try:
+            message = first_failure()
+        finally:
+            while writers:
+                retire(writers[-1])
         if message:
             raise IoError(message)

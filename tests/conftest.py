@@ -2,6 +2,7 @@
 
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from cosserat2d.errors import NoRealBranch
 from cosserat2d.fields import Grid
 from cosserat2d.materials import MaterialParams
+from cosserat2d.report import write_csv
 
 
 @pytest.fixture(autouse=True)
@@ -21,6 +23,30 @@ def no_unreaped_children():
     except ChildProcessError:
         return
     assert reaped == (0, 0), f"unreaped child process {reaped[0]}"
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test, instead of hanging it, if it runs for over 60 s (a
+    snapshot writer that never answers, say)."""
+    def expire(signum, frame):
+        raise TimeoutError("test still running after its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def reference_snapshot(state, path):
+    """A snapshot written as ten ``write_csv`` columns, one value per node
+    in each: ``i,j,x,y,u1,u2,theta,v1,v2,omega``."""
+    grid = state.grid
+    i, j = np.indices(grid.shape)
+    columns = (i, j, *grid.coords(), *state.field_arrays())
+    write_csv(path, "i,j,x,y,u1,u2,theta,v1,v2,omega",
+              [c.ravel() for c in columns])
 
 
 def random_f_stack(rng, n=8, spread=0.4):

@@ -70,6 +70,21 @@ def test_rot2_composition_and_array_angles():
     npt.assert_allclose(combined, rot2(a + b), atol=1e-14)
 
 
+def test_rot2_is_bitwise_the_stacked_form():
+    def stacked(theta):
+        theta = np.asarray(theta, dtype=float)
+        c, s = np.cos(theta), np.sin(theta)
+        return np.stack([np.stack([c, -s]), np.stack([s, c])])
+
+    rng = np.random.default_rng(7)
+    for theta in (rng.uniform(-8.0, 8.0, size=(33, 36)),
+                  np.array([0.0, -0.0, 1e6, -1e6, 1e6 + 0.5]),
+                  0.3, -0.0, 1e6):
+        r, expected = rot2(theta), stacked(theta)
+        assert r.shape == expected.shape
+        assert r.tobytes() == expected.tobytes()
+
+
 def test_eps2_commutes_with_rotations():
     for angle in np.linspace(-3.0, 3.0, 11):
         r = rot2(angle)

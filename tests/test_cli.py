@@ -5,6 +5,7 @@ import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -15,7 +16,7 @@ import pytest
 
 import cosserat2d
 from conftest import reference_branches
-from cosserat2d import cli, dynamics
+from cosserat2d import cli, dynamics, fields
 from cosserat2d.cli import main
 from cosserat2d.config import load_config
 from cosserat2d.errors import IoError, NoRealBranch, ZeroDenominator
@@ -343,6 +344,22 @@ def test_dispersion_overflowing_wavenumber_warns_once_per_k(tmp_path,
     assert [row[0] for row in rows] == ["1"] * 3
 
 
+@pytest.mark.parametrize("svg", [False, True])
+def test_dispersion_without_any_branch_exits_2_and_writes_nothing(
+        tmp_path, capsys, svg):
+    cfg = write_config(tmp_path, {
+        "wave": {"k_min": 1e160, "k_max": 1e200, "k_steps": 3}})
+    out = tmp_path / "d"
+    argv = ["dispersion", "--config", cfg, "--out", str(out)]
+    assert main(argv + ["--svg"] if svg else argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: no real branch: wave matrix is not finite at k = {k}"
+        for k in ("1e+160", "5e+199", "1e+200")] + [
+        "numerical error: dispersion sweep produced no branch at any "
+        "wavenumber"]
+    assert list(out.iterdir()) == []
+
+
 def per_k_dispersion(cfg, outdir, svg):
     """``dispersion`` one wavenumber at a time (conftest.reference_branches);
     returns the warning lines it would print."""
@@ -580,8 +597,29 @@ def unreaped(pids):
     return count
 
 
+def counting_forks(monkeypatch):
+    """Record the pid of every child ``os.fork`` makes from now on."""
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forked
+
+
+def set_usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, deadline):
     handed = []  # (state as handed to write, path)
     writer = cli.snapshot_writer
 
@@ -593,32 +631,113 @@ def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
                 write(state, path)
             yield recording
 
-    forked, alive_at_fork = [], []
-    fork = os.fork
-
-    def counting_fork():
-        alive_at_fork.append(unreaped(forked))
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
     monkeypatch.setattr(cli, "snapshot_writer", recording_writer)
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    forked = counting_forks(monkeypatch)
     cfg = write_config(tmp_path, CHIRAL_SIM)
-    out, inline = tmp_path / "out", tmp_path / "inline"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-
-    assert len(handed) == len(forked) == CHIRAL_SIM["sim"]["steps"] + 1
-    assert max(alive_at_fork) == 0  # one CPU: one writer alive at a time
+    inline = tmp_path / "inline"
     inline.mkdir()
-    for state, path in handed:
-        name = os.path.basename(path)
-        save_snapshot(state, inline / name)
-        assert (out / name).read_bytes() == (inline / name).read_bytes()
+    for cpus in (1, 3):
+        set_usable_cpus(monkeypatch, cpus)
+        handed.clear()
+        forked.clear()
+        out = tmp_path / f"out_{cpus}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+        # The writers are forked once per run, at most one per usable CPU,
+        # however many snapshots there are; all are gone when it ends.
+        assert len(handed) == CHIRAL_SIM["sim"]["steps"] + 1
+        assert 1 <= len(forked) <= cpus
+        assert unreaped(forked) == 0
+        for state, path in handed:
+            name = os.path.basename(path)
+            save_snapshot(state, inline / name)
+            assert (out / name).read_bytes() == (inline / name).read_bytes()
+
+
+def assert_run_died_at_snapshot_2(out, reference, err):
+    """The run named snapshot 2's writer, kept snapshots 0 and 1 whole and
+    left no child behind."""
+    assert (f"error: cannot write {str(out / 'snapshot_000002.csv')!r}: "
+            f"writer exited with -{int(signal.SIGKILL)}") in err
+    assert "Traceback" not in err
+    for name in ("snapshot_000000.csv", "snapshot_000001.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+    assert not (out / "snapshot_000004.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_writer_killed_mid_snapshot_exits_1_naming_the_path(
+        tmp_path, monkeypatch, capsys, deadline):
+    cfg = write_config(tmp_path, CHIRAL_SIM)
+    reference, out = tmp_path / "reference", tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
+    set_usable_cpus(monkeypatch, 2)
+    save = fields.save_snapshot
+
+    def dying_save(state, path):
+        # Runs in the writer: die with snapshot 2 half written.
+        if path.endswith("snapshot_000002.csv"):
+            with open(path, "w") as fh:
+                fh.write("i,j,x,y\n")
+            os.kill(os.getpid(), signal.SIGKILL)
+        save(state, path)
+
+    monkeypatch.setattr(fields, "save_snapshot", dying_save)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert_run_died_at_snapshot_2(out, reference, capsys.readouterr().err)
+
+
+def test_writer_killed_while_idle_exits_1_naming_the_path(
+        tmp_path, monkeypatch, capsys, deadline):
+    cfg = write_config(tmp_path, CHIRAL_SIM)
+    reference, out = tmp_path / "reference", tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
+    set_usable_cpus(monkeypatch, 1)
+    forked = counting_forks(monkeypatch)
+    abspath = os.path.abspath
+
+    def killing_abspath(path):
+        # The writer has answered for snapshot 1 and waits for the next:
+        # kill it before snapshot 2 is sent down its pipe.
+        if str(path).endswith("snapshot_000002.csv"):
+            os.kill(forked[0], signal.SIGKILL)
+            os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOWAIT)
+        return abspath(path)
+
+    monkeypatch.setattr(os.path, "abspath", killing_abspath)
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert_run_died_at_snapshot_2(out, reference, capsys.readouterr().err)
+    assert not (out / "snapshot_000002.csv").exists()
+
+
+def test_interrupted_send_leaves_no_writer_behind(
+        tmp_path, monkeypatch, deadline):
+    cfg = write_config(tmp_path, CHIRAL_SIM)
+    reference, out = tmp_path / "reference", tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
+    set_usable_cpus(monkeypatch, 1)
+    parent, sends = os.getpid(), []
+    send = fields._send
+
+    def interrupted_send(fd, data):
+        # A snapshot is a head and six fields: stop the parent half way
+        # through the second field of snapshot 2.
+        if os.getpid() == parent:
+            sends.append(1)
+            if len(sends) == 2 * 7 + 3:
+                send(fd, memoryview(data).cast("B")[:100])
+                raise KeyboardInterrupt
+        send(fd, data)
+
+    monkeypatch.setattr(fields, "_send", interrupted_send)
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--config", cfg, "--out", str(out)])
+    for name in ("snapshot_000000.csv", "snapshot_000001.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+    assert not (out / "snapshot_000002.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_without_fork_writes_inline(tmp_path, monkeypatch):

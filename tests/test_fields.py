@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import reference_snapshot
 from cosserat2d import report
 from cosserat2d.algebra import mat_mul, rot2, transpose2
 from cosserat2d.errors import ConfigError, NonFiniteState
@@ -27,6 +28,7 @@ from cosserat2d.fields import (
     node_window,
     save_snapshot,
 )
+from cosserat2d.report import write_csv
 from cosserat2d.rng import random_smooth_state
 
 
@@ -198,9 +200,7 @@ def test_field_state_copy_is_deep_and_finiteness_is_checked():
         require_finite(state)
 
 
-def test_snapshot_round_trip(tmp_path, monkeypatch):
-    # 20 rows over blocks of 7: the last block is a partial one
-    monkeypatch.setattr(report, "BLOCK_ROWS", 7)
+def test_snapshot_round_trip(tmp_path):
     grid = Grid(nx=4, ny=5, lx=1.0, ly=1.0)
     state = random_smooth_state(grid, seed=9, amplitude=0.3, modes=1)
     state.theta[1, 2] = -0.0
@@ -220,6 +220,36 @@ def test_snapshot_round_trip(tmp_path, monkeypatch):
     assert float(row[9]) == state.omega[i, j]
     # negative zero prints as 0, like every other CSV number
     assert rows[1 * grid.ny + 2][6] == "0"
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (4, 5), (33, 36), (128, 128)])
+def test_snapshot_matches_the_ten_column_reference(tmp_path, nx, ny):
+    grid = Grid(nx=nx, ny=ny, lx=2.5, ly=0.7)
+    state = random_smooth_state(grid, seed=nx + ny, amplitude=0.3, modes=1)
+    specials = (-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -1e-300,
+                -1e300)
+    for k, field in enumerate(state.field_arrays()):
+        for m, value in enumerate(specials):
+            field.flat[(k + 2 * m) % field.size] = value
+    save_snapshot(state, tmp_path / "snapshot.csv")
+    reference_snapshot(state, tmp_path / "reference.csv")
+    assert ((tmp_path / "snapshot.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
+    # 20 rows over blocks of 7: the last block is a partial one
+    rng = np.random.default_rng(11)
+    floats = rng.standard_normal(20)
+    floats[[3, 15]] = -0.0, np.nan
+    columns = [np.arange(20), floats, [f"r{n}" for n in range(20)]]
+    write_csv(tmp_path / "whole.csv", "n,value,name", columns)
+    monkeypatch.setattr(report, "BLOCK_ROWS", 7)
+    write_csv(tmp_path / "blocks.csv", "n,value,name", columns)
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == whole
+    assert len(whole.splitlines()) == 21
+    assert whole.splitlines()[4] == b"3,0,r3"
 
 
 def test_rotation_matrix_transpose_convention():
