@@ -15,6 +15,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
+from .energy import DEFAULT_EPS_REG
 from .errors import ConfigError, IoError
 from .fields import Grid
 from .materials import MaterialParams, ModelSelector
@@ -29,7 +30,7 @@ class SimSettings:
     dt: float = 0.01
     steps: int = 100
     output_every: int = 10
-    eps_reg: float = 1e-8
+    eps_reg: float = DEFAULT_EPS_REG
 
     def __post_init__(self):
         if not self.dt > 0:

@@ -319,8 +319,8 @@ def homogeneous_roots(p: MaterialParams, sel: ModelSelector) -> HomogeneousRoots
                             feasible=-2.0 <= fraction <= 0.0)
 
 
-def homogeneous_root_report(p: MaterialParams, sel: ModelSelector,
-                            scale: float) -> VerificationReport:
+def homogeneous_root_report(p: MaterialParams,
+                            sel: ModelSelector) -> VerificationReport:
     """Row ``homogeneous_roots_zero_residual``: the largest
     ``|homogeneous_residual|`` over the reported roots, relative to the
     stiffness ``|B| + |C|`` the residual is made of, so every root must
@@ -330,11 +330,11 @@ def homogeneous_root_report(p: MaterialParams, sel: ModelSelector,
                 for r in homogeneous_roots(p, sel).all_roots())
     report = VerificationReport()
     report.add("homogeneous_roots_zero_residual", worst / (abs(b) + abs(c)),
-               1e-12 * scale)
+               1e-12)
     return report
 
 
-def quarter_turn_flag_report(scale: float) -> VerificationReport:
+def quarter_turn_flag_report() -> VerificationReport:
     """Convention indicator row of :func:`homogeneous_residual`: at a quarter
     turn the residual reduces to ``lam + mu`` only once the couple modulus
     is absent, so the condition is checked in that corrected form (see the
@@ -343,7 +343,7 @@ def quarter_turn_flag_report(scale: float) -> VerificationReport:
     value = homogeneous_residual(0.5 * math.pi, p0, ModelSelector.nonchiral())
     report = VerificationReport()
     report.add("flag_quarter_turn_residual_needs_zero_couple_modulus",
-               abs(value - (p0.lam + p0.mu)), 1e-13 * scale)
+               abs(value - (p0.lam + p0.mu)), 1e-13)
     return report
 
 
@@ -470,15 +470,13 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
 
 def verify_variational_consistency(state: FieldState, p: MaterialParams,
                                    sel: ModelSelector,
-                                   eps_reg: float = DEFAULT_EPS_REG,
-                                   tolerance_scale: float = 1.0) -> VerificationReport:
+                                   eps_reg: float = DEFAULT_EPS_REG) -> VerificationReport:
     """Check that the assembled accelerations are the exact negative discrete
     energy gradient (with inertia rho for u and 2*rho_rot for theta), and that
     the analytic gradient matches nodal finite differences term by term."""
     report = VerificationReport()
     terms = _live_terms(sel.active_terms(), p)
-    base_tol = (1e-8 if "interaction" in terms else 1e-10) * tolerance_scale
-    fd_tol = 1e-6 * tolerance_scale
+    base_tol = 1e-8 if "interaction" in terms else 1e-10
 
     acc = _rhs(state, p, terms, eps_reg)
     # One gradient pass per term: each feeds that term's finite-difference
@@ -521,5 +519,5 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
         report.add("theta_inertia_factor_is_two", error, base_tol)
 
     for name, error in fd_rows:
-        report.add(name, error, fd_tol)
+        report.add(name, error, 1e-6)
     return report

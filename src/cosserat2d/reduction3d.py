@@ -144,67 +144,40 @@ def first_problem_check(s: PlanarSample3D) -> VerificationReport:
     norm, stretch block form, decomposition, and the orthogonality triple
     (for both the first stretch and the metric), plus the nonvanishing of
     the norm-times-trace interaction surrogate."""
-    report = VerificationReport()
-    worst = {
-        "wryness_two_entry_structure": 0.0,
-        "decomposition_reconstructs": 0.0,
-        "wryness_trace_free": 0.0,
-        "stretch_block_form": 0.0,
-        "orthogonality_devsym_stretch": 0.0,
-        "orthogonality_skew_stretch": 0.0,
-        "orthogonality_trace_stretch": 0.0,
-        "orthogonality_devsym_metric": 0.0,
-        "orthogonality_skew_metric": 0.0,
-        "orthogonality_trace_metric": 0.0,
-        "wryness_norm_identity": 0.0,
-    }
-    surrogate_max = 0.0
-    for x, y in s.points:
-        f = _first_problem_f(s, x, y)
-        r, dm = _rotation_z_bundle(s.angle, x, y)
-        k = r.T @ curl3_matrix(dm)
-        gx, gy = s.angle.grad(x, y)
 
+    def errors(x, y):
+        f = _first_problem_f(s, x, y)
+        stretch = _rotation_z(s.angle.value(x, y)).T @ f
+        k = first_problem_wryness(s, x, y)
+        gx, gy = s.angle.grad(x, y)
         expected = np.zeros((3, 3))
         expected[0, 2] = -gx
         expected[1, 2] = -gy
-        worst["wryness_two_entry_structure"] = max(
-            worst["wryness_two_entry_structure"], np.max(np.abs(k - expected)))
-
         recon = devsym3(k) + skew3(k) + (np.trace(k) / 3.0) * np.eye(3)
-        worst["decomposition_reconstructs"] = max(
-            worst["decomposition_reconstructs"], np.max(np.abs(recon - k)))
-        worst["wryness_trace_free"] = max(
-            worst["wryness_trace_free"], abs(np.trace(k)))
-
-        stretch = r.T @ f
-        block = np.abs([stretch[0, 2], stretch[1, 2], stretch[2, 0],
-                        stretch[2, 1], stretch[2, 2] - 1.0])
-        worst["stretch_block_form"] = max(worst["stretch_block_form"],
-                                          float(np.max(block)))
-
+        row = {
+            "wryness_two_entry_structure": np.max(np.abs(k - expected)),
+            "decomposition_reconstructs": np.max(np.abs(recon - k)),
+            "wryness_trace_free": abs(np.trace(k)),
+            "stretch_block_form": np.max(np.abs([
+                stretch[0, 2], stretch[1, 2], stretch[2, 0], stretch[2, 1],
+                stretch[2, 2] - 1.0])),
+        }
         for label, a in (("stretch", stretch), ("metric", f.T @ f)):
-            worst[f"orthogonality_devsym_{label}"] = max(
-                worst[f"orthogonality_devsym_{label}"],
-                abs(float(np.sum(devsym3(a) * devsym3(k)))))
-            worst[f"orthogonality_skew_{label}"] = max(
-                worst[f"orthogonality_skew_{label}"],
-                abs(float(np.sum(skew3(a) * skew3(k)))))
-            worst[f"orthogonality_trace_{label}"] = max(
-                worst[f"orthogonality_trace_{label}"],
-                abs(np.trace(a) * np.trace(k)))
+            row[f"orthogonality_devsym_{label}"] = abs(
+                np.sum(devsym3(a) * devsym3(k)))
+            row[f"orthogonality_skew_{label}"] = abs(
+                np.sum(skew3(a) * skew3(k)))
+            row[f"orthogonality_trace_{label}"] = abs(
+                np.trace(a) * np.trace(k))
+        row["wryness_norm_identity"] = abs(np.sum(k * k) - (gx**2 + gy**2))
+        return row
 
-        worst["wryness_norm_identity"] = max(
-            worst["wryness_norm_identity"],
-            abs(float(np.sum(k * k)) - (gx**2 + gy**2)))
-
-        surrogate_max = max(surrogate_max,
-                            abs(math.sqrt(gx**2 + gy**2) * np.trace(stretch)))
-
-    for name, err in worst.items():
-        report.add(name, err, 1e-10)
-    report.add("interaction_surrogate_nonzero",
-               0.0 if surrogate_max > 1e-6 else 1.0, 0.5)
+    report = VerificationReport()
+    report.add_maxima([errors(x, y) for x, y in s.points], 1e-10)
+    report.flag("interaction_surrogate_nonzero", any(
+        math.hypot(*s.angle.grad(x, y)) * abs(np.trace(
+            _rotation_z(s.angle.value(x, y)).T @ _first_problem_f(s, x, y)))
+        > 1e-6 for x, y in s.points))
     return report
 
 
@@ -299,34 +272,29 @@ def second_problem_check(s: PlanarSample3D,
     zero angles, vanishing bottom-row wryness entries, and the small-angle
     match with the leading-order curvature (fields scaled by
     ``small_factor``, relative comparison)."""
-    report = VerificationReport()
-    worst_orth = 0.0
-    worst_bottom = 0.0
-    worst_small = 0.0
     alpha_small = s.alpha.scaled(small_factor)
     beta_small = s.beta.scaled(small_factor)
-    for x, y in s.points:
-        a = s.alpha.value(x, y)
-        b = s.beta.value(x, y)
-        r = second_problem_rotation(a, b)
-        worst_orth = max(worst_orth, float(np.max(np.abs(r.T @ r - np.eye(3)))))
+    identity = np.max(np.abs(second_problem_rotation(0.0, 0.0) - np.eye(3)))
 
+    def errors(x, y):
+        r = second_problem_rotation(s.alpha.value(x, y), s.beta.value(x, y))
         k = second_problem_wryness(s.alpha, s.beta, x, y)
-        worst_bottom = max(worst_bottom, abs(k[2, 0]), abs(k[2, 1]))
-
         k_exact = second_problem_wryness(alpha_small, beta_small, x, y)
         k_lead = small_rotation_curvature(alpha_small, beta_small, x, y)
-        scale = float(np.max(np.abs(k_lead)))
-        if scale > 0.0:
-            worst_small = max(
-                worst_small, float(np.max(np.abs(k_exact - k_lead))) / scale)
+        scale = np.max(np.abs(k_lead))
+        return {
+            "rotation_orthogonal": np.max(np.abs(r.T @ r - np.eye(3))),
+            "identity_at_zero_angles": identity,
+            "wryness_bottom_row_vanishes": max(abs(k[2, 0]), abs(k[2, 1])),
+            "small_rotation_matches_leading_order":
+                np.max(np.abs(k_exact - k_lead)) / scale if scale > 0.0
+                else 0.0,
+        }
 
-    report.add("rotation_orthogonal", worst_orth, 1e-12)
-    report.add("identity_at_zero_angles",
-               float(np.max(np.abs(second_problem_rotation(0.0, 0.0) - np.eye(3)))),
-               1e-15)
-    report.add("wryness_bottom_row_vanishes", worst_bottom, 1e-10)
-    report.add("small_rotation_matches_leading_order", worst_small, 1e-6)
+    report = VerificationReport()
+    report.add_maxima([errors(x, y) for x, y in s.points], 1e-10,
+                      rotation_orthogonal=1e-12, identity_at_zero_angles=1e-15,
+                      small_rotation_matches_leading_order=1e-6)
     return report
 
 
@@ -456,60 +424,36 @@ def chirality_inversion_check(probe: ChiralProbe) -> VerificationReport:
     ``x -> -R(-x)``), so the sign bookkeeping through the curl is genuinely
     exercised rather than assumed.
     """
-    report = VerificationReport()
 
     def r_sharp(p):
         return -probe.rotation(-p)
 
-    worst = {
-        "rotation_orthogonal": 0.0,
-        "metric_invariant_under_inversion": 0.0,
-        "curl_even_under_inversion": 0.0,
-        "wryness_odd_under_inversion": 0.0,
-        "invariant_flips_sign": 0.0,
-        "inverted_determinant_is_minus_one": 0.0,
-    }
-    for point in probe.points:
-        mirrored = -point
+    def errors(point):
         r = probe.rotation(point)
-        worst["rotation_orthogonal"] = max(
-            worst["rotation_orthogonal"],
-            float(np.max(np.abs(r.T @ r - np.eye(3)))))
-
         # Inverted fields evaluated at `point` come from originals at -point.
-        f_inv = -probe.deformation_gradient(mirrored)
+        f_m = probe.deformation_gradient(-point)
+        f_inv = -f_m
         r_inv = r_sharp(point)
         curl_inv = curl3_matrix(_fd_bundle(r_sharp, point))
-
-        f_m = probe.deformation_gradient(mirrored)
-        worst["metric_invariant_under_inversion"] = max(
-            worst["metric_invariant_under_inversion"],
-            float(np.max(np.abs(f_inv.T @ f_inv - f_m.T @ f_m))))
-
-        curl_m = curl3_matrix(probe.rotation_derivative(mirrored))
-        worst["curl_even_under_inversion"] = max(
-            worst["curl_even_under_inversion"],
-            float(np.max(np.abs(curl_inv - curl_m))))
-
+        curl_m = curl3_matrix(probe.rotation_derivative(-point))
         k_inv = r_inv.T @ curl_inv
-        k_m = probe.rotation(mirrored).T @ curl_m
-        worst["wryness_odd_under_inversion"] = max(
-            worst["wryness_odd_under_inversion"],
-            float(np.max(np.abs(k_inv + k_m))))
+        k_m = probe.rotation(-point).T @ curl_m
+        return {
+            "rotation_orthogonal": np.max(np.abs(r.T @ r - np.eye(3))),
+            "metric_invariant_under_inversion":
+                np.max(np.abs(f_inv.T @ f_inv - f_m.T @ f_m)),
+            "curl_even_under_inversion": np.max(np.abs(curl_inv - curl_m)),
+            "wryness_odd_under_inversion": np.max(np.abs(k_inv + k_m)),
+            "invariant_flips_sign": abs(np.sum((f_inv.T @ f_inv) * k_inv)
+                                        + np.sum((f_m.T @ f_m) * k_m)),
+            "inverted_determinant_is_minus_one":
+                abs(np.linalg.det(r_inv) + 1.0),
+        }
 
-        inv_chiral = float(np.sum((f_inv.T @ f_inv) * k_inv))
-        orig_chiral = float(np.sum((f_m.T @ f_m) * k_m))
-        worst["invariant_flips_sign"] = max(
-            worst["invariant_flips_sign"], abs(inv_chiral + orig_chiral))
-
-        worst["inverted_determinant_is_minus_one"] = max(
-            worst["inverted_determinant_is_minus_one"],
-            abs(float(np.linalg.det(r_inv)) + 1.0))
-
-    tolerances = {"rotation_orthogonal": 1e-12,
-                  "inverted_determinant_is_minus_one": 1e-12}
-    for name, err in worst.items():
-        report.add(f"{probe.name}:{name}", err, tolerances.get(name, 1e-10))
+    report = VerificationReport()
+    report.add_maxima([errors(point) for point in probe.points], 1e-10,
+                      prefix=f"{probe.name}:", rotation_orthogonal=1e-12,
+                      inverted_determinant_is_minus_one=1e-12)
     return report
 
 
@@ -524,7 +468,7 @@ def full_reduction_report(n_points: int = 50, seed: int = 71) -> VerificationRep
         constant_rotation_probe(max(n_points // 2, 4), seed + 3)))
     probe = planar_embedding_probe(n_points, seed + 2)
     report.extend(chirality_inversion_check(probe))
-    planar_invariant = max(
-        abs(chiral_invariant(probe, pt)) for pt in probe.points)
-    report.add("planar_embedding_invariant_vanishes", planar_invariant, 1e-10)
+    report.add_maxima([{"planar_embedding_invariant_vanishes":
+                        abs(chiral_invariant(probe, pt))}
+                       for pt in probe.points], 1e-10)
     return report

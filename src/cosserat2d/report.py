@@ -98,11 +98,28 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
+    def add_maxima(self, rows, tolerance: float, prefix: str = "",
+                   **tolerances: float) -> None:
+        """Add one check per named error of ``rows``, which hold the errors
+        of one sample point each under the same names in report order: the
+        name after ``prefix``, the largest error over the rows (nan if any
+        is nan), and ``tolerances[name]`` or else ``tolerance``."""
+        names = list(rows[0])
+        worst = np.max([[row[name] for name in names] for row in rows], axis=0)
+        for name, error in zip(names, worst.tolist()):
+            self.add(prefix + name, error, tolerances.get(name, tolerance))
+
+    def flag(self, name: str, ok: bool) -> ReportCheck:
+        """Add a binary flag: error 0 if ``ok`` else 1, tolerance 0, so no
+        :meth:`scaled` factor can change its verdict."""
+        return self.add(name, 0.0 if ok else 1.0, 0.0)
+
     def extend(self, other: "VerificationReport") -> None:
         self.checks.extend(other.checks)
 
     def scaled(self, factor: float) -> "VerificationReport":
-        """Copy with every tolerance multiplied by ``factor``."""
+        """Copy with every tolerance multiplied by ``factor``: a numeric
+        check's tolerance grows with it, a flag's stays 0."""
         return VerificationReport(
             [ReportCheck(c.name, c.max_abs_error, c.tolerance * factor)
              for c in self.checks])

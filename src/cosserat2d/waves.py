@@ -403,57 +403,52 @@ def velocity_curve(wp: WaveParams, samples: int = 100):
     return rows
 
 
-def wave_identity_report(scale: float) -> VerificationReport:
+def wave_identity_report() -> VerificationReport:
     """Plane-wave identities on a fixed realizable preset: branch residuals,
     the ratio/velocity loop, the two speed limits, curve monotonicity, and
     the transverse-displacement-free wave."""
-    report = VerificationReport()
     wp = WaveParams()
 
-    det_worst = 0.0
-    null_worst = 0.0
-    loop_worst = 0.0
-    table = dispersion_sweep((0.3, 1.0, 2.7), wp)
-    for k, omega, vec in zip(table.k.tolist(), table.omega.tolist(),
-                             table.amplitudes):
+    def errors(k, omega, vec):
         coeffs = dispersion_cubic(k, wp)
         x = omega**2
         value = abs(((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x
                     + coeffs[3])
         det_scale = max(abs(coeffs[0] * x**3), abs(coeffs[1] * x**2),
                         abs(coeffs[2] * x), abs(coeffs[3]), 1e-300)
-        det_worst = max(det_worst, value / det_scale)
-
         m = wave_matrix(k, omega, wp)
-        null_worst = max(
-            null_worst,
-            float(np.linalg.norm(m @ vec))
-            / (float(np.linalg.norm(m)) * float(np.linalg.norm(vec))))
-
         try:
             speed = phase_velocity(amplitude_ratio(k, omega, wp), wp)
+            loop = abs(speed - omega / k) / (omega / k)
         except (ZeroDenominator, ImaginarySpeed):
-            continue
-        loop_worst = max(loop_worst, abs(speed - omega / k) / (omega / k))
-    report.add("wave_determinant_residual", det_worst, 1e-10 * scale)
-    report.add("wave_nullspace_residual", null_worst, 1e-10 * scale)
-    report.add("wave_velocity_loop_closure", loop_worst, 1e-8 * scale)
+            loop = 0.0  # no ratio on this branch, so no loop to close
+        return {
+            "wave_determinant_residual": value / det_scale,
+            "wave_nullspace_residual": float(np.linalg.norm(m @ vec))
+            / (float(np.linalg.norm(m)) * float(np.linalg.norm(vec))),
+            "wave_velocity_loop_closure": loop,
+        }
+
+    table = dispersion_sweep((0.3, 1.0, 2.7), wp)
+    report = VerificationReport()
+    report.add_maxima([errors(*row) for row in zip(
+        table.k.tolist(), table.omega.tolist(), table.amplitudes)], 1e-10,
+        wave_velocity_loop_closure=1e-8)
 
     report.add("wave_transverse_speed_limit",
-               abs(phase_velocity(0.0, wp) - vt(wp)) / vt(wp), 1e-8 * scale)
+               abs(phase_velocity(0.0, wp) - vt(wp)) / vt(wp), 1e-8)
     report.add("wave_longitudinal_speed_limit",
-               abs(phase_velocity(1e12, wp) - vl(wp)) / vl(wp), 1e-8 * scale)
+               abs(phase_velocity(1e12, wp) - vl(wp)) / vl(wp), 1e-8)
 
     curve = velocity_curve(wp, samples=200)
     finite = [v for r, v in curve if math.isfinite(r)]
     increasing = all(b >= a for a, b in zip(finite, finite[1:]))
     decreasing = all(b <= a for a, b in zip(finite, finite[1:]))
-    report.add("wave_velocity_curve_monotone",
-               0.0 if (increasing or decreasing) else 1.0, 0.5)
+    report.flag("wave_velocity_curve_monotone", increasing or decreasing)
 
     tf_worst = max(transverse_free_residual(1.2, 0.9, wp),
                    transverse_free_residual(0.7, 1.3, wp))
-    report.add("wave_transverse_free_residual", tf_worst, 1e-10 * scale)
+    report.add("wave_transverse_free_residual", tf_worst, 1e-10)
     return report
 
 
@@ -465,6 +460,5 @@ def realizability_flag_report() -> VerificationReport:
     report = VerificationReport()
     good = WaveParams().realizable()
     bad = WaveParams(a=2.0).realizable()
-    report.add("flag_realizability_inequality_orientation",
-               0.0 if (good and not bad) else 1.0, 0.5)
+    report.flag("flag_realizability_inequality_orientation", good and not bad)
     return report

@@ -198,6 +198,45 @@ def test_verify_zero_tolerance_scale_exits_3(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().err
 
 
+FLAG_ROWS = {"interaction_surrogate_nonzero", "wave_velocity_curve_monotone",
+             "flag_realizability_inequality_orientation"}
+
+
+@pytest.mark.parametrize("command, report", [
+    ("verify", "verify_report.csv"), ("reduce3d", "reduction_report.csv")])
+def test_tolerance_scale_multiplies_numeric_rows_only(tmp_path, command,
+                                                      report):
+    rows = {}
+    for scale in (1, 3):
+        cfg = write_config(tmp_path, {"verify": {"tolerance_scale": scale}},
+                           name=f"scale{scale}.json")
+        out = tmp_path / f"scale{scale}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        rows[scale] = read_csv(out / report)[1]
+    assert [r[0] for r in rows[1]] == [r[0] for r in rows[3]]
+    flags = [r[0] for r in rows[3] if r[0] in FLAG_ROWS]
+    assert len(flags) == (3 if command == "verify" else 1)
+    for one, three in zip(rows[1], rows[3]):
+        if one[0] in FLAG_ROWS:
+            assert one[1:] == three[1:] == ["0", "0", "true"], one[0]
+        else:
+            assert float(three[2]) == 3 * float(one[2]), one[0]
+
+
+def test_out_of_memory_exits_1_without_traceback(tmp_path, monkeypatch,
+                                                  capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "random_smooth_state", too_large)
+    cfg = write_config(tmp_path, {"grid": {"nx": 1000000, "ny": 1000000},
+                                  "initial": {"kind": "random_smooth"}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: out of memory: Unable to allocate 7.28 TiB for "
+                   "an array\n")
+
+
 def test_verify_reports_interaction_skip_at_kink(tmp_path):
     cfg = write_config(tmp_path, {
         "material": {"chi": 0.5},

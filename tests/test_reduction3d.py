@@ -3,6 +3,7 @@ restrictions, Rodrigues rotations (direct and series branches), and the
 chirality-under-inversion checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,6 +30,7 @@ from cosserat2d.reduction3d import (
     small_rotation_curvature,
     trig_chiral_probe,
 )
+from cosserat2d.report import VerificationReport
 
 
 def _hat(axis):
@@ -45,13 +47,66 @@ def _expm_series(m, terms=40):
     return out
 
 
+INVERSION_ROWS = ("rotation_orthogonal", "metric_invariant_under_inversion",
+                  "curl_even_under_inversion", "wryness_odd_under_inversion",
+                  "invariant_flips_sign", "inverted_determinant_is_minus_one")
+
+REDUCTION_ROWS = (
+    "wryness_two_entry_structure", "decomposition_reconstructs",
+    "wryness_trace_free", "stretch_block_form",
+    "orthogonality_devsym_stretch", "orthogonality_skew_stretch",
+    "orthogonality_trace_stretch", "orthogonality_devsym_metric",
+    "orthogonality_skew_metric", "orthogonality_trace_metric",
+    "wryness_norm_identity", "interaction_surrogate_nonzero",
+    "rotation_orthogonal", "identity_at_zero_angles",
+    "wryness_bottom_row_vanishes", "small_rotation_matches_leading_order",
+    *(f"{probe}:{row}" for probe in ("trig", "constant_rotation",
+                                     "planar_embedding")
+      for row in INVERSION_ROWS),
+    "planar_embedding_invariant_vanishes",
+)
+
+
 def test_full_reduction_report_passes():
     rep = full_reduction_report()
     assert rep.all_pass
     assert len(rep.checks) == 35
-    names = [c.name for c in rep.checks]
-    assert "wryness_two_entry_structure" in names
-    assert "planar_embedding_invariant_vanishes" in names
+    assert tuple(c.name for c in rep.checks) == REDUCTION_ROWS
+
+
+def test_interaction_surrogate_flag_fails_at_any_scale_without_rotation():
+    # A constant angle has no gradient, so the surrogate vanishes everywhere.
+    still = PlanarFunction(lambda x, y: 0.3, lambda x, y: (0.0, 0.0))
+    rep = first_problem_check(
+        replace(default_planar_sample(n_points=10), angle=still))
+    row = {c.name: c for c in rep.checks}["interaction_surrogate_nonzero"]
+    assert (row.max_abs_error, row.tolerance, row.passed) == (1.0, 0.0, False)
+    assert [c.name for c in rep.scaled(1e300).failures()] == [
+        "interaction_surrogate_nonzero"]
+
+
+def test_add_maxima_takes_each_named_maximum_in_row_order():
+    rep = VerificationReport()
+    rep.add_maxima([{"b": 1.0, "a": 0.5}, {"b": 0.25, "a": 2.0}], 1e-3,
+                   prefix="p:", a=3.0)
+    assert [(c.name, c.max_abs_error, c.tolerance) for c in rep.checks] == [
+        ("p:b", 1.0, 1e-3), ("p:a", 2.0, 3.0)]
+    rep.add_maxima([{"c": 0.0}, {"c": math.nan}, {"c": 1.0}], 1.0)
+    assert math.isnan(rep.checks[-1].max_abs_error)
+    assert not rep.checks[-1].passed
+
+
+def test_flag_rows_keep_tolerance_zero_under_any_scale():
+    rep = VerificationReport()
+    rep.flag("yes", True)
+    rep.flag("no", False)
+    rep.add("numeric", 1.0, 0.5)
+    for factor in (0.0, 1.0, 3.0, 1e300):
+        scaled = rep.scaled(factor)
+        assert [(c.max_abs_error, c.tolerance, c.passed)
+                for c in scaled.checks[:2]] == [(0.0, 0.0, True),
+                                                (1.0, 0.0, False)]
+        assert scaled.checks[2].tolerance == 0.5 * factor
 
 
 def test_levi_civita_symbol_is_totally_antisymmetric():
