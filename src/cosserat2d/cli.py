@@ -48,7 +48,7 @@ from .errors import (
 from .fields import FieldState, snapshot_writer
 from .materials import CHIRAL
 from .reduction3d import full_reduction_report
-from .report import VerificationReport, write_csv
+from .report import BLOCK_ROWS, VerificationReport, append_csv, write_csv
 from .rng import random_smooth_state
 from .waves import (
     BranchTable,
@@ -144,11 +144,15 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
     rhs = _rhs_for(cfg)
     p, sim = cfg.material, cfg.sim
 
+    timeseries = os.path.join(outdir, "timeseries.csv")
     rows = []
 
     def record(step: int, current: FieldState, acc) -> None:
         breakdown = energy_breakdown(acc.potential, current, p)
         rows.append((step, step * sim.dt) + breakdown.csv_row())
+        if len(rows) == BLOCK_ROWS:
+            append_csv(timeseries, zip(*rows))
+            rows.clear()
 
     # A state that grows without bound overflows for a few steps before
     # step_leapfrog's finiteness check fires; that typed error is the report.
@@ -159,19 +163,23 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
             write(current, os.path.join(outdir, "snapshot_%06d.csv" % step))
 
         acc = rhs(state, p)
-        record(0, state, acc)
-        snapshot(0, state)
-        for step in range(1, sim.steps + 1):
-            try:
-                state, acc = step_leapfrog(state, sim.dt, rhs, p, acc)
-            except (NonFiniteState, DegenerateDeformation) as exc:
-                raise type(exc)(f"step {step} (t = {step * sim.dt:.6g}): "
-                                f"{exc}") from exc
-            record(step, state, acc)
-            if step % sim.output_every == 0 or step == sim.steps:
-                snapshot(step, state)
-    write_csv(os.path.join(outdir, "timeseries.csv"),
-              "step,time," + EnergyBreakdown.CSV_HEADER, zip(*rows))
+        # The time series is written as the run goes, so a run that dies
+        # keeps every row it computed.
+        write_csv(timeseries, "step,time," + EnergyBreakdown.CSV_HEADER, [])
+        try:
+            record(0, state, acc)
+            snapshot(0, state)
+            for step in range(1, sim.steps + 1):
+                try:
+                    state, acc = step_leapfrog(state, sim.dt, rhs, p, acc)
+                except (NonFiniteState, DegenerateDeformation) as exc:
+                    raise type(exc)(f"step {step} (t = {step * sim.dt:.6g}): "
+                                    f"{exc}") from exc
+                record(step, state, acc)
+                if step % sim.output_every == 0 or step == sim.steps:
+                    snapshot(step, state)
+        finally:
+            append_csv(timeseries, zip(*rows))
     return 0
 
 

@@ -1,54 +1,311 @@
-"""CSV output: the one writer every artifact goes through, and the named
-verification checks that are written with it.
+"""CSV output: the writers every artifact goes through, and the named
+verification checks that are written with them.
 
 Every CSV file of the package is written here, so the number format is
 defined here once: a string column prints as is, an integer column as
-integers (``%d``), and any other column as floats with ``%.17g``, negative
-zero printing as ``0``.  The snapshots go through :func:`write_grid_csv`,
-every other file (time series, dispersion branches, the ratio/velocity law,
-the homogeneous table and the verification reports) through
-:func:`write_csv`.
+integers (``%d``), and any other column as floats with the bytes of
+``"%.17g" % v``, negative zero printing as ``0``.  The snapshots go through
+:func:`write_grid_csv`, every other file (time series, dispersion branches,
+the ratio/velocity law, the homogeneous table and the verification reports)
+through :func:`write_csv`, and :func:`append_csv` adds rows to a file
+:func:`write_csv` started.
+
+Floats are formatted a block at a time with numpy (:func:`_float_cells`):
+each value is scaled by a power of ten as an exact double-double product
+(Dekker, 1971) and rounded to a 17-digit integer.  A value whose rounding
+that product cannot decide (an exact or near tie, such as ``2**-25``), or
+whose decimal exponent lies outside the table of powers of ten, is
+formatted by Python's correctly rounded ``"%.17g" %`` instead, so every byte
+is that of ``"%.17g" % v``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IoError
 
-#: Rows formatted per block; bounds the Python values alive during a write.
+#: Rows formatted per block; bounds the memory a write holds.
 BLOCK_ROWS = 1024
 
-#: The number formats of every CSV; :func:`_floats` folds negative zero.
-_INT = "%d"
-_FLOAT = "%.17g"
+#: Bytes a formatted float takes, NUL-padded: the longest ``%.17g`` text,
+#: such as ``-2.2250738585072014e-308``.
+_WIDTH = 24
+
+#: Decimal exponents of the power-of-ten table.  A value takes the array
+#: path when ``floor(log10 |v|)`` lies strictly inside, so that its exponent,
+#: corrected by one, still has an entry.  Inside, ``|v| < 1e300`` keeps the
+#: Veltkamp split ``2**27 * |v|`` finite and ``10**(16 - e)`` and its tail
+#: are normal doubles.
+_E_MIN, _E_MAX = -292, 300
+
+#: How close to half a unit the rounded-off part may come before the
+#: rounding counts as undecided.  ``hi + lo`` of :func:`_scaled` is within
+#: ``2**-104`` of the exact scaled value relative to it, and that value is
+#: below ``2**57``: within ``2**-47`` absolute.
+_TIE = 2.0 ** -40
 
 
-def _floats(values) -> list:
-    """``values`` as Python floats, negative zero folded to zero."""
-    return (np.asarray(values) + 0.0).tolist()
+class _Tables(NamedTuple):
+    """The tables of :func:`_float_cells`, indexed by ``e - _E_MIN`` for the
+    decimal exponent ``e`` of a value."""
+
+    #: ``10**(16 - e) ~ head + mid + tail``: ``head + mid`` is the double
+    #: nearest the power, split into two 26-bit halves, and ``tail`` the
+    #: double nearest the rest.
+    head: np.ndarray
+    mid: np.ndarray
+    tail: np.ndarray
+    #: At ``2 * (e - _E_MIN) + negative``: the sign, then ``0.`` and the
+    #: zeros after the point for ``-4 <= e < 0``, NUL-padded to 8 bytes.
+    lead: np.ndarray
+    #: ``e±XX`` for ``e < -4`` and ``e >= 17``, NUL-padded to 5 bytes.
+    suffix: np.ndarray
+    #: At ``g``: the 4 digits of ``g < 10**4``; at ``10**4 + g``: the same
+    #: without their trailing zeros, NUL-padded.
+    groups: np.ndarray
+
+
+def _split26(x: float) -> tuple[float, float]:
+    """``x`` as a sum of two doubles of 26 significant bits each."""
+    mantissa, exponent = math.frexp(x)
+    head = math.ldexp(round(mantissa * 2**26), exponent - 26)
+    return head, x - head
+
+
+@functools.lru_cache(maxsize=None)
+def _tables() -> _Tables:
+    """Build the tables exactly from integers, on first use."""
+    head, mid, tail, lead, suffix = [], [], [], [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        # 10**(16 - e) = num / den; nearest = n / d with d a power of two.
+        num, den = (10**(16 - e), 1) if e <= 16 else (1, 10**(e - 16))
+        nearest = num / den  # int division rounds correctly
+        n, d = nearest.as_integer_ratio()
+        halves = _split26(nearest)
+        head.append(halves[0])
+        mid.append(halves[1])
+        tail.append((num * d - n * den) / (den * d))
+        fixed = -4 <= e < 17
+        zeros = b"0." + b"0" * (-e - 1) if fixed and e < 0 else b""
+        lead += [zeros, b"-" + zeros]
+        suffix.append(b"" if fixed else b"e%+03d" % e)
+    quads = (np.arange(10**4, dtype=np.int16)[:, None]
+             // np.array([1000, 100, 10, 1], np.int16) % 10
+             + ord("0")).astype(np.uint8)
+    trailing = np.logical_and.accumulate(quads[:, ::-1] == ord("0"),
+                                         axis=1)[:, ::-1]
+    return _Tables(
+        np.array(head), np.array(mid), np.array(tail),
+        np.frombuffer(b"".join(s.ljust(8, b"\0") for s in lead), np.uint64),
+        np.array(suffix, dtype="S5").view(np.uint8).reshape(-1, 5),
+        np.concatenate([quads, np.where(trailing, 0, quads).astype(np.uint8)])
+        .view(np.uint32).ravel())
+
+
+def _scaled(a, e, t: _Tables):
+    """``a * 10**(16 - e)`` as a double-double ``(hi, lo)``: the product of
+    ``a`` and the table's leading double is exact (Dekker's two-product,
+    ``a`` split by Veltkamp), only the tail's product rounds."""
+    index = e - _E_MIN
+    head, mid = t.head[index], t.mid[index]
+    c = 134217729.0 * a  # 2**27 + 1
+    a_head = c - (c - a)
+    a_mid = a - a_head
+    p = a * (head + mid)
+    error = ((a_head * head - p) + a_head * mid + a_mid * head) + a_mid * mid
+    rest = error + a * t.tail[index]
+    hi = p + rest
+    return hi, (p - hi) + rest
+
+
+def _exponent_step(hi, lo):
+    """+1 where ``hi + lo`` lies at or above ``10**17 + 1/2``, -1 where it
+    lies below ``10**16``, else 0: the correction to the exponent."""
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.5))
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    return above.astype(np.int64) - below.astype(np.int64)
+
+
+def _padded(text: bytes) -> np.ndarray:
+    return np.frombuffer(text.ljust(_WIDTH, b"\0"), np.uint8)
+
+
+def _rounded(v):
+    """``|v|`` as ``digits * 10**(e - 16)``: ``digits`` the 17-digit integer
+    nearest ``|v| * 10**(16 - e)``, and where the array path ``decided`` it.
+    Zeros, nan and inf, values whose exponent is outside the table and
+    values whose rounding the error bound cannot decide are not decided;
+    their ``digits`` and ``e`` are placeholders."""
+    t = _tables()
+    a = np.abs(v)
+    regular = np.isfinite(a) & (a != 0.0)
+    e = np.floor(np.log10(np.where(regular, a, 1.0))).astype(np.int64)
+    decided = regular & (e > _E_MIN) & (e < _E_MAX)
+    a[~decided] = 1.0
+    e[~decided] = 0
+    hi, lo = _scaled(a, e, t)
+    # Next to a power of ten, log10 may miss the exponent by one.
+    step = _exponent_step(hi, lo)
+    moved = np.flatnonzero(step)
+    if moved.size:
+        e[moved] += step[moved]
+        hi[moved], lo[moved] = _scaled(a[moved], e[moved], t)
+        decided[moved] &= _exponent_step(hi[moved], lo[moved]) == 0
+    # hi >= 10**16 > 2**53 is an even integer, so lo alone rounds.
+    decided &= np.abs(lo - np.floor(lo) - 0.5) > _TIE
+    e[~decided] = 0
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = digits == 10**17
+    digits[carry] = 10**16
+    e[carry] += 1
+    return digits, e, decided
+
+
+def _float_cells(values) -> np.ndarray:
+    """The ``"%.17g" % v`` text of each of ``values`` as a row of
+    ``_WIDTH`` bytes, NUL-padded, negative zero printing as ``0``."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    t = _tables()
+    n = len(v)
+    digits, e, decided = _rounded(v)
+
+    # The first digit, then two int32 halves of 8 digits in groups of 4.
+    high = digits // 10**8
+    first = high // 10**8
+    halves = np.empty((2, n), np.int32)
+    halves[0] = high - first * 10**8
+    halves[1] = digits - high * 10**8
+    quads = np.empty((4, n), np.int32)
+    quads[0::2] = halves // 10**4
+    quads[1::2] = halves - quads[0::2] * 10**4
+    zero = quads == 0
+    # A group followed by zero groups only loses its trailing zeros.
+    trim = np.ones((4, n), bool)
+    trim[2] = zero[3]
+    trim[1] = trim[2] & zero[2]
+    trim[0] = trim[1] & zero[1]
+
+    # Lay out [sign, "0." and zeros][first digit][point][16 digits], the
+    # text for -4 <= e <= 0; the other exponents are moved below.
+    index = e - _E_MIN
+    cells = np.empty((n, _WIDTH), np.uint8)
+    cells.view(np.uint64)[:, 0] = t.lead[2 * index + (v < 0)]
+    cells[:, 6] = first + ord("0")
+    cells[:, 7] = np.where((trim[0] & zero[0]) | ((e < 0) & (e >= -4)),
+                           0, ord("."))
+    groups = t.groups[quads + trim * np.int32(10**4)]
+    for k, column in enumerate(groups):
+        cells[:, 8 + 4 * k:12 + 4 * k].view(np.uint32)[:, 0] = column
+    scientific = np.flatnonzero((e < -4) | (e >= 17))
+    if scientific.size:
+        rows = cells[scientific]
+        cells[scientific] = np.concatenate(
+            [rows[:, :1], rows[:, 6:], t.suffix[index[scientific]]], axis=1)
+    wide = np.flatnonzero((e >= 1) & (e < 17))
+    if wide.size:
+        cells[wide] = _fixed_cells(cells[wide, 0], first[wide],
+                                   t.groups[quads[:, wide]], e[wide])
+
+    if not decided.all():
+        for text, special in ((b"0", v == 0.0), (b"nan", np.isnan(v)),
+                              (b"inf", v == np.inf), (b"-inf", v == -np.inf)):
+            cells[special] = _padded(text)
+        undecided = ~decided & np.isfinite(v) & (v != 0.0)
+        for i in np.flatnonzero(undecided).tolist():
+            cells[i] = _padded(b"%.17g" % v[i])
+    return cells
+
+
+def _fixed_cells(sign, first, groups, e) -> np.ndarray:
+    """Cells for ``1 <= e < 17`` from the sign, the first digit and the
+    four groups of the other 16 digits: the ``e + 1`` integer digits, then
+    the point and the fraction digits up to the last nonzero one."""
+    n = len(e)
+    digits = np.zeros((n, 18), np.uint8)  # 17 digits and a NUL
+    digits[:, 0] = first + ord("0")
+    digits[:, 1:17] = np.ascontiguousarray(groups.T).view(np.uint8)
+    point = e[:, None] + 1
+    column = np.arange(18)
+    zeros = np.logical_and.accumulate(digits[:, 16::-1] == ord("0"),
+                                      axis=1)[:, ::-1]
+    digits[:, :17][zeros & (column[:17] >= point)] = 0
+    body = np.where(column < point, digits, 0)
+    body[:, 1:] += np.where(column[1:] > point, digits[:, :17], 0)
+    fraction = np.take_along_axis(digits, point, axis=1) != 0
+    np.put_along_axis(body, point, np.where(fraction, ord("."), 0), axis=1)
+    cells = np.zeros((n, _WIDTH), np.uint8)
+    cells[:, 0] = sign
+    cells[:, 1:19] = body
+    return cells
+
+
+def _text_cells(texts) -> np.ndarray:
+    """Each of the byte strings ``texts`` as a NUL-padded row."""
+    array = np.array(texts, dtype=bytes)
+    return array.view(np.uint8).reshape(len(array), array.itemsize)
+
+
+def _text_column_cells(column: np.ndarray) -> np.ndarray:
+    """The cells of a string column (as is) or an integer column (``%d``)."""
+    if column.dtype.kind == "U":
+        return _text_cells([s.encode("utf-8") for s in column.tolist()])
+    return _text_cells([b"%d" % i for i in column.tolist()])
+
+
+def _lines(cells) -> bytes:
+    """CSV lines from one cell array per column, equal in rows: the cells
+    joined by commas, NUL bytes dropped."""
+    n = len(cells[0])
+    comma = np.full((n, 1), ord(","), np.uint8)
+    parts = [part for column in cells for part in (column, comma)]
+    parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
+    text = np.concatenate(parts, axis=1)
+    return text[text != 0].tobytes()
+
+
+def _csv_blocks(columns):
+    """The CSV lines of equal-length ``columns``, a block of rows at a
+    time; the float columns of a block are formatted together."""
+    arrays = [np.asarray(column) for column in columns]
+    floats = [k for k, a in enumerate(arrays) if a.dtype.kind not in "Uiu"]
+    n_rows = len(arrays[0]) if arrays else 0
+    for start in range(0, n_rows, BLOCK_ROWS):
+        block = [a[start:start + BLOCK_ROWS] for a in arrays]
+        cells = [None if k in floats else _text_column_cells(column)
+                 for k, column in enumerate(block)]
+        if floats:
+            values = np.stack([block[k] for k in floats], axis=-1)
+            formatted = _float_cells(values).reshape(*values.shape, _WIDTH)
+            for m, k in enumerate(floats):
+                cells[k] = formatted[:, m]
+        yield _lines(cells)
+
+
+def _write(path, mode: str, chunks) -> None:
+    try:
+        with open(path, mode) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 
 def write_csv(path, header: str, columns) -> None:
     """Write equal-length ``columns`` as CSV rows under the ``header`` line."""
-    arrays = [np.asarray(column) for column in columns]
-    kinds = [a.dtype.kind for a in arrays]
-    row_format = ",".join("%s" if kind == "U" else _INT if kind in "iu"
-                          else _FLOAT for kind in kinds) + "\n"
-    n_rows = len(arrays[0]) if arrays else 0
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for start in range(0, n_rows, BLOCK_ROWS):
-                block = [a[start:start + BLOCK_ROWS] for a in arrays]
-                block = [b.tolist() if kind in "Uiu" else _floats(b)
-                         for b, kind in zip(block, kinds)]
-                fh.write("".join([row_format % row for row in zip(*block)]))
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
+    _write(path, "wb", itertools.chain([header.encode("utf-8") + b"\n"],
+                                       _csv_blocks(columns)))
+
+
+def append_csv(path, columns) -> None:
+    """Append equal-length ``columns`` as CSV rows to a file that
+    :func:`write_csv` started."""
+    _write(path, "ab", _csv_blocks(columns))
 
 
 def write_grid_csv(path, header: str, x, y, fields) -> None:
@@ -56,24 +313,26 @@ def write_grid_csv(path, header: str, x, y, fields) -> None:
     ``fields`` per grid node, ``i``-major, under the ``header`` line: the
     bytes :func:`write_csv` writes for those columns.
 
-    Each line of constant ``i`` is formatted from one template, in which
-    ``j`` and ``y[j]`` are formatted once per call and ``i`` and ``x[i]`` once
-    per line, so a row formats only its field values.
+    The cells of ``i``, ``j``, ``x`` and ``y`` are formatted once per call,
+    so a block of nodes formats only its field values.
     """
-    tail = ("," + _FLOAT) * len(fields) + "\n"
-    # "\0" and "\1" stand for i and x[i]; no formatted number holds either.
-    line = "".join([f"\0,{_INT % j},\1,{_FLOAT % yj}{tail}"
-                    for j, yj in enumerate(_floats(y))])
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
-            for i, xi in enumerate(_floats(x)):
-                template = line.replace("\0", _INT % i).replace(
-                    "\1", _FLOAT % xi)
-                values = np.stack([f[i] for f in fields], axis=-1).ravel()
-                fh.write(template % tuple(_floats(values)))
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
+    ny = len(y)
+    axes = (_text_cells([b"%d" % i for i in range(len(x))]),
+            _text_cells([b"%d" % j for j in range(ny)]),
+            _float_cells(x), _float_cells(y))
+    values = [np.ravel(f) for f in fields]
+
+    def blocks():
+        yield header.encode("utf-8") + b"\n"
+        for start in range(0, len(x) * ny, BLOCK_ROWS):
+            block = np.stack([f[start:start + BLOCK_ROWS] for f in values],
+                             axis=-1)
+            cells = _float_cells(block).reshape(len(block), len(values), -1)
+            i, j = np.divmod(np.arange(start, start + len(block)), ny)
+            yield _lines([axes[0][i], axes[1][j], axes[2][i], axes[3][j],
+                          *cells.transpose(1, 0, 2)])
+
+    _write(path, "wb", blocks())
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import pytest
 from cosserat2d.errors import NoRealBranch
 from cosserat2d.fields import Grid
 from cosserat2d.materials import MaterialParams
-from cosserat2d.report import write_csv
 
 
 @pytest.fixture(autouse=True)
@@ -40,13 +39,20 @@ def deadline():
 
 
 def reference_snapshot(state, path):
-    """A snapshot written as ten ``write_csv`` columns, one value per node
-    in each: ``i,j,x,y,u1,u2,theta,v1,v2,omega``."""
+    """A snapshot as ten columns, one value per node in each:
+    ``i,j,x,y,u1,u2,theta,v1,v2,omega``, formatted one value at a time with
+    Python's ``"%d"`` and ``"%.17g"``, negative zero as ``0``."""
     grid = state.grid
-    i, j = np.indices(grid.shape)
-    columns = (i, j, *grid.coords(), *state.field_arrays())
-    write_csv(path, "i,j,x,y,u1,u2,theta,v1,v2,omega",
-              [c.ravel() for c in columns])
+    ints = [c.ravel().tolist() for c in np.indices(grid.shape)]
+    floats = [c.ravel().tolist()
+              for c in (*grid.coords(), *state.field_arrays())]
+    lines = ["i,j,x,y,u1,u2,theta,v1,v2,omega\n"]
+    for row in zip(*ints, *floats):
+        lines.append(",".join(["%d" % n for n in row[:2]]
+                              + ["%.17g" % (v + 0.0) for v in row[2:]])
+                     + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
 
 
 def random_f_stack(rng, n=8, spread=0.4):

@@ -121,6 +121,25 @@ def test_simulate_blow_up_prints_no_numpy_warnings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical error: step 83 (t = 41.5): state became non-finite" in err
     assert "RuntimeWarning" not in err
+    # The run that died keeps the time series up to the last finite step.
+    header, rows = read_csv(tmp_path / "boom" / "timeseries.csv")
+    assert header[:2] == ["step", "time"]
+    assert [(int(r[0]), float(r[1])) for r in rows] == [
+        (step, step * 0.5) for step in range(83)]
+
+
+def test_simulate_streams_the_time_series_in_blocks(tmp_path, monkeypatch):
+    # 6 rows over blocks of 4: one block is appended during the run, the
+    # other 2 rows when it ends
+    cfg = write_config(tmp_path, SMALL_SIM)
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "blocks")]) == 0
+    whole = (tmp_path / "whole" / "timeseries.csv").read_bytes()
+    assert (tmp_path / "blocks" / "timeseries.csv").read_bytes() == whole
+    assert len(whole.splitlines()) == 1 + 6
 
 
 def test_missing_plane_wave_branch_exits_1(tmp_path, capsys):

@@ -252,6 +252,20 @@ def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
     assert whole.splitlines()[4] == b"3,0,r3"
 
 
+def test_write_grid_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
+    # 4 x 5 nodes over blocks of 7: blocks end inside a line of constant i,
+    # and the last block is a partial one
+    grid = Grid(nx=4, ny=5, lx=1.0, ly=3.0)
+    state = random_smooth_state(grid, seed=12, amplitude=0.3, modes=1)
+    state.u1[1, 3], state.omega[2, 0] = -0.0, np.nan
+    save_snapshot(state, tmp_path / "whole.csv")
+    monkeypatch.setattr(report, "BLOCK_ROWS", 7)
+    save_snapshot(state, tmp_path / "blocks.csv")
+    whole = (tmp_path / "whole.csv").read_bytes()
+    assert (tmp_path / "blocks.csv").read_bytes() == whole
+    assert len(whole.splitlines()) == 1 + 20
+
+
 def test_rotation_matrix_transpose_convention():
     # transpose2 really swaps the two leading matrix axes on stacked fields.
     rng = np.random.default_rng(30)
