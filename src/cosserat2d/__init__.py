@@ -42,10 +42,10 @@ from .reduction3d import full_reduction_report
 from .report import ReportCheck, VerificationReport
 from .rng import SplitMix64, random_smooth_state
 from .waves import (
-    WaveBranch,
+    BranchTable,
     WaveParams,
     amplitude_ratio,
-    dispersion_branches,
+    dispersion_sweep,
     liu_material,
     phase_velocity,
     transverse_free_solution,
@@ -69,7 +69,7 @@ __all__ = [
     "full_reduction_report",
     "ReportCheck", "VerificationReport",
     "SplitMix64", "random_smooth_state",
-    "WaveBranch", "WaveParams", "amplitude_ratio", "dispersion_branches",
+    "BranchTable", "WaveParams", "amplitude_ratio", "dispersion_sweep",
     "liu_material", "phase_velocity", "transverse_free_solution",
     "__version__",
 ]

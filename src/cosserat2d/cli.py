@@ -54,7 +54,6 @@ from .waves import (
     BranchTable,
     WaveParams,
     amplitude_ratios,
-    dispersion_branches,
     dispersion_sweep,
     realizability_flag_report,
     velocity_curve,
@@ -94,23 +93,23 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
     try:
         n_periods = max(1, round(cfg.initial.k * grid.lx / (2.0 * math.pi)))
         k = 2.0 * math.pi * n_periods / grid.lx
-        branches = dispersion_branches(k, wp)
+        table = dispersion_sweep([k], wp)
     except OverflowError as exc:
         raise ConfigError(f"initial.k = {cfg.initial.k!r} is too large for a "
                           f"plane wave on grid.lx = {grid.lx!r}: {exc}") from exc
-    if cfg.initial.branch >= len(branches):
+    if table.missing:
+        raise NoRealBranch(table.missing[0])
+    branch = cfg.initial.branch
+    if branch >= len(table.omega):
         raise ConfigError(
-            f"initial.branch {cfg.initial.branch} does not exist: the model "
-            f"has {len(branches)} branches at k = {k:.6g}")
-    branch = branches[cfg.initial.branch]
-    omega = branch.omega
+            f"initial.branch {branch} does not exist: the model "
+            f"has {len(table.omega)} branches at k = {k:.6g}")
+    omega = float(table.omega[branch])
     amp = cfg.initial.amplitude
 
     x, _ = grid.coords()
     phase = np.exp(1j * k * x)
-    u_c = branch.u_hat * phase
-    v_c = branch.v_hat * phase
-    phi_c = branch.phi_hat * phase
+    u_c, v_c, phi_c = (z * phase for z in table.amplitudes[branch].tolist())
     # field(t) = Re(z exp(i k x) exp(-i omega t)); rate at t=0 is
     # omega * Im(z exp(i k x)); the model angle is minus the wave angle.
     return FieldState(grid=grid,
@@ -149,35 +148,41 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
 
     def record(step: int, current: FieldState, acc) -> None:
         breakdown = energy_breakdown(acc.potential, current, p)
-        rows.append((step, step * sim.dt) + breakdown.csv_row())
+        row = breakdown.csv_row()
+        if not math.isfinite(breakdown.total):
+            name, value = next(
+                (name, value) for name, value
+                in zip(EnergyBreakdown.CSV_HEADER.split(","), row)
+                if not math.isfinite(value))
+            raise NonFiniteState(
+                f"energy became non-finite ({name} = {float(value)!r})")
+        rows.append((step, step * sim.dt) + row)
         if len(rows) == BLOCK_ROWS:
             append_csv(timeseries, zip(*rows))
             rows.clear()
 
-    # A state that grows without bound overflows for a few steps before
-    # step_leapfrog's finiteness check fires; that typed error is the report.
+    # A state that grows without bound overflows in the kernels before its
+    # energy row or its fields stop being finite; that typed error is the
+    # report.
     # Snapshots are written by forked children while the stepping goes on.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
             snapshot_writer() as write:
-        def snapshot(step: int, current: FieldState) -> None:
-            write(current, os.path.join(outdir, "snapshot_%06d.csv" % step))
-
         acc = rhs(state, p)
         # The time series is written as the run goes, so a run that dies
         # keeps every row it computed.
         write_csv(timeseries, "step,time," + EnergyBreakdown.CSV_HEADER, [])
         try:
-            record(0, state, acc)
-            snapshot(0, state)
-            for step in range(1, sim.steps + 1):
+            for step in range(sim.steps + 1):
                 try:
-                    state, acc = step_leapfrog(state, sim.dt, rhs, p, acc)
+                    if step:  # step 0 is the initial state
+                        state, acc = step_leapfrog(state, sim.dt, rhs, p, acc)
+                    record(step, state, acc)
                 except (NonFiniteState, DegenerateDeformation) as exc:
                     raise type(exc)(f"step {step} (t = {step * sim.dt:.6g}): "
                                     f"{exc}") from exc
-                record(step, state, acc)
                 if step % sim.output_every == 0 or step == sim.steps:
-                    snapshot(step, state)
+                    write(state, os.path.join(outdir,
+                                              "snapshot_%06d.csv" % step))
         finally:
             append_csv(timeseries, zip(*rows))
     return 0

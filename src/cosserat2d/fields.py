@@ -279,11 +279,11 @@ def snapshot_writer():
     raised as the :class:`IoError` of its ``save_snapshot`` (or, for a
     writer that died, as ``cannot write '<path>': writer exited with
     <code>``).  Leaving the block waits for every snapshot and every writer.
-    Paths are made absolute before they are sent.  Without ``os.fork``,
-    ``write`` is ``save_snapshot`` itself.
+    Paths are made absolute, also without ``os.fork``, where ``write``
+    calls ``save_snapshot`` inline.
     """
     if not hasattr(os, "fork"):
-        yield save_snapshot
+        yield lambda state, path: save_snapshot(state, os.path.abspath(path))
         return
     try:
         limit = len(os.sched_getaffinity(0))

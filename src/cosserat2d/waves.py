@@ -16,7 +16,7 @@ frequencies are all real, and they are the roots of the dispersion cubic
 through ``D^-1/2`` is an amplitude triple annihilating the wave matrix; a
 double root yields two ``D``-orthogonal polarizations.  A sweep over many
 wavenumbers solves these eigenproblems stacked (:func:`dispersion_sweep`);
-one wavenumber is the sweep of one.
+one wavenumber ``k`` is ``dispersion_sweep([k], wp)``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import (
     ConfigError,
     ImaginarySpeed,
     InfeasibleDensity,
-    NoRealBranch,
     ZeroDenominator,
 )
 from .materials import MaterialParams
@@ -56,11 +55,6 @@ class WaveParams:
             raise ConfigError("wave parameter rho must be positive")
         if not self.varrho_rot > 0.0:
             raise ConfigError("wave parameter varrho_rot must be positive")
-
-    @property
-    def d1(self) -> float:
-        """Rotational stiffness in material form: gamma = 2 * d1."""
-        return 0.5 * self.gamma
 
     @classmethod
     def from_material(cls, p: MaterialParams) -> "WaveParams":
@@ -87,20 +81,6 @@ def liu_material(wp: WaveParams) -> MaterialParams:
         rho=wp.rho, rho_rot=0.25 * wp.varrho_rot,
         mu_s=wp.a, lam_s=-2.0 * wp.a, mu_c_s=-wp.a,
         m1=0.0, m2=-wp.a, m3=0.0)
-
-
-@dataclass(frozen=True)
-class WaveBranch:
-    """One dispersion branch sample with its nullspace amplitude triple."""
-
-    k: float
-    omega: float
-    u_hat: complex
-    v_hat: complex
-    phi_hat: complex
-
-    def amplitudes(self) -> np.ndarray:
-        return np.array([self.u_hat, self.v_hat, self.phi_hat])
 
 
 def wave_matrix(k: float, omega: float, wp: WaveParams) -> np.ndarray:
@@ -243,18 +223,6 @@ def dispersion_sweep(ks, wp: WaveParams) -> BranchTable:
     return BranchTable(
         *(np.concatenate(column) for column in zip(*(b[:4] for b in blocks))),
         missing=[message for b in blocks for message in b.missing])
-
-
-def dispersion_branches(k: float, wp: WaveParams) -> list[WaveBranch]:
-    """All branches omega >= 0 with singular wave matrix at this wavenumber,
-    sorted by omega (the one-``k`` :func:`dispersion_sweep`); raises
-    NoRealBranch if the matrix is not finite or no squared frequency is
-    >= 0."""
-    table = dispersion_sweep([k], wp)
-    if table.missing:
-        raise NoRealBranch(table.missing[0])
-    return [WaveBranch(k, omega, *amplitudes) for omega, amplitudes
-            in zip(table.omega.tolist(), table.amplitudes.tolist())]
 
 
 def _ratio_terms(k2, x, wp: WaveParams):

@@ -124,8 +124,9 @@ def reference_phase_normalize(z):
 
 def reference_branches(k, wp):
     """The branches at one wavenumber by a 3x3 eigenproblem of its own:
-    ``[(omega, amplitudes)]`` by increasing omega; raises NoRealBranch as
-    ``dispersion_branches`` does."""
+    ``[(omega, amplitudes)]`` by increasing omega, the rows that
+    ``dispersion_sweep([k], wp)`` gives; with no branch, raises NoRealBranch
+    with the message the sweep lists in ``missing``."""
     stiffness = reference_wave_matrix(k, wp)
     if not np.all(np.isfinite(stiffness)):
         raise NoRealBranch(

@@ -54,8 +54,8 @@ from cosserat2d.rng import random_smooth_state
 from cosserat2d.waves import (
     WaveParams,
     amplitude_ratio,
-    dispersion_branches,
     dispersion_cubic,
+    dispersion_sweep,
     liu_material,
     phase_velocity,
     transverse_free_residual,
@@ -273,15 +273,16 @@ def _branch_residuals(wp, wavenumbers):
     null_worst = 0.0
     for k in wavenumbers:
         coeffs = dispersion_cubic(k, wp)
-        for branch in dispersion_branches(k, wp):
-            x = branch.omega**2
+        table = dispersion_sweep([k], wp)
+        assert not table.missing
+        for omega, z in zip(table.omega.tolist(), table.amplitudes):
+            x = omega**2
             value = abs(((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x
                         + coeffs[3])
             scale = max(abs(coeffs[0] * x**3), abs(coeffs[1] * x**2),
                         abs(coeffs[2] * x), abs(coeffs[3]), 1e-300)
             det_worst = max(det_worst, value / scale)
-            m = wave_matrix(k, branch.omega, wp)
-            z = branch.amplitudes()
+            m = wave_matrix(k, omega, wp)
             null_worst = max(null_worst, float(
                 np.linalg.norm(m @ z)
                 / (np.linalg.norm(m) * np.linalg.norm(z))))

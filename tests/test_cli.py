@@ -18,7 +18,7 @@ import cosserat2d
 from conftest import reference_branches
 from cosserat2d import cli, dynamics, fields
 from cosserat2d.cli import main
-from cosserat2d.config import load_config
+from cosserat2d.config import ScenarioConfig, load_config
 from cosserat2d.errors import IoError, NoRealBranch, ZeroDenominator
 from cosserat2d.fields import FieldState, Grid, save_snapshot
 from cosserat2d.report import VerificationReport, write_csv
@@ -105,8 +105,9 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
 
 
 def test_simulate_blow_up_prints_no_numpy_warnings(tmp_path, capsys):
-    # The skew run grows for a few steps through huge but finite values
-    # before the finiteness check fires; the typed error is the only report.
+    # The skew run grows through huge but finite values until its rotational
+    # kinetic energy overflows at step 42, long before the state does (step
+    # 83); the typed error at the first non-finite energy is the only report.
     data = dict(SMALL_SIM)
     data["model"] = {"coupling": "skew"}
     data["sim"] = {"dt": 0.5, "steps": 200, "output_every": 200}
@@ -119,13 +120,14 @@ def test_simulate_blow_up_prints_no_numpy_warnings(tmp_path, capsys):
     assert [w.category for w in caught
             if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
-    assert "numerical error: step 83 (t = 41.5): state became non-finite" in err
-    assert "RuntimeWarning" not in err
-    # The run that died keeps the time series up to the last finite step.
+    assert err == ("numerical error: step 42 (t = 21): energy became "
+                   "non-finite (kin_rot = inf)\n"), err
+    # The run that died keeps the time series up to the last finite row.
     header, rows = read_csv(tmp_path / "boom" / "timeseries.csv")
     assert header[:2] == ["step", "time"]
     assert [(int(r[0]), float(r[1])) for r in rows] == [
-        (step, step * 0.5) for step in range(83)]
+        (step, step * 0.5) for step in range(42)]
+    assert all(math.isfinite(float(v)) for r in rows for v in r)
 
 
 def test_simulate_streams_the_time_series_in_blocks(tmp_path, monkeypatch):
@@ -172,6 +174,54 @@ def test_plane_wave_overflowing_wavenumber_exits_1(tmp_path, capsys, k):
     err = capsys.readouterr().err
     assert err.startswith(f"error: initial.k = {k!r} is too large"), err
     assert "Traceback" not in err
+    assert not list(out.glob("*.csv"))
+
+
+def reference_plane_wave(cfg):
+    """The plane-wave initial state from conftest.reference_branches."""
+    grid, initial = cfg.grid, cfg.initial
+    n_periods = max(1, round(initial.k * grid.lx / (2.0 * math.pi)))
+    k = 2.0 * math.pi * n_periods / grid.lx
+    omega, z = reference_branches(
+        k, WaveParams.from_material(cfg.material))[initial.branch]
+    x, _ = grid.coords()
+    u, v, phi = (complex(c) * np.exp(1j * k * x) for c in z)
+    a = initial.amplitude
+    return FieldState(grid, a * u.real, a * v.real, -a * phi.real,
+                      a * omega * u.imag, a * omega * v.imag,
+                      -a * omega * phi.imag)
+
+
+@pytest.mark.parametrize("material, branch", [
+    ({}, 0), ({}, 1), ({}, 2), ({"mu_s": -0.9}, 1)])
+def test_plane_wave_state_is_the_reference_branch(material, branch):
+    cfg = ScenarioConfig.from_dict({
+        "material": material,
+        "grid": {"nx": 33, "ny": 12, "lx": 2.5, "ly": 0.7},
+        "initial": {"kind": "plane_wave", "k": 6.0, "branch": branch,
+                    "amplitude": 0.3}})
+    state = cli.build_initial_state(cfg)
+    expected = reference_plane_wave(cfg)
+    for field, reference in zip(state.field_arrays(),
+                                expected.field_arrays()):
+        assert field.tobytes() == reference.tobytes()
+
+
+def test_plane_wave_with_overflowing_wave_matrix_exits_2(tmp_path, capsys):
+    # k**2 = 1e120 is finite, but k**2 (lam + 2 mu) overflows
+    cfg = write_config(tmp_path, {
+        "material": {"mu": 1e200},
+        "sim": {"steps": 2},
+        "initial": {"kind": "plane_wave", "k": 1e60},
+    })
+    out = tmp_path / "pw"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert [w.category for w in caught
+            if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err == "numerical error: wave matrix is not finite at k = 1e+60\n"
     assert not list(out.glob("*.csv"))
 
 
@@ -546,6 +596,11 @@ def test_module_entry_point_runs(tmp_path):
     assert (out / "reduction_report.csv").exists()
 
 
+def test_every_public_name_resolves():
+    assert [name for name in cosserat2d.__all__
+            if not hasattr(cosserat2d, name)] == []
+
+
 def test_outdir_is_created_nested(tmp_path):
     nested = tmp_path / "deep" / "er" / "dir"
     assert main(["homogeneous", "--out", str(nested)]) == 0
@@ -796,6 +851,22 @@ def test_interrupted_send_leaves_no_writer_behind(
     assert not (out / "snapshot_000002.csv").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_failed_snapshot_write_names_the_absolute_path_inline_and_forked(
+        tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, SMALL_SIM)
+    monkeypatch.chdir(tmp_path)
+    blocked = tmp_path / "out" / "snapshot_000002.csv"
+    blocked.mkdir(parents=True)
+    errors = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        assert main(["simulate", "--config", cfg, "--out", "out"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: cannot write {str(blocked)!r}: ")
 
 
 def test_simulate_without_fork_writes_inline(tmp_path, monkeypatch):
