@@ -58,6 +58,7 @@ from .waves import (
     realizability_flag_report,
     velocity_curve,
     wave_identity_report,
+    wave_matrix,
 )
 
 DISPERSION_HEADER = ("k,branch_index,omega,u_hat,v_hat,phi_hat_imag,"
@@ -90,13 +91,19 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
     wavenumber snapped to the grid period so the field is exactly periodic."""
     grid = cfg.grid
     wp = WaveParams.from_material(cfg.material)
+    # The period count, k**2 or the matrix itself can overflow; each is
+    # reported as the same configuration error.
     try:
         n_periods = max(1, round(cfg.initial.k * grid.lx / (2.0 * math.pi)))
         k = 2.0 * math.pi * n_periods / grid.lx
-        table = dispersion_sweep([k], wp)
-    except OverflowError as exc:
+        finite = np.isfinite(wave_matrix(k, 0.0, wp)).all()
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ConfigError(f"initial.k = {cfg.initial.k!r} is too large for a "
-                          f"plane wave on grid.lx = {grid.lx!r}: {exc}") from exc
+                          f"plane wave on grid.lx = {grid.lx!r}: its wave "
+                          f"matrix is not finite for this material")
+    table = dispersion_sweep([k], wp)
     if table.missing:
         raise NoRealBranch(table.missing[0])
     branch = cfg.initial.branch

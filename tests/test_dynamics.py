@@ -681,3 +681,29 @@ def test_checkerboard_is_a_null_mode_of_the_nonlinear_discretization():
         assert np.max(np.abs(acc.acc_theta)) == 0.0
     linear = rhs_linear_chiral(state, p)
     assert np.max(np.abs(linear.acc_u)) == pytest.approx(204.8, rel=1e-12)
+
+
+_CHIRAL_MATERIAL = MaterialParams(mu_s=0.2, lam_s=-0.1, mu_c_s=0.1, m1=0.1,
+                                  m2=-0.2, m3=0.1)
+
+
+@pytest.mark.parametrize("rhs, p", [
+    (lambda s, p: rhs_nonlinear(s, p, coupling="polar"), MaterialParams()),
+    (lambda s, p: rhs_nonlinear(s, p, coupling="skew"), MaterialParams()),
+    (rhs_chiral, _CHIRAL_MATERIAL),
+    (rhs_linear_chiral, _CHIRAL_MATERIAL),
+], ids=["polar", "skew", "chiral", "linear_chiral"])
+def test_kernels_self_converge_at_second_order(rhs, p):
+    # One smooth continuum state sampled on 32^2, 64^2 and 128^2 (chi = 0):
+    # each grid's accelerations differ from the next finer grid's at the
+    # shared nodes by O(h^2). No exact solution is needed.
+    accelerations = []
+    for n in (32, 64, 128):
+        state = random_smooth_state(Grid(nx=n, ny=n), seed=3, amplitude=0.05,
+                                    modes=3)
+        fields = rhs(state, p)
+        accelerations.append(np.concatenate([fields.acc_u,
+                                             fields.acc_theta[None]]))
+    errors = [np.max(np.abs(coarse - fine[:, ::2, ::2]))
+              for coarse, fine in zip(accelerations, accelerations[1:])]
+    assert math.log2(errors[0] / errors[1]) >= 1.8, errors

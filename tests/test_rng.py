@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from cosserat2d.fields import Grid
 from cosserat2d.rng import SplitMix64, random_smooth_state
@@ -112,3 +113,53 @@ def test_smooth_state_matches_documented_draw_order():
             expected = amplitude * acc / count
             npt.assert_allclose(getattr(state, name)[i, j], expected,
                                 rtol=1e-13, atol=1e-300)
+
+
+def per_node_smooth_state(grid, seed, amplitude, modes):
+    """The smooth state with the cosine taken at every node: for each field
+    and mode in draw order, ``coeff * cos(2 pi (mx x / lx + my y / ly) +
+    phase)`` of the whole grid added to the field."""
+    rng = SplitMix64(seed)
+    x, y = grid.axes()
+    count = (modes + 1) * (2 * modes + 1)
+    fields = []
+    wave = np.empty(grid.shape)
+    for _ in FIELD_NAMES:
+        acc = np.zeros(grid.shape)
+        for mx in range(0, modes + 1):
+            for my in range(-modes, modes + 1):
+                coeff = rng.next_uniform(-1.0, 1.0)
+                phase = rng.next_uniform(0.0, 2.0 * math.pi)
+                np.add((mx * x / grid.lx)[:, None], my * y / grid.ly,
+                       out=wave)
+                wave *= 2.0 * math.pi
+                wave += phase
+                np.cos(wave, out=wave)
+                wave *= coeff
+                acc += wave
+        acc *= amplitude
+        acc /= count
+        fields.append(acc)
+    return fields
+
+
+@pytest.mark.parametrize("grid", [
+    Grid(nx=256, ny=256),
+    Grid(nx=32, ny=32),
+    # non-dyadic spacing: some nodes round off their key's argument
+    Grid(nx=100, ny=100),
+    Grid(nx=64, ny=48, ly=0.75),
+    # coprime sides: most modes are evaluated per node
+    Grid(nx=37, ny=53, lx=2.3),
+    Grid(nx=256, ny=4),
+], ids=lambda g: f"{g.nx}x{g.ny}-lx{g.lx}-ly{g.ly}")
+@pytest.mark.parametrize("seed, amplitude, modes", [
+    (3, 0.05, 3), (2**64 + 5, 0.4, 5), (17, 0.1, 0), (8, 0.0, 3)])
+def test_smooth_state_is_bitwise_the_per_node_evaluation(grid, seed,
+                                                         amplitude, modes):
+    state = random_smooth_state(grid, seed=seed, amplitude=amplitude,
+                                modes=modes)
+    expected = per_node_smooth_state(grid, seed, amplitude, modes)
+    for name, field, reference in zip(FIELD_NAMES, state.field_arrays(),
+                                      expected):
+        assert field.tobytes() == reference.tobytes(), name
