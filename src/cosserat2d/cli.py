@@ -145,7 +145,6 @@ def _rhs_for(cfg: ScenarioConfig):
 
 
 def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
-    _ensure_outdir(outdir)
     state = build_initial_state(cfg)
     rhs = _rhs_for(cfg)
     p, sim = cfg.material, cfg.sim
@@ -200,7 +199,6 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_dispersion(cfg: ScenarioConfig, outdir: str, svg: bool) -> int:
-    _ensure_outdir(outdir)
     wp = WaveParams.from_material(cfg.material)
     table = dispersion_sweep(
         np.linspace(cfg.wave.k_min, cfg.wave.k_max, cfg.wave.k_steps), wp)
@@ -272,7 +270,6 @@ def _write_dispersion_svg(path: str, table: BranchTable) -> None:
 # --------------------------------------------------------------------------
 
 def cmd_homogeneous(cfg: ScenarioConfig, outdir: str) -> int:
-    _ensure_outdir(outdir)
     p, sel = cfg.material, cfg.model
     roots = homogeneous_roots(p, sel)
     rows = [
@@ -319,7 +316,6 @@ def _write_report(report: VerificationReport, path: str) -> int:
 
 
 def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
-    _ensure_outdir(outdir)
     report = VerificationReport()
 
     state = _verify_state(cfg)
@@ -340,7 +336,6 @@ def cmd_verify(cfg: ScenarioConfig, outdir: str) -> int:
 
 
 def cmd_reduce3d(cfg: ScenarioConfig, outdir: str) -> int:
-    _ensure_outdir(outdir)
     report = full_reduction_report().scaled(cfg.verify.tolerance_scale)
     return _write_report(report, os.path.join(outdir, "reduction_report.csv"))
 
@@ -377,6 +372,7 @@ def main(argv=None) -> int:
     try:
         cfg = (load_config(args.config) if args.config
                else ScenarioConfig.default())
+        _ensure_outdir(args.out)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "dispersion":

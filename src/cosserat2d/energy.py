@@ -35,7 +35,6 @@ from .algebra import (
     frobenius,
     identity2,
     mat_mul,
-    polar2,
     rot2,
     trace2,
     transpose2,
@@ -52,35 +51,6 @@ from .materials import MaterialParams, ModelSelector
 
 #: Default regularization scale for the norm of the angle gradient.
 DEFAULT_EPS_REG = 1e-8
-
-ALL_TERMS = ("elastic", "curvature", "interaction", "coupling", "coupling2",
-             "chiral_elastic", "mixing")
-
-
-#: The fields each consumer of :func:`_kinematics` reads for each term,
-#: named as in :data:`_Kinematics`: the densities (``"energy"``,
-#: :func:`stretch_densities`), the conjugates (``"gradient"``,
-#: :func:`_variation_conjugates`) and the stresses and torques of
-#: :func:`cosserat2d.dynamics._rhs` (``"rhs"``, where the chiral elastic
-#: block also serves the mixing term).  :func:`_kinematics` builds exactly
-#: the fields its consumers read.
-_READS = {
-    "energy": {"elastic": {"x"}, "curvature": {"g"},
-               "interaction": {"x", "g", "n"}, "coupling": {"rtq"},
-               "coupling2": {"x"}, "chiral_elastic": {"xs"},
-               "mixing": {"x", "xs"}},
-    "gradient": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
-                 "interaction": {"f", "r", "x", "g", "n", "s"},
-                 "coupling": {"f", "r", "q"}, "coupling2": {"f", "r", "x"},
-                 "chiral_elastic": {"fstar", "r", "xs"},
-                 "mixing": {"f", "fstar", "r", "x", "xs"}},
-    "rhs": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
-            "interaction": {"r", "x", "g", "n", "s"},
-            "coupling": {"r", "q", "rtq", "tru"}, "coupling2": {"f", "r", "x"},
-            "chiral_elastic": {"f", "fstar", "r", "x", "xs"},
-            "mixing": {"f", "fstar", "r", "x", "xs"}},
-}
-
 
 #: The live ``terms`` (:func:`_live_terms`) and their fields, each ``None``
 #: unless a consumer reads it: ``F``, ``F*``, ``R(theta)``, ``R^T F``,
@@ -172,6 +142,43 @@ def _mixing(x, xs, p: MaterialParams):
     return out
 
 
+#: Each term, in :data:`ALL_TERMS` order, with its density function and
+#: the :data:`_Kinematics` fields that function takes.
+_DENSITIES = {
+    "elastic": (_elastic, ("x",)),
+    "curvature": (_curvature, ("g",)),
+    "interaction": (_interaction, ("n", "x")),
+    "coupling": (_coupling, ("rtq",)),
+    "coupling2": (_coupling2, ("x",)),
+    "chiral_elastic": (_chiral_elastic, ("xs",)),
+    "mixing": (_mixing, ("x", "xs")),
+}
+
+ALL_TERMS = tuple(_DENSITIES)
+
+
+#: The fields each consumer of :func:`_kinematics` reads for each term,
+#: named as in :data:`_Kinematics`: the densities (``"energy"``,
+#: :data:`_DENSITIES`), the conjugates (``"gradient"``,
+#: :func:`_variation_conjugates`) and the stresses and torques of
+#: :func:`cosserat2d.dynamics._rhs` (``"rhs"``, where the chiral elastic
+#: block also serves the mixing term).  :func:`_kinematics` builds exactly
+#: the fields its consumers read.
+_READS = {
+    "energy": {term: set(reads) for term, (_, reads) in _DENSITIES.items()},
+    "gradient": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
+                 "interaction": {"f", "r", "x", "g", "n", "s"},
+                 "coupling": {"f", "r", "q"}, "coupling2": {"f", "r", "x"},
+                 "chiral_elastic": {"fstar", "r", "xs"},
+                 "mixing": {"f", "fstar", "r", "x", "xs"}},
+    "rhs": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
+            "interaction": {"r", "x", "g", "n", "s"},
+            "coupling": {"r", "q", "rtq", "tru"}, "coupling2": {"f", "r", "x"},
+            "chiral_elastic": {"f", "fstar", "r", "x", "xs"},
+            "mixing": {"f", "fstar", "r", "x", "xs"}},
+}
+
+
 def stretch_densities(k: _Kinematics, p: MaterialParams):
     """Yield ``(term, density)`` for each of ``k.terms`` from the fields of
     ``k`` (:func:`_kinematics`).
@@ -179,20 +186,9 @@ def stretch_densities(k: _Kinematics, p: MaterialParams):
     Densities come one at a time, in :data:`ALL_TERMS` order, so a caller
     that sums each keeps one alive.
     """
-    if "elastic" in k.terms:
-        yield "elastic", _elastic(k.x, p)
-    if "curvature" in k.terms:
-        yield "curvature", _curvature(k.g, p)
-    if "interaction" in k.terms:
-        yield "interaction", _interaction(k.n, k.x, p)
-    if "coupling" in k.terms:
-        yield "coupling", _coupling(k.rtq, p)
-    if "coupling2" in k.terms:
-        yield "coupling2", _coupling2(k.x, p)
-    if "chiral_elastic" in k.terms:
-        yield "chiral_elastic", _chiral_elastic(k.xs, p)
-    if "mixing" in k.terms:
-        yield "mixing", _mixing(k.x, k.xs, p)
+    for term, (density, reads) in _DENSITIES.items():
+        if term in k.terms:
+            yield term, density(*(getattr(k, name) for name in reads), p)
 
 
 def term_totals(densities, cell_area: float) -> dict[str, float]:
@@ -262,14 +258,9 @@ def _kinematics(state: FieldState, p: MaterialParams, terms, eps_reg: float,
         if "x" in reads:
             fields["x"] = mat_mul(rt, f)
         if reads & {"q", "rtq", "tru"}:
-            # The right-hand side divides by tr U summed from U itself; the
-            # rotation alone has the same bits without U.
-            if "tru" in reads:
-                q, stretch = polar2(f)
-                fields["tru"] = trace2(stretch)
-                del stretch
-            else:
-                q, _ = _polar_rotation(f)
+            q, _ = _polar_rotation(f)
+            if "tru" in reads:  # the bits of trace2(polar2(f)[1])
+                fields["tru"] = trace2(mat_mul(transpose2(q), f))
             if "rtq" in reads:
                 fields["rtq"] = mat_mul(rt, q)
             if "q" in reads:
@@ -280,8 +271,10 @@ def _kinematics(state: FieldState, p: MaterialParams, terms, eps_reg: float,
         if "r" in reads:
             fields["r"] = r
         del f, r, rt
-    if "g" in reads:
-        fields["g"] = g = grad_scalar(state.theta, state.grid, window)
+    if reads & {"g", "n"}:
+        g = grad_scalar(state.theta, state.grid, window)
+        if "g" in reads:
+            fields["g"] = g
         if "n" in reads:
             n, s = _reg_norm(g, eps_reg)
             fields["n"] = n

@@ -39,8 +39,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ConfigError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ConfigError("grid lengths must be positive")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise ConfigError("grid lengths must be positive and finite")
 
     @property
     def hx(self) -> float:

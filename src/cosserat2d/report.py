@@ -4,11 +4,9 @@ verification checks that are written with them.
 Every CSV file of the package is written here, so the number format is
 defined here once: a string column prints as is, an integer column as
 integers (``%d``), and any other column as floats with the bytes of
-``"%.17g" % v``, negative zero printing as ``0``.  The snapshots go through
-:func:`write_grid_csv`, every other file (time series, dispersion branches,
-the ratio/velocity law, the homogeneous table and the verification reports)
-through :func:`write_csv`, and :func:`append_csv` adds rows to a file
-:func:`write_csv` started.
+``"%.17g" % v``, negative zero printing as ``0``.  Every file goes through
+:func:`write_csv` (the snapshots by way of :func:`write_grid_csv`), and
+:func:`append_csv` adds rows to a file :func:`write_csv` started.
 
 Floats are formatted a block at a time with numpy (:func:`_float_cells`):
 each value is scaled by a power of ten as an exact double-double product
@@ -272,13 +270,16 @@ def _lines(cells) -> bytes:
 
 def _csv_blocks(columns):
     """The CSV lines of equal-length ``columns``, a block of rows at a
-    time; the float columns of a block are formatted together."""
+    time; the float columns of a block are formatted together, and a
+    two-dimensional column is taken as its rows' cells, already formatted."""
     arrays = [np.asarray(column) for column in columns]
-    floats = [k for k, a in enumerate(arrays) if a.dtype.kind not in "Uiu"]
+    floats = [k for k, a in enumerate(arrays)
+              if a.ndim == 1 and a.dtype.kind not in "Uiu"]
     n_rows = len(arrays[0]) if arrays else 0
     for start in range(0, n_rows, BLOCK_ROWS):
         block = [a[start:start + BLOCK_ROWS] for a in arrays]
-        cells = [None if k in floats else _text_column_cells(column)
+        cells = [column if column.ndim == 2 else None if k in floats
+                 else _text_column_cells(column)
                  for k, column in enumerate(block)]
         if floats:
             values = np.stack([block[k] for k in floats], axis=-1)
@@ -310,29 +311,20 @@ def append_csv(path, columns) -> None:
 
 def write_grid_csv(path, header: str, x, y, fields) -> None:
     """Write one row ``i,j,x[i],y[j]`` followed by ``f[i, j]`` for each of
-    ``fields`` per grid node, ``i``-major, under the ``header`` line: the
-    bytes :func:`write_csv` writes for those columns.
+    ``fields`` per grid node, ``i``-major, under the ``header`` line, with
+    :func:`write_csv`.
 
-    The cells of ``i``, ``j``, ``x`` and ``y`` are formatted once per call,
+    The cells of ``i``, ``j``, ``x`` and ``y`` are formatted once per call
+    and repeated for every node (two float and two integer cells a node),
     so a block of nodes formats only its field values.
     """
-    ny = len(y)
-    axes = (_text_cells([b"%d" % i for i in range(len(x))]),
-            _text_cells([b"%d" % j for j in range(ny)]),
-            _float_cells(x), _float_cells(y))
-    values = [np.ravel(f) for f in fields]
-
-    def blocks():
-        yield header.encode("utf-8") + b"\n"
-        for start in range(0, len(x) * ny, BLOCK_ROWS):
-            block = np.stack([f[start:start + BLOCK_ROWS] for f in values],
-                             axis=-1)
-            cells = _float_cells(block).reshape(len(block), len(values), -1)
-            i, j = np.divmod(np.arange(start, start + len(block)), ny)
-            yield _lines([axes[0][i], axes[1][j], axes[2][i], axes[3][j],
-                          *cells.transpose(1, 0, 2)])
-
-    _write(path, "wb", blocks())
+    nx, ny = len(x), len(y)
+    write_csv(path, header, [
+        np.repeat(_text_cells([b"%d" % i for i in range(nx)]), ny, axis=0),
+        np.tile(_text_cells([b"%d" % j for j in range(ny)]), (nx, 1)),
+        np.repeat(_float_cells(x), ny, axis=0),
+        np.tile(_float_cells(y), (nx, 1)),
+        *(np.ravel(f) for f in fields)])
 
 
 @dataclass(frozen=True)

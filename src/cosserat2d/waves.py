@@ -111,10 +111,11 @@ def _squares(values) -> np.ndarray:
 
     numpy squares an array by multiplying, which differs from the scalar
     power (C ``pow``) in the last bit on a few values; this keeps an array
-    bitwise equal to its values taken one at a time, and a Python float
-    keeps its ``OverflowError``.
+    bitwise equal to its values taken one at a time.  A square past the
+    largest double is ``inf``, for Python and numpy floats alike.
     """
-    return np.array([v**2 for v in values], dtype=float)
+    with np.errstate(over="ignore"):
+        return np.array([np.float64(v)**2 for v in values], dtype=float)
 
 
 def dispersion_cubic(k: float, wp: WaveParams) -> tuple[float, float, float, float]:

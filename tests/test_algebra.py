@@ -23,6 +23,8 @@ from cosserat2d.algebra import (
     transpose2,
 )
 from cosserat2d.errors import DegenerateDeformation
+from cosserat2d.fields import Grid, deformation_gradients
+from cosserat2d.rng import random_smooth_state
 
 from conftest import random_f_stack
 
@@ -164,6 +166,20 @@ def test_polar2_on_stacked_fields():
     for j in range(f.shape[-1]):
         r_ref, _ = polar_by_eigendecomposition(f[:, :, j])
         npt.assert_allclose(r[:, :, j], r_ref, atol=1e-12)
+
+
+def test_trace_of_stretch_is_bitwise_the_rotation_route():
+    # energy._kinematics takes tr U as tr(R^T F) from the rotation alone:
+    # the diagonal of polar2's symmetrized U is exactly that of R^T F.
+    rng = np.random.default_rng(12)
+    state = random_smooth_state(Grid(nx=256, ny=256), seed=3, amplitude=0.05,
+                                modes=3)
+    for f in [random_f_stack(rng, n=64, spread=spread)
+              for spread in (0.1, 0.4, 0.8)] + [
+                  deformation_gradients(state, star=False)[0]]:
+        q, u = polar2(f)
+        assert (trace2(mat_mul(transpose2(q), f)).tobytes()
+                == trace2(u).tobytes())
 
 
 def test_polar2_rejects_degenerate_deformation():

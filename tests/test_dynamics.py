@@ -29,6 +29,7 @@ from cosserat2d.dynamics import (
 )
 from cosserat2d.energy import (
     ALL_TERMS,
+    analytic_variations,
     energy_breakdown,
     potential_total,
     total_energy,
@@ -687,23 +688,44 @@ _CHIRAL_MATERIAL = MaterialParams(mu_s=0.2, lam_s=-0.1, mu_c_s=0.1, m1=0.1,
                                   m2=-0.2, m3=0.1)
 
 
-@pytest.mark.parametrize("rhs, p", [
-    (lambda s, p: rhs_nonlinear(s, p, coupling="polar"), MaterialParams()),
-    (lambda s, p: rhs_nonlinear(s, p, coupling="skew"), MaterialParams()),
-    (rhs_chiral, _CHIRAL_MATERIAL),
-    (rhs_linear_chiral, _CHIRAL_MATERIAL),
-], ids=["polar", "skew", "chiral", "linear_chiral"])
-def test_kernels_self_converge_at_second_order(rhs, p):
+def _accelerations(rhs):
+    """``(acc_u, acc_theta)`` of a right-hand side."""
+    def kernel(state, p):
+        fields = rhs(state, p)
+        return fields.acc_u, fields.acc_theta
+    return kernel
+
+
+def _variation(term):
+    """``(dV/du, dV/dtheta)`` of one energy term."""
+    return lambda state, p: analytic_variations(state, p, (term,))
+
+
+#: The interaction term does not converge (ROADMAP item 3).
+_CONVERGING_TERMS = [t for t in ALL_TERMS if t != "interaction"]
+
+
+@pytest.mark.parametrize("kernel, p", [
+    (_accelerations(lambda s, p: rhs_nonlinear(s, p, coupling="polar")),
+     MaterialParams()),
+    (_accelerations(lambda s, p: rhs_nonlinear(s, p, coupling="skew")),
+     MaterialParams()),
+    (_accelerations(rhs_chiral), _CHIRAL_MATERIAL),
+    (_accelerations(rhs_linear_chiral), _CHIRAL_MATERIAL),
+] + [(_variation(term), _CHIRAL_MATERIAL) for term in _CONVERGING_TERMS],
+    ids=["polar", "skew", "chiral", "linear_chiral"]
+    + [f"variation_{term}" for term in _CONVERGING_TERMS])
+def test_kernels_self_converge_at_second_order(kernel, p):
     # One smooth continuum state sampled on 32^2, 64^2 and 128^2 (chi = 0):
-    # each grid's accelerations differ from the next finer grid's at the
-    # shared nodes by O(h^2). No exact solution is needed.
-    accelerations = []
+    # each grid's accelerations (or energy gradients) differ from the next
+    # finer grid's at the shared nodes by O(h^2). No exact solution is
+    # needed.
+    results = []
     for n in (32, 64, 128):
         state = random_smooth_state(Grid(nx=n, ny=n), seed=3, amplitude=0.05,
                                     modes=3)
-        fields = rhs(state, p)
-        accelerations.append(np.concatenate([fields.acc_u,
-                                             fields.acc_theta[None]]))
+        du, dtheta = kernel(state, p)
+        results.append(np.concatenate([du, dtheta[None]]))
     errors = [np.max(np.abs(coarse - fine[:, ::2, ::2]))
-              for coarse, fine in zip(accelerations, accelerations[1:])]
+              for coarse, fine in zip(results, results[1:])]
     assert math.log2(errors[0] / errors[1]) >= 1.8, errors

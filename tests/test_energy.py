@@ -303,9 +303,9 @@ def test_analytic_variations_builds_each_field_once(monkeypatch):
 def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
     # The right-hand sides read every field from energy._kinematics: one
     # rotation, one pair of deformation gradients, one angle gradient and,
-    # for the polar coupling only, one polar factor per call.
+    # for the polar coupling only, one polar rotation per call.
     calls = dict.fromkeys(("rot2", "deformation_gradients", "grad_scalar",
-                           "polar2"), 0)
+                           "_polar_rotation"), 0)
     for name in calls:
         def counted(*args, _name=name, _original=getattr(energy, name)):
             calls[_name] += 1
@@ -321,4 +321,4 @@ def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         rhs(random_material(rng, chiral=True, chi=0.6))
         assert calls == {"rot2": 1, "deformation_gradients": 1,
-                         "grad_scalar": 1, "polar2": polar}
+                         "grad_scalar": 1, "_polar_rotation": polar}

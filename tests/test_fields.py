@@ -64,6 +64,9 @@ def test_grid_validation_and_geometry():
         Grid(nx=3, ny=8)
     with pytest.raises(ConfigError):
         Grid(nx=8, ny=8, lx=-1.0)
+    for lengths in ({"lx": np.inf}, {"ly": np.inf}):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            Grid(nx=8, ny=8, **lengths)
     g = Grid(nx=8, ny=16, lx=2.0, ly=4.0)
     assert g.hx == 0.25 and g.hy == 0.25
     assert g.shape == (8, 16)

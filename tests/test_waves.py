@@ -259,8 +259,9 @@ def test_no_real_branch_is_reported():
     assert len(table.omega) == 0
     assert table.missing == [
         "wave matrix has no nonnegative squared frequency at k = 1.0"]
-    # a non-finite wavenumber has no branch either (a message, not a crash)
-    for k in (math.nan, math.inf):
+    # a non-finite wavenumber, or one whose square overflows, has no branch
+    # either (a message, not a crash)
+    for k in (math.nan, math.inf, 1e200):
         table = dispersion_sweep([k], WaveParams())
         assert len(table.omega) == 0
         assert table.missing == [f"wave matrix is not finite at k = {k!r}"]
