@@ -130,11 +130,6 @@ class ScenarioConfig:
             raise ConfigError("configuration root must be a JSON object")
         sections = get_type_hints(cls)
         _reject_unknown(data, sections, path="")
-        # The core Grid class requires explicit sizes; the scenario layer
-        # defaults to a 32x32 square.
-        grid = data.get("grid", {})
-        if isinstance(grid, dict):
-            data = {**data, "grid": {"nx": 32, "ny": 32, **grid}}
         return cls(**{name: _build(factory, data.get(name, {}), name)
                       for name, factory in sections.items()})
 

@@ -178,36 +178,18 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
                 DEFAULT_EPS_REG)
 
 
-@dataclass(frozen=True)
-class LinearDerivatives:
-    """Analytic or stencil derivative bundle for the linearized model.
-
-    ``phi`` is the linear-model rotation variable (opposite sign of theta).
-    """
-
-    u1x: np.ndarray
-    u1y: np.ndarray
-    u2x: np.ndarray
-    u2y: np.ndarray
-    u1xx: np.ndarray
-    u1yy: np.ndarray
-    u1xy: np.ndarray
-    u2xx: np.ndarray
-    u2yy: np.ndarray
-    u2xy: np.ndarray
-    phi: np.ndarray
-    phi_x: np.ndarray
-    phi_y: np.ndarray
-    phi_xx: np.ndarray
-    phi_yy: np.ndarray
-
-
-def linear_chiral_forces(d: LinearDerivatives, p: MaterialParams):
+def linear_chiral_forces(u1, u2, phi, dx, dy, dxx, dyy, p: MaterialParams):
     """Force densities (f1, f2, f3) of the linearized chiral model.
 
     The equations are ``rho*u1_tt = f1``, ``rho*u2_tt = f2`` and
-    ``4*rho_rot*phi_tt = f3`` in the ``phi = -theta`` convention.
+    ``4*rho_rot*phi_tt = f3`` in the ``phi = -theta`` convention.  ``dx``,
+    ``dy``, ``dxx`` and ``dyy`` are the derivative operators: grid stencils,
+    or the multipliers of one Fourier mode, which gives the symbol.
     """
+    u1x, u1y, u2x, u2y = dx(u1), dy(u1), dx(u2), dy(u2)
+    phi_x, phi_y = dx(phi), dy(phi)
+    u1xy, u2xy = dy(u1x), dy(u2x)
+    u1xx, u1yy, u2xx, u2yy = dxx(u1), dyy(u1), dxx(u2), dyy(u2)
     c_uxx = p.lam + 2.0 * p.mu + p.mu_s + p.mu_c_s
     c_uyy = p.mu + p.mu_c + p.lam_s + 2.0 * p.mu_s
     c_cross = p.lam + p.mu - p.mu_c - p.lam_s - p.mu_s + p.mu_c_s
@@ -216,30 +198,17 @@ def linear_chiral_forces(d: LinearDerivatives, p: MaterialParams):
     c_phi_rot = 2.0 * p.mu_c
     d1 = p.mu * p.L_c**2
 
-    f1 = (c_uxx * d.u1xx + c_uyy * d.u1yy + c_cross * d.u2xy
-          + c_m * (-2.0 * d.u1xy + d.u2xx - d.u2yy)
-          - c_phi_grad * d.phi_x + c_phi_rot * d.phi_y)
-    f2 = (c_uyy * d.u2xx + c_uxx * d.u2yy + c_cross * d.u1xy
-          + c_m * (d.u1xx - d.u1yy + 2.0 * d.u2xy)
-          - c_phi_rot * d.phi_x - c_phi_grad * d.phi_y)
-    f3 = (2.0 * d1 * (d.phi_xx + d.phi_yy)
-          + 4.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s - p.mu_c) * d.phi
-          + 2.0 * p.mu_c * (d.u2x - d.u1y)
-          - 2.0 * (p.mu_c_s - 2.0 * p.lam_s - 2.0 * p.mu_s) * (d.u1x + d.u2y))
+    f1 = (c_uxx * u1xx + c_uyy * u1yy + c_cross * u2xy
+          + c_m * (-2.0 * u1xy + u2xx - u2yy)
+          - c_phi_grad * phi_x + c_phi_rot * phi_y)
+    f2 = (c_uyy * u2xx + c_uxx * u2yy + c_cross * u1xy
+          + c_m * (u1xx - u1yy + 2.0 * u2xy)
+          - c_phi_rot * phi_x - c_phi_grad * phi_y)
+    f3 = (2.0 * d1 * (dxx(phi) + dyy(phi))
+          + 4.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s - p.mu_c) * phi
+          + 2.0 * p.mu_c * (u2x - u1y)
+          - 2.0 * (p.mu_c_s - 2.0 * p.lam_s - 2.0 * p.mu_s) * (u1x + u2y))
     return f1, f2, f3
-
-
-def grid_linear_derivatives(state: FieldState) -> LinearDerivatives:
-    """Stencil derivative bundle of a grid state (phi = -theta)."""
-    g = state.grid
-    u1, u2 = state.u1, state.u2
-    phi = -state.theta
-    return LinearDerivatives(
-        u1x=ddx(u1, g), u1y=ddy(u1, g), u2x=ddx(u2, g), u2y=ddy(u2, g),
-        u1xx=ddxx(u1, g), u1yy=ddyy(u1, g), u1xy=ddy(ddx(u1, g), g),
-        u2xx=ddxx(u2, g), u2yy=ddyy(u2, g), u2xy=ddy(ddx(u2, g), g),
-        phi=phi, phi_x=ddx(phi, g), phi_y=ddy(phi, g),
-        phi_xx=ddxx(phi, g), phi_yy=ddyy(phi, g))
 
 
 def rhs_linear_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
@@ -250,7 +219,11 @@ def rhs_linear_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
     returned accelerations live in the same (u, theta) variables as the
     nonlinear right-hand sides.
     """
-    f1, f2, f3 = linear_chiral_forces(grid_linear_derivatives(state), p)
+    g = state.grid
+    f1, f2, f3 = linear_chiral_forces(
+        state.u1, state.u2, -state.theta,
+        lambda f: ddx(f, g), lambda f: ddy(f, g),
+        lambda f: ddxx(f, g), lambda f: ddyy(f, g), p)
     return RhsFields(acc_u=np.stack([f1, f2]) / p.rho,
                      acc_theta=-f3 / (4.0 * p.rho_rot))
 

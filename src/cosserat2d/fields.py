@@ -31,8 +31,8 @@ from .report import write_grid_csv
 class Grid:
     """Uniform periodic rectangle with ``nx * ny`` nodes."""
 
-    nx: int
-    ny: int
+    nx: int = 32
+    ny: int = 32
     lx: float = 1.0
     ly: float = 1.0
 

@@ -128,3 +128,10 @@ def test_empty_object_gives_defaults_with_config_grid():
     cfg = ScenarioConfig.from_dict({})
     assert cfg.material == MaterialParams()
     assert (cfg.grid.nx, cfg.grid.ny) == (32, 32)
+
+
+def test_partial_grid_takes_the_other_size_from_the_default():
+    cfg = ScenarioConfig.from_dict({"grid": {"nx": 8}})
+    assert (cfg.grid.nx, cfg.grid.ny) == (8, 32)
+    with pytest.raises(ConfigError, match="got 2x32"):
+        ScenarioConfig.from_dict({"grid": {"nx": 2}})

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import reference_branches
 from cosserat2d import waves
+from cosserat2d.dynamics import linear_chiral_forces
 from cosserat2d.errors import (
     ImaginarySpeed,
     InfeasibleDensity,
@@ -376,3 +377,49 @@ def test_wave_params_validation():
         WaveParams(rho=0.0)
     with pytest.raises(Exception):
         WaveParams(varrho_rot=-1.0)
+
+
+def _linear_forces_symbol(k, p):
+    """The matrix of :func:`linear_chiral_forces` on the Fourier mode
+    ``exp(ikx)`` of ``(u1, u2, phi)``: ``d/dx = ik``, ``d/dy = 0``."""
+    columns = [linear_chiral_forces(*unit, lambda f: 1j * k * f,
+                                    lambda f: 0j, lambda f: -k**2 * f,
+                                    lambda f: 0j, p)
+               for unit in np.eye(3, dtype=complex)]
+    return np.array(columns).T
+
+
+def test_linear_forces_symbol_is_the_wave_matrix_with_the_angle_flipped():
+    # ROADMAP item 1, mismatch 1: the linear forces and the wave matrix
+    # agree except for the sign of the rotation variable, -S K S with
+    # S = diag(1, 1, -1), not -K.  Settling item 1 flips this assertion.
+    flip = np.diag([1.0, 1.0, -1.0])
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        wp = random_wave_params(rng)
+        p = liu_material(wp)
+        for k in rng.uniform(0.1, 5.0, size=5):
+            symbol = _linear_forces_symbol(k, p)
+            stiffness = wave_matrix(k, 0.0, wp)
+            scale = np.max(np.abs(stiffness))
+            assert (np.max(np.abs(symbol + flip @ stiffness @ flip))
+                    <= 1e-14 * scale)
+            # -K misses by twice each entry that couples u to phi; the
+            # u2-phi entry, 2 k mu_c, is never zero here.
+            coupling = np.abs(stiffness[:2, 2])
+            assert coupling[1] > 0.0
+            assert np.all(np.abs((symbol + stiffness)[:2, 2])
+                          >= 1.9 * coupling)
+
+
+@pytest.mark.parametrize("slot", [1, 2], ids=["rho", "varrho_rot"])
+def test_transverse_free_residual_sees_a_wrong_density(monkeypatch, slot):
+    exact = waves.transverse_free_solution
+
+    def off_by_1e_6(k, omega, wp):
+        solution = list(exact(k, omega, wp))
+        solution[slot] *= 1.0 + 1e-6
+        return tuple(solution)
+
+    monkeypatch.setattr(waves, "transverse_free_solution", off_by_1e_6)
+    assert transverse_free_residual(1.2, 0.9, WaveParams()) >= 1e-7
