@@ -93,9 +93,11 @@ def _polar_rotation(f):
     ``tr(U)^2 = |F|^2 + 2 det F`` (positive det only)."""
     det = det2(f)
     if np.any(det <= DEGENERATE_DET):
+        node = np.unravel_index(np.nanargmin(det), np.shape(det))
+        at = f" at node {tuple(int(i) for i in node)}" if node else ""
         raise DegenerateDeformation(
-            f"det(F) <= {DEGENERATE_DET:g} somewhere; polar factor undefined"
-        )
+            f"det(F) <= {DEGENERATE_DET:g}{at} "
+            f"(det F = {float(det[node]):.6g}); polar factor undefined")
     tru = np.sqrt(frobenius(f, f) + 2.0 * det)
     return (f + cof2(f)) / tru, tru
 

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration, I/O or out-of-memory problem,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -144,7 +145,30 @@ def _rhs_for(cfg: ScenarioConfig):
     return rhs
 
 
+#: glibc's ``mallopt`` parameters and the values set for the stepping loop:
+#: the largest mmap threshold on 64-bit hosts, and a trim threshold above it.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD_BYTES, _MMAP_THRESHOLD_BYTES = 64 << 20, 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Ask glibc to keep freed grid-sized arrays on its heap.
+
+    By default glibc maps each array above its mmap threshold on its own and
+    returns it to the kernel when freed, so every right-hand side faults its
+    temporaries in again, page by page.  Above these thresholds it keeps
+    them for the next step.  Where libc has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
+    _keep_freed_memory()
     state = build_initial_state(cfg)
     rhs = _rhs_for(cfg)
     p, sim = cfg.material, cfg.sim

@@ -346,7 +346,8 @@ def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams,
                      v2=v2h + 0.5 * dt * a1.acc_u[1],
                      omega=omh + 0.5 * dt * a1.acc_theta)
     if not out.is_finite():
-        raise NonFiniteState("state became non-finite during leapfrog step")
+        raise NonFiniteState(f"state became non-finite during leapfrog "
+                             f"step: {out.first_non_finite()}")
     return out, a1
 
 

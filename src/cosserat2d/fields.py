@@ -70,14 +70,32 @@ class Grid:
         return np.zeros(self.shape)
 
 
+def _central(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """``(f[i+1] - f[i-1]) / (2 h)`` along ``axis``, periodic wrap.
+
+    Built from slices into one output, with no rolled copies of ``f``; the
+    same subtraction and division at every node, so the bits of the rolled
+    form.  Needs at least 3 nodes on ``axis``.
+    """
+    f = np.asarray(f)
+    out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+    dst = np.moveaxis(out, axis, 0)
+    src = np.moveaxis(f, axis, 0)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    np.subtract(src[1], src[-1], out=dst[0])
+    np.subtract(src[0], src[-2], out=dst[-1])
+    out /= 2.0 * h
+    return out
+
+
 def ddx(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Central x-derivative on the second-to-last axis, periodic wrap."""
-    return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) / (2.0 * grid.hx)
+    return _central(f, -2, grid.hx)
 
 
 def ddy(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Central y-derivative on the last axis, periodic wrap."""
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2.0 * grid.hy)
+    return _central(f, -1, grid.hy)
 
 
 def ddxx(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -144,11 +162,24 @@ class FieldState:
             self.v1.copy(), self.v2.copy(), self.omega.copy(),
         )
 
+    #: The names of :meth:`field_arrays`, in order.
+    FIELD_NAMES = ("u1", "u2", "theta", "v1", "v2", "omega")
+
     def field_arrays(self):
         return (self.u1, self.u2, self.theta, self.v1, self.v2, self.omega)
 
     def is_finite(self) -> bool:
         return all(np.all(np.isfinite(a)) for a in self.field_arrays())
+
+    def first_non_finite(self) -> str | None:
+        """``"<field> at node (i, j)"`` for the first non-finite value, in
+        :meth:`field_arrays` order and then node order; ``None`` if none."""
+        for name, a in zip(self.FIELD_NAMES, self.field_arrays()):
+            bad = np.flatnonzero(~np.isfinite(a))
+            if bad.size:
+                node = np.unravel_index(bad[0], a.shape)
+                return f"{name} at node {tuple(int(i) for i in node)}"
+        return None
 
 
 def deformation_gradients(state: FieldState, node=None, star: bool = True):
@@ -177,7 +208,7 @@ def deformation_gradients(state: FieldState, node=None, star: bool = True):
 
 def save_snapshot(state: FieldState, path) -> None:
     """Write one CSV row per node: ``i,j,x,y,u1,u2,theta,v1,v2,omega``."""
-    write_grid_csv(path, "i,j,x,y,u1,u2,theta,v1,v2,omega",
+    write_grid_csv(path, "i,j,x,y," + ",".join(FieldState.FIELD_NAMES),
                    *state.grid.axes(), state.field_arrays())
 
 

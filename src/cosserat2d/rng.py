@@ -53,9 +53,6 @@ class SplitMix64:
         return lo + (hi - lo) * self.next_double()
 
 
-_FIELD_ORDER = ("u1", "u2", "theta", "v1", "v2", "omega")
-
-
 def _argument_table(grid: Grid, mx: int, my: int, arg: np.ndarray):
     """The distinct arguments of wave vector ``(mx, my)``, one per key.
 
@@ -105,9 +102,9 @@ def random_smooth_state(grid: Grid, seed: int, amplitude: float,
     wave_vectors = [(mx, my) for mx in range(0, modes + 1)
                     for my in range(-modes, modes + 1)]
     draws = [[(rng.next_uniform(-1.0, 1.0), rng.next_uniform(0.0, 2.0 * math.pi))
-              for _ in wave_vectors] for _ in _FIELD_ORDER]
+              for _ in wave_vectors] for _ in FieldState.FIELD_NAMES]
     x, y = grid.axes()
-    fields = [np.zeros(grid.shape) for _ in _FIELD_ORDER]
+    fields = [np.zeros(grid.shape) for _ in FieldState.FIELD_NAMES]
     arg = np.empty(grid.shape)
     for m, (mx, my) in enumerate(wave_vectors):
         # 2 pi (mx x / lx + my y / ly), shared by the six fields
@@ -131,4 +128,4 @@ def random_smooth_state(grid: Grid, seed: int, amplitude: float,
     for acc in fields:
         acc *= amplitude
         acc /= len(wave_vectors)
-    return FieldState(grid=grid, **dict(zip(_FIELD_ORDER, fields)))
+    return FieldState(grid=grid, **dict(zip(FieldState.FIELD_NAMES, fields)))

@@ -188,6 +188,15 @@ def test_polar2_rejects_degenerate_deformation():
         polar2(singular)
     with pytest.raises(DegenerateDeformation):
         polar2(np.diag([1.0, -1.0]))  # reflection: det < 0
+    # A stacked field names the node with the smallest determinant.
+    f = np.zeros((2, 2, 5, 6))
+    f[0, 0] = f[1, 1] = 1.0
+    f[1, 1, 3, 4] = -0.3
+    f[1, 1, 1, 2] = 0.0
+    with pytest.raises(DegenerateDeformation,
+                       match=r"^det\(F\) <= 1e-12 at node \(3, 4\) "
+                             r"\(det F = -0\.3\); polar factor undefined$"):
+        polar2(f)
     # Minus the identity is *not* degenerate in the plane: it is the
     # rotation by a half turn.
     r, u = polar2(-np.eye(2))

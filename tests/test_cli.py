@@ -2,9 +2,11 @@
 the error paths promised by the tool."""
 
 import contextlib
+import ctypes
 import json
 import math
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -586,18 +588,78 @@ def test_reduce3d_writes_passing_report(tmp_path):
     assert all(row[3] == "true" for row in rows)
 
 
+def _package_env():
+    src = os.path.dirname(os.path.dirname(cosserat2d.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_runs(tmp_path):
     # ``python -m cosserat2d`` is the documented alternative to the script.
-    src = os.path.dirname(os.path.dirname(cosserat2d.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "r"
     done = subprocess.run(
         [sys.executable, "-W", "error", "-m", "cosserat2d", "reduce3d",
-         "--out", str(out)], env=env, capture_output=True, text=True,
-        timeout=120)
+         "--out", str(out)], env=_package_env(), capture_output=True,
+        text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (out / "reduction_report.csv").exists()
+
+
+#: Frees a grid-sized array and the temporary computed from it 100 times,
+#: as each right-hand side does, and prints the minor page faults taken.
+_REFAULT_PROBE = """
+import resource
+import numpy as np
+from cosserat2d import cli
+
+cli._keep_freed_memory()
+
+def churn():
+    a = np.ones((2, 2, 256, 256))
+    b = a + 1.0
+    del a, b
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(100):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting needs glibc's mallopt")
+def test_kept_freed_memory_is_not_faulted_in_again():
+    # glibc's default thresholds give about 99,000 faults here: every pair
+    # of 2 MiB arrays goes back to the kernel and comes back page by page.
+    done = subprocess.run([sys.executable, "-c", _REFAULT_PROBE],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 2000
+
+
+class _NoMallopt:
+    """A loaded C library that has no ``mallopt``."""
+
+
+def _no_libc(name):
+    raise OSError(f"cannot load {name!r}")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: _NoMallopt(), _no_libc],
+                         ids=["no_mallopt", "no_libc"])
+def test_simulate_without_mallopt_writes_the_same_bytes(tmp_path, monkeypatch,
+                                                        cdll):
+    reference, out = tmp_path / "reference", tmp_path / "out"
+    assert main(["simulate", "--out", str(reference)]) == 0
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_memory() is None
+    assert main(["simulate", "--out", str(out)]) == 0
+    names = sorted(p.name for p in reference.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
 
 
 def test_every_public_name_resolves():

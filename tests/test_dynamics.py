@@ -610,6 +610,23 @@ def test_leapfrog_raises_on_nonfinite_state():
         step_leapfrog(state, 0.1, rhs, p, rhs(state, p))
 
 
+def test_leapfrog_names_the_first_non_finite_field_and_node():
+    grid = Grid(nx=6, ny=8)
+    state = FieldState.zero(grid)
+    p = MaterialParams()
+
+    def rhs(s, q):
+        acc = rhs_nonlinear(s, q)
+        acc.acc_theta[4, 1] = np.nan  # omega, after u1 .. v2 in field order
+        acc.acc_u[0, 3, 7] = np.inf  # v1
+        return acc
+
+    with pytest.raises(NonFiniteState,
+                       match=r"^state became non-finite during leapfrog "
+                             r"step: v1 at node \(3, 7\)$"):
+        step_leapfrog(state, 0.1, rhs, p, rhs_nonlinear(state, p))
+
+
 def _stepper_cases(rng):
     """(rhs, material) for every right-hand side the stepper can carry."""
     return [

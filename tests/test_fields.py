@@ -99,6 +99,18 @@ def test_stencils_are_second_order():
     assert 3.5 < errors[1] / errors[2] < 4.5
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (2, 6, 5), (2, 2, 8, 9)])
+def test_central_stencils_are_bitwise_the_rolled_form(shape):
+    # Built from slices, the stencils keep the bits of the two-roll formula
+    # on every node, the wrapped ends included.
+    rng = np.random.default_rng(sum(shape))
+    grid = Grid(nx=shape[-2], ny=shape[-1], lx=1.3, ly=0.7)
+    f = rng.standard_normal(shape)
+    for op, axis, h in ((ddx, -2, grid.hx), (ddy, -1, grid.hy)):
+        rolled = (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+        assert op(f, grid).tobytes() == rolled.tobytes()
+
+
 def test_summation_by_parts_adjointness():
     rng = np.random.default_rng(21)
     grid = Grid(nx=12, ny=10, lx=1.7, ly=0.9)
@@ -197,8 +209,11 @@ def test_field_state_copy_is_deep_and_finiteness_is_checked():
     clone.u1[0, 0] += 1.0
     assert state.u1[0, 0] != clone.u1[0, 0]
 
+    assert state.first_non_finite() is None
     state.v2[3, 3] = np.nan
+    state.omega[0, 1] = np.inf
     assert not state.is_finite()
+    assert state.first_non_finite() == "v2 at node (3, 3)"
     with pytest.raises(NonFiniteState):
         require_finite(state)
 
