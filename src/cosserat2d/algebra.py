@@ -88,16 +88,23 @@ def cof2(f):
     return out
 
 
-def _polar_rotation(f):
-    """``(R, tr U)`` of ``F = R U``: ``R = (F + cof F) / tr U`` with
-    ``tr(U)^2 = |F|^2 + 2 det F`` (positive det only)."""
-    det = det2(f)
+def check_polar_det(det):
+    """Raise :class:`DegenerateDeformation` where ``det F`` (``det``, one
+    value per node) is at or below :data:`DEGENERATE_DET`, naming the node
+    with the smallest determinant: the polar factor is undefined there."""
     if np.any(det <= DEGENERATE_DET):
         node = np.unravel_index(np.nanargmin(det), np.shape(det))
         at = f" at node {tuple(int(i) for i in node)}" if node else ""
         raise DegenerateDeformation(
             f"det(F) <= {DEGENERATE_DET:g}{at} "
             f"(det F = {float(det[node]):.6g}); polar factor undefined")
+
+
+def _polar_rotation(f):
+    """``(R, tr U)`` of ``F = R U``: ``R = (F + cof F) / tr U`` with
+    ``tr(U)^2 = |F|^2 + 2 det F`` (positive det only)."""
+    det = det2(f)
+    check_polar_det(det)
     tru = np.sqrt(frobenius(f, f) + 2.0 * det)
     return (f + cof2(f)) / tru, tru
 

@@ -1,8 +1,9 @@
 """Equations of motion, homogeneous equilibria, time integration, verifier.
 
-The right-hand sides here are assembled from *grouped closed forms* of the
-stress-like conjugates (expanded matrix products and ``tr(EPS2 @ M)`` traces),
-deliberately not by calling :func:`cosserat2d.energy.analytic_variations`.
+The nonlinear right-hand side is the chain rule of the densities written on
+the planar invariants of :mod:`cosserat2d.energy` (complex scalars, no 2x2
+products), deliberately not a call of its 2x2 conjugate-table gradient
+:func:`cosserat2d.energy.analytic_variations`.
 The two implementations must agree to round-off because both are exact
 gradients of the same discrete energy; :func:`verify_variational_consistency`
 checks exactly that.
@@ -23,14 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import mat_mul, trace2, transpose2
 from .energy import (
     DEFAULT_EPS_REG,
-    _kinematics,
+    _invariants,
     _live_terms,
     analytic_variations,
     potential_total,
-    stretch_densities,
+    term_densities,
     term_totals,
 )
 from .errors import NonFiniteState, ZeroDenominator
@@ -40,7 +40,6 @@ from .fields import (
     ddxx,
     ddy,
     ddyy,
-    div_matrix,
     div_vector,
     grad_scalar,
 )
@@ -63,93 +62,82 @@ class RhsFields:
     potential: Mapping[str, float] | None = None
 
 
-def _eps_trace(m: np.ndarray) -> np.ndarray:
-    """tr(EPS2 @ M) = M[1,0] - M[0,1]; equals 2 sin(phi) for rot2(phi)."""
-    return m[1, 0] - m[0, 1]
-
-
-def _eps_t_left(m: np.ndarray) -> np.ndarray:
-    """EPS2^T @ M for component-first arrays."""
-    return np.stack([-m[1], m[0]])
-
-
 def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
          eps_reg: float) -> RhsFields:
     """Accelerations and per-term potential totals of the energy made of
     ``terms`` (a :meth:`ModelSelector.active_terms` tuple).
 
-    The fields come from :func:`cosserat2d.energy._kinematics`; each term
-    adds its stress to ``p_total`` (``rho u_tt = div P``) and its torque to
-    ``torque`` (``rho_rot theta_tt = torque``): elastic and curvature, one
-    coupling, the interaction, then the chiral block.  That order fixes the
-    rounding of every acceleration.
+    The invariants come from :func:`cosserat2d.energy._invariants`.  Each
+    term adds its partial derivatives of the density ``W`` in ``trx``,
+    ``tx``, ``trxs``, ``txs`` (the traces of ``x`` and ``x*``, plain and
+    against ``EPS2``) and ``|fa|^2``; by the chain rule the stress has the
+    conformal part ``pc = 2 e^{i theta} [(W_trx - W_txs) + i (W_tx + W_trxs)]``
+    and the anticonformal part ``pa = 4 W_|fa|^2 fa``, so that
+    ``rho (u1_tt + i u2_tt) = (d_x (pc + pa) + i d_y (pc - pa)) / 2`` and
+    ``rho_rot theta_tt = -(W_trx tx - W_tx trx + W_trxs txs - W_txs trxs) / 2``
+    plus half the divergence of the conjugate to ``grad theta``.  Terms come
+    in the order elastic and curvature, one coupling, the interaction, then
+    the chiral block, which fixes the rounding of every acceleration.
     """
     grid = state.grid
-    k = _kinematics(state, p, terms, eps_reg, ("rhs", "energy"))
-    terms, f, fstar, r, x = k.terms, k.f, k.fstar, k.r, k.x
-    trx = trace2(x)
-    rftr = mat_mul(r, mat_mul(transpose2(f), r))  # R F^T R
+    k = _invariants(state, p, terms, eps_reg)
+    terms, trx, tx = k.terms, k.trx, k.tx
 
-    # --- elastic and curvature ---
-    p_total = p.mu * (rftr + f) + (p.lam * trx - 2.0 * (p.mu + p.lam)) * r
-    tx = _eps_trace(x)
-    txx = _eps_trace(mat_mul(x, x))
-    torque = p.mu * p.L_c**2 * div_vector(k.g, grid)
-    torque = torque + (p.mu + p.lam) * tx - 0.5 * p.mu * txx - 0.5 * p.lam * trx * tx
+    # --- elastic and curvature: W_trx, 2 W_|fa|^2 and half the conjugate
+    # to grad theta ---
+    w_trx = (p.mu + p.lam) * (trx - 2.0)
+    w_fa = p.mu
+    flux = p.mu * p.L_c**2 * k.g
 
     # --- rotation/strain coupling ---
-    if "coupling" in terms:
-        stress = mat_mul(k.q, k.rtq)  # (2 mu_c / tr U)(Q R^T Q - R), in place
-        stress -= r
-        stress *= 2.0 * p.mu_c / k.tru
-        p_total += stress
-        del stress
-        torque = torque + p.mu_c * _eps_trace(k.rtq)
+    if "coupling" in terms:  # W = 4 mu_c (1 - Re zeta), zeta = xi / |xi|
+        c = 4.0 * p.mu_c * k.zeta.imag / k.tru
+        w_trx = w_trx - c * k.zeta.imag
+        w_tx = c * k.zeta.real
     else:  # coupling2: the skew part of R^T F
-        p_total = p_total + p.mu_c * (f - rftr)
-        torque = torque + 0.5 * p.mu_c * txx
+        w_tx = p.mu_c * tx
 
     # --- chiral interaction ---
     if "interaction" in terms:
         c = p.mu * p.L_c * p.chi
-        p_total = p_total + (c * k.n) * r
-        torque = torque + 0.5 * c * (div_vector(trx * k.g / k.s, grid) - k.n * tx)
+        w_trx = w_trx + c * k.n
+        flux += (0.5 * c * trx / k.s) * k.g
 
     # --- starred elastic on F* = I + grad u*, and mixing ---
     if "chiral_elastic" in terms:
-        xs = k.xs
-        trxs = trace2(xs)
-        rfstr = mat_mul(r, mat_mul(transpose2(fstar), r))
-        # Each partial stress is folded in as soon as it is built, to keep
-        # the allocation peak low; the sum is (P + P_mix) + EPS2^T (P* + P*_mix).
-        p_total = p_total + (p.m1 * (0.5 * (fstar + rfstr) - r)
-                             + p.m2 * (trxs - 2.0) * r
-                             + 0.5 * p.m3 * (fstar - rfstr))
-        p_star = (p.mu_s * (rfstr + fstar)
-                  + (p.lam_s * trxs - 2.0 * (p.mu_s + p.lam_s)) * r
-                  + p.mu_c_s * (fstar - rfstr))
-        p_star += (p.m1 * (0.5 * (f + rftr) - r)
-                   + p.m2 * (trx - 2.0) * r
-                   + 0.5 * p.m3 * (f - rftr))
-        p_total = p_total + _eps_t_left(p_star)
-        del p_star, rfstr
-        txs = _eps_trace(xs)
-        txsxs = _eps_trace(mat_mul(xs, xs))
-        txxs = _eps_trace(mat_mul(x, xs))
-        txsx = _eps_trace(mat_mul(xs, x))
-        torque = (torque + (p.mu_s + p.lam_s) * txs - 0.5 * p.mu_s * txsxs
-                  - 0.5 * p.lam_s * trxs * txs + 0.5 * p.mu_c_s * txsxs)
-        torque = (torque
-                  - 0.5 * p.m1 * (0.5 * (txxs + txsx) - tx - txs)
-                  - 0.5 * p.m2 * ((trxs - 2.0) * tx + (trx - 2.0) * txs)
-                  + 0.25 * p.m3 * (txxs + txsx))
+        trxs, txs = k.trxs, k.txs
+        c = 0.5 * p.m1 + p.m2
+        w_trxs = (p.mu_s + p.lam_s) * (trxs - 2.0) + c * (trx - 2.0)
+        w_txs = p.mu_c_s * txs + 0.5 * p.m3 * tx
+        w_trx = w_trx + c * (trxs - 2.0)
+        w_tx = w_tx + 0.5 * p.m3 * txs
+        w_fa += p.mu_s
+    spin = w_trx * tx - w_tx * trx
+    if "chiral_elastic" in terms:
+        spin += w_trxs * txs - w_txs * trxs
+        w_trx, w_tx = w_trx - w_txs, w_tx + w_trxs
+        del w_trxs, w_txs
+    acc_theta = (div_vector(flux, grid) - 0.5 * spin) / p.rho_rot
+    del flux, spin
 
-    acc_u = div_matrix(p_total, grid) / p.rho
-    acc_theta = torque / p.rho_rot
-    # Release the stress temporaries before the energy densities are built.
-    del f, fstar, r, rftr, p_total, torque
-    k = k._replace(f=None, fstar=None, r=None, s=None, q=None, tru=None)
-    potential = term_totals(stretch_densities(k, p), grid.cell_area)
+    pc = np.empty(grid.shape, dtype=complex)  # pc / 2
+    pc.real, pc.imag = w_trx, w_tx
+    pc *= k.e
+    pa = w_fa * k.fa  # pa / 2
+    # Release the stress inputs before the divergence and the densities.
+    k = k._replace(e=None, fa=None, s=None, tru=None)
+    del w_trx, w_tx
+    sx = ddx(pc + pa, grid)
+    pc -= pa
+    del pa
+    sy = ddy(pc, grid)
+    del pc
+    acc_u = np.empty((2,) + grid.shape)
+    np.subtract(sx.real, sy.imag, out=acc_u[0])
+    np.add(sx.imag, sy.real, out=acc_u[1])
+    acc_u /= p.rho
+    del sx, sy
+    potential = term_totals(term_densities(k, p), grid.cell_area)
     return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
 
 

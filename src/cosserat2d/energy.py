@@ -1,13 +1,24 @@
 """Energy densities, discrete totals, and analytic first variations.
 
-Every density is a pointwise function of a few kinematic fields, built once
-per evaluation by :func:`_kinematics` for the terms that read them: the
-stretch ``x = R^T F``, the chiral stretch ``xs = R^T F*`` of the
-quarter-turned displacement, the angle gradient, its regularized norm and
-``R^T polar(F)``; all accept trailing grid axes.
+Every density is a pointwise function of a few planar invariants, built once
+per evaluation by :func:`_invariants` for the terms that read them; all
+accept trailing grid axes.  In the plane a real 2x2 matrix acts on
+``z = x + i y`` as ``z -> (m_c z + m_a conj(z)) / 2``, and ``m_c`` and
+``m_a`` are its conformal and anticonformal parts; ``R(theta)`` multiplies
+by ``e^{i theta}`` and ``EPS2`` by ``-i``.  With ``w = u1 + i u2`` the parts of
+``F = I + grad u`` are ``fc = 2 + w_x - i w_y`` and ``fa = w_x + i w_y``, and
+``xi = e^{-i theta} fc`` is the conformal part of ``x = R^T F``, so that
+
+* ``tr x = Re xi``, ``tr(EPS2 x) = Im xi`` and
+  ``|sym x - I|^2 = ((tr x - 2)^2 + |fa|^2) / 2``;
+* ``x* = R^T F* = (I - EPS2) R^T + EPS2 x`` for the quarter-turned
+  displacement, so ``tr x* = 2 (cos theta + sin theta) + Im xi``,
+  ``tr(EPS2 x*) = 2 (cos theta - sin theta) - Re xi`` and ``x*`` has the
+  anticonformal part of ``x`` turned by ``-i``;
+* ``tr U = |fc|`` and ``R^T polar(F) = xi / |xi|``.
 
 :func:`analytic_variations` assembles the exact gradient of the *discrete*
-total energy by the conjugate-table route: each term contributes
+total energy by an independent, matrix route: each term contributes
 
 * a conjugate ``P`` to the deformation gradient (so the displacement gradient
   is ``-div P`` after the discrete integration by parts),
@@ -31,6 +42,7 @@ import numpy as np
 from .algebra import (
     EPS2,
     _polar_rotation,
+    check_polar_det,
     dpolar2_dF,
     frobenius,
     identity2,
@@ -41,6 +53,8 @@ from .algebra import (
 )
 from .fields import (
     FieldState,
+    ddx,
+    ddy,
     deformation_gradients,
     div_matrix,
     div_vector,
@@ -52,13 +66,16 @@ from .materials import MaterialParams, ModelSelector
 #: Default regularization scale for the norm of the angle gradient.
 DEFAULT_EPS_REG = 1e-8
 
-#: The live ``terms`` (:func:`_live_terms`) and their fields, each ``None``
-#: unless a consumer reads it: ``F``, ``F*``, ``R(theta)``, ``R^T F``,
-#: ``R^T F*``, ``grad theta``, the interaction's regularized norm of it and
-#: divisor (:func:`_reg_norm`), and the polar coupling's ``polar(F)``,
-#: ``tr U`` and ``R^T polar(F)``.
-_Kinematics = namedtuple("_Kinematics", "terms f fstar r x xs g n s q tru rtq",
-                         defaults=(None,) * 11)
+#: The live ``terms`` (:func:`_live_terms`) and their planar invariants:
+#: ``tr x`` and ``tr(EPS2 x)`` (``Re xi``, ``Im xi``) with ``e^{i theta}``
+#: and ``fa`` for the stresses of :func:`cosserat2d.dynamics._rhs`, unless
+#: the curvature is the only term; and, each ``None`` unless a live term
+#: reads it, ``|fa|^2``, ``tr x*`` and ``tr(EPS2 x*)``, the polar coupling's
+#: ``xi / |xi|`` and ``tr U = |xi|``, and ``grad theta`` with the
+#: interaction's regularized norm of it and divisor (:func:`_reg_norm`).
+_Invariants = namedtuple("_Invariants",
+                         "terms trx tx fa2 trxs txs zeta tru g n s e fa",
+                         defaults=(None,) * 12)
 
 
 def _live_terms(terms, p: MaterialParams) -> tuple[str, ...]:
@@ -79,26 +96,13 @@ def _reg_norm(grad_theta, eps_reg):
     return s - eps_reg, np.where(s > 0.0, s, np.inf)
 
 
-# The density formulas, each written once on the fields it reads; only
-# :func:`stretch_densities` calls them.
+# The density formulas, each written once on the invariants it reads; only
+# :func:`term_densities` calls them.
 
-def _sym_minus_eye(x):
-    return 0.5 * (x + transpose2(x)) - identity2(x)
-
-
-def _trace_eye(c, x):
-    """c (tr x - 2) I, the conjugate of c/2 (tr x - 2)^2 to x."""
-    return c * (trace2(x) - 2.0) * identity2(x)
-
-
-def _skew(x):
-    return 0.5 * (x - transpose2(x))
-
-
-def _elastic(x, p: MaterialParams):
+def _elastic(trx, fa2, p: MaterialParams):
     """mu |sym(R^T F) - I|^2 + lam/2 (tr(sym(R^T F) - I))^2."""
-    sym = _sym_minus_eye(x)
-    return p.mu * frobenius(sym, sym) + 0.5 * p.lam * trace2(sym) ** 2
+    d = trx - 2.0
+    return 0.5 * p.mu * (d * d + fa2) + 0.5 * p.lam * d * d
 
 
 def _curvature(g, p: MaterialParams):
@@ -106,82 +110,55 @@ def _curvature(g, p: MaterialParams):
     return p.mu * p.L_c**2 * (g[0] ** 2 + g[1] ** 2)
 
 
-def _interaction(n, x, p: MaterialParams):
+def _interaction(n, trx, p: MaterialParams):
     """mu L_c chi * reg|grad theta| * tr(R^T F) with the smoothed norm."""
-    return p.mu * p.L_c * p.chi * n * trace2(x)
+    return p.mu * p.L_c * p.chi * n * trx
 
 
-def _coupling(rtq, p: MaterialParams):
+def _coupling(zeta, p: MaterialParams):
     """mu_c |R^T polar(F) - I|^2  (both factors are rotations)."""
-    d = rtq - identity2(rtq)
-    return p.mu_c * frobenius(d, d)
+    d = zeta - 1.0
+    return 2.0 * p.mu_c * (d.real * d.real + d.imag * d.imag)
 
 
-def _coupling2(x, p: MaterialParams):
+def _coupling2(tx, p: MaterialParams):
     """mu_c |skew(R^T F - I)|^2  (the skew part kills the identity shift)."""
-    sk = _skew(x)
-    return p.mu_c * frobenius(sk, sk)
+    return 0.5 * p.mu_c * tx * tx
 
 
-def _chiral_elastic(xs, p: MaterialParams):
+def _chiral_elastic(trxs, txs, fa2, p: MaterialParams):
     """Starred elastic energy: the elastic + skew-coupling shape on F*."""
-    sym = _sym_minus_eye(xs)
-    sk = _skew(xs)
-    return (p.mu_s * frobenius(sym, sym)
-            + 0.5 * p.lam_s * trace2(sym) ** 2
-            + p.mu_c_s * frobenius(sk, sk))
+    d = trxs - 2.0
+    return (0.5 * p.mu_s * (d * d + fa2) + 0.5 * p.lam_s * d * d
+            + 0.5 * p.mu_c_s * txs * txs)
 
 
-def _mixing(x, xs, p: MaterialParams):
-    """m1 <sym* - I, sym - I> + m2 (tr* - 2)(tr - 2) + m3 <skew*, skew>."""
-    sym = _sym_minus_eye(x)
-    syms = _sym_minus_eye(xs)
-    out = p.m1 * frobenius(syms, sym) + p.m2 * trace2(syms) * trace2(sym)
-    if p.m3 != 0.0:
-        out = out + p.m3 * frobenius(_skew(xs), _skew(x))
-    return out
+def _mixing(trx, tx, trxs, txs, p: MaterialParams):
+    """m1 <sym* - I, sym - I> + m2 (tr* - 2)(tr - 2) + m3 <skew*, skew>;
+    the anticonformal parts of ``sym* - I`` and ``sym - I`` are a quarter
+    turn apart, so the ``m1`` product has no anticonformal share."""
+    return ((0.5 * p.m1 + p.m2) * (trxs - 2.0) * (trx - 2.0)
+            + 0.5 * p.m3 * txs * tx)
 
 
 #: Each term, in :data:`ALL_TERMS` order, with its density function and
-#: the :data:`_Kinematics` fields that function takes.
+#: the :data:`_Invariants` fields that function takes.
 _DENSITIES = {
-    "elastic": (_elastic, ("x",)),
+    "elastic": (_elastic, ("trx", "fa2")),
     "curvature": (_curvature, ("g",)),
-    "interaction": (_interaction, ("n", "x")),
-    "coupling": (_coupling, ("rtq",)),
-    "coupling2": (_coupling2, ("x",)),
-    "chiral_elastic": (_chiral_elastic, ("xs",)),
-    "mixing": (_mixing, ("x", "xs")),
+    "interaction": (_interaction, ("n", "trx")),
+    "coupling": (_coupling, ("zeta",)),
+    "coupling2": (_coupling2, ("tx",)),
+    "chiral_elastic": (_chiral_elastic, ("trxs", "txs", "fa2")),
+    "mixing": (_mixing, ("trx", "tx", "trxs", "txs")),
 }
 
 ALL_TERMS = tuple(_DENSITIES)
 
 
-#: The fields each consumer of :func:`_kinematics` reads for each term,
-#: named as in :data:`_Kinematics`: the densities (``"energy"``,
-#: :data:`_DENSITIES`), the conjugates (``"gradient"``,
-#: :func:`_variation_conjugates`) and the stresses and torques of
-#: :func:`cosserat2d.dynamics._rhs` (``"rhs"``, where the chiral elastic
-#: block also serves the mixing term).  :func:`_kinematics` builds exactly
-#: the fields its consumers read.
-_READS = {
-    "energy": {term: set(reads) for term, (_, reads) in _DENSITIES.items()},
-    "gradient": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
-                 "interaction": {"f", "r", "x", "g", "n", "s"},
-                 "coupling": {"f", "r", "q"}, "coupling2": {"f", "r", "x"},
-                 "chiral_elastic": {"fstar", "r", "xs"},
-                 "mixing": {"f", "fstar", "r", "x", "xs"}},
-    "rhs": {"elastic": {"f", "r", "x"}, "curvature": {"g"},
-            "interaction": {"r", "x", "g", "n", "s"},
-            "coupling": {"r", "q", "rtq", "tru"}, "coupling2": {"f", "r", "x"},
-            "chiral_elastic": {"f", "fstar", "r", "x", "xs"},
-            "mixing": {"f", "fstar", "r", "x", "xs"}},
-}
-
-
-def stretch_densities(k: _Kinematics, p: MaterialParams):
-    """Yield ``(term, density)`` for each of ``k.terms`` from the fields of
-    ``k`` (:func:`_kinematics`).
+def term_densities(k: _Invariants, p: MaterialParams):
+    """Yield ``(term, density)`` for each of ``k.terms`` from the invariants
+    ``k`` (:func:`_invariants`).
 
     Densities come one at a time, in :data:`ALL_TERMS` order, so a caller
     that sums each keeps one alive.
@@ -230,69 +207,79 @@ class EnergyBreakdown:
                 self.kinetic_rotational, self.total)
 
 
-def _kinematics(state: FieldState, p: MaterialParams, terms, eps_reg: float,
-                consumers, window=None) -> _Kinematics:
-    """The :data:`_Kinematics` of ``terms`` for ``consumers`` (keys of
-    :data:`_READS`): each field built once, and kept only if a consumer
-    reads it for a live term.
+def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
+                window=None) -> _Invariants:
+    """The :data:`_Invariants` of ``terms`` at ``state``, from one
+    derivative of ``w = u1 + i u2`` per axis and one angle gradient.
 
-    With ``window`` a node ``(i, j)``, every field is built on the 3x3 nodes
-    around it only, from ``u`` and ``theta`` on the 5x5 block around the
-    node, with the full-grid bits.
+    With ``window`` a node ``(i, j)``, every invariant is built on the 3x3
+    nodes around it only, from ``u`` and ``theta`` on the 5x5 block around
+    the node, with the full-grid bits.
     """
     live = _live_terms(terms, p)
-    reads = set().union(*(_READS[c][t] for c in consumers for t in live))
-    fields = {}
-    if reads - {"g", "n", "s"}:
-        star = bool(reads & {"fstar", "xs"})
-        f, fstar = deformation_gradients(state, window, star)
-        theta = (state.theta if window is None
-                 else state.theta[node_window(state.grid, window)])
-        r = rot2(theta)
-        rt = transpose2(r)
-        if "xs" in reads:
-            fields["xs"] = mat_mul(rt, fstar)
-        if "fstar" in reads:
-            fields["fstar"] = fstar
-        del fstar
-        if "x" in reads:
-            fields["x"] = mat_mul(rt, f)
-        if reads & {"q", "rtq", "tru"}:
-            q, _ = _polar_rotation(f)
-            if "tru" in reads:  # the bits of trace2(polar2(f)[1])
-                fields["tru"] = trace2(mat_mul(transpose2(q), f))
-            if "rtq" in reads:
-                fields["rtq"] = mat_mul(rt, q)
-            if "q" in reads:
-                fields["q"] = q
-            del q
-        if "f" in reads:
-            fields["f"] = f
-        if "r" in reads:
-            fields["r"] = r
-        del f, r, rt
-    if reads & {"g", "n"}:
-        g = grad_scalar(state.theta, state.grid, window)
-        if "g" in reads:
-            fields["g"] = g
-        if "n" in reads:
-            n, s = _reg_norm(g, eps_reg)
-            fields["n"] = n
-            if "s" in reads:
-                fields["s"] = s
-    return _Kinematics(live, **fields)
+    grid = state.grid
+    g = (grad_scalar(state.theta, grid, window)
+         if {"curvature", "interaction"} & set(live) else None)
+    if live == ("curvature",):
+        return _Invariants(live, g=g)
+    u1, u2, theta = state.u1, state.u2, state.theta
+    if window is not None:
+        block = node_window(grid, window, 2)
+        u1, u2 = u1[block], u2[block]
+        theta = theta[node_window(grid, window)]
+    w = np.empty(u1.shape, dtype=complex)
+    w.real, w.imag = u1, u2
+    wx, wy = ddx(w, grid), ddy(w, grid)
+    del w
+    if window is not None:  # the block's wrap spoils only its outer ring
+        wx, wy = wx[1:-1, 1:-1], wy[1:-1, 1:-1]
+    return _planar_invariants(live, wx, wy, theta, g, eps_reg)
+
+
+def _planar_invariants(terms, wx, wy, theta, g=None,
+                      eps_reg: float = DEFAULT_EPS_REG) -> _Invariants:
+    """The :data:`_Invariants` of ``terms`` (all live) from the pointwise
+    derivatives ``wx``, ``wy`` of ``w = u1 + i u2``, the angle ``theta`` and,
+    for the curvature and the interaction, its gradient ``g``.
+
+    The polar coupling first checks ``det F`` (:func:`check_polar_det`),
+    taken from the entries of ``F`` as ``det2`` takes it.
+    """
+    fa = 1j * wy
+    xi = wx - fa  # fc - 2
+    xi += 2.0
+    fa += wx
+    cos, sin = np.cos(theta), np.sin(theta)
+    e = np.empty(np.shape(theta), dtype=complex)
+    e.real, e.imag = cos, sin
+    xi *= e.conj()
+    k = dict(trx=xi.real, tx=xi.imag, e=e, fa=fa)
+    if {"elastic", "chiral_elastic"} & set(terms):
+        k["fa2"] = fa.real * fa.real + fa.imag * fa.imag
+    if {"chiral_elastic", "mixing"} & set(terms):
+        k["trxs"] = 2.0 * (cos + sin) + xi.imag
+        k["txs"] = 2.0 * (cos - sin) - xi.real
+    if "coupling" in terms:
+        check_polar_det((1.0 + wx.real) * (1.0 + wy.imag)
+                        - wy.real * wx.imag)
+        k["tru"] = np.abs(xi)
+        k["zeta"] = xi * (1.0 / k["tru"])
+    if g is not None:
+        k["g"] = g
+        if "interaction" in terms:
+            k["n"], k["s"] = _reg_norm(g, eps_reg)
+    return _Invariants(tuple(terms), **k)
 
 
 def _potential_densities(state: FieldState, p: MaterialParams, terms,
                          eps_reg: float, window=None):
-    """:func:`stretch_densities` of ``state`` from :func:`_kinematics`.
+    """:func:`term_densities` of ``state`` from :func:`_invariants`.
 
     With ``window`` a node, the densities of the 3x3 nodes around it only:
     they are the only densities a change of ``u`` or ``theta`` at that node
     can change.
     """
-    return stretch_densities(
-        _kinematics(state, p, terms, eps_reg, ("energy",), window), p)
+    return term_densities(_invariants(state, p, terms, eps_reg, window), p)
 
 
 def energy_breakdown(potential, state: FieldState,
@@ -337,13 +324,33 @@ def potential_total(state: FieldState, p: MaterialParams, terms,
     return float(sum(np.sum(d) for _, d in dens)) * state.grid.cell_area
 
 
+def _sym_minus_eye(x):
+    return 0.5 * (x + transpose2(x)) - identity2(x)
+
+
+def _trace_eye(c, x):
+    """c (tr x - 2) I, the conjugate of c/2 (tr x - 2)^2 to x."""
+    return c * (trace2(x) - 2.0) * identity2(x)
+
+
 def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
                           eps_reg: float):
-    """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``
-    from :func:`_kinematics`, and the ``R`` they were built with.  ``Y`` and
-    ``R`` are ``None`` when no live term reads ``R`` (curvature alone)."""
-    k = _kinematics(state, p, terms, eps_reg, ("gradient",))
-    need, f, fstar, r, x, xs, g = k.terms, k.f, k.fstar, k.r, k.x, k.xs, k.g
+    """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``,
+    and the ``R`` they were built with; each matrix field is built only if a
+    live term reads it.  ``Y`` and ``R`` are ``None`` when no live term
+    reads ``R`` (curvature alone)."""
+    need = _live_terms(terms, p)
+    f = fstar = r = x = xs = g = None
+    if need != ("curvature",):
+        f, fstar = deformation_gradients(
+            state, star=bool({"chiral_elastic", "mixing"} & set(need)))
+        r = rot2(state.theta)
+        if {"elastic", "interaction", "coupling2", "mixing"} & set(need):
+            x = mat_mul(transpose2(r), f)
+        if fstar is not None:
+            xs = mat_mul(transpose2(r), fstar)
+    if {"curvature", "interaction"} & set(need):
+        g = grad_scalar(state.theta, state.grid)
     grid = state.grid
 
     p_conj = np.zeros((2, 2) + grid.shape)  # conjugate to delta F
@@ -387,19 +394,20 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
 
     if "interaction" in need:
         c = p.mu * p.L_c * p.chi
-        p_conj += c * k.n * r
-        y_conj += c * k.n * f
-        q_conj += c * trace2(x) * g / k.s
+        n, s = _reg_norm(g, eps_reg)
+        p_conj += c * n * r
+        y_conj += c * n * f
+        q_conj += c * trace2(x) * g / s
 
     if "curvature" in need:
         q_conj += 2.0 * p.mu * p.L_c**2 * g
 
     if "coupling" in need:
+        y_conj += -2.0 * p.mu_c * _polar_rotation(f)[0]
         # The F-conjugate goes through the full polar-derivative tensor:
         # <R, dpolar(F)[dF]> = <adjoint applied to R, dF>.
         t4 = dpolar2_dF(f)
         p_conj += -2.0 * p.mu_c * np.einsum("ij...,ijkl...->kl...", r, t4)
-        y_conj += -2.0 * p.mu_c * k.q
 
     return p_conj, y_conj, q_conj, r
 

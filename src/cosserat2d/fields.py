@@ -75,16 +75,19 @@ def _central(f: np.ndarray, axis: int, h: float) -> np.ndarray:
 
     Built from slices into one output, with no rolled copies of ``f``; the
     same subtraction and division at every node, so the bits of the rolled
-    form.  Needs at least 3 nodes on ``axis``.
+    form.  A complex field's real and imaginary parts are divided as real
+    numbers, so each has the bits of the stencil of that part alone.  Needs
+    at least 3 nodes on ``axis``.
     """
     f = np.asarray(f)
-    out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
     dst = np.moveaxis(out, axis, 0)
     src = np.moveaxis(f, axis, 0)
     np.subtract(src[2:], src[:-2], out=dst[1:-1])
     np.subtract(src[1], src[-1], out=dst[0])
     np.subtract(src[0], src[-2], out=dst[-1])
-    out /= 2.0 * h
+    parts = out.view(out.real.dtype)
+    parts /= 2.0 * h
     return out
 
 
@@ -98,14 +101,33 @@ def ddy(f: np.ndarray, grid: Grid) -> np.ndarray:
     return _central(f, -1, grid.hy)
 
 
+def _second(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """``((f[i+1] - 2 f[i]) + f[i-1]) / h^2`` along ``axis``, periodic wrap.
+
+    Built from slices into one output like :func:`_central`, so the bits of
+    the rolled form.  Needs at least 2 nodes on ``axis``.
+    """
+    f = np.asarray(f)
+    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    dst = np.moveaxis(out, axis, 0)
+    src = np.moveaxis(f, axis, 0)
+    np.multiply(src, 2.0, out=dst)
+    np.subtract(src[1:], dst[:-1], out=dst[:-1])
+    np.subtract(src[0], dst[-1], out=dst[-1])
+    np.add(dst[1:], src[:-1], out=dst[1:])
+    np.add(dst[0], src[-1], out=dst[0])
+    out /= h**2
+    return out
+
+
 def ddxx(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Three-point second x-derivative, periodic wrap."""
-    return (np.roll(f, -1, axis=-2) - 2.0 * f + np.roll(f, 1, axis=-2)) / grid.hx**2
+    return _second(f, -2, grid.hx)
 
 
 def ddyy(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Three-point second y-derivative, periodic wrap."""
-    return (np.roll(f, -1, axis=-1) - 2.0 * f + np.roll(f, 1, axis=-1)) / grid.hy**2
+    return _second(f, -1, grid.hy)
 
 
 def node_window(grid: Grid, node: tuple[int, int], radius: int = 1):

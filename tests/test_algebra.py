@@ -169,8 +169,8 @@ def test_polar2_on_stacked_fields():
 
 
 def test_trace_of_stretch_is_bitwise_the_rotation_route():
-    # energy._kinematics takes tr U as tr(R^T F) from the rotation alone:
-    # the diagonal of polar2's symmetrized U is exactly that of R^T F.
+    # tr U read as tr(R^T F) from the rotation alone has the bits of
+    # polar2's: the diagonal of its symmetrized U is exactly that of R^T F.
     rng = np.random.default_rng(12)
     state = random_smooth_state(Grid(nx=256, ny=256), seed=3, amplitude=0.05,
                                 modes=3)

@@ -34,7 +34,7 @@ from cosserat2d.energy import (
     potential_total,
     total_energy,
 )
-from cosserat2d.errors import NonFiniteState
+from cosserat2d.errors import DegenerateDeformation, NonFiniteState
 from cosserat2d.fields import (
     FieldState,
     Grid,
@@ -77,6 +77,43 @@ def test_accelerations_are_exact_energy_gradients():
                      "theta_inertia_factor_is_two"):
             assert rows[name].tolerance == tol, (index, name)
         assert report.all_pass, [c.name for c in report.failures()]
+
+
+@pytest.mark.parametrize("kind, amplitude, chi", [
+    ("polar", 0.3, 0.0), ("skew", 0.3, 0.5), ("skew", 2.0, 0.5),
+    ("chiral", 0.3, 0.0), ("chiral", 2.0, 0.0)])
+def test_accelerations_are_exact_energy_gradients_at_large_deformation(
+        kind, amplitude, chi):
+    # Criterion 1's comparison far from the reference state: at amplitude
+    # 2.0 the displacement gradient reaches about 6 and det F changes sign
+    # (so only the skew-coupled models run there).
+    grid = Grid(nx=48, ny=36, lx=1.3)
+    state = random_smooth_state(grid, seed=17, amplitude=amplitude, modes=3)
+    rng = np.random.default_rng(29)
+    if kind == "chiral":
+        p, sel = random_material(rng, chiral=True), ModelSelector.chiral()
+        acc = rhs_chiral(state, p)
+    else:
+        p, sel = random_material(rng, chi=chi), ModelSelector.nonchiral(kind)
+        acc = rhs_nonlinear(state, p, coupling=kind)
+    tol = 1e-8 if "interaction" in energy._live_terms(sel.active_terms(), p) \
+        else 1e-10
+    dv_du, dv_dth = analytic_variations(state, p, sel.active_terms())
+    assert dynamics._relative_max_error(p.rho * acc.acc_u + dv_du, dv_du) < tol
+    assert dynamics._relative_max_error(
+        2.0 * p.rho_rot * acc.acc_theta + dv_dth, dv_dth) < tol
+
+
+def test_polar_kernel_names_the_degenerate_node():
+    # The kernel checks det F from the entries of F before it takes the
+    # polar factor, and names the node with the smallest determinant.
+    grid = Grid(nx=8, ny=8)
+    state = FieldState.zero(grid)
+    state.u1[4, 4] = -1.3 * 2.0 * grid.hx  # d_x u1 = -1.3 at node (3, 4)
+    with pytest.raises(DegenerateDeformation,
+                       match=r"^det\(F\) <= 1e-12 at node \(3, 4\) "
+                             r"\(det F = -0\.3\); polar factor undefined$"):
+        rhs_nonlinear(state, MaterialParams(), coupling="polar")
 
 
 def test_interaction_gradient_skip_row_at_unregularized_kink():

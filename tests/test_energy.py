@@ -11,7 +11,9 @@ import numpy.testing as npt
 from cosserat2d import dynamics, energy
 from cosserat2d.algebra import (
     EPS2,
+    det2,
     frobenius,
+    identity2,
     mat_mul,
     polar2,
     rot2,
@@ -22,7 +24,7 @@ from cosserat2d.energy import (
     DEFAULT_EPS_REG,
     analytic_variations,
     potential_total,
-    stretch_densities,
+    term_densities,
     total_energy,
 )
 from cosserat2d.fields import FieldState, Grid, deformation_gradients
@@ -33,17 +35,66 @@ from conftest import random_f_stack, random_material
 
 
 def density(term, p, f=None, theta=None, *, fstar=None, g=None,
-             eps_reg=DEFAULT_EPS_REG):
+            eps_reg=DEFAULT_EPS_REG):
     """The density of ``term`` at pointwise ``F``, ``theta``, ``F*`` and
-    ``grad theta = g``, through :func:`stretch_densities`."""
-    rt = None if theta is None else transpose2(rot2(theta))
-    x = None if f is None else mat_mul(rt, f)
-    xs = None if fstar is None else mat_mul(rt, fstar)
-    rtq = mat_mul(rt, polar2(f)[0]) if term == "coupling" else None
-    n = None if g is None else energy._reg_norm(g, eps_reg)[0]
-    k = energy._Kinematics((term,), x=x, xs=xs, g=g, n=n, rtq=rtq)
-    [(_, value)] = stretch_densities(k, p)
+    ``grad theta = g``, through the planar invariants of the energy builder
+    and :func:`term_densities`.  ``F*`` stands for the ``F`` with
+    ``F* = I + EPS2 (F - I)``; given both, they must agree."""
+    if fstar is not None:
+        from_star = identity2(fstar) - mat_mul(EPS2, fstar - identity2(fstar))
+        if f is None:
+            f = from_star
+        npt.assert_array_equal(f, from_star)
+    if f is None:
+        k = energy._Invariants((term,), g=g)
+    else:
+        wx = (f[0, 0] - 1.0) + 1j * f[1, 0]
+        wy = f[0, 1] + 1j * (f[1, 1] - 1.0)
+        k = energy._planar_invariants((term,), wx, wy, theta, g, eps_reg)
+    [(_, value)] = term_densities(k, p)
     return value
+
+
+def assert_relatively_close(actual, expected, rtol=1e-13):
+    """``max |actual - expected| <= rtol * max |expected|``."""
+    error = np.max(np.abs(actual - expected))
+    assert error <= rtol * np.max(np.abs(expected)), error
+
+
+def test_planar_invariants_match_the_matrix_algebra():
+    # Each identity the energy builder rests on, pointwise against the 2x2
+    # algebra: with w = u1 + i u2, fc = 2 + w_x - i w_y, fa = w_x + i w_y and
+    # xi = e^{-i theta} fc,  tr x = Re xi,  tr(EPS2 x) = Im xi,
+    # |sym x - I|^2 = ((tr x - 2)^2 + |fa|^2) / 2 for x = R^T F,
+    # tr U = |fc|,  R^T polar(F) = xi / |xi|,  det F = (|fc|^2 - |fa|^2) / 4,
+    # and R^T F* = (I - EPS2) R^T + EPS2 R^T F for F* = I + EPS2 (F - I).
+    rng = np.random.default_rng(19)
+    for spread in (0.1, 0.4, 0.8):
+        f = random_f_stack(rng, n=200, spread=spread)
+        theta = rng.uniform(-3.0, 3.0, size=200)
+        wx = (f[0, 0] - 1.0) + 1j * f[1, 0]
+        wy = f[0, 1] + 1j * (f[1, 1] - 1.0)
+        fc = 2.0 + wx - 1j * wy
+        k = energy._planar_invariants(energy.ALL_TERMS, wx, wy, theta,
+                                      np.zeros((2, 200)))
+        rt = transpose2(rot2(theta))
+        x = mat_mul(rt, f)
+        assert_relatively_close(k.trx, trace2(x))
+        assert_relatively_close(k.tx, x[1, 0] - x[0, 1])
+        sym = 0.5 * (x + transpose2(x)) - identity2(x)
+        assert_relatively_close(0.5 * ((k.trx - 2.0) ** 2 + k.fa2),
+                                frobenius(sym, sym))
+        q, u = polar2(f)
+        assert_relatively_close(np.abs(fc), trace2(u))
+        assert_relatively_close(k.tru, trace2(u))
+        rtq = mat_mul(rt, q)
+        assert_relatively_close(k.zeta, rtq[0, 0] + 1j * rtq[1, 0])
+        assert_relatively_close(0.25 * (np.abs(fc) ** 2 - k.fa2), det2(f))
+        xs = mat_mul(rt, identity2(f) + mat_mul(EPS2, f - identity2(f)))
+        assert_relatively_close(
+            xs, mat_mul(identity2(f) - EPS2[:, :, None], rt) + mat_mul(EPS2, x))
+        assert_relatively_close(k.trxs, trace2(xs))
+        assert_relatively_close(k.txs, xs[1, 0] - xs[0, 1])
 
 
 def elastic_density_expanded(f, theta, p):
@@ -301,11 +352,12 @@ def test_analytic_variations_builds_each_field_once(monkeypatch):
 
 
 def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
-    # The right-hand sides read every field from energy._kinematics: one
-    # rotation, one pair of deformation gradients, one angle gradient and,
-    # for the polar coupling only, one polar rotation per call.
-    calls = dict.fromkeys(("rot2", "deformation_gradients", "grad_scalar",
-                           "_polar_rotation"), 0)
+    # The right-hand sides read every field from energy._invariants: one
+    # set of planar invariants (one rotation e^{i theta}), one derivative of
+    # w = u1 + i u2 per axis, one angle gradient and, for the polar coupling
+    # only, one det F check of the polar factor per call.
+    calls = dict.fromkeys(("_planar_invariants", "ddx", "ddy", "grad_scalar",
+                           "check_polar_det"), 0)
     for name in calls:
         def counted(*args, _name=name, _original=getattr(energy, name)):
             calls[_name] += 1
@@ -320,5 +372,5 @@ def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
             (lambda p: dynamics.rhs_chiral(state, p), 0)):
         calls.update(dict.fromkeys(calls, 0))
         rhs(random_material(rng, chiral=True, chi=0.6))
-        assert calls == {"rot2": 1, "deformation_gradients": 1,
-                         "grad_scalar": 1, "_polar_rotation": polar}
+        assert calls == {"_planar_invariants": 1, "ddx": 1, "ddy": 1,
+                         "grad_scalar": 1, "check_polar_det": polar}

@@ -111,6 +111,32 @@ def test_central_stencils_are_bitwise_the_rolled_form(shape):
         assert op(f, grid).tobytes() == rolled.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (2, 6, 5), (2, 2, 8, 9)])
+def test_second_difference_stencils_are_bitwise_the_rolled_form(shape):
+    # Built from slices like the central stencils, ddxx and ddyy keep the
+    # bits of (roll(-1) - 2 f) + roll(+1), over h^2, the wrapped ends
+    # included.
+    rng = np.random.default_rng(sum(shape))
+    grid = Grid(nx=shape[-2], ny=shape[-1], lx=1.3, ly=0.7)
+    f = rng.standard_normal(shape)
+    for op, axis, h in ((ddxx, -2, grid.hx), (ddyy, -1, grid.hy)):
+        rolled = ((np.roll(f, -1, axis=axis) - 2.0 * f)
+                  + np.roll(f, 1, axis=axis)) / h**2
+        assert op(f, grid).tobytes() == rolled.tobytes()
+
+
+def test_complex_stencils_are_the_stencils_of_each_part():
+    # The energy differentiates w = u1 + i u2 once per axis: each part of the
+    # complex difference has the bits of the real difference of that part.
+    rng = np.random.default_rng(23)
+    grid = Grid(nx=9, ny=7, lx=1.3, ly=0.7)
+    u1, u2 = rng.standard_normal((2,) + grid.shape)
+    w = u1 + 1j * u2
+    for op in (ddx, ddy):
+        assert op(w, grid).real.tobytes() == op(u1, grid).tobytes()
+        assert op(w, grid).imag.tobytes() == op(u2, grid).tobytes()
+
+
 def test_summation_by_parts_adjointness():
     rng = np.random.default_rng(21)
     grid = Grid(nx=12, ny=10, lx=1.7, ly=0.9)
