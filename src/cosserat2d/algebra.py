@@ -130,11 +130,14 @@ def dpolar2_dF(f):
     ``einsum('ijkl...,kl...->ij...', T, E)`` is the directional derivative
     ``(E - R E^T R) / tr(U)``; at ``F = I`` it reduces to ``skew(E)``.
     """
-    f = np.asarray(f, dtype=float)
-    r, tru = _polar_rotation(f)
+    return _polar_derivative(*_polar_rotation(np.asarray(f, dtype=float)))
+
+
+def _polar_derivative(r, tru):
+    """:func:`dpolar2_dF` from the ``(R, tr U)`` of :func:`_polar_rotation`."""
     eye = np.eye(2)
     delta = np.einsum("ik,jl->ijkl", eye, eye)
-    delta = delta.reshape((2, 2, 2, 2) + (1,) * (f.ndim - 2))
+    delta = delta.reshape((2, 2, 2, 2) + (1,) * (r.ndim - 2))
     # In place: these 16 fields are the largest array of a gradient pass.
     t4 = np.einsum("il...,kj...->ijkl...", r, r)
     np.subtract(delta, t4, out=t4)

@@ -41,9 +41,9 @@ import numpy as np
 
 from .algebra import (
     EPS2,
+    _polar_derivative,
     _polar_rotation,
     check_polar_det,
-    dpolar2_dF,
     frobenius,
     identity2,
     mat_mul,
@@ -403,10 +403,12 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
         q_conj += 2.0 * p.mu * p.L_c**2 * g
 
     if "coupling" in need:
-        y_conj += -2.0 * p.mu_c * _polar_rotation(f)[0]
+        polar_r, tru = _polar_rotation(f)
+        y_conj += -2.0 * p.mu_c * polar_r
         # The F-conjugate goes through the full polar-derivative tensor:
         # <R, dpolar(F)[dF]> = <adjoint applied to R, dF>.
-        t4 = dpolar2_dF(f)
+        t4 = _polar_derivative(polar_r, tru)
+        del polar_r, tru  # freed before the contraction, the pass's peak
         p_conj += -2.0 * p.mu_c * np.einsum("ij...,ijkl...->kl...", r, t4)
 
     return p_conj, y_conj, q_conj, r

@@ -14,6 +14,9 @@ identity is checked to round-off, with no grid truncation):
 The inversion probe checks the chirality of ``<F^T F, R^T Curl R>``: fields
 are pulled back through ``x -> -x`` (which negates F and, by convention, R)
 and the invariant must flip sign.
+
+Fields are evaluated on all sample points at once: points of shape ``S``
+give matrices of shape ``S + (3, 3)``, acted on by their last two axes.
 """
 
 from __future__ import annotations
@@ -39,19 +42,50 @@ SERIES_THRESHOLD = 1e-4
 
 
 def curl3_matrix(dm: np.ndarray) -> np.ndarray:
-    """Matrix curl from a pointwise derivative bundle ``dm[m, i, n] =
+    """Matrix curl from a pointwise derivative bundle ``dm[..., m, i, n] =
     d_m M[i, n]``: ``(Curl M)[i, j] = sum_mn EPS3[j, m, n] dm[m, i, n]``."""
-    return np.einsum("jmn,min->ij", EPS3, dm)
+    return np.einsum("jmn,...min->...ij", EPS3, dm)
+
+
+def _t(m):
+    return np.swapaxes(m, -1, -2)
+
+
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _frobenius(a, b):
+    return np.sum(a * b, axis=(-2, -1))
+
+
+def _hat(v):
+    """Cross-product matrices, ``_hat(v) @ u = v x u``."""
+    return -np.einsum("ijk,...k->...ij", EPS3, v)
+
+
+def _m(x):
+    """Scalars of shape ``S`` as ``S + (1, 1)``, to scale a matrix stack."""
+    return np.asarray(x)[..., None, None]
+
+
+def _matrix3(rows, shape) -> np.ndarray:
+    """Matrices of shape ``shape + (3, 3)`` from rows of scalars or arrays."""
+    out = np.empty(tuple(shape) + (3, 3))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
 
 
 def devsym3(m: np.ndarray) -> np.ndarray:
     """Trace-free symmetric part."""
-    s = 0.5 * (m + m.T)
-    return s - (np.trace(m) / 3.0) * np.eye(3)
+    s = 0.5 * (m + _t(m))
+    return s - _m(_trace(m) / 3.0) * np.eye(3)
 
 
 def skew3(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m - m.T)
+    return 0.5 * (m - _t(m))
 
 
 # --------------------------------------------------------------------------
@@ -60,7 +94,8 @@ def skew3(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PlanarFunction:
-    """Scalar function of (x, y) with its analytic gradient."""
+    """Scalar function of (x, y) with its analytic gradient; both callables
+    take arrays of points (or scalars) and may return constants."""
 
     value: Callable[[float, float], float]
     grad: Callable[[float, float], tuple[float, float]]
@@ -69,6 +104,12 @@ class PlanarFunction:
         return PlanarFunction(
             value=lambda x, y: factor * self.value(x, y),
             grad=lambda x, y: tuple(factor * g for g in self.grad(x, y)))
+
+    def at(self, x, y):
+        """``(value, d/dx, d/dy)`` at the points, broadcast to ``x``'s shape."""
+        gx, gy = self.grad(x, y)
+        return tuple(np.broadcast_to(np.asarray(v, dtype=float), np.shape(x))
+                     for v in (self.value(x, y), gx, gy))
 
 
 @dataclass(frozen=True)
@@ -95,49 +136,39 @@ def default_planar_sample(n_points: int = 100, seed: int = 71) -> PlanarSample3D
     plus generic smooth angle pair for the out-of-plane-axis problem."""
     return PlanarSample3D(
         points=_sample_points(n_points, seed, 2),
-        phi1=PlanarFunction(lambda x, y: x + 0.1 * math.sin(y),
-                            lambda x, y: (1.0, 0.1 * math.cos(y))),
+        phi1=PlanarFunction(lambda x, y: x + 0.1 * np.sin(y),
+                            lambda x, y: (1.0, 0.1 * np.cos(y))),
         phi2=PlanarFunction(lambda x, y: y,
                             lambda x, y: (0.0, 1.0)),
-        angle=PlanarFunction(lambda x, y: 0.2 * math.cos(x),
-                             lambda x, y: (-0.2 * math.sin(x), 0.0)),
-        alpha=PlanarFunction(lambda x, y: 0.3 * math.sin(x) + 0.2 * math.cos(y),
-                             lambda x, y: (0.3 * math.cos(x), -0.2 * math.sin(y))),
-        beta=PlanarFunction(lambda x, y: 0.2 * math.sin(y) - 0.1 * math.cos(x),
-                            lambda x, y: (0.1 * math.sin(x), 0.2 * math.cos(y))))
+        angle=PlanarFunction(lambda x, y: 0.2 * np.cos(x),
+                             lambda x, y: (-0.2 * np.sin(x), 0.0)),
+        alpha=PlanarFunction(lambda x, y: 0.3 * np.sin(x) + 0.2 * np.cos(y),
+                             lambda x, y: (0.3 * np.cos(x), -0.2 * np.sin(y))),
+        beta=PlanarFunction(lambda x, y: 0.2 * np.sin(y) - 0.1 * np.cos(x),
+                            lambda x, y: (0.1 * np.sin(x), 0.2 * np.cos(y))))
 
 
-def _first_problem_f(s: PlanarSample3D, x: float, y: float) -> np.ndarray:
-    g1 = s.phi1.grad(x, y)
-    g2 = s.phi2.grad(x, y)
-    return np.array([[g1[0], g1[1], 0.0],
-                     [g2[0], g2[1], 0.0],
-                     [0.0, 0.0, 1.0]])
+def _first_problem_f(s: PlanarSample3D, x, y) -> np.ndarray:
+    return _matrix3([[*s.phi1.at(x, y)[1:], 0.0], [*s.phi2.at(x, y)[1:], 0.0],
+                     [0.0, 0.0, 1.0]], np.shape(x))
 
 
-def _rotation_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rotation_z_bundle(angle_fn: PlanarFunction, x: float, y: float):
+def _rotation_z_bundle(angle_fn: PlanarFunction, x, y):
     """Rotation about the z-axis and its derivative bundle dR[m, i, n]."""
-    t = angle_fn.value(x, y)
-    gx, gy = angle_fn.grad(x, y)
-    r = _rotation_z(t)
-    c, s = math.cos(t), math.sin(t)
-    dr_dt = np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
-    dm = np.zeros((3, 3, 3))
-    dm[0] = gx * dr_dt
-    dm[1] = gy * dr_dt
-    return r, dm
+    t, gx, gy = angle_fn.at(x, y)
+    c, s = np.cos(t), np.sin(t)
+    r = _matrix3([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]], np.shape(t))
+    dr_dt = _matrix3([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]],
+                     np.shape(t))
+    return r, np.stack([_m(gx) * dr_dt, _m(gy) * dr_dt,
+                        np.zeros_like(dr_dt)], -3)
 
 
-def first_problem_wryness(s: PlanarSample3D, x: float, y: float) -> np.ndarray:
+def first_problem_wryness(s: PlanarSample3D, x, y) -> np.ndarray:
     """R^T Curl R for the in-plane problem; analytically this equals minus
     the angle gradient placed in the third column."""
     r, dm = _rotation_z_bundle(s.angle, x, y)
-    return r.T @ curl3_matrix(dm)
+    return _t(r) @ curl3_matrix(dm)
 
 
 def first_problem_check(s: PlanarSample3D) -> VerificationReport:
@@ -145,40 +176,35 @@ def first_problem_check(s: PlanarSample3D) -> VerificationReport:
     norm, stretch block form, decomposition, and the orthogonality triple
     (for both the first stretch and the metric), plus the nonvanishing of
     the norm-times-trace interaction surrogate."""
-
-    def errors(x, y):
-        f = _first_problem_f(s, x, y)
-        stretch = _rotation_z(s.angle.value(x, y)).T @ f
-        k = first_problem_wryness(s, x, y)
-        gx, gy = s.angle.grad(x, y)
-        expected = np.zeros((3, 3))
-        expected[0, 2] = -gx
-        expected[1, 2] = -gy
-        recon = devsym3(k) + skew3(k) + (np.trace(k) / 3.0) * np.eye(3)
-        row = {
-            "wryness_two_entry_structure": np.max(np.abs(k - expected)),
-            "decomposition_reconstructs": np.max(np.abs(recon - k)),
-            "wryness_trace_free": abs(np.trace(k)),
-            "stretch_block_form": np.max(np.abs([
-                stretch[0, 2], stretch[1, 2], stretch[2, 0], stretch[2, 1],
-                stretch[2, 2] - 1.0])),
-        }
-        for label, a in (("stretch", stretch), ("metric", f.T @ f)):
-            row[f"orthogonality_devsym_{label}"] = abs(
-                np.sum(devsym3(a) * devsym3(k)))
-            row[f"orthogonality_skew_{label}"] = abs(
-                np.sum(skew3(a) * skew3(k)))
-            row[f"orthogonality_trace_{label}"] = abs(
-                np.trace(a) * np.trace(k))
-        row["wryness_norm_identity"] = abs(np.sum(k * k) - (gx**2 + gy**2))
-        return row
+    x, y = s.points.T
+    f = _first_problem_f(s, x, y)
+    _, gx, gy = s.angle.at(x, y)
+    stretch = _t(_rotation_z_bundle(s.angle, x, y)[0]) @ f
+    k = first_problem_wryness(s, x, y)
+    expected = np.zeros_like(k)
+    expected[..., :2, 2] = -np.stack([gx, gy], -1)
+    trace_k = _trace(k)
+    recon = devsym3(k) + skew3(k) + _m(trace_k / 3.0) * np.eye(3)
+    errors = {
+        "wryness_two_entry_structure": np.abs(k - expected),
+        "decomposition_reconstructs": np.abs(recon - k),
+        "wryness_trace_free": np.abs(trace_k),
+        "stretch_block_form": np.abs(np.concatenate(
+            [stretch[..., :2, 2], stretch[..., 2, :] - [0.0, 0.0, 1.0]], -1)),
+    }
+    for label, a in (("stretch", stretch), ("metric", _t(f) @ f)):
+        errors[f"orthogonality_devsym_{label}"] = np.abs(
+            _frobenius(devsym3(a), devsym3(k)))
+        errors[f"orthogonality_skew_{label}"] = np.abs(
+            _frobenius(skew3(a), skew3(k)))
+        errors[f"orthogonality_trace_{label}"] = np.abs(_trace(a) * trace_k)
+    errors["wryness_norm_identity"] = np.abs(
+        _frobenius(k, k) - (gx**2 + gy**2))
 
     report = VerificationReport()
-    report.add_maxima([errors(x, y) for x, y in s.points], 1e-10)
-    report.flag("interaction_surrogate_nonzero", any(
-        math.hypot(*s.angle.grad(x, y)) * abs(np.trace(
-            _rotation_z(s.angle.value(x, y)).T @ _first_problem_f(s, x, y)))
-        > 1e-6 for x, y in s.points))
+    report.add_maxima(errors, 1e-10)
+    report.flag("interaction_surrogate_nonzero", bool(np.any(
+        np.hypot(gx, gy) * np.abs(_trace(stretch)) > 1e-6)))
     return report
 
 
@@ -186,85 +212,75 @@ def first_problem_check(s: PlanarSample3D) -> VerificationReport:
 # Out-of-plane rotation axes (two-angle Rodrigues rotation)
 # --------------------------------------------------------------------------
 
-def _rodrigues_coefficients(l2: float):
-    """(cos l, sin(l)/l, (1 - cos l)/l^2, (c - s)/l^2, (s - 2q)/l^2) with
-    series continuation below the removable singularity at l = 0."""
-    ell = math.sqrt(l2)
-    c = math.cos(ell)
-    if ell < SERIES_THRESHOLD:
-        s = 1.0 - l2 / 6.0 + l2 * l2 / 120.0
-        q = 0.5 - l2 / 24.0 + l2 * l2 / 720.0
-        v = -1.0 / 3.0 + l2 / 30.0 - l2 * l2 / 840.0
-        w = -1.0 / 12.0 + l2 / 180.0 - l2 * l2 / 6720.0
-    else:
-        s = math.sin(ell) / ell
-        q = (1.0 - c) / l2
-        v = (c - s) / l2
-        w = (s - 2.0 * q) / l2
-    return c, s, q, v, w
+def _rodrigues_coefficients(l2):
+    """(cos l, sin(l)/l, (1 - cos l)/l^2, (c - s)/l^2, (s - 2q)/l^2); below
+    SERIES_THRESHOLD the last four come from their series, never a quotient."""
+    l2 = np.asarray(l2, dtype=float)
+    ell = np.sqrt(l2)
+    c = np.cos(ell)
+    coeffs = np.empty((4,) + l2.shape)
+    series = ell < SERIES_THRESHOLD
+    t = l2[series]
+    coeffs[:, series] = (1.0 - t / 6.0 + t * t / 120.0,
+                         0.5 - t / 24.0 + t * t / 720.0,
+                         -1.0 / 3.0 + t / 30.0 - t * t / 840.0,
+                         -1.0 / 12.0 + t / 180.0 - t * t / 6720.0)
+    t, e, cd = l2[~series], ell[~series], c[~series]
+    s = np.sin(e) / e
+    q = (1.0 - cd) / t
+    coeffs[:, ~series] = (s, q, (cd - s) / t, (s - 2.0 * q) / t)
+    return (c, *coeffs)
 
 
-def _axis_hat(alpha: float, beta: float) -> np.ndarray:
-    return np.array([[0.0, 0.0, beta],
-                     [0.0, 0.0, -alpha],
-                     [-beta, alpha, 0.0]])
+def _axis(alpha, beta):
+    """Axes ``a = (alpha, beta, 0)``, ``a a^T`` and Rodrigues coefficients."""
+    a = np.stack(np.broadcast_arrays(np.asarray(alpha, dtype=float), beta,
+                                     0.0), -1)
+    return (a, a[..., :, None] * a[..., None, :],
+            _rodrigues_coefficients(a[..., 0]**2 + a[..., 1]**2))
 
 
-_DA_HAT_DALPHA = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-_DA_HAT_DBETA = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-
-
-def second_problem_rotation(alpha: float, beta: float) -> np.ndarray:
+def second_problem_rotation(alpha, beta) -> np.ndarray:
     """Rotation about the in-plane axis (alpha, beta, 0) by angle
     ``l = sqrt(alpha^2 + beta^2)`` in Rodrigues form
     ``cos(l) I + (sin(l)/l) A_hat + ((1 - cos l)/l^2) a a^T``."""
-    l2 = alpha**2 + beta**2
-    c, s, q, _, _ = _rodrigues_coefficients(l2)
-    a = np.array([alpha, beta, 0.0])
-    return c * np.eye(3) + s * _axis_hat(alpha, beta) + q * np.outer(a, a)
+    a, aa, (c, s, q, _, _) = _axis(alpha, beta)
+    return _m(c) * np.eye(3) + _m(s) * _hat(a) + _m(q) * aa
 
 
-def second_problem_rotation_gradient(alpha: float, beta: float):
+def second_problem_rotation_gradient(alpha, beta):
     """Closed-form (dR/dalpha, dR/dbeta) of the two-angle rotation."""
-    l2 = alpha**2 + beta**2
-    _, s, q, v, w = _rodrigues_coefficients(l2)
-    a = np.array([alpha, beta, 0.0])
-    a_hat = _axis_hat(alpha, beta)
-    aa = np.outer(a, a)
-    eye = np.eye(3)
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    dr_da = (-alpha * s * eye + alpha * v * a_hat + s * _DA_HAT_DALPHA
-             + alpha * w * aa + q * (np.outer(e1, a) + np.outer(a, e1)))
-    dr_db = (-beta * s * eye + beta * v * a_hat + s * _DA_HAT_DBETA
-             + beta * w * aa + q * (np.outer(e2, a) + np.outer(a, e2)))
-    return dr_da, dr_db
+    a, aa, (_, s, q, v, w) = _axis(alpha, beta)
+
+    def partial(i):
+        # The derivative along angle a[..., i], whose axis derivative is e.
+        e, angle = np.eye(3)[i], a[..., i]
+        sym = e[:, None] * a[..., None, :] + a[..., :, None] * e
+        return (_m(-angle * s) * np.eye(3) + _m(angle * v) * _hat(a)
+                + _m(s) * _hat(e) + _m(angle * w) * aa + _m(q) * sym)
+
+    return partial(0), partial(1)
 
 
 def second_problem_wryness(alpha_fn: PlanarFunction, beta_fn: PlanarFunction,
-                           x: float, y: float) -> np.ndarray:
-    """Exact R^T Curl R of the two-angle rotation field at a point."""
-    a = alpha_fn.value(x, y)
-    b = beta_fn.value(x, y)
-    agx, agy = alpha_fn.grad(x, y)
-    bgx, bgy = beta_fn.grad(x, y)
-    r = second_problem_rotation(a, b)
+                           x, y) -> np.ndarray:
+    """Exact R^T Curl R of the two-angle rotation field at the points."""
+    a, agx, agy = alpha_fn.at(x, y)
+    b, bgx, bgy = beta_fn.at(x, y)
     dr_da, dr_db = second_problem_rotation_gradient(a, b)
-    dm = np.zeros((3, 3, 3))
-    dm[0] = agx * dr_da + bgx * dr_db
-    dm[1] = agy * dr_da + bgy * dr_db
-    return r.T @ curl3_matrix(dm)
+    dm = np.stack([_m(agx) * dr_da + _m(bgx) * dr_db,
+                   _m(agy) * dr_da + _m(bgy) * dr_db, np.zeros_like(dr_da)], -3)
+    return _t(second_problem_rotation(a, b)) @ curl3_matrix(dm)
 
 
 def small_rotation_curvature(alpha_fn: PlanarFunction, beta_fn: PlanarFunction,
-                             x: float, y: float) -> np.ndarray:
+                             x, y) -> np.ndarray:
     """Leading-order wryness of the two-angle rotation: gradients of the
     angles in the upper-left block and their 'divergence' at (3,3)."""
-    agx, agy = alpha_fn.grad(x, y)
-    bgx, bgy = beta_fn.grad(x, y)
-    return np.array([[bgy, -bgx, 0.0],
-                     [-agy, agx, 0.0],
-                     [0.0, 0.0, agx + bgy]])
+    _, agx, agy = alpha_fn.at(x, y)
+    _, bgx, bgy = beta_fn.at(x, y)
+    return _matrix3([[bgy, -bgx, 0.0], [-agy, agx, 0.0],
+                     [0.0, 0.0, agx + bgy]], np.shape(x))
 
 
 def second_problem_check(s: PlanarSample3D,
@@ -273,29 +289,25 @@ def second_problem_check(s: PlanarSample3D,
     zero angles, vanishing bottom-row wryness entries, and the small-angle
     match with the leading-order curvature (fields scaled by
     ``small_factor``, relative comparison)."""
-    alpha_small = s.alpha.scaled(small_factor)
-    beta_small = s.beta.scaled(small_factor)
-    identity = np.max(np.abs(second_problem_rotation(0.0, 0.0) - np.eye(3)))
-
-    def errors(x, y):
-        r = second_problem_rotation(s.alpha.value(x, y), s.beta.value(x, y))
-        k = second_problem_wryness(s.alpha, s.beta, x, y)
-        k_exact = second_problem_wryness(alpha_small, beta_small, x, y)
-        k_lead = small_rotation_curvature(alpha_small, beta_small, x, y)
-        scale = np.max(np.abs(k_lead))
-        return {
-            "rotation_orthogonal": np.max(np.abs(r.T @ r - np.eye(3))),
-            "identity_at_zero_angles": identity,
-            "wryness_bottom_row_vanishes": max(abs(k[2, 0]), abs(k[2, 1])),
-            "small_rotation_matches_leading_order":
-                np.max(np.abs(k_exact - k_lead)) / scale if scale > 0.0
-                else 0.0,
-        }
+    small = [fn.scaled(small_factor) for fn in (s.alpha, s.beta)]
+    x, y = s.points.T
+    r = second_problem_rotation(s.alpha.at(x, y)[0], s.beta.at(x, y)[0])
+    k = second_problem_wryness(s.alpha, s.beta, x, y)
+    k_lead = small_rotation_curvature(*small, x, y)
+    gap = np.max(np.abs(second_problem_wryness(*small, x, y)
+                        - k_lead), axis=(-2, -1))
+    scale = np.max(np.abs(k_lead), axis=(-2, -1))
 
     report = VerificationReport()
-    report.add_maxima([errors(x, y) for x, y in s.points], 1e-10,
-                      rotation_orthogonal=1e-12, identity_at_zero_angles=1e-15,
-                      small_rotation_matches_leading_order=1e-6)
+    report.add_maxima({
+        "rotation_orthogonal": np.abs(_t(r) @ r - np.eye(3)),
+        "identity_at_zero_angles":
+            np.abs(second_problem_rotation(0.0, 0.0) - np.eye(3)),
+        "wryness_bottom_row_vanishes": np.abs(k[..., 2, :2]),
+        "small_rotation_matches_leading_order": np.divide(
+            gap, scale, out=np.zeros_like(gap), where=scale > 0.0),
+    }, 1e-10, rotation_orthogonal=1e-12, identity_at_zero_angles=1e-15,
+        small_rotation_matches_leading_order=1e-6)
     return report
 
 
@@ -308,7 +320,8 @@ class ChiralProbe:
     """Closed-form 3D deformation gradient and rotation field with analytic
     derivatives, plus evaluation points.
 
-    ``rotation_derivative(point)`` returns the bundle ``dR[m, i, n] =
+    Each callable takes points of shape ``S + (3,)``;
+    ``rotation_derivative(points)`` returns the bundles ``dR[..., m, i, n] =
     d_m R[i, n]`` used by :func:`curl3_matrix`.
     """
 
@@ -319,51 +332,48 @@ class ChiralProbe:
     points: np.ndarray  # (N, 3)
 
 
-def chiral_invariant(probe: ChiralProbe, point: np.ndarray) -> float:
-    """<F^T F, R^T Curl R> at a point: the scalar that changes sign under
+def chiral_invariant(probe: ChiralProbe, point: np.ndarray):
+    """<F^T F, R^T Curl R> at the points: the scalar that changes sign under
     point inversion of the fields."""
     f = probe.deformation_gradient(point)
-    r = probe.rotation(point)
-    k = r.T @ curl3_matrix(probe.rotation_derivative(point))
-    return float(np.sum((f.T @ f) * k))
+    k = _t(probe.rotation(point)) @ curl3_matrix(
+        probe.rotation_derivative(point))
+    return _frobenius(_t(f) @ f, k)
 
 
 def trig_chiral_probe(n_points: int = 50, seed: int = 929) -> ChiralProbe:
     """Gradient of a trigonometric map plus a fixed-axis rotation whose
     angle varies smoothly in all three coordinates."""
     axis = np.array([1.0, 2.0, 2.0]) / 3.0
-    n_hat = np.array([[0.0, -axis[2], axis[1]],
-                      [axis[2], 0.0, -axis[0]],
-                      [-axis[1], axis[0], 0.0]])
+    n_hat = _hat(axis)
     nn = np.outer(axis, axis)
     eye = np.eye(3)
 
     def f_of(p):
-        x, y, z = p
-        return np.array([
-            [1.0, 0.2 * math.cos(y), -0.1 * math.sin(z)],
-            [-0.15 * math.sin(x), 1.0, 0.1 * math.cos(z)],
-            [0.12 * math.cos(x), -0.2 * math.sin(y), 1.0],
-        ])
+        x, y, z = np.moveaxis(p, -1, 0)
+        return _matrix3([
+            [1.0, 0.2 * np.cos(y), -0.1 * np.sin(z)],
+            [-0.15 * np.sin(x), 1.0, 0.1 * np.cos(z)],
+            [0.12 * np.cos(x), -0.2 * np.sin(y), 1.0],
+        ], np.shape(x))
 
     def psi(p):
-        x, y, z = p
-        return 0.4 * math.sin(x) + 0.3 * math.cos(y) + 0.2 * math.sin(z)
-
-    def psi_grad(p):
-        x, y, z = p
-        return np.array([0.4 * math.cos(x), -0.3 * math.sin(y),
-                         0.2 * math.cos(z)])
+        """The rotation angle and its gradient."""
+        x, y, z = np.moveaxis(p, -1, 0)
+        return (0.4 * np.sin(x) + 0.3 * np.cos(y) + 0.2 * np.sin(z),
+                np.stack([0.4 * np.cos(x), -0.3 * np.sin(y),
+                          0.2 * np.cos(z)], -1))
 
     def r_of(p):
-        t = psi(p)
-        return math.cos(t) * eye + math.sin(t) * n_hat + (1 - math.cos(t)) * nn
+        t = psi(p)[0]
+        return (_m(np.cos(t)) * eye + _m(np.sin(t)) * n_hat
+                + _m(1 - np.cos(t)) * nn)
 
     def dr_of(p):
-        t = psi(p)
-        dr_dt = -math.sin(t) * eye + math.cos(t) * n_hat + math.sin(t) * nn
-        g = psi_grad(p)
-        return g[:, None, None] * dr_dt[None, :, :]
+        t, g = psi(p)
+        dr_dt = (_m(-np.sin(t)) * eye + _m(np.cos(t)) * n_hat
+                 + _m(np.sin(t)) * nn)
+        return g[..., None, None] * dr_dt[..., None, :, :]
 
     return ChiralProbe(name="trig", deformation_gradient=f_of, rotation=r_of,
                        rotation_derivative=dr_of,
@@ -376,8 +386,8 @@ def constant_rotation_probe(n_points: int = 20, seed: int = 930) -> ChiralProbe:
     return ChiralProbe(
         name="constant_rotation",
         deformation_gradient=base.deformation_gradient,
-        rotation=lambda p: np.eye(3),
-        rotation_derivative=lambda p: np.zeros((3, 3, 3)),
+        rotation=lambda p: np.broadcast_to(np.eye(3), np.shape(p)[:-1] + (3, 3)),
+        rotation_derivative=lambda p: np.zeros(np.shape(p)[:-1] + (3, 3, 3)),
         points=base.points)
 
 
@@ -386,35 +396,28 @@ def planar_embedding_probe(n_points: int = 50, seed: int = 931) -> ChiralProbe:
     identically zero (the planar orthogonality relations in disguise)."""
     s = default_planar_sample(n_points, seed)
 
-    def f_of(p):
-        return _first_problem_f(s, p[0], p[1])
+    def bundle(p):
+        return _rotation_z_bundle(s.angle, p[..., 0], p[..., 1])
 
-    def r_of(p):
-        return _rotation_z(s.angle.value(p[0], p[1]))
-
-    def dr_of(p):
-        _, dm = _rotation_z_bundle(s.angle, p[0], p[1])
-        return dm
-
-    points = np.column_stack([s.points, np.zeros(len(s.points))])
-    return ChiralProbe(name="planar_embedding", deformation_gradient=f_of,
-                       rotation=r_of, rotation_derivative=dr_of, points=points)
+    return ChiralProbe(
+        name="planar_embedding",
+        deformation_gradient=lambda p: _first_problem_f(s, p[..., 0], p[..., 1]),
+        rotation=lambda p: bundle(p)[0],
+        rotation_derivative=lambda p: bundle(p)[1],
+        points=np.column_stack([s.points, np.zeros(len(s.points))]))
 
 
 def _fd_bundle(field: Callable[[np.ndarray], np.ndarray],
-               point: np.ndarray) -> np.ndarray:
-    """Derivative bundle dM[m, i, n] of a matrix field by the fourth-order
-    five-point stencil with step 1e-3 (keeps the truncation and rounding
-    error of the chain-rule checks a couple of decades below their
-    tolerances)."""
+               points: np.ndarray) -> np.ndarray:
+    """Derivative bundles dM[..., m, i, n] of a matrix field by the
+    fourth-order five-point stencil with step 1e-3 (keeps the truncation and
+    rounding error of the chain-rule checks a couple of decades below their
+    tolerances); the field is evaluated once per shifted point set."""
     step = 1e-3
-    dm = np.zeros((3, 3, 3))
-    for m in range(3):
-        offset = np.zeros(3)
-        offset[m] = step
-        dm[m] = (-field(point + 2 * offset) + 8 * field(point + offset)
-                 - 8 * field(point - offset) + field(point - 2 * offset)) / (12 * step)
-    return dm
+    return np.stack([(-field(points + 2 * offset) + 8 * field(points + offset)
+                      - 8 * field(points - offset)
+                      + field(points - 2 * offset)) / (12 * step)
+                     for offset in step * np.eye(3)], -3)
 
 
 def chirality_inversion_check(probe: ChiralProbe) -> VerificationReport:
@@ -431,32 +434,30 @@ def chirality_inversion_check(probe: ChiralProbe) -> VerificationReport:
     def r_sharp(p):
         return -probe.rotation(-p)
 
-    def errors(point):
-        r = probe.rotation(point)
-        # Inverted fields evaluated at `point` come from originals at -point.
-        f_m = probe.deformation_gradient(-point)
-        f_inv = -f_m
-        r_inv = r_sharp(point)
-        curl_inv = curl3_matrix(_fd_bundle(r_sharp, point))
-        curl_m = curl3_matrix(probe.rotation_derivative(-point))
-        k_inv = r_inv.T @ curl_inv
-        k_m = probe.rotation(-point).T @ curl_m
-        return {
-            "rotation_orthogonal": np.max(np.abs(r.T @ r - np.eye(3))),
-            "metric_invariant_under_inversion":
-                np.max(np.abs(f_inv.T @ f_inv - f_m.T @ f_m)),
-            "curl_even_under_inversion": np.max(np.abs(curl_inv - curl_m)),
-            "wryness_odd_under_inversion": np.max(np.abs(k_inv + k_m)),
-            "invariant_flips_sign": abs(np.sum((f_inv.T @ f_inv) * k_inv)
-                                        + np.sum((f_m.T @ f_m) * k_m)),
-            "inverted_determinant_is_minus_one":
-                abs(np.linalg.det(r_inv) + 1.0),
-        }
+    points = probe.points
+    r = probe.rotation(points)
+    # Inverted fields evaluated at `points` come from originals at -points.
+    f_m = probe.deformation_gradient(-points)
+    f_inv = -f_m
+    r_inv = r_sharp(points)
+    curl_inv = curl3_matrix(_fd_bundle(r_sharp, points))
+    curl_m = curl3_matrix(probe.rotation_derivative(-points))
+    k_inv = _t(r_inv) @ curl_inv
+    k_m = _t(probe.rotation(-points)) @ curl_m
+    metric_inv, metric_m = _t(f_inv) @ f_inv, _t(f_m) @ f_m
 
     report = VerificationReport()
-    report.add_maxima([errors(point) for point in probe.points], 1e-10,
-                      prefix=f"{probe.name}:", rotation_orthogonal=1e-12,
-                      inverted_determinant_is_minus_one=1e-12)
+    report.add_maxima({
+        "rotation_orthogonal": np.abs(_t(r) @ r - np.eye(3)),
+        "metric_invariant_under_inversion": np.abs(metric_inv - metric_m),
+        "curl_even_under_inversion": np.abs(curl_inv - curl_m),
+        "wryness_odd_under_inversion": np.abs(k_inv + k_m),
+        "invariant_flips_sign": np.abs(_frobenius(metric_inv, k_inv)
+                                       + _frobenius(metric_m, k_m)),
+        "inverted_determinant_is_minus_one":
+            np.abs(np.linalg.det(r_inv) + 1.0),
+    }, 1e-10, prefix=f"{probe.name}:", rotation_orthogonal=1e-12,
+        inverted_determinant_is_minus_one=1e-12)
     return report
 
 
@@ -471,7 +472,6 @@ def full_reduction_report() -> VerificationReport:
     report.extend(chirality_inversion_check(constant_rotation_probe(25, 74)))
     probe = planar_embedding_probe(50, 73)
     report.extend(chirality_inversion_check(probe))
-    report.add_maxima([{"planar_embedding_invariant_vanishes":
-                        abs(chiral_invariant(probe, pt))}
-                       for pt in probe.points], 1e-10)
+    report.add_maxima({"planar_embedding_invariant_vanishes": np.abs(
+        chiral_invariant(probe, probe.points))}, 1e-10)
     return report

@@ -349,16 +349,15 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
-    def add_maxima(self, rows, tolerance: float, prefix: str = "",
+    def add_maxima(self, errors, tolerance: float, prefix: str = "",
                    **tolerances: float) -> None:
-        """Add one check per named error of ``rows``, which hold the errors
-        of one sample point each under the same names in report order: the
-        name after ``prefix``, the largest error over the rows (nan if any
-        is nan), and ``tolerances[name]`` or else ``tolerance``."""
-        names = list(rows[0])
-        worst = np.max([[row[name] for name in names] for row in rows], axis=0)
-        for name, error in zip(names, worst.tolist()):
-            self.add(prefix + name, error, tolerances.get(name, tolerance))
+        """Add one check per entry of ``errors``, which maps each name, in
+        report order, to its errors at every sample point (an array of any
+        shape): the name after ``prefix``, the largest error (nan if any is
+        nan), and ``tolerances[name]`` or else ``tolerance``."""
+        for name, values in errors.items():
+            self.add(prefix + name, float(np.max(values)),
+                     tolerances.get(name, tolerance))
 
     def flag(self, name: str, ok: bool) -> ReportCheck:
         """Add a binary flag: error 0 if ``ok`` else 1, tolerance 0, so no

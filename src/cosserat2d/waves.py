@@ -388,9 +388,10 @@ def wave_identity_report() -> VerificationReport:
 
     table = dispersion_sweep((0.3, 1.0, 2.7), wp)
     report = VerificationReport()
-    report.add_maxima([errors(*row) for row in zip(
-        table.k.tolist(), table.omega.tolist(), table.amplitudes)], 1e-10,
-        wave_velocity_loop_closure=1e-8)
+    rows = [errors(*row) for row in zip(
+        table.k.tolist(), table.omega.tolist(), table.amplitudes)]
+    report.add_maxima({name: [row[name] for row in rows] for name in rows[0]},
+                      1e-10, wave_velocity_loop_closure=1e-8)
 
     report.add("wave_transverse_speed_limit",
                abs(phase_velocity(0.0, wp) - vt(wp)) / vt(wp), 1e-8)

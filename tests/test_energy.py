@@ -351,6 +351,24 @@ def test_analytic_variations_builds_each_field_once(monkeypatch):
             assert calls["identity2"] == 0, terms
 
 
+def test_coupling_gradient_takes_one_polar_factor(monkeypatch):
+    # The Y conjugate and the polar-derivative tensor share one (R, tr U).
+    calls = []
+
+    def counted(f, _original=energy._polar_rotation):
+        calls.append(f.shape)
+        return _original(f)
+
+    monkeypatch.setattr(energy, "_polar_rotation", counted)
+    state = random_smooth_state(Grid(nx=8, ny=8), seed=6, amplitude=0.05,
+                                modes=2)
+    p = random_material(np.random.default_rng(10), chi=0.6)
+    for terms in (("coupling",), energy.ALL_TERMS):
+        calls.clear()
+        analytic_variations(state, p, terms)
+        assert calls == [(2, 2, 8, 8)], terms
+
+
 def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
     # The right-hand sides read every field from energy._invariants: one
     # set of planar invariants (one rotation e^{i theta}), one derivative of

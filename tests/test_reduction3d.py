@@ -87,11 +87,11 @@ def test_interaction_surrogate_flag_fails_at_any_scale_without_rotation():
 
 def test_add_maxima_takes_each_named_maximum_in_row_order():
     rep = VerificationReport()
-    rep.add_maxima([{"b": 1.0, "a": 0.5}, {"b": 0.25, "a": 2.0}], 1e-3,
+    rep.add_maxima({"b": [1.0, 0.25], "a": np.array([[0.5], [2.0]])}, 1e-3,
                    prefix="p:", a=3.0)
     assert [(c.name, c.max_abs_error, c.tolerance) for c in rep.checks] == [
         ("p:b", 1.0, 1e-3), ("p:a", 2.0, 3.0)]
-    rep.add_maxima([{"c": 0.0}, {"c": math.nan}, {"c": 1.0}], 1.0)
+    rep.add_maxima({"c": [0.0, math.nan, 1.0]}, 1.0)
     assert math.isnan(rep.checks[-1].max_abs_error)
     assert not rep.checks[-1].passed
 
