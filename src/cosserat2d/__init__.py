@@ -6,7 +6,7 @@ dispersion of the linearized chiral model, and a verification suite that
 checks every identity the implementation relies on.
 """
 
-from .algebra import EPS2, polar2, rot2
+from .algebra import EPS2, rot2
 from .config import ScenarioConfig, load_config, save_config
 from .dynamics import (
     HomogeneousRoots,
@@ -54,7 +54,7 @@ from .waves import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EPS2", "polar2", "rot2",
+    "EPS2", "rot2",
     "ScenarioConfig", "load_config", "save_config",
     "HomogeneousRoots", "RhsFields", "homogeneous_residual",
     "homogeneous_roots", "rhs_chiral", "rhs_linear_chiral", "rhs_nonlinear",

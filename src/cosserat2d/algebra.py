@@ -109,32 +109,14 @@ def _polar_rotation(f):
     return (f + cof2(f)) / tru, tru
 
 
-def polar2(f):
-    """Closed-form planar polar decomposition ``F = R U``.
-
-    Returns the rotation ``R = (F + cof F) / tr(U)`` and the symmetric
-    positive-definite stretch ``U = R^T F``. Raises
-    :class:`DegenerateDeformation` when ``det F <= 1e-12`` anywhere.
-    """
-    f = np.asarray(f, dtype=float)
-    r, _ = _polar_rotation(f)
-    u = mat_mul(transpose2(r), f)
-    u = 0.5 * (u + transpose2(u))  # exact symmetry up to rounding
-    return r, u
-
-
-def dpolar2_dF(f):
-    """Full fourth-order derivative ``T[i,j,k,l] = d polar(F)_ij / d F_kl``.
+def _polar_derivative(r, tru):
+    """Full fourth-order derivative ``T[i,j,k,l] = d polar(F)_ij / d F_kl``
+    from the ``(R, tr U)`` of :func:`_polar_rotation`.
 
     ``T[i,j,k,l] = (delta_ik delta_jl - R[i,l] R[k,j]) / tr(U)``, so that
     ``einsum('ijkl...,kl...->ij...', T, E)`` is the directional derivative
     ``(E - R E^T R) / tr(U)``; at ``F = I`` it reduces to ``skew(E)``.
     """
-    return _polar_derivative(*_polar_rotation(np.asarray(f, dtype=float)))
-
-
-def _polar_derivative(r, tru):
-    """:func:`dpolar2_dF` from the ``(R, tr U)`` of :func:`_polar_rotation`."""
     eye = np.eye(2)
     delta = np.einsum("ik,jl->ijkl", eye, eye)
     delta = delta.reshape((2, 2, 2, 2) + (1,) * (r.ndim - 2))

@@ -359,7 +359,7 @@ def _fd_nodes(grid) -> list[tuple[int, int]]:
 FD_STEP = 1e-6
 
 
-def _fd_step(state: FieldState, term: str, name: str,
+def _fd_step(state: FieldState, p: MaterialParams, term: str, name: str,
              node: tuple[int, int]) -> float:
     """The step of the central difference of ``term`` in unknown ``name``
     at ``node``.
@@ -376,7 +376,10 @@ def _fd_step(state: FieldState, term: str, name: str,
     if term != "interaction" or name != "theta":
         return FD_STEP
     grid = state.grid
-    g = grad_scalar(state.theta, grid, node)[:, (0, 1, 1, 2), (1, 0, 2, 1)]
+    # The curvature's invariants are the angle gradient alone; the four
+    # neighbours sit at the edge midpoints of the 3x3 window.
+    g = _invariants(state, p, ("curvature",), DEFAULT_EPS_REG, window=node).g
+    g = g[:, (0, 1, 1, 2), (1, 0, 2, 1)]
     gmin = float(np.min(np.sqrt(g[0] ** 2 + g[1] ** 2)))
     return min(FD_STEP, 1e-4 * min(grid.hx, grid.hy) * max(gmin, 1e-4))
 
@@ -402,7 +405,7 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
     scale = max((abs(e[2]) * area for e in entries), default=0.0)
     worst = noise = 0.0
     for name, node, analytic in entries:
-        step = _fd_step(state, term, name, node)
+        step = _fd_step(state, p, term, name, node)
         plus, minus = getattr(state, name).copy(), getattr(state, name).copy()
         plus[node] += step
         minus[node] -= step

@@ -213,26 +213,29 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     derivative of ``w = u1 + i u2`` per axis and one angle gradient.
 
     With ``window`` a node ``(i, j)``, every invariant is built on the 3x3
-    nodes around it only, from ``u`` and ``theta`` on the 5x5 block around
-    the node, with the full-grid bits.
+    nodes around it only: the derivatives are taken on the 5x5 block around
+    the node (:func:`node_window`), whose wrap spoils only the block's outer
+    ring, so each value has the full-grid bits.
     """
     live = _live_terms(terms, p)
     grid = state.grid
-    g = (grad_scalar(state.theta, grid, window)
-         if {"curvature", "interaction"} & set(live) else None)
-    if live == ("curvature",):
-        return _Invariants(live, g=g)
     u1, u2, theta = state.u1, state.u2, state.theta
     if window is not None:
-        block = node_window(grid, window, 2)
-        u1, u2 = u1[block], u2[block]
-        theta = theta[node_window(grid, window)]
-    w = np.empty(u1.shape, dtype=complex)
-    w.real, w.imag = u1, u2
-    wx, wy = ddx(w, grid), ddy(w, grid)
-    del w
-    if window is not None:  # the block's wrap spoils only its outer ring
-        wx, wy = wx[1:-1, 1:-1], wy[1:-1, 1:-1]
+        block = node_window(grid, window)
+        u1, u2, theta = u1[block], u2[block], theta[block]
+    g = wx = wy = None
+    if {"curvature", "interaction"} & set(live):
+        g = grad_scalar(theta, grid)
+    if live != ("curvature",):
+        w = np.empty(u1.shape, dtype=complex)
+        w.real, w.imag = u1, u2
+        wx, wy = ddx(w, grid), ddy(w, grid)
+        del w
+    if window is not None:  # drop the block's outer ring
+        theta, g, wx, wy = (None if a is None else a[..., 1:-1, 1:-1]
+                            for a in (theta, g, wx, wy))
+    if live == ("curvature",):
+        return _Invariants(live, g=g)
     return _planar_invariants(live, wx, wy, theta, g, eps_reg)
 
 
@@ -271,17 +274,6 @@ def _planar_invariants(terms, wx, wy, theta, g=None,
     return _Invariants(tuple(terms), **k)
 
 
-def _potential_densities(state: FieldState, p: MaterialParams, terms,
-                         eps_reg: float, window=None):
-    """:func:`term_densities` of ``state`` from :func:`_invariants`.
-
-    With ``window`` a node, the densities of the 3x3 nodes around it only:
-    they are the only densities a change of ``u`` or ``theta`` at that node
-    can change.
-    """
-    return term_densities(_invariants(state, p, terms, eps_reg, window), p)
-
-
 def energy_breakdown(potential, state: FieldState,
                      p: MaterialParams) -> EnergyBreakdown:
     """Breakdown from per-term potential totals (as :func:`term_totals`
@@ -311,16 +303,20 @@ def total_energy(state: FieldState, p: MaterialParams, sel: ModelSelector,
                  eps_reg: float = DEFAULT_EPS_REG) -> EnergyBreakdown:
     """Discrete energy breakdown for the selected model (see
     :func:`energy_breakdown` for the kinetic terms)."""
-    dens = _potential_densities(state, p, sel.active_terms(), eps_reg)
+    dens = term_densities(_invariants(state, p, sel.active_terms(), eps_reg),
+                          p)
     return energy_breakdown(term_totals(dens, state.grid.cell_area), state, p)
 
 
 def potential_total(state: FieldState, p: MaterialParams, terms,
                     eps_reg: float = DEFAULT_EPS_REG, window=None) -> float:
-    """Discrete potential energy restricted to ``terms`` (test/FD helper);
-    with ``window`` a node, the part on the 3x3 nodes around it (see
-    :func:`_potential_densities`)."""
-    dens = _potential_densities(state, p, terms, eps_reg, window)
+    """Discrete potential energy restricted to ``terms`` (test/FD helper).
+
+    With ``window`` a node, the part on the 3x3 nodes around it: they hold
+    the only densities a change of ``u`` or ``theta`` at that node can
+    change (see :func:`_invariants`).
+    """
+    dens = term_densities(_invariants(state, p, terms, eps_reg, window), p)
     return float(sum(np.sum(d) for _, d in dens)) * state.grid.cell_area
 
 

@@ -130,24 +130,16 @@ def ddyy(f: np.ndarray, grid: Grid) -> np.ndarray:
     return _second(f, -1, grid.hy)
 
 
-def node_window(grid: Grid, node: tuple[int, int], radius: int = 1):
-    """Index of the ``(2 radius + 1)``-square block of nodes centred on
-    ``node``, wrapped periodically: ``f[node_window(grid, node)]``."""
+def node_window(grid: Grid, node: tuple[int, int]):
+    """Index of the 5x5 block of nodes centred on ``node``, wrapped
+    periodically: ``f[node_window(grid, node)]``."""
     i, j = node
-    return np.ix_(np.arange(i - radius, i + radius + 1) % grid.nx,
-                  np.arange(j - radius, j + radius + 1) % grid.ny)
+    return np.ix_(np.arange(i - 2, i + 3) % grid.nx,
+                  np.arange(j - 2, j + 3) % grid.ny)
 
 
-def grad_scalar(f: np.ndarray, grid: Grid, node=None) -> np.ndarray:
-    """Gradient of a scalar field, shape ``(2, nx, ny)``.
-
-    With ``node``, only on the 3x3 nodes around it, shape ``(2, 3, 3)``:
-    the same stencil on the 5x5 block around ``node`` (its wrap spoils only
-    the block's outer ring, which is dropped), so each value has the bits
-    of the full-grid gradient at its node.
-    """
-    if node is not None:
-        return grad_scalar(f[node_window(grid, node, 2)], grid)[:, 1:-1, 1:-1]
+def grad_scalar(f: np.ndarray, grid: Grid) -> np.ndarray:
+    """Gradient of a scalar field, shape ``(2, nx, ny)``."""
     return np.stack([ddx(f, grid), ddy(f, grid)])
 
 
@@ -204,17 +196,16 @@ class FieldState:
         return None
 
 
-def deformation_gradients(state: FieldState, node=None, star: bool = True):
+def deformation_gradients(state: FieldState, star: bool = True):
     """Deformation gradients ``F = I + grad u`` and ``F* = I + grad u*``
     (``None`` unless ``star``).
 
     ``u* = (u2, -u1)`` is the quarter-turned displacement, so the rows of
-    ``grad u*`` are (row 2 of ``grad u``, minus row 1 of ``grad u``).  With
-    ``node``, only on the 3x3 nodes around it (see :func:`grad_scalar`).
+    ``grad u*`` are (row 2 of ``grad u``, minus row 1 of ``grad u``).
     """
     grid = state.grid
-    g1 = grad_scalar(state.u1, grid, node)
-    g2 = grad_scalar(state.u2, grid, node)
+    g1 = grad_scalar(state.u1, grid)
+    g2 = grad_scalar(state.u2, grid)
     f = np.stack([g1, g2])
     f[0, 0] += 1.0
     f[1, 1] += 1.0

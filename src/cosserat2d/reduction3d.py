@@ -13,7 +13,8 @@ identity is checked to round-off, with no grid truncation):
 
 The inversion probe checks the chirality of ``<F^T F, R^T Curl R>``: fields
 are pulled back through ``x -> -x`` (which negates F and, by convention, R)
-and the invariant must flip sign.
+and the invariant must flip sign.  The pulled-back map and rotation are
+differentiated numerically, so both sign rules are computed, not assumed.
 
 Fields are evaluated on all sample points at once: points of shape ``S``
 give matrices of shape ``S + (3, 3)``, acted on by their last two axes.
@@ -317,15 +318,18 @@ def second_problem_check(s: PlanarSample3D,
 
 @dataclass(frozen=True)
 class ChiralProbe:
-    """Closed-form 3D deformation gradient and rotation field with analytic
-    derivatives, plus evaluation points.
+    """Closed-form 3D deformation map, its gradient and a rotation field
+    with analytic derivatives, plus evaluation points.
 
-    Each callable takes points of shape ``S + (3,)``;
-    ``rotation_derivative(points)`` returns the bundles ``dR[..., m, i, n] =
+    Each callable takes points of shape ``S + (3,)``; ``deformation_map``
+    returns the mapped points (shape ``S + (3,)``), ``deformation_gradient``
+    its analytic gradient ``F[..., i, m] = d_m phi_i`` and
+    ``rotation_derivative(points)`` the bundles ``dR[..., m, i, n] =
     d_m R[i, n]`` used by :func:`curl3_matrix`.
     """
 
     name: str
+    deformation_map: Callable[[np.ndarray], np.ndarray]
     deformation_gradient: Callable[[np.ndarray], np.ndarray]
     rotation: Callable[[np.ndarray], np.ndarray]
     rotation_derivative: Callable[[np.ndarray], np.ndarray]
@@ -348,6 +352,12 @@ def trig_chiral_probe(n_points: int = 50, seed: int = 929) -> ChiralProbe:
     n_hat = _hat(axis)
     nn = np.outer(axis, axis)
     eye = np.eye(3)
+
+    def phi_of(p):
+        x, y, z = np.moveaxis(p, -1, 0)
+        return np.stack([x + 0.2 * np.sin(y) + 0.1 * np.cos(z),
+                         0.15 * np.cos(x) + y + 0.1 * np.sin(z),
+                         0.12 * np.sin(x) + 0.2 * np.cos(y) + z], -1)
 
     def f_of(p):
         x, y, z = np.moveaxis(p, -1, 0)
@@ -375,7 +385,8 @@ def trig_chiral_probe(n_points: int = 50, seed: int = 929) -> ChiralProbe:
                  + _m(np.sin(t)) * nn)
         return g[..., None, None] * dr_dt[..., None, :, :]
 
-    return ChiralProbe(name="trig", deformation_gradient=f_of, rotation=r_of,
+    return ChiralProbe(name="trig", deformation_map=phi_of,
+                       deformation_gradient=f_of, rotation=r_of,
                        rotation_derivative=dr_of,
                        points=_sample_points(n_points, seed, 3))
 
@@ -385,6 +396,7 @@ def constant_rotation_probe(n_points: int = 20, seed: int = 930) -> ChiralProbe:
     base = trig_chiral_probe(n_points, seed)
     return ChiralProbe(
         name="constant_rotation",
+        deformation_map=base.deformation_map,
         deformation_gradient=base.deformation_gradient,
         rotation=lambda p: np.broadcast_to(np.eye(3), np.shape(p)[:-1] + (3, 3)),
         rotation_derivative=lambda p: np.zeros(np.shape(p)[:-1] + (3, 3, 3)),
@@ -396,28 +408,34 @@ def planar_embedding_probe(n_points: int = 50, seed: int = 931) -> ChiralProbe:
     identically zero (the planar orthogonality relations in disguise)."""
     s = default_planar_sample(n_points, seed)
 
+    def phi_of(p):
+        x, y, z = np.moveaxis(p, -1, 0)
+        return np.stack(np.broadcast_arrays(s.phi1.value(x, y),
+                                            s.phi2.value(x, y), z), -1)
+
     def bundle(p):
         return _rotation_z_bundle(s.angle, p[..., 0], p[..., 1])
 
     return ChiralProbe(
         name="planar_embedding",
+        deformation_map=phi_of,
         deformation_gradient=lambda p: _first_problem_f(s, p[..., 0], p[..., 1]),
         rotation=lambda p: bundle(p)[0],
         rotation_derivative=lambda p: bundle(p)[1],
         points=np.column_stack([s.points, np.zeros(len(s.points))]))
 
 
-def _fd_bundle(field: Callable[[np.ndarray], np.ndarray],
-               points: np.ndarray) -> np.ndarray:
-    """Derivative bundles dM[..., m, i, n] of a matrix field by the
-    fourth-order five-point stencil with step 1e-3 (keeps the truncation and
-    rounding error of the chain-rule checks a couple of decades below their
+def _fd_partials(field: Callable[[np.ndarray], np.ndarray],
+                 points: np.ndarray) -> list[np.ndarray]:
+    """The three partial derivatives ``d_m`` of a field by the fourth-order
+    five-point stencil with step 1e-3 (keeps the truncation and rounding
+    error of the chain-rule checks a couple of decades below their
     tolerances); the field is evaluated once per shifted point set."""
     step = 1e-3
-    return np.stack([(-field(points + 2 * offset) + 8 * field(points + offset)
-                      - 8 * field(points - offset)
-                      + field(points - 2 * offset)) / (12 * step)
-                     for offset in step * np.eye(3)], -3)
+    return [(-field(points + 2 * offset) + 8 * field(points + offset)
+             - 8 * field(points - offset)
+             + field(points - 2 * offset)) / (12 * step)
+            for offset in step * np.eye(3)]
 
 
 def chirality_inversion_check(probe: ChiralProbe) -> VerificationReport:
@@ -426,10 +444,15 @@ def chirality_inversion_check(probe: ChiralProbe) -> VerificationReport:
     the wryness is odd, the invariant flips sign, and the inverted rotation
     has determinant -1 (it is a rotation composed with the inversion).
 
-    The inverted rotation is differentiated numerically (as a literal field
-    ``x -> -R(-x)``), so the sign bookkeeping through the curl is genuinely
-    exercised rather than assumed.
+    The inverted map and rotation are differentiated numerically (as the
+    literal fields ``x -> phi(-x)`` and ``x -> -R(-x)``), so the sign
+    bookkeeping through the gradient and the curl is genuinely exercised
+    rather than assumed, and a ``deformation_gradient`` that is not the
+    gradient of ``deformation_map`` fails the metric row.
     """
+
+    def phi_sharp(p):
+        return probe.deformation_map(-p)
 
     def r_sharp(p):
         return -probe.rotation(-p)
@@ -438,9 +461,9 @@ def chirality_inversion_check(probe: ChiralProbe) -> VerificationReport:
     r = probe.rotation(points)
     # Inverted fields evaluated at `points` come from originals at -points.
     f_m = probe.deformation_gradient(-points)
-    f_inv = -f_m
+    f_inv = np.stack(_fd_partials(phi_sharp, points), -1)
     r_inv = r_sharp(points)
-    curl_inv = curl3_matrix(_fd_bundle(r_sharp, points))
+    curl_inv = curl3_matrix(np.stack(_fd_partials(r_sharp, points), -3))
     curl_m = curl3_matrix(probe.rotation_derivative(-points))
     k_inv = _t(r_inv) @ curl_inv
     k_m = _t(probe.rotation(-points)) @ curl_m

@@ -12,12 +12,12 @@ import pytest
 from cosserat2d import algebra
 from cosserat2d.algebra import (
     EPS2,
+    _polar_derivative,
+    _polar_rotation,
     cof2,
     det2,
-    dpolar2_dF,
     frobenius,
     mat_mul,
-    polar2,
     rot2,
     trace2,
     transpose2,
@@ -40,10 +40,10 @@ def decompose(m):
     return 0.5 * (m + mt), 0.5 * (m - mt), trace2(m)
 
 
-def dpolar2_dir(f, e):
-    """Directional derivative of ``polar2`` at ``F`` in direction ``E``:
+def dpolar_dir(f, e):
+    """Directional derivative of ``polar(F)`` at ``F`` in direction ``E``:
     ``(E - R E^T R) / tr(U)``, with ``tr(U)^2 = |F|^2 + 2 det F``."""
-    r, _ = polar2(f)
+    r, _ = _polar_rotation(f)
     tru = np.sqrt(frobenius(f, f) + 2.0 * det2(f))
     return (e - mat_mul(r, mat_mul(transpose2(e), r))) / tru
 
@@ -140,13 +140,14 @@ def test_cofactor_identity():
     npt.assert_allclose(product, expected, atol=1e-14)
 
 
-def test_polar2_matches_eigendecomposition_oracle():
+def test_polar_rotation_matches_eigendecomposition_oracle():
     rng = np.random.default_rng(9)
     for _ in range(40):
         f = np.eye(2) + 0.6 * (rng.random((2, 2)) - 0.5)
         if np.linalg.det(f) < 0.2:
             continue
-        r, u = polar2(f)
+        r, tru = _polar_rotation(f)
+        u = r.T @ f  # the stretch U = R^T F
         r_ref, u_ref = polar_by_eigendecomposition(f)
         npt.assert_allclose(r, r_ref, atol=1e-12)
         npt.assert_allclose(u, u_ref, atol=1e-12)
@@ -156,38 +157,40 @@ def test_polar2_matches_eigendecomposition_oracle():
         npt.assert_allclose(u, u.T, atol=1e-14)
         npt.assert_allclose(r @ u, f, atol=1e-14)
         assert np.all(np.linalg.eigvalsh(u) > 0)
+        npt.assert_allclose(np.trace(u), tru, rtol=1e-14)
 
 
-def test_polar2_on_stacked_fields():
+def test_polar_rotation_on_stacked_fields():
     rng = np.random.default_rng(10)
     f = random_f_stack(rng, n=12, spread=0.5)
-    r, u = polar2(f)
+    r, _ = _polar_rotation(f)
+    u = mat_mul(transpose2(r), f)
     npt.assert_allclose(mat_mul(r, u), f, atol=1e-13)
     for j in range(f.shape[-1]):
         r_ref, _ = polar_by_eigendecomposition(f[:, :, j])
         npt.assert_allclose(r[:, :, j], r_ref, atol=1e-12)
 
 
-def test_trace_of_stretch_is_bitwise_the_rotation_route():
-    # tr U read as tr(R^T F) from the rotation alone has the bits of
-    # polar2's: the diagonal of its symmetrized U is exactly that of R^T F.
+def test_rotated_gradient_has_the_trace_of_the_stretch():
+    # tr(R^T F), read from the rotation alone, is the tr U that comes with
+    # R, on random stacks and on a grid's deformation gradients.
     rng = np.random.default_rng(12)
     state = random_smooth_state(Grid(nx=256, ny=256), seed=3, amplitude=0.05,
                                 modes=3)
     for f in [random_f_stack(rng, n=64, spread=spread)
               for spread in (0.1, 0.4, 0.8)] + [
                   deformation_gradients(state, star=False)[0]]:
-        q, u = polar2(f)
-        assert (trace2(mat_mul(transpose2(q), f)).tobytes()
-                == trace2(u).tobytes())
+        q, tru = _polar_rotation(f)
+        npt.assert_allclose(trace2(mat_mul(transpose2(q), f)), tru,
+                            rtol=1e-14)
 
 
-def test_polar2_rejects_degenerate_deformation():
+def test_polar_rotation_rejects_degenerate_deformation():
     singular = np.array([[1.0, 2.0], [0.5, 1.0]])  # rank one
     with pytest.raises(DegenerateDeformation):
-        polar2(singular)
+        _polar_rotation(singular)
     with pytest.raises(DegenerateDeformation):
-        polar2(np.diag([1.0, -1.0]))  # reflection: det < 0
+        _polar_rotation(np.diag([1.0, -1.0]))  # reflection: det < 0
     # A stacked field names the node with the smallest determinant.
     f = np.zeros((2, 2, 5, 6))
     f[0, 0] = f[1, 1] = 1.0
@@ -196,12 +199,13 @@ def test_polar2_rejects_degenerate_deformation():
     with pytest.raises(DegenerateDeformation,
                        match=r"^det\(F\) <= 1e-12 at node \(3, 4\) "
                              r"\(det F = -0\.3\); polar factor undefined$"):
-        polar2(f)
+        _polar_rotation(f)
     # Minus the identity is *not* degenerate in the plane: it is the
     # rotation by a half turn.
-    r, u = polar2(-np.eye(2))
+    r, tru = _polar_rotation(-np.eye(2))
     npt.assert_allclose(r, -np.eye(2), atol=1e-15)
-    npt.assert_allclose(u, np.eye(2), atol=1e-15)
+    npt.assert_allclose(r.T @ -np.eye(2), np.eye(2), atol=1e-15)
+    assert tru == 2.0
 
 
 def test_polar_directional_derivative_matches_finite_differences():
@@ -210,8 +214,9 @@ def test_polar_directional_derivative_matches_finite_differences():
     for _ in range(25):
         f = np.eye(2) + 0.5 * (rng.random((2, 2)) - 0.5)
         e = rng.standard_normal((2, 2))
-        analytic = dpolar2_dir(f, e)
-        fd = (polar2(f + h * e)[0] - polar2(f - h * e)[0]) / (2.0 * h)
+        analytic = dpolar_dir(f, e)
+        fd = (_polar_rotation(f + h * e)[0]
+              - _polar_rotation(f - h * e)[0]) / (2.0 * h)
         npt.assert_allclose(analytic, fd, rtol=0, atol=1e-8)
 
 
@@ -219,10 +224,10 @@ def test_polar_derivative_tensor_contracts_to_directional():
     rng = np.random.default_rng(12)
     for _ in range(15):
         f = np.eye(2) + 0.5 * (rng.random((2, 2)) - 0.5)
-        t4 = dpolar2_dF(f)
+        t4 = _polar_derivative(*_polar_rotation(f))
         e = rng.standard_normal((2, 2))
         contracted = np.einsum("ijkl,kl->ij", t4, e)
-        npt.assert_allclose(contracted, dpolar2_dir(f, e), atol=1e-13)
+        npt.assert_allclose(contracted, dpolar_dir(f, e), atol=1e-13)
 
 
 def test_polar_derivative_is_tangent_to_rotations():
@@ -230,8 +235,8 @@ def test_polar_derivative_is_tangent_to_rotations():
     rng = np.random.default_rng(13)
     for _ in range(10):
         f = np.eye(2) + 0.5 * (rng.random((2, 2)) - 0.5)
-        r, _ = polar2(f)
-        dr = dpolar2_dir(f, rng.standard_normal((2, 2)))
+        r, _ = _polar_rotation(f)
+        dr = dpolar_dir(f, rng.standard_normal((2, 2)))
         product = r.T @ dr
         npt.assert_allclose(product, -product.T, atol=1e-13)
 
@@ -245,5 +250,6 @@ def test_polar_derivative_takes_one_polar_factor(monkeypatch):
         return det2(f)
 
     monkeypatch.setattr(algebra, "det2", counted)
-    dpolar2_dF(random_f_stack(np.random.default_rng(14), n=5))
+    _polar_derivative(*_polar_rotation(
+        random_f_stack(np.random.default_rng(14), n=5)))
     assert calls == [(2, 2, 5)]

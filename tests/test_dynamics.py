@@ -448,7 +448,7 @@ def test_window_difference_equals_full_grid_difference():
         pairs = []
         for node in _fd_nodes(grid):
             for name in ("u1", "u2", "theta"):
-                step = _fd_step(state, term, name, node)
+                step = _fd_step(state, p, term, name, node)
                 pairs.append(
                     (_central_difference(state, p, term, name, node, step, node),
                      _central_difference(state, p, term, name, node, step, None)))
@@ -483,24 +483,25 @@ def test_fd_evaluations_read_only_the_block_around_their_node(monkeypatch):
     # gets a nan density.
     grid = Grid(nx=64, ny=64)
     state = random_smooth_state(grid, seed=14, amplitude=0.02, modes=3)
-    original = energy._potential_densities
+    original = energy._invariants
     windows = []
 
     def recorder(s, p, terms, eps_reg, window=None):
         assert window is not None, "a finite difference summed the whole grid"
         windows.append(window)
         masked = s.copy()
-        block = node_window(s.grid, window, 2)
+        block = node_window(s.grid, window)
         for name in ("u1", "u2", "theta", "v1", "v2", "omega"):
             field = np.full(s.grid.shape, np.nan)
             field[block] = getattr(s, name)[block]
             setattr(masked, name, field)
-        densities = list(original(masked, p, terms, eps_reg, window))
+        invariants = original(masked, p, terms, eps_reg, window)
+        densities = list(energy.term_densities(invariants, p))
         for term, density in densities:
             assert np.all(np.isfinite(density)), (term, window)
-        return densities
+        return invariants
 
-    monkeypatch.setattr(energy, "_potential_densities", recorder)
+    monkeypatch.setattr(energy, "_invariants", recorder)
     rng = np.random.default_rng(72)
     for p, sel in ((random_material(rng, chi=0.3), ModelSelector.nonchiral("polar")),
                    (random_material(rng, chiral=True), ModelSelector.chiral())):

@@ -15,7 +15,6 @@ from cosserat2d.algebra import (
     frobenius,
     identity2,
     mat_mul,
-    polar2,
     rot2,
     trace2,
     transpose2,
@@ -27,7 +26,7 @@ from cosserat2d.energy import (
     term_densities,
     total_energy,
 )
-from cosserat2d.fields import FieldState, Grid, deformation_gradients
+from cosserat2d.fields import FieldState, Grid, node_window
 from cosserat2d.materials import MaterialParams, ModelSelector
 from cosserat2d.rng import random_smooth_state
 
@@ -53,6 +52,14 @@ def density(term, p, f=None, theta=None, *, fstar=None, g=None,
         k = energy._planar_invariants((term,), wx, wy, theta, g, eps_reg)
     [(_, value)] = term_densities(k, p)
     return value
+
+
+def polar_by_svd(f):
+    """Independent oracle for the polar factor of ``F`` (shape
+    ``(2, 2, n)``): with ``F = W diag(s) V^T``, ``R = W V^T`` and
+    ``tr U = s.sum()``."""
+    w, s, vt = np.linalg.svd(np.moveaxis(f, -1, 0))
+    return np.moveaxis(w @ vt, 0, -1), s.sum(axis=-1)
 
 
 def assert_relatively_close(actual, expected, rtol=1e-13):
@@ -84,9 +91,9 @@ def test_planar_invariants_match_the_matrix_algebra():
         sym = 0.5 * (x + transpose2(x)) - identity2(x)
         assert_relatively_close(0.5 * ((k.trx - 2.0) ** 2 + k.fa2),
                                 frobenius(sym, sym))
-        q, u = polar2(f)
-        assert_relatively_close(np.abs(fc), trace2(u))
-        assert_relatively_close(k.tru, trace2(u))
+        q, tru = polar_by_svd(f)
+        assert_relatively_close(np.abs(fc), tru)
+        assert_relatively_close(k.tru, tru)
         rtq = mat_mul(rt, q)
         assert_relatively_close(k.zeta, rtq[0, 0] + 1j * rtq[1, 0])
         assert_relatively_close(0.25 * (np.abs(fc) ** 2 - k.fa2), det2(f))
@@ -115,7 +122,7 @@ def elastic_density_expanded(f, theta, p):
 
 def coupling_density_expanded(f, theta, p):
     """Expanded form 4 mu_c - 2 mu_c tr(R^T polar F) of the coupling density."""
-    q, _ = polar2(f)
+    q, _ = polar_by_svd(f)
     return 4.0 * p.mu_c - 2.0 * p.mu_c * trace2(mat_mul(transpose2(rot2(theta)), q))
 
 
@@ -392,3 +399,32 @@ def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
         rhs(random_material(rng, chiral=True, chi=0.6))
         assert calls == {"_planar_invariants": 1, "ddx": 1, "ddy": 1,
                          "grad_scalar": 1, "check_polar_det": polar}
+
+
+def test_windowed_invariants_are_the_full_grid_bits():
+    # With window=node every invariant is the full-grid one on the 3x3
+    # nodes around the node, bit for bit: at corner, edge and interior
+    # nodes of a non-square grid (so the window wraps on either axis), for
+    # each term alone and all together.
+    grid = Grid(nx=12, ny=9, lx=1.3, ly=0.8)
+    state = random_smooth_state(grid, seed=21, amplitude=0.03, modes=3)
+    rng = np.random.default_rng(23)
+    nodes = ((0, 0), (11, 8), (0, 8), (11, 0), (0, 4), (6, 8), (5, 4))
+    for p in (random_material(rng, chi=0.4), random_material(rng, chiral=True)):
+        for terms in [(t,) for t in energy.ALL_TERMS] + [energy.ALL_TERMS]:
+            full = energy._invariants(state, p, terms, DEFAULT_EPS_REG)
+            for node in nodes:
+                rows, cols = node_window(grid, node)
+                rows, cols = rows[1:-1], cols[:, 1:-1]
+                k = energy._invariants(state, p, terms, DEFAULT_EPS_REG,
+                                       window=node)
+                assert k.terms == full.terms
+                for name in energy._Invariants._fields[1:]:
+                    got, want = getattr(k, name), getattr(full, name)
+                    if want is None:
+                        assert got is None, (terms, node, name)
+                        continue
+                    want = want[..., rows, cols]
+                    assert got.shape == want.shape, (terms, node, name)
+                    assert got.dtype == want.dtype, (terms, node, name)
+                    assert got.tobytes() == want.tobytes(), (terms, node, name)

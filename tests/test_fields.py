@@ -25,7 +25,6 @@ from cosserat2d.fields import (
     div_matrix,
     div_vector,
     grad_scalar,
-    node_window,
     save_snapshot,
 )
 from cosserat2d.report import write_csv
@@ -218,14 +217,6 @@ def test_deformation_gradients_componentwise():
     npt.assert_array_equal(fstar[0, 1], ddy(state.u2, grid))
     npt.assert_array_equal(fstar[1, 0], -ddx(state.u1, grid))
     npt.assert_array_equal(fstar[1, 1], 1.0 - ddy(state.u1, grid))
-
-    # On the 3x3 window around a node, wrapped at the edges, both carry the
-    # full-grid bits.
-    for node in ((0, 0), (11, 5), (4, 11), (6, 6)):
-        window = node_window(grid, node)
-        f_node, fstar_node = deformation_gradients(state, node)
-        npt.assert_array_equal(f_node, f[:, :, window[0], window[1]])
-        npt.assert_array_equal(fstar_node, fstar[:, :, window[0], window[1]])
 
 
 def test_field_state_copy_is_deep_and_finiteness_is_checked():

@@ -288,3 +288,17 @@ def test_inversion_flips_invariant_for_all_probes():
         assert any(n.endswith("invariant_flips_sign") for n in names)
         assert any(n.endswith("inverted_determinant_is_minus_one")
                    for n in names)
+
+
+def test_metric_row_fails_when_the_gradient_is_not_the_maps():
+    # The inverted F is the numerical gradient of x -> phi(-x), so an
+    # analytic gradient off by one part in 1e6 shows in the metric row.
+    for probe in (trig_chiral_probe(n_points=8, seed=22),
+                  constant_rotation_probe(n_points=8, seed=23),
+                  planar_embedding_probe(n_points=8, seed=24)):
+        wrong = replace(probe, deformation_gradient=lambda p, f=(
+            probe.deformation_gradient): 1.000001 * f(p))
+        rows = {c.name: c for c in chirality_inversion_check(wrong).checks}
+        row = rows[f"{probe.name}:metric_invariant_under_inversion"]
+        assert not row.passed
+        assert row.max_abs_error > 1e-6

@@ -129,16 +129,23 @@ def _leading(alpha_fn, beta_fn, x, y):
                      [0.0, 0.0, agx + bgy]])
 
 
-def _fd_bundle(field, point):
+def _fd_partial(field, point, m):
     step = 1e-3
-    dm = np.zeros((3, 3, 3))
-    for m in range(3):
-        offset = np.zeros(3)
-        offset[m] = step
-        dm[m] = (-field(point + 2 * offset) + 8 * field(point + offset)
-                 - 8 * field(point - offset)
-                 + field(point - 2 * offset)) / (12 * step)
-    return dm
+    offset = np.zeros(3)
+    offset[m] = step
+    return (-field(point + 2 * offset) + 8 * field(point + offset)
+            - 8 * field(point - offset)
+            + field(point - 2 * offset)) / (12 * step)
+
+
+def _fd_bundle(field, point):
+    """``dM[m, i, n] = d_m M[i, n]`` of a matrix field."""
+    return np.array([_fd_partial(field, point, m) for m in range(3)])
+
+
+def _fd_jacobian(field, point):
+    """``J[i, m] = d_m phi_i`` of a vector field."""
+    return np.column_stack([_fd_partial(field, point, m) for m in range(3)])
 
 
 def _maxima(rows):
@@ -193,12 +200,15 @@ def _second_rows(s, x, y, small_factor=2e-7):
 
 
 def _inversion_rows(probe, point):
+    def phi_sharp(p):
+        return probe.deformation_map(-p)
+
     def r_sharp(p):
         return -probe.rotation(-p)
 
     r = probe.rotation(point)
     f_m = probe.deformation_gradient(-point)
-    f_inv = -f_m
+    f_inv = _fd_jacobian(phi_sharp, point)
     r_inv = r_sharp(point)
     curl_inv = _curl(_fd_bundle(r_sharp, point))
     curl_m = _curl(probe.rotation_derivative(-point))
