@@ -107,21 +107,3 @@ def _polar_rotation(f):
     check_polar_det(det)
     tru = np.sqrt(frobenius(f, f) + 2.0 * det)
     return (f + cof2(f)) / tru, tru
-
-
-def _polar_derivative(r, tru):
-    """Full fourth-order derivative ``T[i,j,k,l] = d polar(F)_ij / d F_kl``
-    from the ``(R, tr U)`` of :func:`_polar_rotation`.
-
-    ``T[i,j,k,l] = (delta_ik delta_jl - R[i,l] R[k,j]) / tr(U)``, so that
-    ``einsum('ijkl...,kl...->ij...', T, E)`` is the directional derivative
-    ``(E - R E^T R) / tr(U)``; at ``F = I`` it reduces to ``skew(E)``.
-    """
-    eye = np.eye(2)
-    delta = np.einsum("ik,jl->ijkl", eye, eye)
-    delta = delta.reshape((2, 2, 2, 2) + (1,) * (r.ndim - 2))
-    # In place: these 16 fields are the largest array of a gradient pass.
-    t4 = np.einsum("il...,kj...->ijkl...", r, r)
-    np.subtract(delta, t4, out=t4)
-    t4 /= tru
-    return t4

@@ -285,13 +285,19 @@ def homogeneous_root_report(p: MaterialParams,
     """Row ``homogeneous_roots_zero_residual``: the largest
     ``|homogeneous_residual|`` over the reported roots, relative to the
     stiffness ``|B| + |C|`` the residual is made of, so every root must
-    zero it to round-off of the moduli."""
+    zero it to round-off of the moduli.  Where the nontrivial branch is
+    undefined only the trivial roots {0, pi} are checked, and where
+    ``|B| + |C| = 0`` (a zero uniform energy) the residual is absolute."""
     b, c = _stiffness_sums(p, sel)
-    worst = max(abs(homogeneous_residual(r, p, sel))
-                for r in homogeneous_roots(p, sel).all_roots())
+    try:
+        roots = homogeneous_roots(p, sel).all_roots()
+    except ZeroDenominator:
+        roots = [0.0, math.pi]
+    worst = max(abs(homogeneous_residual(r, p, sel)) for r in roots)
+    scale = abs(b) + abs(c)
     report = VerificationReport()
-    report.add("homogeneous_roots_zero_residual", worst / (abs(b) + abs(c)),
-               1e-12)
+    report.add("homogeneous_roots_zero_residual",
+               worst / scale if scale else worst, 1e-12)
     return report
 
 

@@ -41,7 +41,6 @@ import numpy as np
 
 from .algebra import (
     EPS2,
-    _polar_derivative,
     _polar_rotation,
     check_polar_det,
     frobenius,
@@ -401,11 +400,10 @@ def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
     if "coupling" in need:
         polar_r, tru = _polar_rotation(f)
         y_conj += -2.0 * p.mu_c * polar_r
-        # The F-conjugate goes through the full polar-derivative tensor:
-        # <R, dpolar(F)[dF]> = <adjoint applied to R, dF>.
-        t4 = _polar_derivative(polar_r, tru)
-        del polar_r, tru  # freed before the contraction, the pass's peak
-        p_conj += -2.0 * p.mu_c * np.einsum("ij...,ijkl...->kl...", r, t4)
+        # d polar(F)[E] = (E - P E^T P) / tr U is self-adjoint under the
+        # Frobenius product, so the F-conjugate is it applied to -2 mu_c R.
+        p_conj += (-2.0 * p.mu_c) * (
+            r - mat_mul(polar_r, mat_mul(transpose2(r), polar_r))) / tru
 
     return p_conj, y_conj, q_conj, r
 

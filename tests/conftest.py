@@ -7,6 +7,13 @@ import signal
 import numpy as np
 import pytest
 
+from cosserat2d.algebra import (
+    _polar_rotation,
+    det2,
+    frobenius,
+    mat_mul,
+    transpose2,
+)
 from cosserat2d.errors import NoRealBranch
 from cosserat2d.fields import Grid
 from cosserat2d.materials import MaterialParams
@@ -62,6 +69,14 @@ def random_f_stack(rng, n=8, spread=0.4):
     f[0, 0] = 1.0
     f[1, 1] = 1.0
     return f + spread * (rng.random((2, 2, n)) - 0.5)
+
+
+def dpolar_dir(f, e):
+    """Directional derivative of ``polar(F)`` at ``F`` in direction ``E``:
+    ``(E - R E^T R) / tr(U)``, with ``tr(U)^2 = |F|^2 + 2 det F``."""
+    r, _ = _polar_rotation(f)
+    tru = np.sqrt(frobenius(f, f) + 2.0 * det2(f))
+    return (e - mat_mul(r, mat_mul(transpose2(e), r))) / tru
 
 
 def random_material(rng, chiral=False, **overrides):

@@ -580,6 +580,43 @@ def test_homogeneous_chiral_constructed_quarter_turn_root(tmp_path):
     assert abs(float(table["residual_at_nontrivial"])) < 1e-12
 
 
+# Materials on which the nontrivial uniform-angle branch is undefined, with
+# the message `homogeneous` stops on; the last one also has a zero uniform
+# energy (|B| + |C| = 0).
+UNDEFINED_BRANCH = [
+    ({"material": {"lambda": 0.0}, "model": {"kind": "chiral"}},
+     "B - C = 0"),
+    ({"material": {"lambda": 0.0}, "model": {"coupling": "skew"}},
+     "B - C = 0"),
+    ({"material": {"lambda": -1.0}}, "B = 0"),
+    ({"material": {"lambda": -1.0, "mu_c": 0.0}}, "B = 0"),
+]
+
+
+@pytest.mark.parametrize("config", [c for c, _ in UNDEFINED_BRANCH])
+def test_verify_checks_the_trivial_roots_where_the_branch_is_undefined(
+        tmp_path, capsys, config):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "verify_report.csv")
+    passed = f"{len(rows)}/{len(rows)} checks passed\n"
+    assert capsys.readouterr().out == passed
+    row = {r[0]: r for r in rows}["homogeneous_roots_zero_residual"]
+    assert float(row[1]) < 1e-15 and row[3] == "true"
+
+
+@pytest.mark.parametrize("config, message", UNDEFINED_BRANCH)
+def test_homogeneous_stops_where_the_branch_is_undefined(tmp_path, capsys,
+                                                         config, message):
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "h"
+    assert main(["homogeneous", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical error: homogeneous branch undefined: {message}\n")
+    assert not (out / "homogeneous.csv").exists()
+
+
 def test_reduce3d_writes_passing_report(tmp_path):
     out = tmp_path / "r"
     assert main(["reduce3d", "--out", str(out)]) == 0

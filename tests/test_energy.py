@@ -26,11 +26,16 @@ from cosserat2d.energy import (
     term_densities,
     total_energy,
 )
-from cosserat2d.fields import FieldState, Grid, node_window
+from cosserat2d.fields import (
+    FieldState,
+    Grid,
+    deformation_gradients,
+    node_window,
+)
 from cosserat2d.materials import MaterialParams, ModelSelector
 from cosserat2d.rng import random_smooth_state
 
-from conftest import random_f_stack, random_material
+from conftest import dpolar_dir, random_f_stack, random_material
 
 
 def density(term, p, f=None, theta=None, *, fstar=None, g=None,
@@ -359,7 +364,7 @@ def test_analytic_variations_builds_each_field_once(monkeypatch):
 
 
 def test_coupling_gradient_takes_one_polar_factor(monkeypatch):
-    # The Y conjugate and the polar-derivative tensor share one (R, tr U).
+    # The Y conjugate and the F conjugate share one (R, tr U).
     calls = []
 
     def counted(f, _original=energy._polar_rotation):
@@ -374,6 +379,18 @@ def test_coupling_gradient_takes_one_polar_factor(monkeypatch):
         calls.clear()
         analytic_variations(state, p, terms)
         assert calls == [(2, 2, 8, 8)], terms
+
+
+def test_coupling_f_conjugate_is_the_polar_derivative_of_its_r_conjugate():
+    # The coupling's density reads F only through polar(F), whose conjugate
+    # is -2 mu_c R; the derivative of polar(F) carries it to the F-conjugate.
+    state = random_smooth_state(Grid(nx=12, ny=10, lx=1.9, ly=1.3), seed=7,
+                                amplitude=0.08, modes=3)
+    p = random_material(np.random.default_rng(11), chi=0.6)
+    p_conj, _, _, r = energy._variation_conjugates(
+        state, p, ("coupling",), DEFAULT_EPS_REG)
+    f, _ = deformation_gradients(state, star=False)
+    assert_relatively_close(p_conj, dpolar_dir(f, -2.0 * p.mu_c * r))
 
 
 def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
