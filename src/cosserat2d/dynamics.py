@@ -54,7 +54,10 @@ class RhsFields:
     ``potential`` maps each active energy term to its discrete total at the
     same state, taken from the stretches the kernel already built (the keys
     and values :func:`cosserat2d.energy.total_energy` uses); it is ``None``
-    for :func:`rhs_linear_chiral`, which has no matching energy.
+    for :func:`rhs_linear_chiral`, which has no matching energy.  Fields
+    with leading axes, ``(..., nx, ny)``, give accelerations of shape
+    ``(2, ..., nx, ny)`` and ``(..., nx, ny)``; each total then sums over
+    the leading axes too.
     """
 
     acc_u: np.ndarray
@@ -120,7 +123,7 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     acc_theta = (div_vector(flux, grid) - 0.5 * spin) / p.rho_rot
     del flux, spin
 
-    pc = np.empty(grid.shape, dtype=complex)  # pc / 2
+    pc = np.empty(k.e.shape, dtype=complex)  # pc / 2
     pc.real, pc.imag = w_trx, w_tx
     pc *= k.e
     pa = w_fa * k.fa  # pa / 2
@@ -132,7 +135,7 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     del pa
     sy = ddy(pc, grid)
     del pc
-    acc_u = np.empty((2,) + grid.shape)
+    acc_u = np.empty((2,) + sx.shape)
     np.subtract(sx.real, sy.imag, out=acc_u[0])
     np.add(sx.imag, sy.real, out=acc_u[1])
     acc_u /= p.rho

@@ -10,15 +10,15 @@ so any implementation reproduces the same doubles:
     output = z XOR (z >> 31)
     double = (output >> 11) * 2^-53        # uniform in [0, 1)
 
-:func:`random_smooth_state` documents its draw order so fields are
-bit-reproducible across languages: for each field in the fixed order
-(u1, u2, theta, v1, v2, omega), for mx in 0..modes, for my in -modes..modes,
-draw first the coefficient (uniform in [-1, 1)) then the phase
-(uniform in [0, 2*pi)).  All draws are made before any field is summed, so
-the order is unchanged.  The cosine of a mode is evaluated once per distinct
-argument rather than once per node; the values are bitwise equal to the
-per-node evaluation ``coeff * cos(2 pi (mx x / lx + my y / ly) + phase)``
-summed in mode order.
+:func:`random_smooth_state` documents its draw order: for each field in the
+fixed order (u1, u2, theta, v1, v2, omega), for mx in 0..modes, for my in
+-modes..modes, draw first the coefficient (uniform in [-1, 1)) then the
+phase (uniform in [0, 2*pi)).  The draws are bit-exact on every platform.
+The fields are the documented sum
+``coeff * cos(2 pi (mx x / lx + my y / ly) + phase)`` to within a few ulps
+of ``amplitude``: the cosine comes from the platform's libm, and the sum is
+taken as a product of per-axis tables rather than node by node.  Repeated
+calls with the same arguments give the same bits.
 """
 
 from __future__ import annotations
@@ -53,37 +53,6 @@ class SplitMix64:
         return lo + (hi - lo) * self.next_double()
 
 
-def _argument_table(grid: Grid, mx: int, my: int, arg: np.ndarray):
-    """The distinct arguments of wave vector ``(mx, my)``, one per key.
-
-    With ``g = gcd(nx, ny)``, node ``(i, j)`` has the integer key
-    ``a i + b j``, ``a = mx ny / g``, ``b = my nx / g``; nodes with equal
-    keys have equal exact arguments ``2 pi (mx i / nx + my j / ny)``.
-    Returns ``(table, nodes)``: ``table`` holds the computed argument ``arg``
-    of one node of each key (0 for a key no node has), and ``nodes(values)``
-    is the strided ``(nx, ny)`` view of a table-shaped array that shows each
-    node its key's entry.  When the keys span more entries than there are
-    nodes (coprime ``nx``, ``ny``), the key is the node's own index.
-    """
-    nx, ny = grid.shape
-    g = math.gcd(nx, ny)
-    a, b = mx * (ny // g), my * (nx // g)
-    span = a * (nx - 1) + abs(b) * (ny - 1) + 1
-    if span > nx * ny:
-        a, b, span = ny, 1, nx * ny
-    origin = max(-b, 0) * (ny - 1)  # the entry of node (0, 0)
-
-    def nodes(values: np.ndarray) -> np.ndarray:
-        size = values.itemsize
-        return np.ndarray(grid.shape, buffer=values, offset=origin * size,
-                          strides=(a * size, b * size))
-
-    table = np.zeros(span)
-    # Nodes sharing an entry all write it; one of their arguments is kept.
-    nodes(table)[...] = arg
-    return table, nodes
-
-
 def random_smooth_state(grid: Grid, seed: int, amplitude: float,
                         modes: int = 3) -> FieldState:
     """Smooth periodic random state bounded by ``amplitude`` in every field.
@@ -93,39 +62,32 @@ def random_smooth_state(grid: Grid, seed: int, amplitude: float,
     coefficients and phases in the documented draw order, normalized by the
     number of summands so the field magnitude never exceeds ``amplitude``.
 
-    Every node gets ``coeff cos(2 pi (mx x / lx + my y / ly) + phase)`` of
-    its own argument, summed in mode order, but the cosine is taken once
-    per distinct argument of a mode (:func:`_argument_table`); a node whose
-    rounded argument differs from its key's entry takes its own cosine.
+    The series is summed as one product of per-axis tables, from
+    ``cos(a + b + phase) = cos a cos(b + phase) + sin a (-sin(b + phase))``
+    with ``a = 2 pi mx x / lx`` and ``b = 2 pi my y / ly``: the x table
+    stacks ``cos a`` over ``sin a``, the y table the matching columns, and
+    the sum over their rows runs without a grid-sized temporary.
     """
     rng = SplitMix64(seed)
-    wave_vectors = [(mx, my) for mx in range(0, modes + 1)
-                    for my in range(-modes, modes + 1)]
-    draws = [[(rng.next_uniform(-1.0, 1.0), rng.next_uniform(0.0, 2.0 * math.pi))
-              for _ in wave_vectors] for _ in FieldState.FIELD_NAMES]
+    mx, my = np.array([(i, j) for i in range(0, modes + 1)
+                       for j in range(-modes, modes + 1)], dtype=float).T
+    draws = np.array([[(rng.next_uniform(-1.0, 1.0),
+                        rng.next_uniform(0.0, 2.0 * math.pi)) for _ in mx]
+                      for _ in FieldState.FIELD_NAMES])
     x, y = grid.axes()
-    fields = [np.zeros(grid.shape) for _ in FieldState.FIELD_NAMES]
-    arg = np.empty(grid.shape)
-    for m, (mx, my) in enumerate(wave_vectors):
-        # 2 pi (mx x / lx + my y / ly), shared by the six fields
-        np.add((mx * x / grid.lx)[:, None], my * y / grid.ly, out=arg)
-        arg *= 2.0 * math.pi
-        table, nodes = _argument_table(grid, mx, my, arg)
-        # Nodes whose rounded argument is not their key's entry
-        # (non-dyadic spacing) take the cosine of their own argument.
-        own = np.flatnonzero(nodes(table) != arg)
-        own_arg = arg.ravel()[own]
-        for acc, field_draws in zip(fields, draws):
-            coeff, phase = field_draws[m]
-            values = table + phase
-            np.cos(values, out=values)
-            values *= coeff
-            term = nodes(values)
-            if own.size:
-                term = term.copy()
-                term.ravel()[own] = coeff * np.cos(own_arg + phase)
-            acc += term
-    for acc in fields:
-        acc *= amplitude
-        acc /= len(wave_vectors)
+    # One row per wave vector: a is (len(mx), nx) and b is (len(mx), ny).
+    a = 2.0 * math.pi * mx[:, None] * x / grid.lx
+    b = 2.0 * math.pi * my[:, None] * y / grid.ly
+    table_x = np.concatenate([np.cos(a), np.sin(a)])
+    fields = []
+    for coeff, phase in draws.transpose(0, 2, 1):
+        shifted = b + phase[:, None]
+        coeff = coeff[:, None]
+        table_y = np.concatenate([coeff * np.cos(shifted),
+                                  -coeff * np.sin(shifted)])
+        # einsum, not matmul: its sums do not depend on the BLAS threads.
+        field = np.einsum("mi,mj->ij", table_x, table_y)
+        field *= amplitude
+        field /= len(mx)
+        fields.append(field)
     return FieldState(grid=grid, **dict(zip(FieldState.FIELD_NAMES, fields)))

@@ -784,3 +784,27 @@ def test_kernels_self_converge_at_second_order(kernel, p):
     errors = [np.max(np.abs(coarse - fine[:, ::2, ::2]))
               for coarse, fine in zip(results, results[1:])]
     assert math.log2(errors[0] / errors[1]) >= 1.8, errors
+
+
+@pytest.mark.parametrize("kernel, p", [
+    (lambda s, p: rhs_nonlinear(s, p, coupling="polar"),
+     MaterialParams(chi=0.3)),
+    (lambda s, p: rhs_nonlinear(s, p, coupling="skew"),
+     MaterialParams(chi=0.3)),
+    (rhs_chiral, _CHIRAL_MATERIAL),
+], ids=["polar", "skew", "chiral"])
+def test_kernels_act_member_by_member_on_a_leading_axis(kernel, p):
+    # Four states stacked along a leading axis: each member's accelerations
+    # are bitwise those of its own call.
+    grid = Grid(nx=256, ny=4)
+    members = [random_smooth_state(grid, seed=seed, amplitude=0.05)
+               for seed in range(4)]
+    stacked = FieldState(grid, *(np.stack(fields) for fields
+                                 in zip(*(m.field_arrays() for m in members))))
+    batch = kernel(stacked, p)
+    assert batch.acc_u.shape == (2, 4) + grid.shape
+    for index, member in enumerate(members):
+        single = kernel(member, p)
+        assert batch.acc_u[:, index].tobytes() == single.acc_u.tobytes()
+        assert (batch.acc_theta[index].tobytes()
+                == single.acc_theta.tobytes())
