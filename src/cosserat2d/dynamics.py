@@ -18,6 +18,7 @@ the verification report.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -84,52 +85,57 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     """
     grid = state.grid
     k = _invariants(state, p, terms, eps_reg)
-    terms, trx, tx = k.terms, k.trx, k.tx
+    # The totals first, so that each invariant can go at its last read.
+    potential = term_totals(term_densities(k, p), grid.cell_area)
+    terms, trx, tx, trxs, txs = k.terms, k.trx, k.tx, k.trxs, k.txs
+    zeta, tru, g, n, s, e, fa = k.zeta, k.tru, k.g, k.n, k.s, k.e, k.fa
+    del k  # and with it |fa|^2
 
     # --- elastic and curvature: W_trx, 2 W_|fa|^2 and half the conjugate
     # to grad theta ---
     w_trx = (p.mu + p.lam) * (trx - 2.0)
     w_fa = p.mu
-    flux = p.mu * p.L_c**2 * k.g
+    flux = p.mu * p.L_c**2 * g
 
     # --- rotation/strain coupling ---
     if "coupling" in terms:  # W = 4 mu_c (1 - Re zeta), zeta = xi / |xi|
-        c = 4.0 * p.mu_c * k.zeta.imag / k.tru
-        w_trx = w_trx - c * k.zeta.imag
-        w_tx = c * k.zeta.real
+        c = 4.0 * p.mu_c * zeta.imag / tru
+        w_trx -= c * zeta.imag
+        w_tx = c * zeta.real
+        del c
     else:  # coupling2: the skew part of R^T F
         w_tx = p.mu_c * tx
+    del zeta, tru
 
     # --- chiral interaction ---
     if "interaction" in terms:
         c = p.mu * p.L_c * p.chi
-        w_trx = w_trx + c * k.n
-        flux += (0.5 * c * trx / k.s) * k.g
+        w_trx += c * n
+        flux += (0.5 * c * trx / s) * g
+    del g, n, s
 
     # --- starred elastic on F* = I + grad u*, and mixing ---
     if "chiral_elastic" in terms:
-        trxs, txs = k.trxs, k.txs
         c = 0.5 * p.m1 + p.m2
         w_trxs = (p.mu_s + p.lam_s) * (trxs - 2.0) + c * (trx - 2.0)
         w_txs = p.mu_c_s * txs + 0.5 * p.m3 * tx
-        w_trx = w_trx + c * (trxs - 2.0)
-        w_tx = w_tx + 0.5 * p.m3 * txs
+        w_trx += c * (trxs - 2.0)
+        w_tx += 0.5 * p.m3 * txs
         w_fa += p.mu_s
     spin = w_trx * tx - w_tx * trx
     if "chiral_elastic" in terms:
         spin += w_trxs * txs - w_txs * trxs
         w_trx, w_tx = w_trx - w_txs, w_tx + w_trxs
         del w_trxs, w_txs
+    del trx, tx, trxs, txs  # the last views of xi
     acc_theta = (div_vector(flux, grid) - 0.5 * spin) / p.rho_rot
     del flux, spin
 
-    pc = np.empty(k.e.shape, dtype=complex)  # pc / 2
+    pc = np.empty(e.shape, dtype=complex)  # pc / 2
     pc.real, pc.imag = w_trx, w_tx
-    pc *= k.e
-    pa = w_fa * k.fa  # pa / 2
-    # Release the stress inputs before the divergence and the densities.
-    k = k._replace(e=None, fa=None, s=None, tru=None)
-    del w_trx, w_tx
+    pc *= e
+    pa = w_fa * fa  # pa / 2
+    del e, fa, w_trx, w_tx
     sx = ddx(pc + pa, grid)
     pc -= pa
     del pa
@@ -140,7 +146,6 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     np.add(sx.imag, sy.real, out=acc_u[1])
     acc_u /= p.rho
     del sx, sy
-    potential = term_totals(term_densities(k, p), grid.cell_area)
     return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
 
 
@@ -319,33 +324,46 @@ def quarter_turn_flag_report() -> VerificationReport:
 
 def step_leapfrog(state: FieldState, dt: float, rhs, p: MaterialParams,
                   acc: RhsFields) -> tuple[FieldState, RhsFields]:
-    """One velocity-Verlet step: half-kick, drift, evaluate, half-kick.
+    """One velocity-Verlet step, in place: half-kick, drift, evaluate,
+    half-kick.
 
     ``rhs`` is any callable ``(state, p) -> RhsFields`` and ``acc`` is its
-    value at ``state``.  Returns the new state and ``rhs`` at the new state,
-    which is the next step's ``acc``: every right-hand side reads only the
+    value at ``state``.  The fields of ``state`` are overwritten with the
+    new state, and ``(state, rhs at the new state)`` is returned; that is
+    the next step's ``acc``: every right-hand side reads only the
     positions, so carrying it over gives the same bits as evaluating it
-    again, with one ``rhs`` call per step.  Time-reversible: stepping ``+dt``
-    then ``-dt`` returns the initial state to round-off.
+    again, with one ``rhs`` call per step.  A caller that needs the old
+    state keeps a :meth:`FieldState.copy`.  If ``rhs`` raises, ``state``
+    holds the drifted positions and the half-kicked velocities.
+    Time-reversible: stepping ``+dt`` then ``-dt`` returns the initial
+    state to round-off.
+
+    Raises ``ValueError`` if two fields of ``state`` may share memory,
+    since updating one in place would change the other.
     """
-    g = state.grid
-    v1h = state.v1 + 0.5 * dt * acc.acc_u[0]
-    v2h = state.v2 + 0.5 * dt * acc.acc_u[1]
-    omh = state.omega + 0.5 * dt * acc.acc_theta
-    drifted = FieldState(grid=g,
-                         u1=state.u1 + dt * v1h,
-                         u2=state.u2 + dt * v2h,
-                         theta=state.theta + dt * omh,
-                         v1=v1h, v2=v2h, omega=omh)
-    a1 = rhs(drifted, p)
-    out = FieldState(grid=g, u1=drifted.u1, u2=drifted.u2, theta=drifted.theta,
-                     v1=v1h + 0.5 * dt * a1.acc_u[0],
-                     v2=v2h + 0.5 * dt * a1.acc_u[1],
-                     omega=omh + 0.5 * dt * a1.acc_theta)
-    if not out.is_finite():
+    named = zip(FieldState.FIELD_NAMES, state.field_arrays())
+    for (name_a, a), (name_b, b) in itertools.combinations(named, 2):
+        if np.may_share_memory(a, b):
+            raise ValueError(f"cannot step in place: {name_a} and {name_b} "
+                             f"may share memory")
+    positions = (state.u1, state.u2, state.theta)
+    rates = (state.v1, state.v2, state.omega)
+    _add_scaled(rates, (acc.acc_u[0], acc.acc_u[1], acc.acc_theta), 0.5 * dt)
+    _add_scaled(positions, rates, dt)
+    a1 = rhs(state, p)
+    _add_scaled(rates, (a1.acc_u[0], a1.acc_u[1], a1.acc_theta), 0.5 * dt)
+    if not state.is_finite():
         raise NonFiniteState(f"state became non-finite during leapfrog "
-                             f"step: {out.first_non_finite()}")
-    return out, a1
+                             f"step: {state.first_non_finite()}")
+    return state, a1
+
+
+def _add_scaled(targets, sources, factor: float) -> None:
+    """``target += factor * source`` for each pair, through one scratch
+    field (the bits of the out-of-place sum)."""
+    scratch = np.empty_like(targets[0])
+    for target, source in zip(targets, sources):
+        target += np.multiply(source, factor, out=scratch)
 
 
 def _relative_max_error(diff: np.ndarray, reference: np.ndarray) -> float:
@@ -406,33 +424,37 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
     """
     terms = (term,)
     area = state.grid.cell_area
-    entries = []
-    for node in _fd_nodes(state.grid):
-        entries.append(("u1", node, dv_du[0][node]))
-        entries.append(("u2", node, dv_du[1][node]))
-        entries.append(("theta", node, dv_dth[node]))
-    scale = max((abs(e[2]) * area for e in entries), default=0.0)
+    nodes = _fd_nodes(state.grid)
+    gradients = {"u1": dv_du[0], "u2": dv_du[1], "theta": dv_dth}
+    scale = max(abs(g[node]) * area for g in gradients.values()
+                for node in nodes)
     worst = noise = 0.0
-    for name, node, analytic in entries:
-        step = _fd_step(state, p, term, name, node)
-        plus, minus = getattr(state, name).copy(), getattr(state, name).copy()
-        plus[node] += step
-        minus[node] -= step
-        if plus[node] == minus[node]:
-            return math.inf  # the step is lost to rounding: nothing to compare
-        width = plus[node] - minus[node]  # the step the floats really took
-        vp = potential_total(replace(state, **{name: plus}), p, terms,
-                             eps_reg, window=node)
-        vm = potential_total(replace(state, **{name: minus}), p, terms,
-                             eps_reg, window=node)
-        # An overflowed total or gradient is a failure, not a noise floor.
-        if not all(map(math.isfinite, (vp, vm, analytic * area))):
-            return math.inf
-        fd = (vp - vm) / width
-        noise = max(noise, 64.0 * np.finfo(float).eps * max(abs(vp), abs(vm))
-                    / width)
-        scale = max(scale, abs(fd))
-        worst = max(worst, abs(analytic * area - fd))
+    for name, gradient in gradients.items():
+        # One private copy of the unknown: each node is moved and put back.
+        probe = replace(state, **{name: getattr(state, name).copy()})
+        moved = getattr(probe, name)
+        for node in nodes:
+            analytic = gradient[node]
+            step = _fd_step(state, p, term, name, node)
+            origin = moved[node]
+            plus, minus = origin + step, origin - step
+            if plus == minus:
+                return math.inf  # the step is lost to rounding
+            width = plus - minus  # the step the floats really took
+            moved[node] = plus
+            vp = potential_total(probe, p, terms, eps_reg, window=node)
+            moved[node] = minus
+            vm = potential_total(probe, p, terms, eps_reg, window=node)
+            moved[node] = origin
+            # An overflowed total or gradient is a failure, not a noise
+            # floor.
+            if not all(map(math.isfinite, (vp, vm, analytic * area))):
+                return math.inf
+            fd = (vp - vm) / width
+            noise = max(noise, 64.0 * np.finfo(float).eps
+                        * max(abs(vp), abs(vm)) / width)
+            scale = max(scale, abs(fd))
+            worst = max(worst, abs(analytic * area - fd))
     # The central difference cancels to rounding when the state sits at a
     # stationary point of the term; below that noise floor there is no signal
     # to compare (a wrong analytic gradient would still raise `scale` far
@@ -452,7 +474,6 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
     terms = _live_terms(sel.active_terms(), p)
     base_tol = 1e-8 if "interaction" in terms else 1e-10
 
-    acc = _rhs(state, p, terms, eps_reg)
     # One gradient pass per term: each feeds that term's finite-difference
     # row, and their sum is the whole energy's gradient.
     dv_du = dv_dth = 0.0
@@ -469,6 +490,8 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
             fd_rows.append((f"fd_gradient_{term}", _fd_term_error(
                 state, p, term, *gradient, eps_reg)))
 
+    # Evaluated last, so that its fields are not held through the passes.
+    acc = _rhs(state, p, terms, eps_reg)
     report.add("acc_u_vs_energy_gradient",
                _relative_max_error(p.rho * acc.acc_u + dv_du, dv_du), base_tol)
     report.add("acc_theta_vs_energy_gradient",

@@ -169,8 +169,12 @@ def term_densities(k: _Invariants, p: MaterialParams):
 
 def term_totals(densities, cell_area: float) -> dict[str, float]:
     """Discrete per-term totals (node sum times cell area) of
-    ``(term, density)`` pairs."""
-    return {name: float(np.sum(d)) * cell_area for name, d in densities}
+    ``(term, density)`` pairs, each dropped before the next is made."""
+    totals = {}
+    for name, d in densities:
+        totals[name] = float(np.sum(d)) * cell_area
+        del d
+    return totals
 
 
 @dataclass(frozen=True)
@@ -219,23 +223,33 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     live = _live_terms(terms, p)
     grid = state.grid
     u1, u2, theta = state.u1, state.u2, state.theta
-    if window is not None:
+    if window is None:
+        def inner(a):
+            return a
+    else:
         block = node_window(grid, window)
         u1, u2, theta = u1[block], u2[block], theta[block]
-    g = wx = wy = None
+
+        def inner(a):  # drop the block's outer ring
+            return a[..., 1:-1, 1:-1]
+    g = None
     if {"curvature", "interaction"} & set(live):
-        g = grad_scalar(theta, grid)
-    if live != ("curvature",):
-        w = np.empty(u1.shape, dtype=complex)
-        w.real, w.imag = u1, u2
-        wx, wy = ddx(w, grid), ddy(w, grid)
-        del w
-    if window is not None:  # drop the block's outer ring
-        theta, g, wx, wy = (None if a is None else a[..., 1:-1, 1:-1]
-                            for a in (theta, g, wx, wy))
+        g = inner(grad_scalar(theta, grid))
     if live == ("curvature",):
         return _Invariants(live, g=g)
-    return _planar_invariants(live, wx, wy, theta, g, eps_reg)
+    # Each derivative of w is handed over unnamed, so that _planar_invariants
+    # holds its only reference (on CPython 3.11 and later) and frees it at
+    # its last read; w is built once per axis for that.
+    return _planar_invariants(live, inner(_w_derivative(ddx, u1, u2, grid)),
+                              inner(_w_derivative(ddy, u1, u2, grid)),
+                              inner(theta), g, eps_reg)
+
+
+def _w_derivative(derivative, u1, u2, grid):
+    """``derivative`` (:func:`ddx` or :func:`ddy`) of ``w = u1 + i u2``."""
+    w = np.empty(np.shape(u1), dtype=complex)
+    w.real, w.imag = u1, u2
+    return derivative(w, grid)
 
 
 def _planar_invariants(terms, wx, wy, theta, g=None,
@@ -247,23 +261,25 @@ def _planar_invariants(terms, wx, wy, theta, g=None,
     The polar coupling first checks ``det F`` (:func:`check_polar_det`),
     taken from the entries of ``F`` as ``det2`` takes it.
     """
+    if "coupling" in terms:
+        check_polar_det((1.0 + wx.real) * (1.0 + wy.imag)
+                        - wy.real * wx.imag)
     fa = 1j * wy
     xi = wx - fa  # fc - 2
     xi += 2.0
     fa += wx
-    cos, sin = np.cos(theta), np.sin(theta)
+    del wx, wy
     e = np.empty(np.shape(theta), dtype=complex)
-    e.real, e.imag = cos, sin
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
     xi *= e.conj()
     k = dict(trx=xi.real, tx=xi.imag, e=e, fa=fa)
     if {"elastic", "chiral_elastic"} & set(terms):
         k["fa2"] = fa.real * fa.real + fa.imag * fa.imag
     if {"chiral_elastic", "mixing"} & set(terms):
-        k["trxs"] = 2.0 * (cos + sin) + xi.imag
-        k["txs"] = 2.0 * (cos - sin) - xi.real
+        k["trxs"] = 2.0 * (e.real + e.imag) + xi.imag
+        k["txs"] = 2.0 * (e.real - e.imag) - xi.real
     if "coupling" in terms:
-        check_polar_det((1.0 + wx.real) * (1.0 + wy.imag)
-                        - wy.real * wx.imag)
         k["tru"] = np.abs(xi)
         k["zeta"] = xi * (1.0 / k["tru"])
     if g is not None:

@@ -70,17 +70,20 @@ class Grid:
         return np.zeros(self.shape)
 
 
-def _central(f: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _central(f: np.ndarray, axis: int, h: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """``(f[i+1] - f[i-1]) / (2 h)`` along ``axis``, periodic wrap.
 
-    Built from slices into one output, with no rolled copies of ``f``; the
-    same subtraction and division at every node, so the bits of the rolled
-    form.  A complex field's real and imaginary parts are divided as real
-    numbers, so each has the bits of the stencil of that part alone.  Needs
-    at least 3 nodes on ``axis``.
+    Built from slices into one output (``out`` if given, a contiguous
+    array of ``f``'s shape that shares no memory with it), with no rolled
+    copies of ``f``; the same subtraction and division at every node, so
+    the bits of the rolled form.  A complex field's real and imaginary
+    parts are divided as real numbers, so each has the bits of the stencil
+    of that part alone.  Needs at least 3 nodes on ``axis``.
     """
     f = np.asarray(f)
-    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+    if out is None:
+        out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
     dst = np.moveaxis(out, axis, 0)
     src = np.moveaxis(f, axis, 0)
     np.subtract(src[2:], src[:-2], out=dst[1:-1])
@@ -140,7 +143,11 @@ def node_window(grid: Grid, node: tuple[int, int]):
 
 def grad_scalar(f: np.ndarray, grid: Grid) -> np.ndarray:
     """Gradient of a scalar field, shape ``(2, nx, ny)``."""
-    return np.stack([ddx(f, grid), ddy(f, grid)])
+    f = np.asarray(f)
+    g = np.empty((2,) + f.shape, dtype=np.result_type(f, 1.0))
+    _central(f, -2, grid.hx, out=g[0])
+    _central(f, -1, grid.hy, out=g[1])
+    return g
 
 
 def div_vector(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -204,18 +211,19 @@ def deformation_gradients(state: FieldState, star: bool = True):
     ``grad u*`` are (row 2 of ``grad u``, minus row 1 of ``grad u``).
     """
     grid = state.grid
-    g1 = grad_scalar(state.u1, grid)
-    g2 = grad_scalar(state.u2, grid)
-    f = np.stack([g1, g2])
-    f[0, 0] += 1.0
-    f[1, 1] += 1.0
+    f = np.empty((2, 2) + np.shape(state.u1))
+    for row, u in enumerate((state.u1, state.u2)):
+        _central(u, -2, grid.hx, out=f[row, 0])
+        _central(u, -1, grid.hy, out=f[row, 1])
     fstar = None
     if star:
         fstar = np.empty_like(f)
-        fstar[0] = g2
-        np.negative(g1, out=fstar[1])
+        fstar[0] = f[1]
+        np.negative(f[0], out=fstar[1])
         fstar[0, 0] += 1.0
         fstar[1, 1] += 1.0
+    f[0, 0] += 1.0
+    f[1, 1] += 1.0
     return f, fstar
 
 

@@ -412,7 +412,7 @@ def test_criterion_8a_energy_drift_below_tenth_percent():
 def test_criterion_8b_exact_time_reversibility():
     grid, p, state0 = _standing_wave_setup()
     dt = 0.1 * grid.hx / math.sqrt((p.lam + 2.0 * p.mu) / p.rho)
-    state = state0
+    state = state0.copy()  # the stepper overwrites the state it is given
     acc = rhs_linear_chiral(state, p)
     for _ in range(100):
         state, acc = step_leapfrog(state, dt, rhs_linear_chiral, p, acc)

@@ -9,6 +9,7 @@ closed forms assembled independently inside the tests.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -694,6 +695,91 @@ def test_carried_acceleration_matches_reevaluation():
         again = rhs(carried, p)
         npt.assert_array_equal(acc.acc_u, again.acc_u)
         npt.assert_array_equal(acc.acc_theta, again.acc_theta)
+
+
+def functional_leapfrog(state, dt, rhs, p, acc):
+    """The out-of-place velocity-Verlet step, the bitwise oracle of the
+    in-place :func:`step_leapfrog`: it leaves ``state`` as it was."""
+    v1h = state.v1 + 0.5 * dt * acc.acc_u[0]
+    v2h = state.v2 + 0.5 * dt * acc.acc_u[1]
+    omh = state.omega + 0.5 * dt * acc.acc_theta
+    drifted = FieldState(grid=state.grid, u1=state.u1 + dt * v1h,
+                         u2=state.u2 + dt * v2h,
+                         theta=state.theta + dt * omh,
+                         v1=v1h, v2=v2h, omega=omh)
+    a1 = rhs(drifted, p)
+    return dataclasses.replace(
+        drifted, v1=v1h + 0.5 * dt * a1.acc_u[0],
+        v2=v2h + 0.5 * dt * a1.acc_u[1],
+        omega=omh + 0.5 * dt * a1.acc_theta), a1
+
+
+def test_step_advances_the_given_state_with_the_functional_bits():
+    grid = Grid(nx=12, ny=10, lx=2.0, ly=1.5)
+    state0 = random_smooth_state(grid, seed=14, amplitude=0.02, modes=2)
+    for rhs, p in _stepper_cases(np.random.default_rng(63)):
+        state, acc = state0.copy(), rhs(state0, p)
+        expected, expected_acc = state0.copy(), acc
+        for _ in range(5):
+            given = state
+            state, acc = step_leapfrog(state, 0.003, rhs, p, acc)
+            assert state is given
+            expected, expected_acc = functional_leapfrog(
+                expected, 0.003, rhs, p, expected_acc)
+            for name in FieldState.FIELD_NAMES:
+                assert (getattr(state, name).tobytes()
+                        == getattr(expected, name).tobytes()), name
+            assert acc.acc_u.tobytes() == expected_acc.acc_u.tobytes()
+            assert acc.acc_theta.tobytes() == expected_acc.acc_theta.tobytes()
+            assert acc.potential == expected_acc.potential
+
+
+@pytest.mark.parametrize("first, second", [
+    ("u1", "v1"), ("u2", "theta"), ("theta", "omega"), ("v1", "v2")])
+def test_step_refuses_fields_that_share_memory(first, second):
+    grid = Grid(nx=8, ny=6)
+    state = random_smooth_state(grid, seed=15, amplitude=0.02, modes=2)
+    setattr(state, second, getattr(state, first))
+    before = [a.copy() for a in state.field_arrays()]
+    p = MaterialParams()
+    with pytest.raises(ValueError, match=f"{first} and {second} may share"):
+        step_leapfrog(state, 0.1, rhs_nonlinear, p, rhs_nonlinear(state, p))
+    for a, b in zip(state.field_arrays(), before):
+        npt.assert_array_equal(a, b)
+    # Overlapping views of one array count as well.
+    base = np.zeros((grid.nx, grid.ny + 1))
+    state = FieldState.zero(grid)
+    state.u1, state.v2 = base[:, :-1], base[:, 1:]
+    with pytest.raises(ValueError, match="u1 and v2 may share"):
+        step_leapfrog(state, 0.1, rhs_nonlinear, p, rhs_nonlinear(state, p))
+
+
+@pytest.mark.parametrize("case", ["polar", "skew", "chiral", "linear"])
+def test_one_step_allocates_at_most_22_grid_fields(case):
+    # tracemalloc's peak over one 64x64 step, in units of one grid field:
+    # the state is updated in place and each invariant of the kernel is
+    # freed at its last read.  Allocating a new state and keeping every
+    # invariant to the end peaked at 26-30 fields.
+    grid = Grid(nx=64, ny=64)
+    rhs, p = {
+        "polar": (rhs_nonlinear, MaterialParams(chi=0.3)),
+        "skew": (lambda s, q: rhs_nonlinear(s, q, coupling="skew"),
+                 MaterialParams(chi=0.3)),
+        "chiral": (rhs_chiral, MaterialParams(mu_s=0.1, lam_s=0.1,
+                                              mu_c_s=0.1, m1=0.1, m2=0.1,
+                                              m3=0.1)),
+        "linear": (rhs_linear_chiral, MaterialParams(mu_s=0.1, lam_s=0.1,
+                                                     mu_c_s=0.1)),
+    }[case]
+    state = random_smooth_state(grid, seed=1, amplitude=0.01, modes=3)
+    acc = rhs(state, p)
+    tracemalloc.start()
+    try:
+        step_leapfrog(state, 1e-4, rhs, p, acc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / state.u1.nbytes <= 22.0
 
 
 def test_kernel_potential_matches_total_energy_bitwise():
