@@ -45,14 +45,6 @@ def rot2(theta):
     return r
 
 
-def identity2(template):
-    """Identity matrix broadcast to the trailing shape of ``template``."""
-    eye = np.zeros_like(np.asarray(template, dtype=float))
-    eye[0, 0] = 1.0
-    eye[1, 1] = 1.0
-    return eye
-
-
 def mat_mul(a, b):
     """Matrix product contracting the leading axes, broadcasting the rest."""
     return np.einsum("ij...,jk...->ik...", a, b)
@@ -88,16 +80,21 @@ def cof2(f):
     return out
 
 
-def check_polar_det(det):
+def check_polar_det(det, nodes=None):
     """Raise :class:`DegenerateDeformation` where ``det F`` (``det``, one
     value per node) is at or below :data:`DEGENERATE_DET`, naming the node
-    with the smallest determinant: the polar factor is undefined there."""
+    with the smallest determinant: the polar factor is undefined there.
+
+    The node is the index into ``det``, or with ``nodes`` (index arrays of
+    ``det``'s shape, one per grid axis) the grid node those give it.
+    """
     if np.any(det <= DEGENERATE_DET):
-        node = np.unravel_index(np.nanargmin(det), np.shape(det))
-        at = f" at node {tuple(int(i) for i in node)}" if node else ""
+        at = np.unravel_index(np.nanargmin(det), np.shape(det))
+        node = at if nodes is None else tuple(n[at] for n in nodes)
+        where = f" at node {tuple(int(i) for i in node)}" if node else ""
         raise DegenerateDeformation(
-            f"det(F) <= {DEGENERATE_DET:g}{at} "
-            f"(det F = {float(det[node]):.6g}); polar factor undefined")
+            f"det(F) <= {DEGENERATE_DET:g}{where} "
+            f"(det F = {float(det[at]):.6g}); polar factor undefined")
 
 
 def _polar_rotation(f):
@@ -105,5 +102,12 @@ def _polar_rotation(f):
     ``tr(U)^2 = |F|^2 + 2 det F`` (positive det only)."""
     det = det2(f)
     check_polar_det(det)
-    tru = np.sqrt(frobenius(f, f) + 2.0 * det)
-    return (f + cof2(f)) / tru, tru
+    det *= 2.0
+    tru = frobenius(f, f)
+    tru += det
+    del det
+    tru = np.sqrt(tru)
+    r = cof2(f)
+    r += f
+    r /= tru
+    return r, tru

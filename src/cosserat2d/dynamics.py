@@ -43,6 +43,7 @@ from .fields import (
     ddyy,
     div_vector,
     grad_scalar,
+    node_window,
 )
 from .materials import POLAR_COUPLING, SKEW_COUPLING, MaterialParams, ModelSelector
 from .report import VerificationReport
@@ -387,9 +388,9 @@ FD_STEP = 1e-6
 
 
 def _fd_step(state: FieldState, p: MaterialParams, term: str, name: str,
-             node: tuple[int, int]) -> float:
-    """The step of the central difference of ``term`` in unknown ``name``
-    at ``node``.
+             nodes) -> np.ndarray:
+    """The steps of the central differences of ``term`` in unknown ``name``
+    at each of ``nodes``.
 
     The interaction density ``chi |grad theta|_reg tr(R^T F)`` is linear in
     ``u``, but its regularized norm curves on the scale of ``|grad theta|``
@@ -401,14 +402,19 @@ def _fd_step(state: FieldState, p: MaterialParams, term: str, name: str,
     gains in truncation.
     """
     if term != "interaction" or name != "theta":
-        return FD_STEP
+        return np.full(len(nodes), FD_STEP)
     grid = state.grid
-    # The curvature's invariants are the angle gradient alone; the four
-    # neighbours sit at the edge midpoints of the 3x3 window.
-    g = _invariants(state, p, ("curvature",), DEFAULT_EPS_REG, window=node).g
-    g = g[:, (0, 1, 1, 2), (1, 0, 2, 1)]
-    gmin = float(np.min(np.sqrt(g[0] ** 2 + g[1] ** 2)))
-    return min(FD_STEP, 1e-4 * min(grid.hx, grid.hy) * max(gmin, 1e-4))
+    # The curvature's invariants are the angle gradient alone, on the 3x3
+    # window of each node's block; its four neighbours sit at the window's
+    # edge midpoints.
+    blocks = replace(state, theta=state.theta[node_window(grid, nodes)])
+    g = _invariants(blocks, p, ("curvature",), DEFAULT_EPS_REG,
+                    window=nodes).g
+    g = g[..., (0, 1, 1, 2), (1, 0, 2, 1)]
+    gmin = np.min(np.sqrt(g[0] ** 2 + g[1] ** 2), axis=-1)
+    # fmin: a nan gradient leaves the step at FD_STEP.
+    return np.fmin(FD_STEP,
+                   1e-4 * min(grid.hx, grid.hy) * np.maximum(gmin, 1e-4))
 
 
 def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
@@ -418,50 +424,57 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
     over a few nodes.
 
     Each difference is taken on the 3x3 window of densities the nodal step
-    reaches (``potential_total(..., window=node)``): every density outside
-    it is bitwise equal in the two perturbed states, so the whole-grid sums
-    would add rounding and nothing else.  The step is :func:`_fd_step`.
+    reaches: every density outside it is bitwise equal in the two perturbed
+    states, so the whole-grid sums would add rounding and nothing else.
+    All of them are one stack of 5x5 blocks (``potential_total(...,
+    window=nodes)``), one per unknown, node and sign of the step, each
+    with its node moved.  The step is :func:`_fd_step`.
     """
-    terms = (term,)
-    area = state.grid.cell_area
-    nodes = _fd_nodes(state.grid)
+    grid = state.grid
+    area = grid.cell_area
+    nodes = np.array(_fd_nodes(grid))
+    at = tuple(nodes.T)
     gradients = {"u1": dv_du[0], "u2": dv_du[1], "theta": dv_dth}
-    scale = max(abs(g[node]) * area for g in gradients.values()
-                for node in nodes)
-    worst = noise = 0.0
-    for name, gradient in gradients.items():
-        # One private copy of the unknown: each node is moved and put back.
-        probe = replace(state, **{name: getattr(state, name).copy()})
-        moved = getattr(probe, name)
-        for node in nodes:
-            analytic = gradient[node]
-            step = _fd_step(state, p, term, name, node)
-            origin = moved[node]
-            plus, minus = origin + step, origin - step
-            if plus == minus:
-                return math.inf  # the step is lost to rounding
-            width = plus - minus  # the step the floats really took
-            moved[node] = plus
-            vp = potential_total(probe, p, terms, eps_reg, window=node)
-            moved[node] = minus
-            vm = potential_total(probe, p, terms, eps_reg, window=node)
-            moved[node] = origin
-            # An overflowed total or gradient is a failure, not a noise
-            # floor.
-            if not all(map(math.isfinite, (vp, vm, analytic * area))):
-                return math.inf
-            fd = (vp - vm) / width
-            noise = max(noise, 64.0 * np.finfo(float).eps
-                        * max(abs(vp), abs(vm)) / width)
-            scale = max(scale, abs(fd))
-            worst = max(worst, abs(analytic * area - fd))
+    analytic = np.array([g[at] for g in gradients.values()]) * area
+    # One member per unknown, node and sign (+ then -), in that order: the
+    # node's block with the node moved in that unknown.
+    shape = (len(gradients), len(nodes), 2)
+    index = node_window(grid, nodes)
+    # Where each block holds its node (twice across a 4-node axis).
+    here = ((index[0] == nodes[:, :1, None])
+            & (index[1] == nodes[:, 1:, None]))[:, None]
+    moved = np.empty(shape)
+    blocks = {}
+    for k, name in enumerate(gradients):
+        field = getattr(state, name)
+        steps = _fd_step(state, p, term, name, nodes)
+        moved[k, :, 0] = field[at] + steps
+        moved[k, :, 1] = field[at] - steps
+        stack = np.broadcast_to(field[index][:, None], shape + (5, 5)).copy()
+        np.copyto(stack[k], moved[k, ..., None, None], where=here)
+        blocks[name] = stack.reshape(-1, 5, 5)
+    plus, minus = moved[..., 0], moved[..., 1]
+    if np.any(plus == minus):
+        return math.inf  # a step is lost to rounding
+    width = plus - minus  # the steps the floats really took
+    window = np.broadcast_to(nodes[:, None], shape + (2,)).reshape(-1, 2)
+    totals = potential_total(replace(state, **blocks), p, (term,), eps_reg,
+                             window).reshape(shape)
+    # An overflowed total or gradient is a failure, not a noise floor.
+    if not (np.all(np.isfinite(totals)) and np.all(np.isfinite(analytic))):
+        return math.inf
+    vp, vm = totals[..., 0], totals[..., 1]
+    fd = (vp - vm) / width
+    noise = float(np.max(64.0 * np.finfo(float).eps
+                         * np.maximum(abs(vp), abs(vm)) / width))
+    scale = float(max(np.max(abs(analytic)), np.max(abs(fd))))
     # The central difference cancels to rounding when the state sits at a
     # stationary point of the term; below that noise floor there is no signal
     # to compare (a wrong analytic gradient would still raise `scale` far
     # above the floor and be caught).
     if scale <= noise:
         return 0.0
-    return worst / scale
+    return float(np.max(abs(analytic - fd))) / scale
 
 
 def verify_variational_consistency(state: FieldState, p: MaterialParams,
@@ -479,8 +492,7 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
     dv_du = dv_dth = 0.0
     fd_rows = []
     for term in terms:
-        gradient = analytic_variations(state, p, (term,), eps_reg)
-        dv_du, dv_dth = dv_du + gradient[0], dv_dth + gradient[1]
+        du, dth = analytic_variations(state, p, (term,), eps_reg)
         # The unregularized norm has a kink where grad theta vanishes.
         if (term == "interaction" and eps_reg == 0.0 and np.min(
                 np.sum(grad_scalar(state.theta, state.grid) ** 2, axis=0)) == 0.0):
@@ -488,7 +500,11 @@ def verify_variational_consistency(state: FieldState, p: MaterialParams,
                             "skipped_not_differentiable_at_zero_angle_gradient", 0.0))
         else:
             fd_rows.append((f"fd_gradient_{term}", _fd_term_error(
-                state, p, term, *gradient, eps_reg)))
+                state, p, term, du, dth, eps_reg)))
+        # Then the sum so far goes into this pass's fields.
+        du += dv_du
+        dth += dv_dth
+        dv_du, dv_dth = du, dth
 
     # Evaluated last, so that its fields are not held through the passes.
     acc = _rhs(state, p, terms, eps_reg)

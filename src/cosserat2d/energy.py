@@ -17,6 +17,11 @@ by ``e^{i theta}`` and ``EPS2`` by ``-i``.  With ``w = u1 + i u2`` the parts of
   anticonformal part of ``x`` turned by ``-i``;
 * ``tr U = |fc|`` and ``R^T polar(F) = xi / |xi|``.
 
+Given a stack of 5x5 blocks of the grid and their central nodes, the same
+builder and densities give each block's 3x3 centre with the full-grid bits,
+and :func:`potential_total` each block's own total: one call takes every
+perturbed energy of a finite-difference check.
+
 :func:`analytic_variations` assembles the exact gradient of the *discrete*
 total energy by an independent, matrix route: each term contributes
 
@@ -28,12 +33,15 @@ total energy by an independent, matrix route: each term contributes
 
 Because the difference operators are exactly antisymmetric on the periodic
 grid, those expressions are the machine-precision gradient of
-:func:`total_energy`, not merely a discretization of one.
+:func:`total_energy`, not merely a discretization of one.  The tables are
+built in place: each conjugate to ``R^T F`` in one field, with its identity
+shifts on the diagonal, each of ``P``, ``Y`` and ``q`` from its first
+term's contribution, and each kinematic field let go at its last read.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -44,7 +52,6 @@ from .algebra import (
     _polar_rotation,
     check_polar_det,
     frobenius,
-    identity2,
     mat_mul,
     rot2,
     trace2,
@@ -215,23 +222,27 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     """The :data:`_Invariants` of ``terms`` at ``state``, from one
     derivative of ``w = u1 + i u2`` per axis and one angle gradient.
 
-    With ``window`` a node ``(i, j)``, every invariant is built on the 3x3
-    nodes around it only: the derivatives are taken on the 5x5 block around
-    the node (:func:`node_window`), whose wrap spoils only the block's outer
-    ring, so each value has the full-grid bits.
+    With ``window`` a sequence of ``m`` grid nodes, ``u1``, ``u2`` and
+    ``theta`` of ``state`` are instead ``(m, 5, 5)`` stacks: the 5x5 block
+    around each node (:func:`node_window`), perhaps with values moved.
+    Every invariant is then built on each block's 3x3 centre only: the
+    derivatives are taken across each block, whose wrap spoils only the
+    block's outer ring, so each value has the full-grid bits of the
+    block's values.  A degenerate ``det F`` names its grid node.
     """
     live = _live_terms(terms, p)
     grid = state.grid
     u1, u2, theta = state.u1, state.u2, state.theta
+    nodes = None
     if window is None:
         def inner(a):
             return a
     else:
-        block = node_window(grid, window)
-        u1, u2, theta = u1[block], u2[block], theta[block]
-
-        def inner(a):  # drop the block's outer ring
+        def inner(a):  # drop each block's outer ring
             return a[..., 1:-1, 1:-1]
+        if "coupling" in live:
+            nodes = [inner(a) for a in
+                     np.broadcast_arrays(*node_window(grid, window))]
     g = None
     if {"curvature", "interaction"} & set(live):
         g = inner(grad_scalar(theta, grid))
@@ -242,7 +253,7 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     # its last read; w is built once per axis for that.
     return _planar_invariants(live, inner(_w_derivative(ddx, u1, u2, grid)),
                               inner(_w_derivative(ddy, u1, u2, grid)),
-                              inner(theta), g, eps_reg)
+                              inner(theta), g, eps_reg, nodes)
 
 
 def _w_derivative(derivative, u1, u2, grid):
@@ -253,17 +264,19 @@ def _w_derivative(derivative, u1, u2, grid):
 
 
 def _planar_invariants(terms, wx, wy, theta, g=None,
-                      eps_reg: float = DEFAULT_EPS_REG) -> _Invariants:
+                      eps_reg: float = DEFAULT_EPS_REG,
+                      nodes=None) -> _Invariants:
     """The :data:`_Invariants` of ``terms`` (all live) from the pointwise
     derivatives ``wx``, ``wy`` of ``w = u1 + i u2``, the angle ``theta`` and,
     for the curvature and the interaction, its gradient ``g``.
 
-    The polar coupling first checks ``det F`` (:func:`check_polar_det`),
-    taken from the entries of ``F`` as ``det2`` takes it.
+    The polar coupling first checks ``det F`` (:func:`check_polar_det`,
+    which names the grid node ``nodes`` gives a value, if given), taken
+    from the entries of ``F`` as ``det2`` takes it.
     """
     if "coupling" in terms:
         check_polar_det((1.0 + wx.real) * (1.0 + wy.imag)
-                        - wy.real * wx.imag)
+                        - wy.real * wx.imag, nodes)
     fa = 1j * wy
     xi = wx - fa  # fc - 2
     xi += 2.0
@@ -324,102 +337,194 @@ def total_energy(state: FieldState, p: MaterialParams, sel: ModelSelector,
 
 
 def potential_total(state: FieldState, p: MaterialParams, terms,
-                    eps_reg: float = DEFAULT_EPS_REG, window=None) -> float:
+                    eps_reg: float = DEFAULT_EPS_REG, window=None):
     """Discrete potential energy restricted to ``terms`` (test/FD helper).
 
-    With ``window`` a node, the part on the 3x3 nodes around it: they hold
-    the only densities a change of ``u`` or ``theta`` at that node can
-    change (see :func:`_invariants`).
+    With ``window`` the ``m`` nodes of a stack of blocks (see
+    :func:`_invariants`), the ``(m,)`` totals of each block's 3x3 centre,
+    each summed as one 3x3 array: those nodes hold the only densities a
+    change of ``u`` or ``theta`` at a block's node can change.
     """
     dens = term_densities(_invariants(state, p, terms, eps_reg, window), p)
-    return float(sum(np.sum(d) for _, d in dens)) * state.grid.cell_area
+    if window is None:
+        return float(sum(np.sum(d) for _, d in dens)) * state.grid.cell_area
+    return (sum(np.sum(d.reshape(len(d), 9), axis=1) for _, d in dens)
+            * state.grid.cell_area)
 
 
-def _sym_minus_eye(x):
-    return 0.5 * (x + transpose2(x)) - identity2(x)
+def _stretch_conjugate(x, shear, bulk, skew=0.0):
+    """``shear (sym x - I) + bulk (tr x - 2) I + skew (x - x^T)``, built in
+    one field: the conjugate to ``x`` of ``shear/2 |sym x - I|^2
+    + bulk/2 (tr x - 2)^2 + skew/4 |x - x^T|^2``.
+
+    The identity shifts go on the diagonal in place.  Each finite entry
+    has the bits of the sum of the three whole matrices, but for the sign
+    of a zero, which no product :func:`mat_mul` takes of it can tell.
+    """
+    w = np.add(x, transpose2(x))
+    w *= 0.5
+    w[0, 0] -= 1.0
+    w[1, 1] -= 1.0
+    w *= shear
+    d = trace2(x)
+    d -= 2.0
+    d *= bulk
+    w[0, 0] += d
+    w[1, 1] += d
+    if skew != 0.0:
+        np.subtract(x[0, 1], x[1, 0], out=d)
+        d *= skew
+        w[0, 1] += d
+        w[1, 0] -= d
+    return w
 
 
-def _trace_eye(c, x):
-    """c (tr x - 2) I, the conjugate of c/2 (tr x - 2)^2 to x."""
-    return c * (trace2(x) - 2.0) * identity2(x)
+def _accumulate(total, part):
+    """``total + part``, in ``total``; ``part`` itself while there is no
+    total.
+
+    A sum from zeros would turn each ``-0`` of the first part into ``+0``.
+    A matrix product (:func:`mat_mul`) gives no ``-0``; the other parts
+    give one only at exact zeros of their factors.  The gradient reads
+    ``Y`` through a Frobenius product, which sums from ``+0``, and ``P``
+    and ``q`` through central differences, where a ``-0`` keeps its sign
+    only beside a ``+0``.
+    """
+    if total is None:
+        return part
+    total += part
+    return total
+
+
+#: The kinematic fields each term's conjugates read (besides ``R``, which
+#: every term but the curvature reads), in the order the terms are summed.
+_CONJUGATE_READS = {
+    "elastic": ("x", "f"),
+    "coupling2": ("x", "f"),
+    "chiral_elastic": ("xs", "fstar"),
+    "mixing": ("xs", "f", "x", "fstar"),
+    "interaction": ("x", "g", "f"),
+    "curvature": ("g",),
+    "coupling": ("f",),
+}
 
 
 def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
                           eps_reg: float):
     """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``,
-    and the ``R`` they were built with; each matrix field is built only if a
-    live term reads it.  ``Y`` and ``R`` are ``None`` when no live term
-    reads ``R`` (curvature alone)."""
-    need = _live_terms(terms, p)
-    f = fstar = r = x = xs = g = None
-    if need != ("curvature",):
-        f, fstar = deformation_gradients(
-            state, star=bool({"chiral_elastic", "mixing"} & set(need)))
+    and the ``R`` they were built with.
+
+    Each kinematic field (``F``, ``F*``, ``x = R^T F``, ``x* = R^T F*``,
+    ``grad theta``) is built only if a live term reads it, and let go at
+    its last read.  Each conjugate is the first term's contribution with
+    the later ones added in place (:func:`_accumulate`), and ``None`` when
+    no live term has one: ``P``, ``Y`` and ``R`` for the curvature alone
+    or no live term, ``q`` without the curvature and the interaction.
+    """
+    live = _live_terms(terms, p)
+    need = [t for t in _CONJUGATE_READS if t in live]
+    left = Counter(name for t in need for name in _CONJUGATE_READS[t])
+    kin, r = {}, None
+    if need and need != ["curvature"]:
+        kin["f"], fstar = deformation_gradients(state,
+                                                star=bool(left["fstar"]))
         r = rot2(state.theta)
-        if {"elastic", "interaction", "coupling2", "mixing"} & set(need):
-            x = mat_mul(transpose2(r), f)
+        if left["x"]:
+            kin["x"] = mat_mul(transpose2(r), kin["f"])
         if fstar is not None:
-            xs = mat_mul(transpose2(r), fstar)
-    if {"curvature", "interaction"} & set(need):
-        g = grad_scalar(state.theta, state.grid)
-    grid = state.grid
+            kin["xs"] = mat_mul(transpose2(r), fstar)
+            kin["fstar"] = fstar
+            del fstar
+        if not left["f"]:  # F was only the way to x* (the chiral terms)
+            del kin["f"]
+    if left["g"]:
+        kin["g"] = grad_scalar(state.theta, state.grid)
 
-    p_conj = np.zeros((2, 2) + grid.shape)  # conjugate to delta F
-    y_conj = None if r is None else np.zeros_like(r)  # conjugate to delta R
-    q_conj = np.zeros((2,) + grid.shape)  # conjugate to delta grad theta
+    def take(name):
+        """The field ``name``, dropped from the table at its last read."""
+        left[name] -= 1
+        return kin[name] if left[name] else kin.pop(name)
 
-    def stretch_conjugates(fmat, w):
-        """Push a conjugate-to-(R^T F) back to (delta F, delta R) conjugates."""
-        return mat_mul(r, w), mat_mul(fmat, transpose2(w))
+    p_conj = y_conj = q_conj = None
 
+    # A conjugate w to x = R^T F goes back to (R w, F w^T) against
+    # (delta F, delta R); the fields are handed over unnamed, so that each
+    # is freed at its last read.
     if "elastic" in need:
-        w = 2.0 * p.mu * _sym_minus_eye(x) + _trace_eye(p.lam, x)
-        dp, dy = stretch_conjugates(f, w)
-        p_conj += dp
-        y_conj += dy
+        w = _stretch_conjugate(take("x"), 2.0 * p.mu, p.lam)
+        y_conj = _accumulate(y_conj, mat_mul(take("f"), transpose2(w)))
+        p_conj = _accumulate(p_conj, mat_mul(r, w))
+        del w
 
     if "coupling2" in need:
-        w = p.mu_c * (x - transpose2(x))  # 2 mu_c skew(X)
-        dp, dy = stretch_conjugates(f, w)
-        p_conj += dp
-        y_conj += dy
+        x = take("x")
+        w = np.subtract(x, transpose2(x))  # 2 skew(x)
+        del x
+        w *= p.mu_c
+        y_conj = _accumulate(y_conj, mat_mul(take("f"), transpose2(w)))
+        p_conj = _accumulate(p_conj, mat_mul(r, w))
+        del w
 
     if "chiral_elastic" in need:
-        w = (2.0 * p.mu_s * _sym_minus_eye(xs) + _trace_eye(p.lam_s, xs)
-             + p.mu_c_s * (xs - transpose2(xs)))
-        dp, dy = stretch_conjugates(fstar, w)
+        w = _stretch_conjugate(take("xs"), 2.0 * p.mu_s, p.lam_s, p.mu_c_s)
+        y_conj = _accumulate(y_conj, mat_mul(take("fstar"), transpose2(w)))
         # delta F* = EPS2 @ delta F, so the F-conjugate picks up EPS2^T.
-        p_conj += np.einsum("ji,jk...->ik...", EPS2, dp)
-        y_conj += dy
+        p_conj = _accumulate(p_conj, np.einsum("ji,jk...->ik...", EPS2,
+                                               mat_mul(r, w)))
+        del w
 
     if "mixing" in need:
-        w_x = p.m1 * _sym_minus_eye(xs) + _trace_eye(p.m2, xs)
-        w_xs = p.m1 * _sym_minus_eye(x) + _trace_eye(p.m2, x)
-        if p.m3 != 0.0:
-            w_x = w_x + 0.5 * p.m3 * (xs - transpose2(xs))
-            w_xs = w_xs + 0.5 * p.m3 * (x - transpose2(x))
-        dp, dy = stretch_conjugates(f, w_x)
-        dps, dys = stretch_conjugates(fstar, w_xs)
-        p_conj += dp + np.einsum("ji,jk...->ik...", EPS2, dps)
-        y_conj += dy + dys
+        # The conjugate to x reads x*, and the one to x* reads x.
+        w = _stretch_conjugate(take("xs"), p.m1, p.m2, 0.5 * p.m3)
+        dy = mat_mul(take("f"), transpose2(w))
+        dp = mat_mul(r, w)
+        del w
+        w = _stretch_conjugate(take("x"), p.m1, p.m2, 0.5 * p.m3)
+        dy += mat_mul(take("fstar"), transpose2(w))
+        dp += np.einsum("ji,jk...->ik...", EPS2, mat_mul(r, w))
+        del w
+        y_conj = _accumulate(y_conj, dy)
+        p_conj = _accumulate(p_conj, dp)
+        del dy, dp
 
     if "interaction" in need:
         c = p.mu * p.L_c * p.chi
+        ct = trace2(take("x"))
+        ct *= c
+        g = take("g")
         n, s = _reg_norm(g, eps_reg)
-        p_conj += c * n * r
-        y_conj += c * n * f
-        q_conj += c * trace2(x) * g / s
+        dq = np.multiply(g, ct)
+        del g, ct
+        dq /= s
+        del s
+        q_conj = _accumulate(q_conj, dq)
+        del dq
+        n *= c
+        y_conj = _accumulate(y_conj, np.multiply(take("f"), n))
+        p_conj = _accumulate(p_conj, np.multiply(r, n))
+        del n
 
     if "curvature" in need:
-        q_conj += 2.0 * p.mu * p.L_c**2 * g
+        g = take("g")
+        g *= 2.0 * p.mu * p.L_c**2
+        q_conj = _accumulate(q_conj, g)
+        del g
 
     if "coupling" in need:
-        polar_r, tru = _polar_rotation(f)
-        y_conj += -2.0 * p.mu_c * polar_r
+        k = -2.0 * p.mu_c
+        polar_r, tru = _polar_rotation(take("f"))
         # d polar(F)[E] = (E - P E^T P) / tr U is self-adjoint under the
         # Frobenius product, so the F-conjugate is it applied to -2 mu_c R.
-        p_conj += (-2.0 * p.mu_c) * (
-            r - mat_mul(polar_r, mat_mul(transpose2(r), polar_r))) / tru
+        dp = mat_mul(polar_r, mat_mul(transpose2(r), polar_r))
+        np.subtract(r, dp, out=dp)
+        dp *= k
+        dp /= tru
+        del tru
+        p_conj = _accumulate(p_conj, dp)
+        del dp
+        polar_r *= k
+        y_conj = _accumulate(y_conj, polar_r)
+        del polar_r
 
     return p_conj, y_conj, q_conj, r
 
@@ -436,10 +541,24 @@ def analytic_variations(state: FieldState, p: MaterialParams, terms,
     grid = state.grid
     p_conj, y_conj, q_conj, r = _variation_conjugates(state, p, terms,
                                                       eps_reg)
-    dv_du = -div_matrix(p_conj, grid)
-    if r is None:
-        return dv_du, -div_vector(q_conj, grid)
-    # dR/dtheta = -EPS2 @ R, contracted against the delta-R conjugate.
-    minus_eps_r = -np.einsum("ij,jk...->ik...", EPS2, r)
-    dv_dtheta = frobenius(y_conj, minus_eps_r) - div_vector(q_conj, grid)
-    return dv_du, dv_dtheta
+    # Each conjugate goes at its last read: q, then Y (with R), then P.
+    div_q = None if q_conj is None else div_vector(q_conj, grid)
+    del q_conj
+    if r is None:  # no live term reads R: the curvature alone, or none
+        dv_dtheta = (np.zeros(grid.shape) if div_q is None
+                     else np.negative(div_q, out=div_q))
+    else:
+        # dR/dtheta = -EPS2 @ R, contracted against the delta-R conjugate.
+        minus_eps_r = np.einsum("ij,jk...->ik...", EPS2, r)
+        del r
+        np.negative(minus_eps_r, out=minus_eps_r)
+        dv_dtheta = frobenius(y_conj, minus_eps_r)
+        del y_conj, minus_eps_r
+        if div_q is not None:
+            dv_dtheta -= div_q
+    del div_q
+    if p_conj is None:  # -div of a zero conjugate to F
+        return np.full((2,) + grid.shape, -0.0), dv_dtheta
+    dv_du = div_matrix(p_conj, grid)
+    del p_conj
+    return np.negative(dv_du, out=dv_du), dv_dtheta

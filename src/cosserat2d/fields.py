@@ -133,12 +133,14 @@ def ddyy(f: np.ndarray, grid: Grid) -> np.ndarray:
     return _second(f, -1, grid.hy)
 
 
-def node_window(grid: Grid, node: tuple[int, int]):
-    """Index of the 5x5 block of nodes centred on ``node``, wrapped
-    periodically: ``f[node_window(grid, node)]``."""
-    i, j = node
-    return np.ix_(np.arange(i - 2, i + 3) % grid.nx,
-                  np.arange(j - 2, j + 3) % grid.ny)
+def node_window(grid: Grid, nodes):
+    """Index of the 5x5 block of nodes centred on each of ``nodes``, wrapped
+    periodically: ``f[node_window(grid, nodes)]`` has shape ``(m, 5, 5)``
+    for ``m`` nodes (``(i, j)`` pairs), and ``(5, 5)`` for one pair."""
+    i, j = np.asarray(nodes).T
+    offsets = np.arange(-2, 3)
+    return (((i[..., None] + offsets) % grid.nx)[..., :, None],
+            ((j[..., None] + offsets) % grid.ny)[..., None, :])
 
 
 def grad_scalar(f: np.ndarray, grid: Grid) -> np.ndarray:
@@ -157,7 +159,9 @@ def div_vector(v: np.ndarray, grid: Grid) -> np.ndarray:
 
 def div_matrix(m: np.ndarray, grid: Grid) -> np.ndarray:
     """Row-wise matrix divergence ``(div M)_i = d_x M_i0 + d_y M_i1``."""
-    return ddx(m[:, 0], grid) + ddy(m[:, 1], grid)
+    out = ddx(m[:, 0], grid)
+    out += ddy(m[:, 1], grid)
+    return out
 
 
 @dataclass

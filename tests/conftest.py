@@ -8,14 +8,24 @@ import numpy as np
 import pytest
 
 from cosserat2d.algebra import (
+    EPS2,
     _polar_rotation,
     det2,
     frobenius,
     mat_mul,
+    rot2,
+    trace2,
     transpose2,
 )
+from cosserat2d.energy import _live_terms, _reg_norm
 from cosserat2d.errors import NoRealBranch
-from cosserat2d.fields import Grid
+from cosserat2d.fields import (
+    Grid,
+    deformation_gradients,
+    div_matrix,
+    div_vector,
+    grad_scalar,
+)
 from cosserat2d.materials import MaterialParams
 
 
@@ -60,6 +70,105 @@ def reference_snapshot(state, path):
                      + "\n")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
+
+
+def identity2(template):
+    """Identity matrix broadcast to the trailing shape of ``template``."""
+    eye = np.zeros_like(np.asarray(template, dtype=float))
+    eye[0, 0] = 1.0
+    eye[1, 1] = 1.0
+    return eye
+
+
+def _sym_minus_eye(x):
+    return 0.5 * (x + transpose2(x)) - identity2(x)
+
+
+def _trace_eye(c, x):
+    """c (tr x - 2) I, the conjugate of c/2 (tr x - 2)^2 to x."""
+    return c * (trace2(x) - 2.0) * identity2(x)
+
+
+def reference_variation_conjugates(state, p, terms, eps_reg):
+    """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms`` and
+    the ``R`` they were built with, each matrix a sum of whole 2x2 fields
+    from zeros: the bitwise oracle of ``energy._variation_conjugates``.
+    ``Y`` and ``R`` are ``None`` when no live term reads ``R``."""
+    need = _live_terms(terms, p)
+    f = fstar = r = x = xs = g = None
+    if need != ("curvature",):
+        f, fstar = deformation_gradients(
+            state, star=bool({"chiral_elastic", "mixing"} & set(need)))
+        r = rot2(state.theta)
+        if {"elastic", "interaction", "coupling2", "mixing"} & set(need):
+            x = mat_mul(transpose2(r), f)
+        if fstar is not None:
+            xs = mat_mul(transpose2(r), fstar)
+    if {"curvature", "interaction"} & set(need):
+        g = grad_scalar(state.theta, state.grid)
+    grid = state.grid
+
+    p_conj = np.zeros((2, 2) + grid.shape)
+    y_conj = None if r is None else np.zeros_like(r)
+    q_conj = np.zeros((2,) + grid.shape)
+
+    def stretch_conjugates(fmat, w):
+        return mat_mul(r, w), mat_mul(fmat, transpose2(w))
+
+    if "elastic" in need:
+        w = 2.0 * p.mu * _sym_minus_eye(x) + _trace_eye(p.lam, x)
+        dp, dy = stretch_conjugates(f, w)
+        p_conj += dp
+        y_conj += dy
+    if "coupling2" in need:
+        w = p.mu_c * (x - transpose2(x))
+        dp, dy = stretch_conjugates(f, w)
+        p_conj += dp
+        y_conj += dy
+    if "chiral_elastic" in need:
+        w = (2.0 * p.mu_s * _sym_minus_eye(xs) + _trace_eye(p.lam_s, xs)
+             + p.mu_c_s * (xs - transpose2(xs)))
+        dp, dy = stretch_conjugates(fstar, w)
+        p_conj += np.einsum("ji,jk...->ik...", EPS2, dp)
+        y_conj += dy
+    if "mixing" in need:
+        w_x = p.m1 * _sym_minus_eye(xs) + _trace_eye(p.m2, xs)
+        w_xs = p.m1 * _sym_minus_eye(x) + _trace_eye(p.m2, x)
+        if p.m3 != 0.0:
+            w_x = w_x + 0.5 * p.m3 * (xs - transpose2(xs))
+            w_xs = w_xs + 0.5 * p.m3 * (x - transpose2(x))
+        dp, dy = stretch_conjugates(f, w_x)
+        dps, dys = stretch_conjugates(fstar, w_xs)
+        p_conj += dp + np.einsum("ji,jk...->ik...", EPS2, dps)
+        y_conj += dy + dys
+    if "interaction" in need:
+        c = p.mu * p.L_c * p.chi
+        n, s = _reg_norm(g, eps_reg)
+        p_conj += c * n * r
+        y_conj += c * n * f
+        q_conj += c * trace2(x) * g / s
+    if "curvature" in need:
+        q_conj += 2.0 * p.mu * p.L_c**2 * g
+    if "coupling" in need:
+        polar_r, tru = _polar_rotation(f)
+        y_conj += -2.0 * p.mu_c * polar_r
+        p_conj += (-2.0 * p.mu_c) * (
+            r - mat_mul(polar_r, mat_mul(transpose2(r), polar_r))) / tru
+    return p_conj, y_conj, q_conj, r
+
+
+def reference_analytic_variations(state, p, terms, eps_reg):
+    """``(dV_du, dV_dtheta)`` from :func:`reference_variation_conjugates`,
+    as ``energy.analytic_variations`` returns them."""
+    grid = state.grid
+    p_conj, y_conj, q_conj, r = reference_variation_conjugates(
+        state, p, terms, eps_reg)
+    dv_du = -div_matrix(p_conj, grid)
+    if r is None:
+        return dv_du, -div_vector(q_conj, grid)
+    minus_eps_r = -np.einsum("ij,jk...->ik...", EPS2, r)
+    return dv_du, (frobenius(y_conj, minus_eps_r)
+                   - div_vector(q_conj, grid))
 
 
 def random_f_stack(rng, n=8, spread=0.4):

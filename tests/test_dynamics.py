@@ -429,13 +429,21 @@ def test_fd_rows_fail_when_no_difference_can_be_taken():
 
 def _central_difference(state, p, term, name, node, step, window):
     """(V(s + step e) - V(s - step e)) / 2 step for the unknown ``name`` at
-    ``node``, with ``V`` the total of ``term`` (on ``window`` if given)."""
-    totals = []
+    ``node``, with ``V`` the total of ``term``: with ``window``, on the 3x3
+    window around the node, from a stack of the two moved 5x5 blocks."""
+    moved = []
     for sign in (1.0, -1.0):
         field = getattr(state, name).copy()
         field[node] += sign * step
-        moved = dataclasses.replace(state, **{name: field})
-        totals.append(potential_total(moved, p, (term,), window=window))
+        moved.append(dataclasses.replace(state, **{name: field}))
+    if not window:
+        totals = [potential_total(m, p, (term,)) for m in moved]
+    else:
+        index = node_window(state.grid, node)
+        blocks = {n: np.stack([getattr(m, n)[index] for m in moved])
+                  for n in ("u1", "u2", "theta")}
+        totals = potential_total(dataclasses.replace(state, **blocks), p,
+                                 (term,), window=[node, node])
     return (totals[0] - totals[1]) / (2.0 * step)
 
 
@@ -445,14 +453,15 @@ def test_window_difference_equals_full_grid_difference():
     grid = Grid(nx=16, ny=16)
     state = random_smooth_state(grid, seed=9, amplitude=0.05, modes=3)
     p = random_material(np.random.default_rng(71), chiral=True, chi=0.4)
+    nodes = _fd_nodes(grid)
     for term in ALL_TERMS:
         pairs = []
-        for node in _fd_nodes(grid):
-            for name in ("u1", "u2", "theta"):
-                step = _fd_step(state, p, term, name, node)
+        for name in ("u1", "u2", "theta"):
+            steps = _fd_step(state, p, term, name, nodes)
+            for node, step in zip(nodes, steps):
                 pairs.append(
-                    (_central_difference(state, p, term, name, node, step, node),
-                     _central_difference(state, p, term, name, node, step, None)))
+                    (_central_difference(state, p, term, name, node, step, True),
+                     _central_difference(state, p, term, name, node, step, False)))
         scale = max(abs(full) for _, full in pairs)
         assert scale > 0.0, term
         for window, full in pairs:
@@ -479,38 +488,51 @@ def test_fd_rows_pass_where_a_periodic_patch_would_degenerate():
 
 
 def test_fd_evaluations_read_only_the_block_around_their_node(monkeypatch):
-    # Every value outside the 5x5 block around the node is replaced by nan
-    # before the energy helper runs: an evaluation that reads past the block
-    # gets a nan density.
+    # Each term's finite differences are one stack of 5x5 blocks, one per
+    # unknown, node and sign: each member is the grid's block around its
+    # node, moved at that node only.  Each member is then evaluated alone,
+    # with every value outside its own block (all the other members) nan:
+    # an evaluation that read past its block would get a nan density, and
+    # each density must keep the bits it has in the stack.
     grid = Grid(nx=64, ny=64)
     state = random_smooth_state(grid, seed=14, amplitude=0.02, modes=3)
     original = energy._invariants
-    windows = []
+    members = []
 
     def recorder(s, p, terms, eps_reg, window=None):
         assert window is not None, "a finite difference summed the whole grid"
-        windows.append(window)
-        masked = s.copy()
-        block = node_window(s.grid, window)
-        for name in ("u1", "u2", "theta", "v1", "v2", "omega"):
-            field = np.full(s.grid.shape, np.nan)
-            field[block] = getattr(s, name)[block]
-            setattr(masked, name, field)
-        invariants = original(masked, p, terms, eps_reg, window)
-        densities = list(energy.term_densities(invariants, p))
-        for term, density in densities:
-            assert np.all(np.isfinite(density)), (term, window)
+        nodes = np.asarray(window)
+        members.extend(map(tuple, nodes.tolist()))
+        index = node_window(grid, nodes)
+        here = ((index[0] == nodes[:, :1, None])
+                & (index[1] == nodes[:, 1:, None]))
+        for name in ("u1", "u2", "theta"):
+            changed = getattr(s, name) != getattr(state, name)[index]
+            assert not np.any(changed & ~here), name
+        invariants = original(s, p, terms, eps_reg, window)
+        stacked = [d for _, d in energy.term_densities(invariants, p)]
+        for m in range(len(nodes)):
+            alone = {}
+            for name in ("u1", "u2", "theta"):
+                alone[name] = np.full_like(getattr(s, name), np.nan)
+                alone[name][m] = getattr(s, name)[m]
+            k = original(dataclasses.replace(s, **alone), p, terms, eps_reg,
+                         window)
+            for (term, density), want in zip(energy.term_densities(k, p),
+                                             stacked):
+                assert np.all(np.isfinite(density[m])), (term, m)
+                assert density[m].tobytes() == want[m].tobytes(), (term, m)
         return invariants
 
     monkeypatch.setattr(energy, "_invariants", recorder)
     rng = np.random.default_rng(72)
     for p, sel in ((random_material(rng, chi=0.3), ModelSelector.nonchiral("polar")),
                    (random_material(rng, chiral=True), ModelSelector.chiral())):
-        windows.clear()
+        members.clear()
         report = verify_variational_consistency(state, p, sel)
         assert report.all_pass, [c.name for c in report.failures()]
-        assert sorted(set(windows)) == sorted(_fd_nodes(grid))
-        assert len(windows) == 2 * 3 * len(_fd_nodes(grid)) * len(sel.active_terms())
+        assert sorted(set(members)) == sorted(_fd_nodes(grid))
+        assert len(members) == 2 * 3 * len(_fd_nodes(grid)) * len(sel.active_terms())
 
 
 @pytest.mark.parametrize("kind", ["polar", "chiral"])

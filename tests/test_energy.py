@@ -5,6 +5,8 @@ algebraic forms, uniform-state closed forms derived by hand, objectivity
 under superposed rotations, and nodal finite differences of the totals.
 """
 
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 
@@ -13,7 +15,6 @@ from cosserat2d.algebra import (
     EPS2,
     det2,
     frobenius,
-    identity2,
     mat_mul,
     rot2,
     trace2,
@@ -26,6 +27,7 @@ from cosserat2d.energy import (
     term_densities,
     total_energy,
 )
+from cosserat2d.errors import DegenerateDeformation
 from cosserat2d.fields import (
     FieldState,
     Grid,
@@ -35,7 +37,7 @@ from cosserat2d.fields import (
 from cosserat2d.materials import MaterialParams, ModelSelector
 from cosserat2d.rng import random_smooth_state
 
-from conftest import dpolar_dir, random_f_stack, random_material
+from conftest import dpolar_dir, identity2, random_f_stack, random_material
 
 
 def density(term, p, f=None, theta=None, *, fstar=None, g=None,
@@ -343,24 +345,33 @@ def test_each_term_gradient_matches_finite_differences():
 
 
 def test_analytic_variations_builds_each_field_once(monkeypatch):
-    # One rotation build per gradient, reused for dR/dtheta, none for the
-    # curvature alone; the identity only for the terms whose conjugate has
-    # an identity shift.
-    calls = {"rot2": 0, "identity2": 0}
+    # One rotation build per gradient, reused for dR/dtheta, and one set of
+    # deformation gradients (F* only for the chiral terms); neither for the
+    # curvature alone, and one angle gradient only for the terms that read
+    # it.
+    calls = dict.fromkeys(("rot2", "deformation_gradients", "grad_scalar"))
+    stars = []
     for name in calls:
-        def counted(*args, _name=name, _original=getattr(energy, name)):
+        def counted(*args, _name=name, _original=getattr(energy, name),
+                    **kwargs):
             calls[_name] += 1
-            return _original(*args)
+            if _name == "deformation_gradients":
+                stars.append(kwargs["star"])
+            return _original(*args, **kwargs)
         monkeypatch.setattr(energy, name, counted)
     state = random_smooth_state(Grid(nx=8, ny=8), seed=4, amplitude=0.05,
                                 modes=2)
     p = random_material(np.random.default_rng(8), chiral=True, chi=0.6)
     for terms in [(t,) for t in energy.ALL_TERMS] + [energy.ALL_TERMS]:
-        calls.update(rot2=0, identity2=0)
+        calls.update(dict.fromkeys(calls, 0))
+        stars.clear()
         analytic_variations(state, p, terms)
-        assert calls["rot2"] == (0 if terms == ("curvature",) else 1), terms
-        if terms in (("curvature",), ("interaction",), ("coupling",)):
-            assert calls["identity2"] == 0, terms
+        reads_r = 0 if terms == ("curvature",) else 1
+        reads_g = int(bool({"curvature", "interaction"} & set(terms)))
+        assert calls == {"rot2": reads_r, "deformation_gradients": reads_r,
+                         "grad_scalar": reads_g}, terms
+        star = bool({"chiral_elastic", "mixing"} & set(terms))
+        assert stars == [star] * reads_r, terms
 
 
 def test_coupling_gradient_takes_one_polar_factor(monkeypatch):
@@ -419,29 +430,74 @@ def test_rhs_builds_each_field_once_through_the_energy_builder(monkeypatch):
 
 
 def test_windowed_invariants_are_the_full_grid_bits():
-    # With window=node every invariant is the full-grid one on the 3x3
-    # nodes around the node, bit for bit: at corner, edge and interior
-    # nodes of a non-square grid (so the window wraps on either axis), for
-    # each term alone and all together.
+    # With window=nodes every invariant of each 5x5 block in the stack is
+    # the full-grid one on the 3x3 nodes around its node, bit for bit: at
+    # corner, edge and interior nodes of a non-square grid (so the blocks
+    # wrap on either axis), for each term alone and all together.
     grid = Grid(nx=12, ny=9, lx=1.3, ly=0.8)
     state = random_smooth_state(grid, seed=21, amplitude=0.03, modes=3)
     rng = np.random.default_rng(23)
     nodes = ((0, 0), (11, 8), (0, 8), (11, 0), (0, 4), (6, 8), (5, 4))
+    index = node_window(grid, nodes)
+    rows, cols = (a[:, 1:-1, 1:-1] for a in np.broadcast_arrays(*index))
+    blocks = dataclasses.replace(
+        state, **{name: getattr(state, name)[index]
+                  for name in ("u1", "u2", "theta")})
     for p in (random_material(rng, chi=0.4), random_material(rng, chiral=True)):
         for terms in [(t,) for t in energy.ALL_TERMS] + [energy.ALL_TERMS]:
             full = energy._invariants(state, p, terms, DEFAULT_EPS_REG)
-            for node in nodes:
-                rows, cols = node_window(grid, node)
-                rows, cols = rows[1:-1], cols[:, 1:-1]
-                k = energy._invariants(state, p, terms, DEFAULT_EPS_REG,
-                                       window=node)
-                assert k.terms == full.terms
-                for name in energy._Invariants._fields[1:]:
-                    got, want = getattr(k, name), getattr(full, name)
-                    if want is None:
-                        assert got is None, (terms, node, name)
-                        continue
-                    want = want[..., rows, cols]
-                    assert got.shape == want.shape, (terms, node, name)
-                    assert got.dtype == want.dtype, (terms, node, name)
-                    assert got.tobytes() == want.tobytes(), (terms, node, name)
+            k = energy._invariants(blocks, p, terms, DEFAULT_EPS_REG,
+                                   window=nodes)
+            assert k.terms == full.terms
+            for name in energy._Invariants._fields[1:]:
+                got, want = getattr(k, name), getattr(full, name)
+                if want is None:
+                    assert got is None, (terms, name)
+                    continue
+                want = want[..., rows, cols]
+                assert got.shape == want.shape, (terms, name)
+                assert got.dtype == want.dtype, (terms, name)
+                assert got.tobytes() == want.tobytes(), (terms, name)
+
+
+def test_window_totals_are_each_blocks_own_sum():
+    # potential_total(..., window=nodes) sums each block's 3x3 densities as
+    # one 3x3 array, as the whole grid's densities there sum.
+    grid = Grid(nx=12, ny=9, lx=1.3, ly=0.8)
+    state = random_smooth_state(grid, seed=22, amplitude=0.03, modes=3)
+    p = random_material(np.random.default_rng(24), chiral=True, chi=0.4)
+    nodes = ((0, 0), (11, 8), (5, 4), (5, 4))
+    index = node_window(grid, nodes)
+    blocks = dataclasses.replace(
+        state, **{name: getattr(state, name)[index]
+                  for name in ("u1", "u2", "theta")})
+    for term in energy.ALL_TERMS:
+        got = potential_total(blocks, p, (term,), window=nodes)
+        [(_, density)] = term_densities(
+            energy._invariants(state, p, (term,), DEFAULT_EPS_REG), p)
+        for total, (i, j) in zip(got, nodes):
+            window = np.ix_(np.arange(i - 1, i + 2) % grid.nx,
+                            np.arange(j - 1, j + 2) % grid.ny)
+            assert total == float(np.sum(density[window])) * grid.cell_area
+
+
+def test_a_degenerate_block_names_its_grid_node():
+    # det F <= 0 at one node of one block of the stack: the error names
+    # that node of the grid, not its place in the stack.
+    grid = Grid(nx=12, ny=9)
+    state = FieldState.zero(grid)
+    nodes = ((5, 4), (0, 0), (11, 8))
+    index = node_window(grid, nodes)
+    u1 = state.u1[index]
+    # d u1/dx = -1 (F_00 = 0, det F = 0) at local node (3, 3) of the second
+    # block, the grid node (1, 1).
+    u1[1, 4, 3], u1[1, 2, 3] = -grid.hx, grid.hx
+    blocks = dataclasses.replace(state, u1=u1, u2=state.u2[index],
+                                 theta=state.theta[index])
+    p = MaterialParams(chi=0.3)
+    try:
+        potential_total(blocks, p, ("coupling",), window=nodes)
+    except DegenerateDeformation as exc:
+        assert "at node (1, 1)" in str(exc), str(exc)
+    else:
+        raise AssertionError("no DegenerateDeformation")
