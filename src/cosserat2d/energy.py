@@ -99,7 +99,9 @@ def _reg_norm(grad_theta, eps_reg):
     becomes the symmetric subgradient choice 0.
     """
     s = np.sqrt(grad_theta[0] ** 2 + grad_theta[1] ** 2 + eps_reg**2)
-    return s - eps_reg, np.where(s > 0.0, s, np.inf)
+    divisor = s.copy()
+    divisor[~(s > 0.0)] = np.inf  # nan as well as 0
+    return s - eps_reg, divisor
 
 
 # The density formulas, each written once on the invariants it reads; only

@@ -14,6 +14,7 @@ exact to rounding — the variational checks in :mod:`cosserat2d.energy` and
 
 from __future__ import annotations
 
+import ctypes
 import os
 import signal
 import struct
@@ -70,12 +71,27 @@ class Grid:
         return np.zeros(self.shape)
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` with its two trailing (grid) axes viewed as one: node
+    ``(i, j)`` at ``i * ny + j``.  A view whenever each grid row follows the
+    last in memory, leading axes strided or not."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def _node(axis: int, i: int) -> tuple:
+    """Index of the nodes with index ``i`` along grid ``axis`` (-2 or -1)."""
+    return (..., i, slice(None)) if axis == -2 else (..., i)
+
+
 def _central(f: np.ndarray, axis: int, h: float,
              out: np.ndarray | None = None) -> np.ndarray:
     """``(f[i+1] - f[i-1]) / (2 h)`` along ``axis``, periodic wrap.
 
-    Built from slices into one output (``out`` if given, a contiguous
-    array of ``f``'s shape that shares no memory with it), with no rolled
+    One subtraction over the grid rows viewed as one axis (:func:`_rows`):
+    a neighbour along ``axis`` is ``ny`` (x) or 1 (y) places away, and the
+    two wrapped ends are then written along ``axis`` itself.  The result
+    goes into one output (``out`` if given: a contiguous array, or rows of
+    one, of ``f``'s shape that shares no memory with it), with no rolled
     copies of ``f``; the same subtraction and division at every node, so
     the bits of the rolled form.  A complex field's real and imaginary
     parts are divided as real numbers, so each has the bits of the stencil
@@ -84,11 +100,15 @@ def _central(f: np.ndarray, axis: int, h: float,
     f = np.asarray(f)
     if out is None:
         out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
-    dst = np.moveaxis(out, axis, 0)
-    src = np.moveaxis(f, axis, 0)
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
-    np.subtract(src[1], src[-1], out=dst[0])
-    np.subtract(src[0], src[-2], out=dst[-1])
+    shift = f.shape[-1] if axis == -2 else 1
+    src, dst = _rows(f), _rows(out)
+    if not np.may_share_memory(dst, out):
+        raise ValueError("out must hold its grid rows one after another")
+    np.subtract(src[..., 2 * shift:], src[..., :-2 * shift],
+                out=dst[..., shift:-shift])
+    first, last = _node(axis, 0), _node(axis, -1)
+    np.subtract(f[_node(axis, 1)], f[last], out=out[first])
+    np.subtract(f[first], f[_node(axis, -2)], out=out[last])
     parts = out.view(out.real.dtype)
     parts /= 2.0 * h
     return out
@@ -107,18 +127,23 @@ def ddy(f: np.ndarray, grid: Grid) -> np.ndarray:
 def _second(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """``((f[i+1] - 2 f[i]) + f[i-1]) / h^2`` along ``axis``, periodic wrap.
 
-    Built from slices into one output like :func:`_central`, so the bits of
-    the rolled form.  Needs at least 2 nodes on ``axis``.
+    Three passes over the grid rows viewed as one axis, like
+    :func:`_central`, then both wrapped ends again along ``axis``; the same
+    operations at every node, so the bits of the rolled form.  Needs at
+    least 2 nodes on ``axis``.
     """
     f = np.asarray(f)
     out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
-    dst = np.moveaxis(out, axis, 0)
-    src = np.moveaxis(f, axis, 0)
+    shift = f.shape[-1] if axis == -2 else 1
+    src, dst = _rows(f), _rows(out)
     np.multiply(src, 2.0, out=dst)
-    np.subtract(src[1:], dst[:-1], out=dst[:-1])
-    np.subtract(src[0], dst[-1], out=dst[-1])
-    np.add(dst[1:], src[:-1], out=dst[1:])
-    np.add(dst[0], src[-1], out=dst[0])
+    np.subtract(src[..., shift:], dst[..., :-shift], out=dst[..., :-shift])
+    np.add(dst[..., shift:], src[..., :-shift], out=dst[..., shift:])
+    for end, ahead, behind in ((0, 1, -1), (-1, 0, -2)):
+        end = _node(axis, end)
+        np.multiply(f[end], 2.0, out=out[end])
+        np.subtract(f[_node(axis, ahead)], out[end], out=out[end])
+        np.add(out[end], f[_node(axis, behind)], out=out[end])
     out /= h**2
     return out
 
@@ -292,9 +317,34 @@ def _serve(requests: int, replies: int) -> None:
         _send(replies, _REPLY.pack(len(message)) + message)
 
 
-def _start_writer(others) -> _Writer:
-    """Fork a writer running :func:`_serve`; ``others`` are the writers
-    already running, whose pipe ends the new one closes."""
+def _current_cpu() -> int | None:
+    """The CPU this process runs on now (glibc's ``sched_getcpu``), or
+    ``None`` where libc cannot tell."""
+    try:
+        sched_getcpu = ctypes.CDLL(None).sched_getcpu
+    except (AttributeError, OSError, TypeError):
+        return None
+    sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
+    cpu = sched_getcpu()
+    return cpu if cpu >= 0 else None
+
+
+def _writer_cpus(usable, current) -> tuple[int, ...]:
+    """The CPU of each writer a pool may fork: writer ``k`` runs on the
+    ``k``-th of the ``usable`` CPUs after ``current``, the stepping
+    process's, in increasing order and from the highest on to the lowest.
+    Empty, and nothing pinned, with one usable CPU or ``current`` unknown."""
+    usable = sorted(usable)
+    if len(usable) < 2 or current is None:
+        return ()
+    return tuple([cpu for cpu in usable if cpu > current]
+                 + [cpu for cpu in usable if cpu <= current])
+
+
+def _start_writer(others, cpu: int | None) -> _Writer:
+    """Fork a writer running :func:`_serve`, pinned to ``cpu`` unless it is
+    ``None``; ``others`` are the writers already running, whose pipe ends
+    the new one closes."""
     request_read, request_write = os.pipe()
     reply_read, reply_write = os.pipe()
     try:
@@ -313,6 +363,11 @@ def _start_writer(others) -> _Writer:
             for fd in (request_write, reply_read,
                        *(fd for w in others for fd in (w.requests, w.replies))):
                 os.close(fd)
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                except OSError:
+                    pass  # a CPU this process may not use: write unpinned
             _serve(request_read, reply_write)
             status = 0
         finally:
@@ -327,8 +382,14 @@ def snapshot_writer():
     """Yield ``write(state, path)``, which hands a snapshot to a writer
     process and returns while the writer saves it.
 
-    The writers are forked on demand, at most one per usable CPU, and live
-    until the block ends; each takes one snapshot at a time, sent down a
+    The first writer is forked when the block opens, before the caller's
+    heap grows; more are forked on demand, at most one per usable CPU, and
+    all live until the block ends.  Where two or more CPUs are usable,
+    writer ``k`` pins itself to the ``k``-th CPU after the one this process
+    runs on when the block opens (:func:`_writer_cpus`): left to the
+    scheduler, a writer woken by the pipe runs on the waking process's CPU
+    and can stay there, beside the stepping.  Each writer takes one
+    snapshot at a time, sent down a
     pipe straight from the state's arrays, so at most one snapshot per CPU
     is in flight.  With every writer busy, ``write`` first waits for the
     oldest snapshot.  The first snapshot that failed, in write order, is
@@ -342,11 +403,17 @@ def snapshot_writer():
         yield lambda state, path: save_snapshot(state, os.path.abspath(path))
         return
     try:
-        limit = len(os.sched_getaffinity(0))
+        usable = os.sched_getaffinity(0)
     except AttributeError:
-        limit = os.cpu_count() or 1
+        usable = range(os.cpu_count() or 1)
+    cpus = _writer_cpus(usable, _current_cpu())
     writers, idle = [], []
     pending = deque()  # (writer, absolute path) in write order
+
+    def start() -> None:
+        writers.append(_start_writer(
+            writers, cpus[len(writers)] if cpus else None))
+        idle.append(writers[-1])
 
     def retire(writer) -> int:
         """Close the pipes to ``writer``, reap it and return its exit code."""
@@ -372,13 +439,12 @@ def snapshot_writer():
         return next(filter(None, messages), "")
 
     def write(state, path) -> None:
-        if not idle and len(writers) < limit:
+        if not idle and len(writers) < len(usable):
             try:
-                writers.append(_start_writer(writers))
+                start()
             except OSError as exc:
                 raise IoError(
                     f"cannot start a writer for {path!r}: {exc}") from exc
-            idle.append(writers[-1])
         if not idle:
             message = wait_oldest()
             if message:
@@ -403,6 +469,10 @@ def snapshot_writer():
             retire(writer)
             raise
 
+    try:
+        start()
+    except OSError:
+        pass  # the first write tries again and reports the failure
     try:
         yield write
     finally:

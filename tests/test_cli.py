@@ -10,6 +10,7 @@ import platform
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -24,6 +25,7 @@ from cosserat2d.config import ScenarioConfig, load_config
 from cosserat2d.errors import IoError, NoRealBranch, ZeroDenominator
 from cosserat2d.fields import FieldState, Grid, save_snapshot
 from cosserat2d.report import VerificationReport, write_csv
+from cosserat2d.rng import random_smooth_state
 from cosserat2d.waves import (
     BranchTable,
     WaveParams,
@@ -868,6 +870,85 @@ def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
             name = os.path.basename(path)
             save_snapshot(state, inline / name)
             assert (out / name).read_bytes() == (inline / name).read_bytes()
+
+
+def test_writer_cpu_plan_starts_after_the_stepping_cpu():
+    # Writer k runs on the k-th usable CPU after the stepping process's,
+    # wrapping round; with one usable CPU, or the stepping CPU unknown,
+    # nothing is pinned.
+    assert fields._writer_cpus({0}, 0) == ()
+    assert fields._writer_cpus({0, 1}, 0) == (1, 0)
+    assert fields._writer_cpus({0, 1}, 1) == (0, 1)
+    assert fields._writer_cpus({0, 1}, None) == ()
+    assert fields._writer_cpus({0, 1, 2}, 0) == (1, 2, 0)
+    assert fields._writer_cpus({0, 1, 2}, 2) == (0, 1, 2)
+    # Only usable CPUs are planned, also when the stepping CPU is not one.
+    assert fields._writer_cpus({1, 4, 6}, 4) == (6, 1, 4)
+    assert fields._writer_cpus({1, 4, 6}, 5) == (6, 1, 4)
+
+
+def test_the_first_writer_is_forked_when_the_pool_opens(monkeypatch, deadline):
+    # Before the caller's first right-hand side fills the heap, so the fork
+    # shares fewer pages; the others stay on demand.
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    set_usable_cpus(monkeypatch, 2)
+    forked = counting_forks(monkeypatch)
+    with fields.snapshot_writer():
+        assert len(forked) == 1
+    assert unreaped(forked) == 0
+
+
+def write_snapshots_and_wait(tmp_path, count, until_written):
+    """Hand ``count`` snapshots of a 4x4 state to one writer pool, call
+    ``until_written()`` once every file exists, before the pool ends, and
+    check that each file has the bytes of an inline write."""
+    state = random_smooth_state(Grid(nx=4, ny=4), 3, 0.1, 1)
+    paths = [tmp_path / f"snapshot_{k}.csv" for k in range(count)]
+    with fields.snapshot_writer() as write:
+        for path in paths:
+            write(state, path)
+        while not all(path.exists() for path in paths):
+            time.sleep(0.001)
+        until_written()
+    save_snapshot(state, tmp_path / "inline.csv")
+    for path in paths:
+        assert path.read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+
+def test_each_writer_runs_on_its_planned_cpu(tmp_path, monkeypatch, deadline):
+    usable = sorted(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else []
+    if len(usable) < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs os.fork and two or more usable CPUs")
+    monkeypatch.setattr(fields, "_current_cpu", lambda: usable[0])
+    plan = fields._writer_cpus(usable, usable[0])
+    forked = counting_forks(monkeypatch)
+    pinned = []
+    # Each writer is busy until the pool waits for it, so every snapshot
+    # handed over at once gets a writer of its own.
+    write_snapshots_and_wait(tmp_path, len(usable), lambda: pinned.extend(
+        os.sched_getaffinity(pid) for pid in forked))
+    assert pinned == [{cpu} for cpu in plan]
+
+
+def test_a_writer_that_cannot_pin_itself_still_writes(
+        tmp_path, monkeypatch, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(fields, "_current_cpu", lambda: 0)
+    tried = tmp_path / "tried"
+
+    def refused(pid, cpus):
+        tried.write_text(repr(cpus))  # runs in the writer
+        raise PermissionError("not allowed")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    forked = counting_forks(monkeypatch)
+    write_snapshots_and_wait(tmp_path, 2, lambda: None)
+    assert len(forked) == 2
+    assert tried.read_text() in ("{0}", "{1}")
 
 
 def assert_run_died_at_snapshot_2(out, reference, err):

@@ -342,6 +342,50 @@ def test_linear_chiral_rhs_matches_hand_assembled_equations():
         assert np.max(np.abs(-4.0 * p.rho_rot * out.acc_theta - f3)) < 1e-13 * scale
 
 
+def linear_accelerations_at_once(state, p):
+    """The linear chiral accelerations with every derivative taken first
+    and each force summed as one expression: the bitwise reference of the
+    term-by-term accumulation."""
+    g = state.grid
+    u1, u2, phi = state.u1, state.u2, -state.theta
+    u1x, u1y, u2x, u2y = ddx(u1, g), ddy(u1, g), ddx(u2, g), ddy(u2, g)
+    phi_x, phi_y = ddx(phi, g), ddy(phi, g)
+    u1xy, u2xy = ddy(u1x, g), ddy(u2x, g)
+    u1xx, u1yy = ddxx(u1, g), ddyy(u1, g)
+    u2xx, u2yy = ddxx(u2, g), ddyy(u2, g)
+    c_uxx = p.lam + 2.0 * p.mu + p.mu_s + p.mu_c_s
+    c_uyy = p.mu + p.mu_c + p.lam_s + 2.0 * p.mu_s
+    c_cross = p.lam + p.mu - p.mu_c - p.lam_s - p.mu_s + p.mu_c_s
+    c_m = 0.5 * p.m1 + p.m2
+    c_phi_grad = 2.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s)
+    c_phi_rot = 2.0 * p.mu_c
+    d1 = p.mu * p.L_c**2
+    f1 = (c_uxx * u1xx + c_uyy * u1yy + c_cross * u2xy
+          + c_m * (-2.0 * u1xy + u2xx - u2yy)
+          - c_phi_grad * phi_x + c_phi_rot * phi_y)
+    f2 = (c_uyy * u2xx + c_uxx * u2yy + c_cross * u1xy
+          + c_m * (u1xx - u1yy + 2.0 * u2xy)
+          - c_phi_rot * phi_x - c_phi_grad * phi_y)
+    f3 = (2.0 * d1 * (ddxx(phi, g) + ddyy(phi, g))
+          + 4.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s - p.mu_c) * phi
+          + 2.0 * p.mu_c * (u2x - u1y)
+          - 2.0 * (p.mu_c_s - 2.0 * p.lam_s - 2.0 * p.mu_s) * (u1x + u2y))
+    return np.stack([f1, f2]) / p.rho, -f3 / (4.0 * p.rho_rot)
+
+
+def test_linear_chiral_rhs_is_bitwise_the_one_expression_sums():
+    grid = Grid(nx=12, ny=10, lx=1.7, ly=2.3)
+    rng = np.random.default_rng(12)
+    for trial in range(5):
+        p = random_material(rng, chiral=True)
+        state = random_smooth_state(grid, seed=320 + trial, amplitude=1.0,
+                                    modes=2)
+        acc_u, acc_theta = linear_accelerations_at_once(state, p)
+        out = rhs_linear_chiral(state, p)
+        assert out.acc_u.tobytes() == acc_u.tobytes()
+        assert out.acc_theta.tobytes() == acc_theta.tobytes()
+
+
 def test_curl_free_displacement_sources_only_the_gradient_channel():
     # u = grad psi has (discretely) vanishing curl, so the angle equation
     # is forced purely through the divergence coupling.
@@ -776,13 +820,25 @@ def test_step_refuses_fields_that_share_memory(first, second):
         step_leapfrog(state, 0.1, rhs_nonlinear, p, rhs_nonlinear(state, p))
 
 
+def one_step_peak(rhs, p):
+    """tracemalloc's peak over one 64x64 step, in units of one grid
+    field."""
+    state = random_smooth_state(Grid(nx=64, ny=64), seed=1, amplitude=0.01,
+                                modes=3)
+    acc = rhs(state, p)
+    tracemalloc.start()
+    try:
+        step_leapfrog(state, 1e-4, rhs, p, acc)
+        return tracemalloc.get_traced_memory()[1] / state.u1.nbytes
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("case", ["polar", "skew", "chiral", "linear"])
 def test_one_step_allocates_at_most_22_grid_fields(case):
-    # tracemalloc's peak over one 64x64 step, in units of one grid field:
-    # the state is updated in place and each invariant of the kernel is
+    # The state is updated in place and each invariant of the kernel is
     # freed at its last read.  Allocating a new state and keeping every
     # invariant to the end peaked at 26-30 fields.
-    grid = Grid(nx=64, ny=64)
     rhs, p = {
         "polar": (rhs_nonlinear, MaterialParams(chi=0.3)),
         "skew": (lambda s, q: rhs_nonlinear(s, q, coupling="skew"),
@@ -793,15 +849,19 @@ def test_one_step_allocates_at_most_22_grid_fields(case):
         "linear": (rhs_linear_chiral, MaterialParams(mu_s=0.1, lam_s=0.1,
                                                      mu_c_s=0.1)),
     }[case]
-    state = random_smooth_state(grid, seed=1, amplitude=0.01, modes=3)
-    acc = rhs(state, p)
-    tracemalloc.start()
-    try:
-        step_leapfrog(state, 1e-4, rhs, p, acc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / state.u1.nbytes <= 22.0
+    assert one_step_peak(rhs, p) <= 22.0
+
+
+def test_linear_step_peaks_below_the_polar_step():
+    # The linear forces take each derivative at its first read, drop it
+    # after its last and sum into the acceleration itself: about 10 fields.
+    # Holding all twelve derivatives and stacking f1, f2 peaked at 20.2,
+    # above the polar chi = 0.3 step (19.1).
+    linear = one_step_peak(rhs_linear_chiral,
+                           MaterialParams(mu_s=0.1, lam_s=0.1, mu_c_s=0.1))
+    polar = one_step_peak(rhs_nonlinear, MaterialParams(chi=0.3))
+    assert linear < polar
+    assert linear <= 12.0
 
 
 def test_kernel_potential_matches_total_energy_bitwise():

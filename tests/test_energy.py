@@ -265,6 +265,20 @@ def test_interaction_zero_at_zero_gradient():
         atol=1e-20)
 
 
+def test_regularized_norm_divides_by_inf_where_it_vanishes():
+    # The divisor is the norm where it is positive, and inf at its zeros
+    # and at nan, with the bits of np.where(s > 0, s, inf).
+    g = np.array([[0.0, 3.0, np.nan, -0.0, 1e-200],
+                  [0.0, 4.0, 1.0, 0.0, 0.0]])
+    for eps_reg in (0.0, 1e-8):
+        n, s = energy._reg_norm(g, eps_reg)
+        norm = np.sqrt(g[0] ** 2 + g[1] ** 2 + eps_reg**2)
+        assert n.tobytes() == (norm - eps_reg).tobytes()
+        assert s.tobytes() == np.where(norm > 0.0, norm, np.inf).tobytes()
+    assert energy._reg_norm(g, 0.0)[1].tolist() == [
+        np.inf, 5.0, np.inf, np.inf, np.inf]
+
+
 def test_total_energy_breakdown_consistency():
     grid = Grid(nx=12, ny=10, lx=2.0, ly=1.5)
     rng = np.random.default_rng(31)

@@ -11,7 +11,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import reference_snapshot
-from cosserat2d import report
+from cosserat2d import fields, report
 from cosserat2d.algebra import mat_mul, rot2, transpose2
 from cosserat2d.errors import ConfigError, NonFiniteState
 from cosserat2d.fields import (
@@ -98,30 +98,72 @@ def test_stencils_are_second_order():
     assert 3.5 < errors[1] / errors[2] < 4.5
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (2, 6, 5), (2, 2, 8, 9)])
+#: Field shapes for the bitwise stencil checks: odd and even sides, a vector
+#: field, a matrix field and a stack of 5x5 blocks.
+STENCIL_SHAPES = [(4, 4), (5, 7), (2, 6, 5), (2, 2, 8, 9), (3, 5, 5)]
+
+
+def stencil_inputs(shape, dtype):
+    """A random field of ``shape`` and ``dtype``, and the same values in
+    the strided view ``m[:, 0]`` of a ``(2, 2) + grid`` stack, as
+    ``div_matrix`` passes them."""
+    rng = np.random.default_rng(sum(shape))
+    f = rng.standard_normal(shape)
+    if dtype == complex:
+        f = f + 1j * rng.standard_normal(shape)
+    stack = np.zeros((2, 2) + shape[-2:], dtype=dtype)
+    view = stack[:, 0]
+    view[...] = f.reshape((-1,) + shape[-2:])[:2]
+    return f, view
+
+
+def rolled_central(f, axis, h):
+    """The two-roll central difference; a complex field's parts each as
+    their own real stencil (the parts are divided as real numbers)."""
+    if np.iscomplexobj(f):
+        out = np.empty_like(f)
+        out.real = rolled_central(f.real, axis, h)
+        out.imag = rolled_central(f.imag, axis, h)
+        return out
+    return (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
 def test_central_stencils_are_bitwise_the_rolled_form(shape):
-    # Built from slices, the stencils keep the bits of the two-roll formula
-    # on every node, the wrapped ends included.
-    rng = np.random.default_rng(sum(shape))
+    # One shifted pass over the grid rows, then the wrapped ends: the bits
+    # of the two-roll formula on every node, real or complex, also written
+    # into the rows of a larger array (as grad_scalar and
+    # deformation_gradients pass them) and read from a view with a strided
+    # leading axis.
     grid = Grid(nx=shape[-2], ny=shape[-1], lx=1.3, ly=0.7)
-    f = rng.standard_normal(shape)
-    for op, axis, h in ((ddx, -2, grid.hx), (ddy, -1, grid.hy)):
-        rolled = (np.roll(f, -1, axis=axis) - np.roll(f, 1, axis=axis)) / (2.0 * h)
-        assert op(f, grid).tobytes() == rolled.tobytes()
+    for f in (*stencil_inputs(shape, float), *stencil_inputs(shape, complex)):
+        for op, axis, h in ((ddx, -2, grid.hx), (ddy, -1, grid.hy)):
+            rolled = rolled_central(f, axis, h)
+            assert op(f, grid).tobytes() == rolled.tobytes()
+            into = np.full((3,) + f.shape, np.nan, dtype=f.dtype)
+            fields._central(f, axis, h, out=into[1])
+            assert into[1].tobytes() == rolled.tobytes()
+            assert np.isnan(into[[0, 2]]).all()
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (2, 6, 5), (2, 2, 8, 9)])
+def test_central_stencil_refuses_an_out_whose_rows_are_apart():
+    f = np.ones((4, 5))
+    with pytest.raises(ValueError, match="grid rows one after another"):
+        fields._central(f, -1, 0.1, out=np.empty((5, 4)).T)
+
+
+@pytest.mark.parametrize("shape", STENCIL_SHAPES)
 def test_second_difference_stencils_are_bitwise_the_rolled_form(shape):
-    # Built from slices like the central stencils, ddxx and ddyy keep the
+    # Shifted passes like the central stencils: ddxx and ddyy keep the
     # bits of (roll(-1) - 2 f) + roll(+1), over h^2, the wrapped ends
-    # included.
-    rng = np.random.default_rng(sum(shape))
+    # included, real or complex, on a view with a strided leading axis as
+    # well.
     grid = Grid(nx=shape[-2], ny=shape[-1], lx=1.3, ly=0.7)
-    f = rng.standard_normal(shape)
-    for op, axis, h in ((ddxx, -2, grid.hx), (ddyy, -1, grid.hy)):
-        rolled = ((np.roll(f, -1, axis=axis) - 2.0 * f)
-                  + np.roll(f, 1, axis=axis)) / h**2
-        assert op(f, grid).tobytes() == rolled.tobytes()
+    for f in (*stencil_inputs(shape, float), *stencil_inputs(shape, complex)):
+        for op, axis, h in ((ddxx, -2, grid.hx), (ddyy, -1, grid.hy)):
+            rolled = ((np.roll(f, -1, axis=axis) - 2.0 * f)
+                      + np.roll(f, 1, axis=axis)) / h**2
+            assert op(f, grid).tobytes() == rolled.tobytes()
 
 
 def test_complex_stencils_are_the_stencils_of_each_part():
