@@ -92,8 +92,9 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
     wavenumber snapped to the grid period so the field is exactly periodic."""
     grid = cfg.grid
     wp = WaveParams.from_material(cfg.material)
-    # The period count, k**2 or the matrix itself can overflow; each is
-    # reported as the same configuration error.
+    # A wavenumber too large for the grid or the material is one
+    # configuration error: the wave matrix overflows to a non-finite entry,
+    # and an infinite period count makes round() raise OverflowError.
     try:
         n_periods = max(1, round(cfg.initial.k * grid.lx / (2.0 * math.pi)))
         k = 2.0 * math.pi * n_periods / grid.lx

@@ -490,9 +490,6 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
     # node's block with the node moved in that unknown.
     shape = (len(gradients), len(nodes), 2)
     index = node_window(grid, nodes)
-    # Where each block holds its node (twice across a 4-node axis).
-    here = ((index[0] == nodes[:, :1, None])
-            & (index[1] == nodes[:, 1:, None]))[:, None]
     moved = np.empty(shape)
     blocks = {}
     for k, name in enumerate(gradients):
@@ -501,7 +498,9 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
         moved[k, :, 0] = field[at] + steps
         moved[k, :, 1] = field[at] - steps
         stack = np.broadcast_to(field[index][:, None], shape + (5, 5)).copy()
-        np.copyto(stack[k], moved[k, ..., None, None], where=here)
+        # A grid has at least 4 nodes a side, so the offsets -2..2 of a
+        # block reach its node at the centre only.
+        stack[k, ..., 2, 2] = moved[k]
         blocks[name] = stack.reshape(-1, 5, 5)
     plus, minus = moved[..., 0], moved[..., 1]
     if np.any(plus == minus):

@@ -83,14 +83,10 @@ def liu_material(wp: WaveParams) -> MaterialParams:
         m1=0.0, m2=-wp.a, m3=0.0)
 
 
-def wave_matrix(k: float, omega: float, wp: WaveParams) -> np.ndarray:
-    """Hermitian 3x3 system matrix acting on (u_hat, v_hat, phi_hat)."""
-    return _wave_matrix(k, k**2, omega**2, wp)
-
-
-def _wave_matrix(k, k2, x, wp: WaveParams) -> np.ndarray:
-    """:func:`wave_matrix` from ``k``, ``k2 = k**2`` and ``x = omega**2``;
-    with ``k`` and ``k2`` arrays, the stack of shape ``k.shape + (3, 3)``."""
+def wave_matrix(k, omega, wp: WaveParams) -> np.ndarray:
+    """Hermitian 3x3 system matrix acting on (u_hat, v_hat, phi_hat); with
+    ``k`` an array, the stack of shape ``k.shape + (3, 3)``."""
+    k2, x = k * k, omega * omega
     p_l = k2 * (wp.lam + 2.0 * wp.mu)
     q_t = k2 * (wp.mu + wp.mu_c)
     s_r = wp.gamma * k2 + 4.0 * wp.mu_c + 4.0 * wp.a
@@ -106,32 +102,22 @@ def _wave_matrix(k, k2, x, wp: WaveParams) -> np.ndarray:
     return m
 
 
-def _squares(values) -> np.ndarray:
-    """``v**2`` of each ``v`` of ``values``, each by the scalar power.
-
-    numpy squares an array by multiplying, which differs from the scalar
-    power (C ``pow``) in the last bit on a few values; this keeps an array
-    bitwise equal to its values taken one at a time.  A square past the
-    largest double is ``inf``, for Python and numpy floats alike.
-    """
-    with np.errstate(over="ignore"):
-        return np.array([np.float64(v)**2 for v in values], dtype=float)
-
-
 def dispersion_cubic(k: float, wp: WaveParams) -> tuple[float, float, float, float]:
     """Coefficients (c3, c2, c1, c0) of det(wave_matrix) as a polynomial in
     ``x = omega**2``; exact closed-form expansion of the 3x3 determinant."""
     a, mu_c, rho, varrho = wp.a, wp.mu_c, wp.rho, wp.varrho_rot
-    p_l = k**2 * (wp.lam + 2.0 * wp.mu)
-    q_t = k**2 * (wp.mu + mu_c)
-    s_r = wp.gamma * k**2 + 4.0 * mu_c + 4.0 * a
+    k2 = k * k
+    k4 = k2 * k2
+    p_l = k2 * (wp.lam + 2.0 * wp.mu)
+    q_t = k2 * (wp.mu + mu_c)
+    s_r = wp.gamma * k2 + 4.0 * mu_c + 4.0 * a
     c3 = -(rho**2) * varrho
     c2 = rho**2 * s_r + rho * varrho * (p_l + q_t)
     c1 = (-rho * s_r * (p_l + q_t) - varrho * p_l * q_t
-          + 4.0 * mu_c**2 * k**2 * rho + a**2 * k**4 * varrho
-          + 4.0 * a**2 * k**2 * rho)
-    c0 = (p_l * q_t * s_r - 4.0 * mu_c**2 * k**2 * p_l - a**2 * k**4 * s_r
-          - 4.0 * a**2 * k**2 * q_t + 8.0 * a**2 * k**4 * mu_c)
+          + 4.0 * mu_c**2 * k2 * rho + a**2 * k4 * varrho
+          + 4.0 * a**2 * k2 * rho)
+    c0 = (p_l * q_t * s_r - 4.0 * mu_c**2 * k2 * p_l - a**2 * k4 * s_r
+          - 4.0 * a**2 * k2 * q_t + 8.0 * a**2 * k4 * mu_c)
     return c3, c2, c1, c0
 
 
@@ -147,18 +133,6 @@ class BranchTable(NamedTuple):
     amplitudes: np.ndarray
     #: One message per wavenumber without a branch, in sweep order.
     missing: list[str]
-
-
-def _norms(z: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each triple on the last axis of the C-ordered
-    complex ``z``, with its bits.
-
-    The norm sums the squares through the BLAS dot, which some builds
-    fuse; a row-by-column ``matmul`` goes through the same dot.
-    """
-    re, im = z.real, z.imag
-    return np.sqrt(np.matmul(re[..., None, :], re[..., :, None])[..., 0, 0]
-                   + np.matmul(im[..., None, :], im[..., :, None])[..., 0, 0])
 
 
 def _phase_normalize(z: np.ndarray) -> np.ndarray:
@@ -185,14 +159,14 @@ def _branch_block(ks, wp: WaveParams) -> BranchTable:
     k = np.asarray(ks, dtype=float)
     # Past about k = 1e154 the matrix overflows; it is then reported missing.
     with np.errstate(over="ignore", invalid="ignore"):
-        stiffness = _wave_matrix(k, _squares(ks), 0.0, wp)
+        stiffness = wave_matrix(k, 0.0, wp)
     finite = np.isfinite(stiffness).all(axis=(-2, -1))
     d_inv_sqrt = 1.0 / np.sqrt([wp.rho, wp.rho, wp.varrho_rot])
     scaled = d_inv_sqrt[:, None] * stiffness[finite] * d_inv_sqrt
     squared_frequencies, vectors = np.linalg.eigh(scaled)
-    # One C-ordered amplitude triple per (wavenumber, branch).
-    z = np.ascontiguousarray(d_inv_sqrt * np.swapaxes(vectors, -2, -1))
-    z = _phase_normalize(z / _norms(z)[..., None])
+    # One amplitude triple per (wavenumber, branch).
+    z = d_inv_sqrt * np.swapaxes(vectors, -2, -1)
+    z = _phase_normalize(z / np.linalg.norm(z, axis=-1)[..., None])
     real = ~(squared_frequencies < 0.0)
     found = np.zeros(k.shape, dtype=bool)
     found[finite] = real.any(axis=-1)
@@ -226,9 +200,9 @@ def dispersion_sweep(ks, wp: WaveParams) -> BranchTable:
         missing=[message for b in blocks for message in b.missing])
 
 
-def _ratio_terms(k2, x, wp: WaveParams):
-    """Numerator and denominator of :func:`amplitude_ratio` from
-    ``k2 = k**2`` and ``x = omega**2``."""
+def _ratio_terms(k, omega, wp: WaveParams):
+    """Numerator and denominator of :func:`amplitude_ratio`."""
+    k2, x = k * k, omega * omega
     num = wp.a * (k2 * wp.mu - wp.rho * x)
     den = wp.a**2 * k2 - wp.mu_c * (k2 * (wp.lam + 2.0 * wp.mu) - wp.rho * x)
     return num, den
@@ -240,7 +214,7 @@ def amplitude_ratio(k: float, omega: float, wp: WaveParams) -> float:
     Identically zero for A = 0 (pure transverse)."""
     if wp.a == 0.0:
         return 0.0
-    num, den = _ratio_terms(k**2, omega**2, wp)
+    num, den = _ratio_terms(k, omega, wp)
     if den == 0.0:
         raise ZeroDenominator("amplitude ratio denominator vanishes")
     return num / den
@@ -252,7 +226,7 @@ def amplitude_ratios(k: np.ndarray, omega: np.ndarray,
     ``nan`` where its denominator vanishes."""
     if wp.a == 0.0:
         return np.zeros(len(k))
-    num, den = _ratio_terms(_squares(k), _squares(omega), wp)
+    num, den = _ratio_terms(k, omega, wp)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(den == 0.0, np.nan, num / den)
 
@@ -306,9 +280,10 @@ def transverse_free_solution(k: float, omega: float, wp: WaveParams):
         raise ZeroDenominator(
             "transverse-free wave needs k > 0 and omega > 0")
     u_over_phi = -2.0 * wp.mu_c / (wp.a * k)
-    rho_implied = k**2 * (wp.mu_c * (wp.lam + 2.0 * wp.mu) - wp.a**2) / (
-        wp.mu_c * omega**2)
-    varrho_implied = (wp.gamma * k**2 + 4.0 * wp.a) / omega**2
+    k2, x = k * k, omega * omega
+    rho_implied = k2 * (wp.mu_c * (wp.lam + 2.0 * wp.mu) - wp.a**2) / (
+        wp.mu_c * x)
+    varrho_implied = (wp.gamma * k2 + 4.0 * wp.a) / x
     if rho_implied <= 0.0:
         raise InfeasibleDensity(
             f"implied translational density is not positive: {rho_implied!r}")
@@ -331,9 +306,9 @@ def transverse_free_residual(k: float, omega: float, wp: WaveParams) -> float:
     p = liu_material(replace(wp, rho=rho_implied, varrho_rot=varrho_implied))
     f1, f2, f3 = linear_chiral_forces(
         u_over_phi, 0.0, 1j, lambda f: 1j * k * f, lambda f: 0.0,
-        lambda f: -k**2 * f, lambda f: 0.0, p)
-    inertia_u = -rho_implied * omega**2 * u_over_phi
-    inertia_phi = -varrho_implied * omega**2 * 1j
+        lambda f: -(k * k) * f, lambda f: 0.0, p)
+    inertia_u = -rho_implied * (omega * omega) * u_over_phi
+    inertia_phi = -varrho_implied * (omega * omega) * 1j
     worst = max(abs(inertia_u - f1), abs(f2), abs(inertia_phi - f3))
     scale = max(abs(inertia_u), abs(inertia_phi), abs(f1), abs(f3))
     if scale == 0.0:
@@ -368,7 +343,7 @@ def wave_identity_report() -> VerificationReport:
 
     def errors(k, omega, vec):
         coeffs = dispersion_cubic(k, wp)
-        x = omega**2
+        x = omega * omega
         value = abs(((coeffs[0] * x + coeffs[1]) * x + coeffs[2]) * x
                     + coeffs[3])
         det_scale = max(abs(coeffs[0] * x**3), abs(coeffs[1] * x**2),

@@ -218,11 +218,12 @@ def square_grid(n=16, length=2.0 * np.pi):
 def reference_wave_matrix(k, wp):
     """The wave stiffness ``K(k)`` (the wave matrix at ``omega = 0``), one
     wavenumber at a time with scalar arithmetic."""
+    k2 = k * k
     return np.array([
-        [k**2 * (wp.lam + 2.0 * wp.mu), -wp.a * k**2, 2.0j * wp.a * k],
-        [-wp.a * k**2, k**2 * (wp.mu + wp.mu_c), -2.0j * k * wp.mu_c],
+        [k2 * (wp.lam + 2.0 * wp.mu), -wp.a * k2, 2.0j * wp.a * k],
+        [-wp.a * k2, k2 * (wp.mu + wp.mu_c), -2.0j * k * wp.mu_c],
         [-2.0j * wp.a * k, 2.0j * k * wp.mu_c,
-         wp.gamma * k**2 + 4.0 * wp.mu_c + 4.0 * wp.a],
+         wp.gamma * k2 + 4.0 * wp.mu_c + 4.0 * wp.a],
     ])
 
 
@@ -264,7 +265,8 @@ def reference_branches(k, wp):
             continue
         z = d_inv_sqrt * y
         branches.append((math.sqrt(x),
-                         reference_phase_normalize(z / np.linalg.norm(z))))
+                         reference_phase_normalize(
+                             z / np.linalg.norm(z[None], axis=-1))))
     if not branches:
         raise NoRealBranch(
             f"wave matrix has no nonnegative squared frequency at k = "

@@ -73,6 +73,24 @@ def test_wave_matrix_is_exactly_hermitian():
         npt.assert_array_equal(m, m.conj().T)
 
 
+def test_stacked_wave_matrix_is_bitwise_the_scalar_matrices():
+    rng = np.random.default_rng(61)
+    # Enough wavenumbers that a few squares by the scalar power k**2 would
+    # differ from k * k in the last bit.  k * k is finite at 1.3e154 and
+    # overflows at 1.4e154; the scalar calls take Python floats, whose
+    # products overflow to inf without a warning.
+    ks = np.concatenate([rng.uniform(0.0, 60.0, 3000),
+                         [0.0, 1.3e154, 1.4e154]])
+    omegas = rng.uniform(0.0, 20.0, len(ks))
+    for wp in (WaveParams(), random_wave_params(rng)):
+        with np.errstate(over="ignore"):
+            stack = wave_matrix(ks, omegas, wp)
+        assert stack.shape == (len(ks), 3, 3)
+        assert not np.isfinite(stack[-1]).all()
+        for m, k, omega in zip(stack, ks.tolist(), omegas.tolist()):
+            assert m.tobytes() == wave_matrix(k, omega, wp).tobytes()
+
+
 def test_cubic_leading_coefficient_is_negative():
     rng = np.random.default_rng(52)
     for _ in range(10):
