@@ -175,21 +175,13 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
                 DEFAULT_EPS_REG)
 
 
-def linear_chiral_forces(u1, u2, phi, dx, dy, dxx, dyy, p: MaterialParams,
-                         out=None):
+def linear_chiral_forces(u1, u2, phi, dx, dy, dxx, dyy, p: MaterialParams):
     """Force densities (f1, f2, f3) of the linearized chiral model.
 
     The equations are ``rho*u1_tt = f1``, ``rho*u2_tt = f2`` and
     ``4*rho_rot*phi_tt = f3`` in the ``phi = -theta`` convention.  ``dx``,
     ``dy``, ``dxx`` and ``dyy`` are the derivative operators: grid stencils,
-    or the multipliers of one Fourier mode, which gives the symbol; each
-    returns a new value, which the sums below may update in place.
-    ``out``, a ``(2,) + shape`` array if given, receives ``f1`` and ``f2``.
-
-    Each sum is accumulated term by term, in the order written in the
-    comments, and each derivative is taken where it is first read and
-    dropped after its last read: the same bits as summing each force at
-    once, with a few grid fields alive instead of twelve.
+    or the multipliers of one Fourier mode, which gives the symbol.
     """
     c_uxx = p.lam + 2.0 * p.mu + p.mu_s + p.mu_c_s
     c_uyy = p.mu + p.mu_c + p.lam_s + 2.0 * p.mu_s
@@ -198,60 +190,17 @@ def linear_chiral_forces(u1, u2, phi, dx, dy, dxx, dyy, p: MaterialParams,
     c_phi_grad = 2.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s)
     c_phi_rot = 2.0 * p.mu_c
     d1 = p.mu * p.L_c**2
-    f1, f2 = (None, None) if out is None else out
-
-    # f1 = c_uxx u1xx + c_uyy u1yy + c_cross u2xy
-    #      + c_m ((-2 u1xy + u2xx) - u2yy) - c_phi_grad phi_x + c_phi_rot phi_y
-    # f2 = c_uyy u2xx + c_uxx u2yy + c_cross u1xy
-    #      + c_m ((u1xx - u1yy) + 2 u2xy) - c_phi_rot phi_x - c_phi_grad phi_y
-    u1xx = dxx(u1)
-    f1 = c_uxx * u1xx if f1 is None else np.multiply(c_uxx, u1xx, out=f1)
-    u1yy = dyy(u1)
-    f1 += c_uyy * u1yy
-    m2 = u1xx - u1yy
-    del u1xx, u1yy
-    u2x = dx(u2)
-    u2xy = dy(u2x)
-    f1 += c_cross * u2xy
-    m2 += 2.0 * u2xy
-    del u2xy
-    u1x = dx(u1)
-    u1xy = dy(u1x)
-    m1 = -2.0 * u1xy
-    u2xx = dxx(u2)
-    m1 += u2xx
-    f2 = c_uyy * u2xx if f2 is None else np.multiply(c_uyy, u2xx, out=f2)
-    del u2xx
-    u2yy = dyy(u2)
-    m1 -= u2yy
-    f2 += c_uxx * u2yy
-    del u2yy
-    f1 += c_m * m1
-    del m1
-    f2 += c_cross * u1xy
-    del u1xy
-    f2 += c_m * m2
-    del m2
-    phi_x = dx(phi)
-    f1 -= c_phi_grad * phi_x
-    f2 -= c_phi_rot * phi_x
-    del phi_x
-    phi_y = dy(phi)
-    f1 += c_phi_rot * phi_y
-    f2 -= c_phi_grad * phi_y
-    del phi_y
-
-    # f3 = 2 d1 (phi_xx + phi_yy) + 4 (2 lam_s + 2 mu_s - mu_c_s - mu_c) phi
-    #      + 2 mu_c (u2x - u1y) - 2 (mu_c_s - 2 lam_s - 2 mu_s) (u1x + u2y)
-    f3 = dxx(phi)
-    f3 += dyy(phi)
-    f3 *= 2.0 * d1
-    f3 += 4.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s - p.mu_c) * phi
-    u2x -= dy(u1)
-    f3 += 2.0 * p.mu_c * u2x
-    del u2x
-    u1x += dy(u2)
-    f3 -= 2.0 * (p.mu_c_s - 2.0 * p.lam_s - 2.0 * p.mu_s) * u1x
+    f1 = (c_uxx * dxx(u1) + c_uyy * dyy(u1) + c_cross * dy(dx(u2))
+          + c_m * (-2.0 * dy(dx(u1)) + dxx(u2) - dyy(u2))
+          - c_phi_grad * dx(phi) + c_phi_rot * dy(phi))
+    f2 = (c_uyy * dxx(u2) + c_uxx * dyy(u2) + c_cross * dy(dx(u1))
+          + c_m * (dxx(u1) - dyy(u1) + 2.0 * dy(dx(u2)))
+          - c_phi_rot * dx(phi) - c_phi_grad * dy(phi))
+    f3 = (2.0 * d1 * (dxx(phi) + dyy(phi))
+          + 4.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s - p.mu_c) * phi
+          + 2.0 * p.mu_c * (dx(u2) - dy(u1))
+          - 2.0 * (p.mu_c_s - 2.0 * p.lam_s - 2.0 * p.mu_s)
+          * (dx(u1) + dy(u2)))
     return f1, f2, f3
 
 
@@ -264,15 +213,12 @@ def rhs_linear_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
     nonlinear right-hand sides.
     """
     g = state.grid
-    acc_u = np.empty((2,) + np.shape(state.u1))
-    _, _, f3 = linear_chiral_forces(
+    f1, f2, f3 = linear_chiral_forces(
         state.u1, state.u2, -state.theta,
         lambda f: ddx(f, g), lambda f: ddy(f, g),
-        lambda f: ddxx(f, g), lambda f: ddyy(f, g), p, out=acc_u)
-    acc_u /= p.rho
-    np.negative(f3, out=f3)
-    f3 /= 4.0 * p.rho_rot
-    return RhsFields(acc_u=acc_u, acc_theta=f3)
+        lambda f: ddxx(f, g), lambda f: ddyy(f, g), p)
+    return RhsFields(acc_u=np.stack([f1, f2]) / p.rho,
+                     acc_theta=-f3 / (4.0 * p.rho_rot))
 
 
 @dataclass(frozen=True)

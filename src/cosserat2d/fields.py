@@ -125,25 +125,11 @@ def ddy(f: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _second(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """``((f[i+1] - 2 f[i]) + f[i-1]) / h^2`` along ``axis``, periodic wrap.
-
-    Three passes over the grid rows viewed as one axis, like
-    :func:`_central`, then both wrapped ends again along ``axis``; the same
-    operations at every node, so the bits of the rolled form.  Needs at
-    least 2 nodes on ``axis``.
-    """
+    """``((f[i+1] - 2 f[i]) + f[i-1]) / h^2`` along ``axis``, periodic wrap."""
     f = np.asarray(f)
-    out = np.empty(f.shape, dtype=np.result_type(f, 1.0))
-    shift = f.shape[-1] if axis == -2 else 1
-    src, dst = _rows(f), _rows(out)
-    np.multiply(src, 2.0, out=dst)
-    np.subtract(src[..., shift:], dst[..., :-shift], out=dst[..., :-shift])
-    np.add(dst[..., shift:], src[..., :-shift], out=dst[..., shift:])
-    for end, ahead, behind in ((0, 1, -1), (-1, 0, -2)):
-        end = _node(axis, end)
-        np.multiply(f[end], 2.0, out=out[end])
-        np.subtract(f[_node(axis, ahead)], out[end], out=out[end])
-        np.add(out[end], f[_node(axis, behind)], out=out[end])
+    out = np.roll(f, -1, axis).astype(np.result_type(f, 1.0), copy=False)
+    out -= 2.0 * f
+    out += np.roll(f, 1, axis)
     out /= h**2
     return out
 

@@ -22,6 +22,7 @@ from cosserat2d.dynamics import (
     _fd_step,
     homogeneous_residual,
     homogeneous_roots,
+    linear_chiral_forces,
     rhs_chiral,
     rhs_linear_chiral,
     rhs_nonlinear,
@@ -342,17 +343,17 @@ def test_linear_chiral_rhs_matches_hand_assembled_equations():
         assert np.max(np.abs(-4.0 * p.rho_rot * out.acc_theta - f3)) < 1e-13 * scale
 
 
-def linear_accelerations_at_once(state, p):
-    """The linear chiral accelerations with every derivative taken first
-    and each force summed as one expression: the bitwise reference of the
-    term-by-term accumulation."""
-    g = state.grid
-    u1, u2, phi = state.u1, state.u2, -state.theta
-    u1x, u1y, u2x, u2y = ddx(u1, g), ddy(u1, g), ddx(u2, g), ddy(u2, g)
-    phi_x, phi_y = ddx(phi, g), ddy(phi, g)
-    u1xy, u2xy = ddy(u1x, g), ddy(u2x, g)
-    u1xx, u1yy = ddxx(u1, g), ddyy(u1, g)
-    u2xx, u2yy = ddxx(u2, g), ddyy(u2, g)
+def linear_forces_at_once(u1, u2, phi, dx, dy, dxx, dyy, p):
+    """The linear chiral forces with every derivative taken once, before
+    the sums, and each force summed as one expression in the library's
+    term order: the bitwise reference of
+    :func:`dynamics.linear_chiral_forces`, which takes each derivative
+    inside the sum that reads it.  The operators are those the library
+    function takes: grid stencils or Fourier multipliers."""
+    u1x, u1y, u2x, u2y = dx(u1), dy(u1), dx(u2), dy(u2)
+    phi_x, phi_y = dx(phi), dy(phi)
+    u1xy, u2xy = dy(u1x), dy(u2x)
+    u1xx, u1yy, u2xx, u2yy = dxx(u1), dyy(u1), dxx(u2), dyy(u2)
     c_uxx = p.lam + 2.0 * p.mu + p.mu_s + p.mu_c_s
     c_uyy = p.mu + p.mu_c + p.lam_s + 2.0 * p.mu_s
     c_cross = p.lam + p.mu - p.mu_c - p.lam_s - p.mu_s + p.mu_c_s
@@ -366,10 +367,21 @@ def linear_accelerations_at_once(state, p):
     f2 = (c_uyy * u2xx + c_uxx * u2yy + c_cross * u1xy
           + c_m * (u1xx - u1yy + 2.0 * u2xy)
           - c_phi_rot * phi_x - c_phi_grad * phi_y)
-    f3 = (2.0 * d1 * (ddxx(phi, g) + ddyy(phi, g))
+    f3 = (2.0 * d1 * (dxx(phi) + dyy(phi))
           + 4.0 * (2.0 * p.lam_s + 2.0 * p.mu_s - p.mu_c_s - p.mu_c) * phi
           + 2.0 * p.mu_c * (u2x - u1y)
           - 2.0 * (p.mu_c_s - 2.0 * p.lam_s - 2.0 * p.mu_s) * (u1x + u2y))
+    return f1, f2, f3
+
+
+def linear_accelerations_at_once(state, p):
+    """:func:`linear_forces_at_once` on the grid stencils, converted to
+    accelerations of ``(u, theta)`` as :func:`rhs_linear_chiral` does."""
+    g = state.grid
+    f1, f2, f3 = linear_forces_at_once(
+        state.u1, state.u2, -state.theta,
+        lambda f: ddx(f, g), lambda f: ddy(f, g),
+        lambda f: ddxx(f, g), lambda f: ddyy(f, g), p)
     return np.stack([f1, f2]) / p.rho, -f3 / (4.0 * p.rho_rot)
 
 
@@ -384,6 +396,25 @@ def test_linear_chiral_rhs_is_bitwise_the_one_expression_sums():
         out = rhs_linear_chiral(state, p)
         assert out.acc_u.tobytes() == acc_u.tobytes()
         assert out.acc_theta.tobytes() == acc_theta.tobytes()
+    # The scalar multipliers of one Fourier mode: those of
+    # waves.transverse_free_residual (d/dy = 0 on a real and a zero
+    # displacement), and a mode with ky != 0 on complex amplitudes.  Each
+    # force has the value and the type of the one-expression sum.
+    for _ in range(20):
+        p = random_material(rng, chiral=True)
+        kx, ky = rng.uniform(0.1, 5.0, size=2)
+        u1, u2, phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        for args in (
+                (float(u1.real), 0.0, 1j, lambda f: 1j * kx * f,
+                 lambda f: 0.0, lambda f: -(kx * kx) * f, lambda f: 0.0),
+                (complex(u1), complex(u2), complex(phi),
+                 lambda f: 1j * kx * f, lambda f: 1j * ky * f,
+                 lambda f: -(kx * kx) * f, lambda f: -(ky * ky) * f)):
+            forces = linear_chiral_forces(*args, p)
+            expected = linear_forces_at_once(*args, p)
+            assert [repr(f) for f in forces] == [repr(f) for f in expected]
+            assert ([type(f) for f in forces]
+                    == [type(f) for f in expected])
 
 
 def test_curl_free_displacement_sources_only_the_gradient_channel():
@@ -853,15 +884,16 @@ def test_one_step_allocates_at_most_22_grid_fields(case):
 
 
 def test_linear_step_peaks_below_the_polar_step():
-    # The linear forces take each derivative at its first read, drop it
-    # after its last and sum into the acceleration itself: about 10 fields.
-    # Holding all twelve derivatives and stacking f1, f2 peaked at 20.2,
-    # above the polar chi = 0.3 step (19.1).
+    # Each linear force is one sum that takes its derivatives as it reads
+    # them, so a few fields are alive besides f1, f2 and f3: about 7
+    # fields.  Accumulating term by term into the acceleration peaked at
+    # 10.1, and holding all twelve derivatives at once at 20.2, above the
+    # polar chi = 0.3 step (19.1).
     linear = one_step_peak(rhs_linear_chiral,
                            MaterialParams(mu_s=0.1, lam_s=0.1, mu_c_s=0.1))
     polar = one_step_peak(rhs_nonlinear, MaterialParams(chi=0.3))
     assert linear < polar
-    assert linear <= 12.0
+    assert linear <= 9.0
 
 
 def test_kernel_potential_matches_total_energy_bitwise():
@@ -960,7 +992,8 @@ def test_kernels_self_converge_at_second_order(kernel, p):
     (lambda s, p: rhs_nonlinear(s, p, coupling="skew"),
      MaterialParams(chi=0.3)),
     (rhs_chiral, _CHIRAL_MATERIAL),
-], ids=["polar", "skew", "chiral"])
+    (rhs_linear_chiral, _CHIRAL_MATERIAL),
+], ids=["polar", "skew", "chiral", "linear"])
 def test_kernels_act_member_by_member_on_a_leading_axis(kernel, p):
     # Four states stacked along a leading axis: each member's accelerations
     # are bitwise those of its own call.

@@ -154,16 +154,21 @@ def test_central_stencil_refuses_an_out_whose_rows_are_apart():
 
 @pytest.mark.parametrize("shape", STENCIL_SHAPES)
 def test_second_difference_stencils_are_bitwise_the_rolled_form(shape):
-    # Shifted passes like the central stencils: ddxx and ddyy keep the
-    # bits of (roll(-1) - 2 f) + roll(+1), over h^2, the wrapped ends
-    # included, real or complex, on a view with a strided leading axis as
-    # well.
+    # ddxx and ddyy are the bits of (roll(-1) - 2 f) + roll(+1), over h^2,
+    # real or complex, on a view with a strided leading axis as well.  An
+    # integer field gives float64, the bits of its float copy.
     grid = Grid(nx=shape[-2], ny=shape[-1], lx=1.3, ly=0.7)
-    for f in (*stencil_inputs(shape, float), *stencil_inputs(shape, complex)):
+    integers = np.arange(np.prod(shape)).reshape(shape) % 7 - 3
+    for f in (*stencil_inputs(shape, float), *stencil_inputs(shape, complex),
+              integers):
         for op, axis, h in ((ddxx, -2, grid.hx), (ddyy, -1, grid.hy)):
             rolled = ((np.roll(f, -1, axis=axis) - 2.0 * f)
                       + np.roll(f, 1, axis=axis)) / h**2
             assert op(f, grid).tobytes() == rolled.tobytes()
+    for op in (ddxx, ddyy):
+        assert op(integers, grid).dtype == np.float64
+        assert (op(integers, grid).tobytes()
+                == op(integers.astype(float), grid).tobytes())
 
 
 def test_complex_stencils_are_the_stencils_of_each_part():
