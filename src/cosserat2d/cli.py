@@ -197,7 +197,7 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
     # report.
     # Snapshots are written by forked children while the stepping goes on.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            snapshot_writer() as write:
+            snapshot_writer(sim.snapshot_count()) as write:
         acc = rhs(state, p)
         # The time series is written as the run goes, so a run that dies
         # keeps every row it computed.
@@ -211,7 +211,7 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
                 except (NonFiniteState, DegenerateDeformation) as exc:
                     raise type(exc)(f"step {step} (t = {step * sim.dt:.6g}): "
                                     f"{exc}") from exc
-                if step % sim.output_every == 0 or step == sim.steps:
+                if sim.writes_snapshot(step):
                     write(state, os.path.join(outdir,
                                               "snapshot_%06d.csv" % step))
         finally:

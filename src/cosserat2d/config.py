@@ -44,6 +44,16 @@ class SimSettings:
             raise ConfigError(
                 f"sim.eps_reg must be nonnegative, got {self.eps_reg}")
 
+    def writes_snapshot(self, step: int) -> bool:
+        """Whether step ``step`` of a run writes a snapshot: every
+        ``output_every``-th step, counting the initial state as step 0, and
+        the last."""
+        return step % self.output_every == 0 or step == self.steps
+
+    def snapshot_count(self) -> int:
+        """How many steps of a run write a snapshot."""
+        return sum(map(self.writes_snapshot, range(self.steps + 1)))
+
 
 @dataclass(frozen=True)
 class WaveSweep:

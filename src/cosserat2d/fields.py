@@ -14,11 +14,9 @@ exact to rounding — the variational checks in :mod:`cosserat2d.energy` and
 
 from __future__ import annotations
 
-import ctypes
 import os
 import signal
 import struct
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -257,11 +255,13 @@ _REPLY = struct.Struct("<q")
 
 @dataclass
 class _Writer:
-    """A forked snapshot writer and the parent's ends of its two pipes."""
+    """A forked snapshot writer, the parent's ends of its two pipes and the
+    absolute path of the snapshot it is writing, if any."""
 
     pid: int
     requests: int
     replies: int
+    path: str | None = None
 
 
 def _send(fd: int, data) -> None:
@@ -303,42 +303,27 @@ def _serve(requests: int, replies: int) -> None:
         _send(replies, _REPLY.pack(len(message)) + message)
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process runs on now (glibc's ``sched_getcpu``), or
-    ``None`` where libc cannot tell."""
+def _pin(cpus) -> bool:
+    """Keep this process to ``cpus``; ``False`` where the system refuses."""
     try:
-        sched_getcpu = ctypes.CDLL(None).sched_getcpu
-    except (AttributeError, OSError, TypeError):
-        return None
-    sched_getcpu.argtypes, sched_getcpu.restype = (), ctypes.c_int
-    cpu = sched_getcpu()
-    return cpu if cpu >= 0 else None
-
-
-def _writer_cpus(usable, current) -> tuple[int, ...]:
-    """The CPU of each writer a pool may fork: writer ``k`` runs on the
-    ``k``-th of the ``usable`` CPUs after ``current``, the stepping
-    process's, in increasing order and from the highest on to the lowest.
-    Empty, and nothing pinned, with one usable CPU or ``current`` unknown."""
-    usable = sorted(usable)
-    if len(usable) < 2 or current is None:
-        return ()
-    return tuple([cpu for cpu in usable if cpu > current]
-                 + [cpu for cpu in usable if cpu <= current])
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
 
 
 def _start_writer(others, cpu: int | None) -> _Writer:
     """Fork a writer running :func:`_serve`, pinned to ``cpu`` unless it is
     ``None``; ``others`` are the writers already running, whose pipe ends
-    the new one closes."""
+    the new one closes.  A failed fork is raised as an :class:`IoError`."""
     request_read, request_write = os.pipe()
     reply_read, reply_write = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         for fd in (request_read, request_write, reply_read, reply_write):
             os.close(fd)
-        raise
+        raise IoError(f"cannot start a snapshot writer: {exc}") from exc
     if pid == 0:
         status = 1
         try:
@@ -350,10 +335,7 @@ def _start_writer(others, cpu: int | None) -> _Writer:
                        *(fd for w in others for fd in (w.requests, w.replies))):
                 os.close(fd)
             if cpu is not None:
-                try:
-                    os.sched_setaffinity(0, {cpu})
-                except OSError:
-                    pass  # a CPU this process may not use: write unpinned
+                _pin({cpu})  # refused: write unpinned
             _serve(request_read, reply_write)
             status = 0
         finally:
@@ -364,42 +346,39 @@ def _start_writer(others, cpu: int | None) -> _Writer:
 
 
 @contextmanager
-def snapshot_writer():
+def snapshot_writer(count: int):
     """Yield ``write(state, path)``, which hands a snapshot to a writer
-    process and returns while the writer saves it.
+    process and returns while the writer saves it; ``count`` is how many
+    snapshots the block will write.
 
-    The first writer is forked when the block opens, before the caller's
-    heap grows; more are forked on demand, at most one per usable CPU, and
-    all live until the block ends.  Where two or more CPUs are usable,
-    writer ``k`` pins itself to the ``k``-th CPU after the one this process
-    runs on when the block opens (:func:`_writer_cpus`): left to the
-    scheduler, a writer woken by the pipe runs on the waking process's CPU
-    and can stay there, beside the stepping.  Each writer takes one
-    snapshot at a time, sent down a
-    pipe straight from the state's arrays, so at most one snapshot per CPU
-    is in flight.  With every writer busy, ``write`` first waits for the
-    oldest snapshot.  The first snapshot that failed, in write order, is
-    raised as the :class:`IoError` of its ``save_snapshot`` (or, for a
-    writer that died, as ``cannot write '<path>': writer exited with
-    <code>``).  Leaving the block waits for every snapshot and every writer.
-    Paths are made absolute, also without ``os.fork``, where ``write``
+    ``min(usable CPUs, count)`` writers are forked when the block opens,
+    before the caller's heap grows, and live until it ends; a fork that
+    fails is raised as an :class:`IoError` there.  Where two or more CPUs
+    are usable, this process keeps to the lowest of them until the block
+    ends, and writer ``k`` pins itself to the ``k``-th usable CPU after it,
+    wrapping round, so only a ring of one writer per CPU has a writer
+    beside the stepping.  Left to the scheduler, a writer woken by the pipe
+    runs on the waking process's CPU and can stay there.
+    Snapshots go to the writers in turn, each sent down a pipe straight from
+    the state's arrays; before a writer takes the next, ``write`` waits for
+    its last, which is the oldest in flight.  The first snapshot that
+    failed, in write order, is raised as the :class:`IoError` of its
+    ``save_snapshot`` (or, for a writer that died, as ``cannot write
+    '<path>': writer exited with <code>``).  Leaving the block waits for
+    every snapshot and every writer, and gives this process back the CPUs it
+    had.  Paths are made absolute, also without ``os.fork``, where ``write``
     calls ``save_snapshot`` inline.
     """
     if not hasattr(os, "fork"):
         yield lambda state, path: save_snapshot(state, os.path.abspath(path))
         return
     try:
-        usable = os.sched_getaffinity(0)
+        usable = sorted(os.sched_getaffinity(0))
     except AttributeError:
-        usable = range(os.cpu_count() or 1)
-    cpus = _writer_cpus(usable, _current_cpu())
-    writers, idle = [], []
-    pending = deque()  # (writer, absolute path) in write order
-
-    def start() -> None:
-        writers.append(_start_writer(
-            writers, cpus[len(writers)] if cpus else None))
-        idle.append(writers[-1])
+        usable = []  # nothing is pinned
+    # Writer k's: the k-th usable CPU after the stepping one, wrapping round.
+    cpus = usable[1:] + usable[:1] if len(usable) > 1 else [None]
+    writers = []  # in turn: the next to write first, with the oldest in flight
 
     def retire(writer) -> int:
         """Close the pipes to ``writer``, reap it and return its exit code."""
@@ -408,37 +387,30 @@ def snapshot_writer():
         os.close(writer.replies)
         return os.waitstatus_to_exitcode(os.waitpid(writer.pid, 0)[1])
 
-    def wait_oldest() -> str:
-        """Wait for the oldest pending snapshot; return its error message,
-        or ``""``."""
-        writer, path = pending.popleft()
+    def wait(writer) -> str:
+        """Wait for the snapshot ``writer`` has in flight, if any; return its
+        error message, or ``""``."""
+        path, writer.path = writer.path, None
+        if path is None:
+            return ""
         head = bytearray(_REPLY.size)
         if _receive_into(writer.replies, head):
             message = bytearray(_REPLY.unpack(head)[0])
             if _receive_into(writer.replies, message):
-                idle.append(writer)
                 return message.decode("utf-8", "replace")
         return f"cannot write {path!r}: writer exited with {retire(writer)}"
 
     def first_failure() -> str:
-        messages = [wait_oldest() for _ in range(len(pending))]
+        messages = [wait(writer) for writer in list(writers)]
         return next(filter(None, messages), "")
 
     def write(state, path) -> None:
-        if not idle and len(writers) < len(usable):
-            try:
-                start()
-            except OSError as exc:
-                raise IoError(
-                    f"cannot start a writer for {path!r}: {exc}") from exc
-        if not idle:
-            message = wait_oldest()
-            if message:
-                first_failure()  # later writes cannot outrank this failure
-                raise IoError(message)
-        writer = idle.pop()
-        path = os.path.abspath(path)
-        pending.append((writer, path))
+        writer = writers[0]
+        message = wait(writer)
+        if message:
+            first_failure()  # later writes cannot outrank this failure
+            raise IoError(message)
+        writer.path = path = os.path.abspath(path)
         grid, encoded = state.grid, os.fsencode(path)
         try:
             _send(writer.requests, _REQUEST.pack(
@@ -450,19 +422,21 @@ def snapshot_writer():
             pass  # the writer died; waiting for its reply reports it
         except BaseException:
             # Cut short (by an interrupt, say): the writer sees its request
-            # end early and exits, and the snapshot is not pending.
-            pending.pop()
+            # end early and exits, and the snapshot is not in flight.
+            writer.path = None
             retire(writer)
             raise
+        writers.append(writers.pop(0))
 
+    pinned = len(usable) > 1 and _pin(usable[:1])
     try:
-        start()
-    except OSError:
-        pass  # the first write tries again and reports the failure
-    try:
+        for k in range(min(len(usable) or os.cpu_count() or 1, count)):
+            writers.append(_start_writer(writers, cpus[k % len(cpus)]))
         yield write
     finally:
-        # A failed write still pending came before whatever ended the block.
+        if pinned:
+            _pin(usable)  # the CPUs this process had
+        # A failed write still in flight came before whatever ended the block.
         try:
             message = first_failure()
         finally:

@@ -41,6 +41,19 @@ def no_unreaped_children():
     assert reaped == (0, 0), f"unreaped child process {reaped[0]}"
 
 
+@pytest.fixture(autouse=True)
+def same_cpus():
+    """Give the test process back the CPUs it may run on after each test: a
+    snapshot pool opened under a faked set of usable CPUs hands back the
+    fake set."""
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    yield
+    os.sched_setaffinity(0, cpus)
+
+
 @pytest.fixture
 def deadline():
     """Fail the test, instead of hanging it, if it runs for over 60 s (a

@@ -842,8 +842,8 @@ def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
     writer = cli.snapshot_writer
 
     @contextlib.contextmanager
-    def recording_writer():
-        with writer() as write:
+    def recording_writer(count):
+        with writer(count) as write:
             def recording(state, path):
                 handed.append((state.copy(), path))
                 write(state, path)
@@ -861,10 +861,10 @@ def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
         out = tmp_path / f"out_{cpus}"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
 
-        # The writers are forked once per run, at most one per usable CPU,
-        # however many snapshots there are; all are gone when it ends.
+        # One writer per usable CPU, however many snapshots there are; all
+        # are gone when the run ends.
         assert len(handed) == CHIRAL_SIM["sim"]["steps"] + 1
-        assert 1 <= len(forked) <= cpus
+        assert len(forked) == cpus
         assert unreaped(forked) == 0
         for state, path in handed:
             name = os.path.basename(path)
@@ -872,31 +872,45 @@ def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
             assert (out / name).read_bytes() == (inline / name).read_bytes()
 
 
-def test_writer_cpu_plan_starts_after_the_stepping_cpu():
-    # Writer k runs on the k-th usable CPU after the stepping process's,
-    # wrapping round; with one usable CPU, or the stepping CPU unknown,
-    # nothing is pinned.
-    assert fields._writer_cpus({0}, 0) == ()
-    assert fields._writer_cpus({0, 1}, 0) == (1, 0)
-    assert fields._writer_cpus({0, 1}, 1) == (0, 1)
-    assert fields._writer_cpus({0, 1}, None) == ()
-    assert fields._writer_cpus({0, 1, 2}, 0) == (1, 2, 0)
-    assert fields._writer_cpus({0, 1, 2}, 2) == (0, 1, 2)
-    # Only usable CPUs are planned, also when the stepping CPU is not one.
-    assert fields._writer_cpus({1, 4, 6}, 4) == (6, 1, 4)
-    assert fields._writer_cpus({1, 4, 6}, 5) == (6, 1, 4)
+@pytest.mark.parametrize("steps, output_every, snapshots", [
+    (0, 1, 1), (5, 2, 4), (6, 3, 3), (6, 10, 2)])
+def test_the_pool_is_told_how_many_snapshots_the_run_writes(
+        tmp_path, monkeypatch, deadline, steps, output_every, snapshots):
+    # Every output_every-th step from step 0, and the last.
+    counts = []
+    writer = cli.snapshot_writer
+
+    def counting_writer(count):
+        counts.append(count)
+        return writer(count)
+
+    monkeypatch.setattr(cli, "snapshot_writer", counting_writer)
+    cfg = write_config(tmp_path, {**SMALL_SIM, "sim": {
+        "dt": 0.002, "steps": steps, "output_every": output_every}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert counts == [len(list(out.glob("snapshot_*.csv")))] == [snapshots]
 
 
-def test_the_first_writer_is_forked_when_the_pool_opens(monkeypatch, deadline):
-    # Before the caller's first right-hand side fills the heap, so the fork
-    # shares fewer pages; the others stay on demand.
+def test_the_pool_forks_its_writers_when_it_opens(tmp_path, monkeypatch,
+                                                  deadline):
+    # All before the caller's first right-hand side fills the heap, so the
+    # forks share fewer pages: one per usable CPU, but no more than there
+    # are snapshots, and none later.
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    set_usable_cpus(monkeypatch, 2)
+    state = random_smooth_state(Grid(nx=4, ny=4), 3, 0.1, 1)
     forked = counting_forks(monkeypatch)
-    with fields.snapshot_writer():
-        assert len(forked) == 1
-    assert unreaped(forked) == 0
+    for cpus in (1, 2, 3):
+        set_usable_cpus(monkeypatch, cpus)
+        for count in (1, 21):
+            forked.clear()
+            with fields.snapshot_writer(count) as write:
+                assert len(forked) == min(cpus, count)
+                for k in range(count):
+                    write(state, tmp_path / f"snapshot_{k}.csv")
+                assert len(forked) == min(cpus, count)
+            assert unreaped(forked) == 0
 
 
 def write_snapshots_and_wait(tmp_path, count, until_written):
@@ -905,7 +919,7 @@ def write_snapshots_and_wait(tmp_path, count, until_written):
     check that each file has the bytes of an inline write."""
     state = random_smooth_state(Grid(nx=4, ny=4), 3, 0.1, 1)
     paths = [tmp_path / f"snapshot_{k}.csv" for k in range(count)]
-    with fields.snapshot_writer() as write:
+    with fields.snapshot_writer(count) as write:
         for path in paths:
             write(state, path)
         while not all(path.exists() for path in paths):
@@ -916,20 +930,34 @@ def write_snapshots_and_wait(tmp_path, count, until_written):
         assert path.read_bytes() == (tmp_path / "inline.csv").read_bytes()
 
 
-def test_each_writer_runs_on_its_planned_cpu(tmp_path, monkeypatch, deadline):
+def test_stepping_keeps_to_one_cpu_and_writer_k_to_the_kth_after_it(
+        tmp_path, monkeypatch, deadline):
     usable = sorted(os.sched_getaffinity(0)) if hasattr(
         os, "sched_getaffinity") else []
     if len(usable) < 2 or not hasattr(os, "fork"):
         pytest.skip("needs os.fork and two or more usable CPUs")
-    monkeypatch.setattr(fields, "_current_cpu", lambda: usable[0])
-    plan = fields._writer_cpus(usable, usable[0])
     forked = counting_forks(monkeypatch)
     pinned = []
-    # Each writer is busy until the pool waits for it, so every snapshot
-    # handed over at once gets a writer of its own.
-    write_snapshots_and_wait(tmp_path, len(usable), lambda: pinned.extend(
-        os.sched_getaffinity(pid) for pid in forked))
-    assert pinned == [{cpu} for cpu in plan]
+    # Twice as many snapshots as CPUs: one writer per CPU, each used twice.
+    write_snapshots_and_wait(tmp_path, 2 * len(usable), lambda: pinned.extend(
+        os.sched_getaffinity(pid) for pid in (0, *forked)))
+    # Writer k on the k-th CPU after the stepping one: the last writer of a
+    # ring of one per CPU shares the stepping CPU.
+    assert pinned == [{usable[0]}] + [{usable[(k + 1) % len(usable)]}
+                                      for k in range(len(usable))]
+
+
+def test_the_stepping_process_gets_its_cpus_back(monkeypatch, deadline):
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("needs os.fork and os.sched_getaffinity")
+    before = os.sched_getaffinity(0)
+    with fields.snapshot_writer(2):
+        pass
+    assert os.sched_getaffinity(0) == before
+    with pytest.raises(KeyboardInterrupt):
+        with fields.snapshot_writer(2):
+            raise KeyboardInterrupt
+    assert os.sched_getaffinity(0) == before
 
 
 def test_a_writer_that_cannot_pin_itself_still_writes(
@@ -937,18 +965,50 @@ def test_a_writer_that_cannot_pin_itself_still_writes(
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     set_usable_cpus(monkeypatch, 2)
-    monkeypatch.setattr(fields, "_current_cpu", lambda: 0)
+    parent = os.getpid()
     tried = tmp_path / "tried"
+    pin = getattr(os, "sched_setaffinity", None)
 
-    def refused(pid, cpus):
-        tried.write_text(repr(cpus))  # runs in the writer
+    def refused_in_the_writer(pid, cpus):
+        if os.getpid() == parent:
+            return pin(pid, cpus) if pin else None
+        with open(tried, "a") as fh:
+            fh.write(repr(cpus) + "\n")
         raise PermissionError("not allowed")
 
-    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", refused_in_the_writer,
+                        raising=False)
     forked = counting_forks(monkeypatch)
     write_snapshots_and_wait(tmp_path, 2, lambda: None)
     assert len(forked) == 2
-    assert tried.read_text() in ("{0}", "{1}")
+    assert sorted(tried.read_text().split()) == ["{0}", "{1}"]
+
+
+def test_a_fork_that_fails_at_open_exits_1_and_leaves_nothing(
+        tmp_path, monkeypatch, capsys, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    cfg = write_config(tmp_path, CHIRAL_SIM)
+    set_usable_cpus(monkeypatch, 2)
+    forked = counting_forks(monkeypatch)
+    fork = os.fork
+
+    def second_fork_fails():
+        # The first writer is forked; the second cannot be.
+        if forked:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot start a snapshot writer: "
+        "[Errno 11] Resource temporarily unavailable\n")
+    assert list(out.iterdir()) == []
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_run_died_at_snapshot_2(out, reference, err):

@@ -1009,3 +1009,51 @@ def test_kernels_act_member_by_member_on_a_leading_axis(kernel, p):
         assert batch.acc_u[:, index].tobytes() == single.acc_u.tobytes()
         assert (batch.acc_theta[index].tobytes()
                 == single.acc_theta.tobytes())
+
+
+def quarter_turn(f):
+    """The scalar field ``f`` of a square periodic grid, turned a quarter
+    turn counterclockwise about node (0, 0): node ``(i, j)`` takes the value
+    at node ``(j, -i)``."""
+    n = f.shape[-1]
+    i, j = np.indices((n, n))
+    return f[..., j, -i % n]
+
+
+def quarter_turned(state):
+    """``state`` turned a quarter turn: each field is moved by
+    :func:`quarter_turn`, and each vector ``(a, b)`` becomes ``(-b, a)``;
+    the angle is unchanged."""
+    q = quarter_turn
+    return FieldState(state.grid, -q(state.u2), q(state.u1), q(state.theta),
+                      -q(state.v2), q(state.v1), q(state.omega))
+
+
+@pytest.mark.parametrize("kernel, p, bound", [
+    (lambda s, p: rhs_nonlinear(s, p, coupling="polar"),
+     MaterialParams(chi=0.3), 0.0),
+    (lambda s, p: rhs_nonlinear(s, p, coupling="skew"),
+     MaterialParams(chi=0.3), 0.0),
+    (rhs_chiral, _CHIRAL_MATERIAL, 0.0),
+    # The largest defect measured on square grids of 8 to 32 nodes a side,
+    # at amplitudes 0.01 to 0.3 with random chiral materials, was 9.4e-16
+    # of the largest acceleration: the turn reorders the sums of the
+    # hand-written forces.
+    (rhs_linear_chiral, _CHIRAL_MATERIAL, 2e-15),
+], ids=["polar", "skew", "chiral", "linear"])
+@pytest.mark.parametrize("n, length", [(16, 1.0), (24, 1.3)])
+def test_kernels_commute_with_a_quarter_turn(kernel, p, bound, n, length):
+    # Turning the state a quarter turn turns its accelerations: every model
+    # keeps planar rotations, chiral or not.
+    state = random_smooth_state(Grid(n, n, length, length), seed=3,
+                                amplitude=0.1)
+    acc, turned = kernel(state, p), kernel(quarter_turned(state), p)
+    expected_u = np.stack([-quarter_turn(acc.acc_u[1]),
+                           quarter_turn(acc.acc_u[0])])
+    expected_theta = quarter_turn(acc.acc_theta)
+    scale = max(np.abs(acc.acc_u).max(), np.abs(acc.acc_theta).max())
+    assert scale > 0.0
+    assert np.abs(turned.acc_u - expected_u).max() <= bound * scale
+    assert np.abs(turned.acc_theta - expected_theta).max() <= bound * scale
+    # The turn moves the state, so the check is not vacuous.
+    assert not np.array_equal(quarter_turned(state).u1, state.u1)
