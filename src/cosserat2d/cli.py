@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import math
 import os
 import sys
@@ -137,13 +138,8 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
 def _rhs_for(cfg: ScenarioConfig):
     if cfg.model.kind == CHIRAL:
         return rhs_chiral
-    coupling = cfg.model.coupling
-    eps_reg = cfg.sim.eps_reg
-
-    def rhs(state, p):
-        return rhs_nonlinear(state, p, coupling=coupling, eps_reg=eps_reg)
-
-    return rhs
+    return functools.partial(rhs_nonlinear, coupling=cfg.model.coupling,
+                             eps_reg=cfg.sim.eps_reg)
 
 
 #: glibc's ``mallopt`` parameters and the values set for the stepping loop:

@@ -15,6 +15,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import get_type_hints
 
+import numpy as np
+
 from .energy import DEFAULT_EPS_REG
 from .errors import ConfigError, IoError
 from .fields import Grid
@@ -71,6 +73,11 @@ class WaveSweep:
         if self.k_steps < 1:
             raise ConfigError(
                 f"wave.k_steps must be at least 1, got {self.k_steps}")
+        # The sweep's largest array, the amplitudes of up to three branches
+        # a wavenumber, holds 144 bytes a wavenumber.
+        if 144 * self.k_steps > np.iinfo(np.intp).max:
+            raise ConfigError(f"wave.k_steps = {self.k_steps} is too large "
+                              f"for numpy to address its arrays")
 
 
 @dataclass(frozen=True)
@@ -197,12 +204,7 @@ def _build(factory, section, path):
     for key, value in section.items():
         name, coerce = schema[key]
         kwargs[name] = coerce(value, f"{path}.{key}")
-    try:
-        return factory(**kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section {path!r}: {exc}") from exc
+    return factory(**kwargs)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -383,8 +383,7 @@ def _fd_nodes(grid) -> list[tuple[int, int]]:
 FD_STEP = 1e-6
 
 
-def _fd_step(state: FieldState, p: MaterialParams, term: str, name: str,
-             nodes) -> np.ndarray:
+def _fd_step(state: FieldState, term: str, name: str, nodes) -> np.ndarray:
     """The steps of the central differences of ``term`` in unknown ``name``
     at each of ``nodes``.
 
@@ -400,13 +399,11 @@ def _fd_step(state: FieldState, p: MaterialParams, term: str, name: str,
     if term != "interaction" or name != "theta":
         return np.full(len(nodes), FD_STEP)
     grid = state.grid
-    # The curvature's invariants are the angle gradient alone, on the 3x3
-    # window of each node's block; its four neighbours sit at the window's
-    # edge midpoints.
-    blocks = replace(state, theta=state.theta[node_window(grid, nodes)])
-    g = _invariants(blocks, p, ("curvature",), DEFAULT_EPS_REG,
-                    window=nodes).g
-    g = g[..., (0, 1, 1, 2), (1, 0, 2, 1)]
+    # The angle gradient at each node's four neighbours, taken across the
+    # node's 5x5 block: the block's wrap spoils only its outer ring, so
+    # these have the full-grid bits.
+    g = grad_scalar(state.theta[node_window(grid, nodes)], grid)
+    g = g[..., (1, 2, 2, 3), (2, 1, 3, 2)]
     gmin = np.min(np.sqrt(g[0] ** 2 + g[1] ** 2), axis=-1)
     # fmin: a nan gradient leaves the step at FD_STEP.
     return np.fmin(FD_STEP,
@@ -440,7 +437,7 @@ def _fd_term_error(state: FieldState, p: MaterialParams, term: str,
     blocks = {}
     for k, name in enumerate(gradients):
         field = getattr(state, name)
-        steps = _fd_step(state, p, term, name, nodes)
+        steps = _fd_step(state, term, name, nodes)
         moved[k, :, 0] = field[at] + steps
         moved[k, :, 1] = field[at] - steps
         stack = np.broadcast_to(field[index][:, None], shape + (5, 5)).copy()

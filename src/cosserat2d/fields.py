@@ -38,6 +38,11 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
             raise ConfigError(f"grid must be at least 4x4, got {self.nx}x{self.ny}")
+        # The largest grid-sized array a command makes holds 32 bytes a
+        # node, as a (2, 2, nx, ny) matrix field does.
+        if 32 * self.nx * self.ny > np.iinfo(np.intp).max:
+            raise ConfigError(f"grid.nx x grid.ny = {self.nx}x{self.ny} is "
+                              f"too large for numpy to address its arrays")
         if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
             raise ConfigError("grid lengths must be positive and finite")
 
@@ -303,19 +308,18 @@ def _serve(requests: int, replies: int) -> None:
         _send(replies, _REPLY.pack(len(message)) + message)
 
 
-def _pin(cpus) -> bool:
-    """Keep this process to ``cpus``; ``False`` where the system refuses."""
+def _pin(cpus) -> None:
+    """Keep this process to ``cpus`` where the system lets it."""
     try:
         os.sched_setaffinity(0, cpus)
-    except OSError:
-        return False
-    return True
+    except (AttributeError, OSError):
+        pass  # no affinity API, or refused: run unpinned
 
 
-def _start_writer(others, cpu: int | None) -> _Writer:
-    """Fork a writer running :func:`_serve`, pinned to ``cpu`` unless it is
-    ``None``; ``others`` are the writers already running, whose pipe ends
-    the new one closes.  A failed fork is raised as an :class:`IoError`."""
+def _start_writer(others, cpu: int) -> _Writer:
+    """Fork a writer running :func:`_serve`, pinned to ``cpu``; ``others``
+    are the writers already running, whose pipe ends the new one closes.  A
+    failed fork is raised as an :class:`IoError`."""
     request_read, request_write = os.pipe()
     reply_read, reply_write = os.pipe()
     try:
@@ -334,8 +338,7 @@ def _start_writer(others, cpu: int | None) -> _Writer:
             for fd in (request_write, reply_read,
                        *(fd for w in others for fd in (w.requests, w.replies))):
                 os.close(fd)
-            if cpu is not None:
-                _pin({cpu})  # refused: write unpinned
+            _pin({cpu})
             _serve(request_read, reply_write)
             status = 0
         finally:
@@ -353,12 +356,13 @@ def snapshot_writer(count: int):
 
     ``min(usable CPUs, count)`` writers are forked when the block opens,
     before the caller's heap grows, and live until it ends; a fork that
-    fails is raised as an :class:`IoError` there.  Where two or more CPUs
-    are usable, this process keeps to the lowest of them until the block
-    ends, and writer ``k`` pins itself to the ``k``-th usable CPU after it,
-    wrapping round, so only a ring of one writer per CPU has a writer
-    beside the stepping.  Left to the scheduler, a writer woken by the pipe
-    runs on the waking process's CPU and can stay there.
+    fails is raised as an :class:`IoError` there.  This process keeps to
+    the lowest usable CPU until the block ends, and writer ``k`` pins itself
+    to the ``k``-th usable CPU after it, wrapping round, so only a ring of
+    one writer per CPU has a writer beside the stepping.  Left to the
+    scheduler, a writer woken by the pipe runs on the waking process's CPU
+    and can stay there.  Without an affinity API the usable CPUs are
+    ``os.cpu_count()``, and nothing is pinned.
     Snapshots go to the writers in turn, each sent down a pipe straight from
     the state's arrays; before a writer takes the next, ``write`` waits for
     its last, which is the oldest in flight.  The first snapshot that
@@ -375,9 +379,7 @@ def snapshot_writer(count: int):
     try:
         usable = sorted(os.sched_getaffinity(0))
     except AttributeError:
-        usable = []  # nothing is pinned
-    # Writer k's: the k-th usable CPU after the stepping one, wrapping round.
-    cpus = usable[1:] + usable[:1] if len(usable) > 1 else [None]
+        usable = range(os.cpu_count() or 1)
     writers = []  # in turn: the next to write first, with the oldest in flight
 
     def retire(writer) -> int:
@@ -428,14 +430,14 @@ def snapshot_writer(count: int):
             raise
         writers.append(writers.pop(0))
 
-    pinned = len(usable) > 1 and _pin(usable[:1])
+    _pin(usable[:1])
     try:
-        for k in range(min(len(usable) or os.cpu_count() or 1, count)):
-            writers.append(_start_writer(writers, cpus[k % len(cpus)]))
+        for k in range(min(len(usable), count)):
+            writers.append(
+                _start_writer(writers, usable[(k + 1) % len(usable)]))
         yield write
     finally:
-        if pinned:
-            _pin(usable)  # the CPUs this process had
+        _pin(usable)  # the CPUs this process had
         # A failed write still in flight came before whatever ended the block.
         try:
             message = first_failure()

@@ -246,6 +246,66 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "unknown configuration key: 'material.mu_q'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, values, message", [
+    ("sim", {"steps": -1}, "sim.steps must be nonnegative, got -1"),
+    ("sim", {"output_every": 0}, "sim.output_every must be at least 1, got 0"),
+    ("sim", {"eps_reg": -0.5}, "sim.eps_reg must be nonnegative, got -0.5"),
+    ("wave", {"k_min": 2.0, "k_max": 1.0},
+     "wave range must satisfy 0 < k_min <= k_max, got [2.0, 1.0]"),
+    ("wave", {"k_min": 0.0}, "wave range must satisfy 0 < k_min <= k_max"),
+    ("wave", {"k_steps": 0}, "wave.k_steps must be at least 1, got 0"),
+    ("initial", {"modes": -1}, "initial.modes must be nonnegative, got -1"),
+    ("initial", {"amplitude": -0.5},
+     "initial.amplitude must be nonnegative, got -0.5"),
+    ("initial", {"k": 0.0}, "initial.k must be positive, got 0.0"),
+    ("initial", {"branch": 3}, "initial.branch must be 0, 1 or 2, got 3"),
+    ("material", {"mu_c": -0.5}, "mu_c must be nonnegative, got -0.5"),
+    ("material", {"L_c": -0.5}, "L_c must be nonnegative, got -0.5"),
+    ("material", {"rho": 0.0}, "rho must be positive, got 0.0"),
+    ("material", {"rho_rot": 0.0}, "rho_rot must be positive, got 0.0"),
+    ("model", {"coupling": "cubic"}, "unknown coupling choice 'cubic'"),
+])
+def test_each_range_check_exits_1_naming_its_key(tmp_path, capsys, section,
+                                                 values, message):
+    cfg = write_config(tmp_path, {section: values})
+    assert main(["homogeneous", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, section, values, message", [
+    ("simulate", "grid", {"nx": 10**20},
+     "grid.nx x grid.ny = 100000000000000000000x32"),
+    ("verify", "grid", {"nx": 10**20},
+     "grid.nx x grid.ny = 100000000000000000000x32"),
+    ("simulate", "grid", {"nx": 2**32, "ny": 2**32},
+     "grid.nx x grid.ny = 4294967296x4294967296"),
+    ("dispersion", "wave", {"k_steps": 10**20},
+     "wave.k_steps = 100000000000000000000"),
+])
+def test_a_size_numpy_cannot_address_exits_1_naming_its_key(
+        tmp_path, capsys, command, section, values, message):
+    cfg = write_config(tmp_path, {section: values})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {message} is too large for numpy to address its arrays\n")
+    assert not out.exists()
+
+
+def test_a_grid_merely_too_big_for_the_machine_is_out_of_memory(tmp_path,
+                                                                capsys):
+    # 2**56 nodes: numpy can address the fields, but one field is past a
+    # 57-bit address space.
+    cfg = write_config(tmp_path, {"grid": {"nx": 2**28, "ny": 2**28},
+                                  "initial": {"kind": "zero"}})
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+
 def test_verify_defaults_pass(tmp_path, capsys):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 0
@@ -432,6 +492,26 @@ def test_dispersion_outputs_with_zero_chiral_modulus(tmp_path):
     svg = (out / "dispersion.svg").read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg
+
+
+def test_dispersion_without_couple_modulus_has_no_longitudinal_row(tmp_path):
+    # mu_c = 0 leaves vl undefined: the curve has no ratio = inf row.
+    cfg = write_config(tmp_path, {"material": {"mu_c": 0.0, "mu_s": 0.3}})
+    out = tmp_path / "d"
+    assert main(["dispersion", "--config", cfg, "--out", str(out)]) == 0
+    _, curve_rows = read_csv(out / "ratio_velocity.csv")
+    assert len(curve_rows) == 82
+    assert all(math.isfinite(float(ratio)) for ratio, _ in curve_rows)
+
+
+def test_dispersion_svg_that_cannot_be_written_exits_1(tmp_path, capsys):
+    out = tmp_path / "d"
+    blocked = out / "dispersion.svg"
+    blocked.mkdir(parents=True)
+    assert main(["dispersion", "--out", str(out), "--svg"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(blocked)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_dispersion_is_byte_deterministic(tmp_path):
@@ -932,19 +1012,29 @@ def write_snapshots_and_wait(tmp_path, count, until_written):
 
 def test_stepping_keeps_to_one_cpu_and_writer_k_to_the_kth_after_it(
         tmp_path, monkeypatch, deadline):
-    usable = sorted(os.sched_getaffinity(0)) if hasattr(
-        os, "sched_getaffinity") else []
-    if len(usable) < 2 or not hasattr(os, "fork"):
-        pytest.skip("needs os.fork and two or more usable CPUs")
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("needs os.fork and os.sched_getaffinity")
     forked = counting_forks(monkeypatch)
-    pinned = []
-    # Twice as many snapshots as CPUs: one writer per CPU, each used twice.
-    write_snapshots_and_wait(tmp_path, 2 * len(usable), lambda: pinned.extend(
-        os.sched_getaffinity(pid) for pid in (0, *forked)))
-    # Writer k on the k-th CPU after the stepping one: the last writer of a
-    # ring of one per CPU shares the stepping CPU.
-    assert pinned == [{usable[0]}] + [{usable[(k + 1) % len(usable)]}
-                                      for k in range(len(usable))]
+    # Every usable CPU, then the lowest alone (the same_cpus fixture gives
+    # the others back).
+    for run in ("all", "one"):
+        if run == "one":
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        usable = sorted(os.sched_getaffinity(0))
+        forked.clear()
+        pinned = []
+        # Twice as many snapshots as CPUs: one writer per CPU, each used
+        # twice.
+        (tmp_path / run).mkdir()
+        write_snapshots_and_wait(tmp_path / run, 2 * len(usable),
+                                 lambda: pinned.extend(
+                                     os.sched_getaffinity(pid)
+                                     for pid in (0, *forked)))
+        # Writer k on the k-th CPU after the stepping one: the last writer
+        # of a ring of one per CPU shares the stepping CPU.
+        assert pinned == [{usable[0]}] + [{usable[(k + 1) % len(usable)]}
+                                          for k in range(len(usable))]
+        assert os.sched_getaffinity(0) == set(usable)
 
 
 def test_the_stepping_process_gets_its_cpus_back(monkeypatch, deadline):
@@ -958,6 +1048,28 @@ def test_the_stepping_process_gets_its_cpus_back(monkeypatch, deadline):
         with fields.snapshot_writer(2):
             raise KeyboardInterrupt
     assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.parametrize("cpu_count", [3, None])
+def test_without_cpu_affinity_one_writer_per_cpu_and_nothing_pinned(
+        tmp_path, monkeypatch, deadline, cpu_count):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    affinity = getattr(os, "sched_getaffinity", None)
+    before = affinity(0) if affinity else None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    forked = counting_forks(monkeypatch)
+    # No count of CPUs counts as one.
+    writers = cpu_count or 1
+    for count in (1, 2 * writers):
+        forked.clear()
+        write_snapshots_and_wait(tmp_path, count, lambda: None)
+        assert len(forked) == min(writers, count)
+        assert unreaped(forked) == 0
+    if affinity:
+        assert affinity(0) == before
 
 
 def test_a_writer_that_cannot_pin_itself_still_writes(

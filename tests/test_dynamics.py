@@ -532,7 +532,7 @@ def test_window_difference_equals_full_grid_difference():
     for term in ALL_TERMS:
         pairs = []
         for name in ("u1", "u2", "theta"):
-            steps = _fd_step(state, p, term, name, nodes)
+            steps = _fd_step(state, term, name, nodes)
             for node, step in zip(nodes, steps):
                 pairs.append(
                     (_central_difference(state, p, term, name, node, step, True),

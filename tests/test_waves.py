@@ -2,6 +2,7 @@
 velocity asymptotes, and the transverse-free special wave."""
 
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -266,6 +267,14 @@ def test_transverse_free_error_paths():
     with pytest.raises(InfeasibleDensity):
         transverse_free_solution(
             1.0, 1.0, WaveParams(a=-0.5, mu_c=1.0, **base))
+    with pytest.raises(InfeasibleDensity, match=re.escape(
+            "implied rotational density is not positive: -3.98")):
+        transverse_free_solution(1.0, 1.0, WaveParams(a=-1.0))
+    # omega**2 underflows to 0: a typed error, not a ZeroDivisionError
+    with pytest.raises(ZeroDenominator, match="underflows to 0"):
+        transverse_free_solution(1.0, 1e-200, WaveParams())
+    with pytest.raises(ZeroDenominator, match="underflows to 0"):
+        transverse_free_solution(1e-200, 1.0, WaveParams(a=1e-200))
 
 
 def test_no_real_branch_is_reported():
