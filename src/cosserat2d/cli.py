@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration, I/O or out-of-memory problem,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import math
@@ -29,12 +30,14 @@ import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .dynamics import (
+    banded_rhs,
     homogeneous_residual,
     homogeneous_root_report,
     homogeneous_roots,
     quarter_turn_flag_report,
     rhs_chiral,
     rhs_nonlinear,
+    row_bands,
     step_leapfrog,
     verify_variational_consistency,
 )
@@ -46,6 +49,7 @@ from .errors import (
     IoError,
     NonFiniteState,
     NoRealBranch,
+    WorkerExited,
 )
 from .fields import FieldState, snapshot_writer
 from .materials import CHIRAL
@@ -135,11 +139,23 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
 # simulate
 # --------------------------------------------------------------------------
 
-def _rhs_for(cfg: ScenarioConfig):
-    if cfg.model.kind == CHIRAL:
-        return rhs_chiral
-    return functools.partial(rhs_nonlinear, coupling=cfg.model.coupling,
-                             eps_reg=cfg.sim.eps_reg)
+@contextlib.contextmanager
+def _rhs_for(cfg: ScenarioConfig, state: FieldState):
+    """Yield the right-hand side of a run from ``state``: in the row bands
+    of :func:`row_bands` where there are two or more, else the serial
+    kernel of the model."""
+    bands = row_bands(cfg.grid)
+    if len(bands) > 1:
+        # The chiral model has no interaction term, the only one that
+        # reads eps_reg.
+        with banded_rhs(state, cfg.material, cfg.model.active_terms(),
+                        cfg.sim.eps_reg, bands) as rhs:
+            yield rhs
+    elif cfg.model.kind == CHIRAL:
+        yield rhs_chiral
+    else:
+        yield functools.partial(rhs_nonlinear, coupling=cfg.model.coupling,
+                                eps_reg=cfg.sim.eps_reg)
 
 
 #: glibc's ``mallopt`` parameters and the values set for the stepping loop:
@@ -167,7 +183,6 @@ def _keep_freed_memory() -> None:
 def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
     _keep_freed_memory()
     state = build_initial_state(cfg)
-    rhs = _rhs_for(cfg)
     p, sim = cfg.material, cfg.sim
 
     timeseries = os.path.join(outdir, "timeseries.csv")
@@ -193,6 +208,7 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
     # report.
     # Snapshots are written by forked children while the stepping goes on.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+            _rhs_for(cfg, state) as rhs, \
             snapshot_writer(sim.snapshot_count()) as write:
         acc = rhs(state, p)
         # The time series is written as the run goes, so a run that dies
@@ -204,7 +220,8 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
                     if step:  # step 0 is the initial state
                         state, acc = step_leapfrog(state, sim.dt, rhs, p, acc)
                     record(step, state, acc)
-                except (NonFiniteState, DegenerateDeformation) as exc:
+                except (NonFiniteState, DegenerateDeformation,
+                        WorkerExited) as exc:
                     raise type(exc)(f"step {step} (t = {step * sim.dt:.6g}): "
                                     f"{exc}") from exc
                 if sim.writes_snapshot(step):

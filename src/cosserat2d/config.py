@@ -53,8 +53,10 @@ class SimSettings:
         return step % self.output_every == 0 or step == self.steps
 
     def snapshot_count(self) -> int:
-        """How many steps of a run write a snapshot."""
-        return sum(map(self.writes_snapshot, range(self.steps + 1)))
+        """How many steps of a run write a snapshot: the multiples of
+        ``output_every`` from step 0, and the last step if it is not one."""
+        return (self.steps // self.output_every + 1
+                + (self.steps % self.output_every != 0))
 
 
 @dataclass(frozen=True)

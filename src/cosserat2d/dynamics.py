@@ -18,15 +18,21 @@ the verification report.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import mmap
+import os
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energy import (
+    ALL_TERMS,
     DEFAULT_EPS_REG,
+    _band_rows,
     _invariants,
     _live_terms,
     analytic_variations,
@@ -34,9 +40,15 @@ from .energy import (
     term_densities,
     term_totals,
 )
-from .errors import NonFiniteState, ZeroDenominator
+from .errors import NonFiniteState, WorkerExited, ZeroDenominator
 from .fields import (
     FieldState,
+    Grid,
+    _fork_child,
+    _reap,
+    _receive_into,
+    _send,
+    _usable_cpus,
     ddx,
     ddxx,
     ddy,
@@ -68,7 +80,7 @@ class RhsFields:
 
 
 def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
-         eps_reg: float) -> RhsFields:
+         eps_reg: float, out=None) -> RhsFields | None:
     """Accelerations and per-term potential totals of the energy made of
     ``terms`` (a :meth:`ModelSelector.active_terms` tuple).
 
@@ -83,11 +95,28 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     plus half the divergence of the conjugate to ``grad theta``.  Terms come
     in the order elastic and curvature, one coupling, the interaction, then
     the chiral block, which fixes the rounding of every acceleration.
+
+    With ``out = (acc_u, acc_theta, densities)``, the fields of ``state``
+    are instead a band of grid rows with the two rows either side of it,
+    wrapped periodically (as :func:`cosserat2d.energy._invariants` takes
+    them with ``band``), and nothing is returned: the band's accelerations
+    go into ``acc_u`` and ``acc_theta``, and each live term's density on
+    the band, in :func:`cosserat2d.energy.term_densities` order, into
+    ``densities``.  Every value has the full-grid bits.
     """
     grid = state.grid
-    k = _invariants(state, p, terms, eps_reg)
-    # The totals first, so that each invariant can go at its last read.
-    potential = term_totals(term_densities(k, p), grid.cell_area)
+    band = out is not None
+    own = _band_rows if band else (lambda a: a)
+    k = _invariants(state, p, terms, eps_reg, band=band)
+    # The densities first, so that each invariant can go at its last read.
+    if band:
+        acc_u, acc_theta, densities = out
+        for target, (_, d) in zip(densities, term_densities(k, p, band)):
+            target[...] = d
+            del d
+    else:
+        acc_u = acc_theta = None
+        potential = term_totals(term_densities(k, p), grid.cell_area)
     terms, trx, tx, trxs, txs = k.terms, k.trx, k.tx, k.trxs, k.txs
     zeta, tru, g, n, s, e, fa = k.zeta, k.tru, k.g, k.n, k.s, k.e, k.fa
     del k  # and with it |fa|^2
@@ -129,7 +158,9 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
         w_trx, w_tx = w_trx - w_txs, w_tx + w_trxs
         del w_trxs, w_txs
     del trx, tx, trxs, txs  # the last views of xi
-    acc_theta = (div_vector(flux, grid) - 0.5 * spin) / p.rho_rot
+    acc_theta = np.subtract(own(div_vector(flux, grid)), 0.5 * own(spin),
+                            out=acc_theta)
+    acc_theta /= p.rho_rot
     del flux, spin
 
     pc = np.empty(e.shape, dtype=complex)  # pc / 2
@@ -137,17 +168,20 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     pc *= e
     pa = w_fa * fa  # pa / 2
     del e, fa, w_trx, w_tx
-    sx = ddx(pc + pa, grid)
+    sx = own(ddx(pc + pa, grid))
     pc -= pa
     del pa
-    sy = ddy(pc, grid)
+    sy = ddy(own(pc), grid)
     del pc
-    acc_u = np.empty((2,) + sx.shape)
+    if acc_u is None:
+        acc_u = np.empty((2,) + sx.shape)
     np.subtract(sx.real, sy.imag, out=acc_u[0])
     np.add(sx.imag, sy.real, out=acc_u[1])
     acc_u /= p.rho
     del sx, sy
-    return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
+    if not band:
+        return RhsFields(acc_u=acc_u, acc_theta=acc_theta, potential=potential)
+    return None
 
 
 def rhs_nonlinear(state: FieldState, p: MaterialParams, coupling: str = "polar",
@@ -173,6 +207,126 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
     the per-term potential totals of the same state."""
     return _rhs(state, p, ModelSelector.chiral().active_terms(),
                 DEFAULT_EPS_REG)
+
+
+#: The fewest grid nodes a band of :func:`row_bands` has: a grid of fewer
+#: than two bands' worth runs the serial kernel, as the time of forking,
+#: signalling and the halo rows is not won back there.
+BAND_NODES = 2**15
+
+
+def row_bands(grid: Grid) -> list[tuple[int, int]]:
+    """The bands of grid rows ``(i0, i1)`` a run on ``grid`` evaluates its
+    right-hand side in (:func:`banded_rhs`): one per usable CPU, but at most
+    one per :data:`BAND_NODES` nodes, their heights at most one row apart.
+    Without ``os.fork`` there is one band, the whole grid."""
+    count = min(len(_usable_cpus()), grid.nx * grid.ny // BAND_NODES, grid.nx)
+    if count < 2 or not hasattr(os, "fork"):
+        count = 1
+    bounds = [grid.nx * k // count for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _rhs_rows(positions: np.ndarray, grid: Grid, p: MaterialParams, terms,
+              eps_reg: float, rows: tuple[int, int], acc: np.ndarray,
+              densities: np.ndarray) -> None:
+    """Evaluate the grid rows ``rows = (i0, i1)`` of :func:`_rhs` at the
+    stacked ``positions`` (``u1``, ``u2``, ``theta``), writing them into the
+    stacked accelerations ``acc`` (``acc_u`` then ``acc_theta``) and the
+    live terms' ``densities``."""
+    i0, i1 = rows
+    block = positions.take(range(i0 - 2, i1 + 2), axis=1, mode="wrap")
+    _rhs(FieldState(grid, *block, None, None, None), p, terms, eps_reg,
+         out=(acc[:2, i0:i1], acc[2, i0:i1], densities[:, i0:i1]))
+
+
+@contextmanager
+def banded_rhs(state: FieldState, p: MaterialParams, terms, eps_reg: float,
+               bands):
+    """Yield ``rhs(state, p)``, the right-hand side of :func:`_rhs` at
+    ``state``, evaluated in the row ``bands`` (:func:`row_bands`): the first
+    by this process and each other by a worker forked when the block opens,
+    pinned to the usable CPU with its position, wrapping round.
+
+    The block opens by moving the positions of ``state`` into one shared
+    mapping made before the fork, where it steps them in place.  Each call
+    signals the workers, evaluates the first band itself and waits for the
+    others: each band reads its rows and two rows either side from the
+    mapping and writes its accelerations and each live term's density
+    into it, and this process then sums each density over the grid once.
+    The results alternate between two sets of accelerations in the
+    mapping, so a result stays valid through the next call.  Every value
+    has the serial kernel's bits.  If any band fails, the serial kernel
+    runs instead, and raises what it raises; a worker that died is raised
+    as :class:`WorkerExited`.  Another state or material is left to the
+    serial kernel.  Leaving the block ends the workers; a fork that fails
+    is raised as an :class:`cosserat2d.errors.IoError` there.
+    """
+    grid = state.grid
+    names = [t for t in ALL_TERMS if t in _live_terms(terms, p)]
+    shared = np.frombuffer(mmap.mmap(-1, (9 + len(names)) * grid.nx * grid.ny
+                                     * 8)).reshape((-1,) + grid.shape)
+    positions, densities = shared[:3], shared[9:]
+    results = shared[3:9].reshape((2, 3) + grid.shape)
+    positions[...] = state.u1, state.u2, state.theta
+    state.u1, state.u2, state.theta = held = tuple(positions)
+
+    def serve(rows, requests, replies) -> None:
+        slot = bytearray(1)
+        while _receive_into(requests, slot):
+            try:
+                _rhs_rows(positions, grid, p, terms, eps_reg, rows,
+                          results[slot[0]], densities)
+                failed = False
+            except Exception:  # the parent's serial kernel raises it again
+                failed = True
+            _send(replies, bytes([failed]))
+
+    usable = _usable_cpus()
+    workers = []
+    turns = itertools.cycle(range(2))
+
+    def rhs(current: FieldState, params: MaterialParams) -> RhsFields:
+        if params is not p or any(a is not b for a, b in zip(
+                (current.u1, current.u2, current.theta), held)):
+            return _rhs(current, params, terms, eps_reg)
+        slot = next(turns)
+        for worker in workers:
+            try:
+                _send(worker.requests, bytes([slot]))
+            except BrokenPipeError:
+                pass  # the worker died; waiting for its reply reports it
+        failed = False
+        try:
+            _rhs_rows(positions, grid, p, terms, eps_reg, bands[0],
+                      results[slot], densities)
+        except Exception:  # the serial kernel below raises it again
+            failed = True
+        finally:
+            for worker, (i0, i1) in zip(list(workers), bands[1:]):
+                reply = bytearray(1)
+                if not _receive_into(worker.replies, reply):
+                    workers.remove(worker)
+                    raise WorkerExited(
+                        f"the band worker of rows {i0} to {i1 - 1} exited "
+                        f"with {_reap(worker)}")
+                failed |= reply[0]
+        if failed:
+            return _rhs(current, p, terms, eps_reg)
+        acc = results[slot]
+        return RhsFields(acc_u=acc[:2], acc_theta=acc[2],
+                         potential=term_totals(zip(names, densities),
+                                               grid.cell_area))
+
+    try:
+        for k, rows in enumerate(bands[1:], 1):
+            workers.append(_fork_child(functools.partial(serve, rows),
+                                       usable[k % len(usable)],
+                                       "band worker"))
+        yield rhs
+    finally:
+        while workers:
+            _reap(workers.pop())
 
 
 def linear_chiral_forces(u1, u2, phi, dx, dy, dxx, dyy, p: MaterialParams):

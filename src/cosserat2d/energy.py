@@ -84,6 +84,13 @@ _Invariants = namedtuple("_Invariants",
                          defaults=(None,) * 12)
 
 
+def _band_rows(a):
+    """``a`` without the first and the last of its grid rows (its
+    second-to-last axis): a band's rows within the rows around it (see
+    :func:`_invariants`)."""
+    return a[..., 1:-1, :]
+
+
 def _live_terms(terms, p: MaterialParams) -> tuple[str, ...]:
     """``terms`` without the interaction when ``chi = 0``: it then has no
     energy, no gradient and no verify row."""
@@ -164,16 +171,19 @@ _DENSITIES = {
 ALL_TERMS = tuple(_DENSITIES)
 
 
-def term_densities(k: _Invariants, p: MaterialParams):
+def term_densities(k: _Invariants, p: MaterialParams, band=False):
     """Yield ``(term, density)`` for each of ``k.terms`` from the invariants
-    ``k`` (:func:`_invariants`).
+    ``k`` (:func:`_invariants`); with ``band``, on the band's own rows of
+    invariants built with ``band``.
 
     Densities come one at a time, in :data:`ALL_TERMS` order, so a caller
     that sums each keeps one alive.
     """
     for term, (density, reads) in _DENSITIES.items():
         if term in k.terms:
-            yield term, density(*(getattr(k, name) for name in reads), p)
+            args = (getattr(k, name) for name in reads)
+            yield term, density(*(map(_band_rows, args) if band else args),
+                                p)
 
 
 def term_totals(densities, cell_area: float) -> dict[str, float]:
@@ -220,7 +230,7 @@ class EnergyBreakdown:
 
 
 def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
-                window=None) -> _Invariants:
+                window=None, band=False) -> _Invariants:
     """The :data:`_Invariants` of ``terms`` at ``state``, from one
     derivative of ``w = u1 + i u2`` per axis and one angle gradient.
 
@@ -231,12 +241,20 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     derivatives are taken across each block, whose wrap spoils only the
     block's outer ring, so each value has the full-grid bits of the
     block's values.  A degenerate ``det F`` names its grid node.
+
+    With ``band``, ``u1``, ``u2`` and ``theta`` are instead a band of grid
+    rows with the two rows either side of it, wrapped periodically.  The
+    invariants are built on the band and one row either side (the block
+    without its outer rows), with the full-grid bits for the same reason,
+    and the ``det F`` check sees the band's own rows only.
     """
     live = _live_terms(terms, p)
     grid = state.grid
     u1, u2, theta = state.u1, state.u2, state.theta
     nodes = None
-    if window is None:
+    if band:
+        inner = _band_rows
+    elif window is None:
         def inner(a):
             return a
     else:
@@ -255,7 +273,7 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     # its last read; w is built once per axis for that.
     return _planar_invariants(live, inner(_w_derivative(ddx, u1, u2, grid)),
                               inner(_w_derivative(ddy, u1, u2, grid)),
-                              inner(theta), g, eps_reg, nodes)
+                              inner(theta), g, eps_reg, nodes, band)
 
 
 def _w_derivative(derivative, u1, u2, grid):
@@ -267,18 +285,20 @@ def _w_derivative(derivative, u1, u2, grid):
 
 def _planar_invariants(terms, wx, wy, theta, g=None,
                       eps_reg: float = DEFAULT_EPS_REG,
-                      nodes=None) -> _Invariants:
+                      nodes=None, band=False) -> _Invariants:
     """The :data:`_Invariants` of ``terms`` (all live) from the pointwise
     derivatives ``wx``, ``wy`` of ``w = u1 + i u2``, the angle ``theta`` and,
     for the curvature and the interaction, its gradient ``g``.
 
     The polar coupling first checks ``det F`` (:func:`check_polar_det`,
     which names the grid node ``nodes`` gives a value, if given), taken
-    from the entries of ``F`` as ``det2`` takes it.
+    from the entries of ``F`` as ``det2`` takes it; with ``band``, on the
+    band's own rows only.
     """
     if "coupling" in terms:
-        check_polar_det((1.0 + wx.real) * (1.0 + wy.imag)
-                        - wy.real * wx.imag, nodes)
+        det = (1.0 + wx.real) * (1.0 + wy.imag) - wy.real * wx.imag
+        check_polar_det(_band_rows(det) if band else det, nodes)
+        del det
     fa = 1j * wy
     xi = wx - fa  # fc - 2
     xi += 2.0

@@ -29,6 +29,10 @@ class NonFiniteState(Cosserat2DError):
     """A field state stopped being finite during time integration."""
 
 
+class WorkerExited(Cosserat2DError):
+    """A forked worker of a computation exited before it answered."""
+
+
 class ConfigError(Cosserat2DError):
     """Malformed or invalid scenario configuration."""
 

@@ -259,14 +259,22 @@ _REPLY = struct.Struct("<q")
 
 
 @dataclass
-class _Writer:
-    """A forked snapshot writer, the parent's ends of its two pipes and the
-    absolute path of the snapshot it is writing, if any."""
+class _Child:
+    """A forked child process, the parent's ends of its two pipes and, for a
+    snapshot writer, the absolute path of the snapshot it is writing."""
 
     pid: int
     requests: int
     replies: int
     path: str | None = None
+
+
+#: Every child :func:`_fork_child` made and :func:`_reap` has not.  A fork
+#: copies all of this process's file descriptors, whichever pool opened
+#: them, so the list is kept for the process: each new child closes the
+#: pipe ends of the others, or a child would not see its own request pipe
+#: close while a sibling held it open.
+_children: list[_Child] = []
 
 
 def _send(fd: int, data) -> None:
@@ -316,10 +324,20 @@ def _pin(cpus) -> None:
         pass  # no affinity API, or refused: run unpinned
 
 
-def _start_writer(others, cpu: int) -> _Writer:
-    """Fork a writer running :func:`_serve`, pinned to ``cpu``; ``others``
-    are the writers already running, whose pipe ends the new one closes.  A
-    failed fork is raised as an :class:`IoError`."""
+def _usable_cpus() -> list[int]:
+    """The CPUs this process may run on, lowest first; without an affinity
+    API, ``os.cpu_count()`` of them (one if unknown)."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
+
+
+def _fork_child(serve, cpu: int, role: str) -> _Child:
+    """Fork a child pinned to ``cpu`` that runs ``serve(requests,
+    replies)`` on the read end of a request pipe and the write end of a
+    reply pipe, and exits with 0 once it returns (1 if it raised).  A
+    failed fork is raised as an :class:`IoError` naming ``role``."""
     request_read, request_write = os.pipe()
     reply_read, reply_write = os.pipe()
     try:
@@ -327,25 +345,36 @@ def _start_writer(others, cpu: int) -> _Writer:
     except OSError as exc:
         for fd in (request_read, request_write, reply_read, reply_write):
             os.close(fd)
-        raise IoError(f"cannot start a snapshot writer: {exc}") from exc
+        raise IoError(f"cannot start a {role}: {exc}") from exc
     if pid == 0:
         status = 1
         try:
-            # An interrupt stops the stepping, not a half-written file.
+            # An interrupt stops the parent, which then ends its children:
+            # a writer does not leave a half-written file.
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            # Only the parent may hold a writer's request pipe open, or the
-            # writer never sees it close.
             for fd in (request_write, reply_read,
-                       *(fd for w in others for fd in (w.requests, w.replies))):
+                       *(fd for c in _children for fd in (c.requests,
+                                                          c.replies))):
                 os.close(fd)
             _pin({cpu})
-            _serve(request_read, reply_write)
+            serve(request_read, reply_write)
             status = 0
         finally:
             os._exit(status)
     os.close(request_read)
     os.close(reply_write)
-    return _Writer(pid, request_write, reply_read)
+    child = _Child(pid, request_write, reply_read)
+    _children.append(child)
+    return child
+
+
+def _reap(child: _Child) -> int:
+    """Close the pipes to ``child``, wait for it to exit and return its exit
+    code."""
+    _children.remove(child)
+    os.close(child.requests)
+    os.close(child.replies)
+    return os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
 
 
 @contextmanager
@@ -376,18 +405,12 @@ def snapshot_writer(count: int):
     if not hasattr(os, "fork"):
         yield lambda state, path: save_snapshot(state, os.path.abspath(path))
         return
-    try:
-        usable = sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        usable = range(os.cpu_count() or 1)
+    usable = _usable_cpus()
     writers = []  # in turn: the next to write first, with the oldest in flight
 
     def retire(writer) -> int:
-        """Close the pipes to ``writer``, reap it and return its exit code."""
         writers.remove(writer)
-        os.close(writer.requests)
-        os.close(writer.replies)
-        return os.waitstatus_to_exitcode(os.waitpid(writer.pid, 0)[1])
+        return _reap(writer)
 
     def wait(writer) -> str:
         """Wait for the snapshot ``writer`` has in flight, if any; return its
@@ -433,8 +456,8 @@ def snapshot_writer(count: int):
     _pin(usable[:1])
     try:
         for k in range(min(len(usable), count)):
-            writers.append(
-                _start_writer(writers, usable[(k + 1) % len(usable)]))
+            writers.append(_fork_child(_serve, usable[(k + 1) % len(usable)],
+                                       "snapshot writer"))
         yield write
     finally:
         _pin(usable)  # the CPUs this process had

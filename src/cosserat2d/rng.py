@@ -66,8 +66,11 @@ def random_smooth_state(grid: Grid, seed: int, amplitude: float,
     ``cos(a + b + phase) = cos a cos(b + phase) + sin a (-sin(b + phase))``
     with ``a = 2 pi mx x / lx`` and ``b = 2 pi my y / ly``: the x table
     stacks ``cos a`` over ``sin a``, the y table the matching columns, and
-    the sum over their rows runs without a grid-sized temporary.
+    the sum over their rows runs without a grid-sized temporary.  The six
+    fields are allocated before the tables, so a grid too large for the
+    machine fails at once with a :class:`MemoryError`.
     """
+    fields = [np.empty(grid.shape) for _ in FieldState.FIELD_NAMES]
     rng = SplitMix64(seed)
     mx, my = np.array([(i, j) for i in range(0, modes + 1)
                        for j in range(-modes, modes + 1)], dtype=float).T
@@ -79,15 +82,13 @@ def random_smooth_state(grid: Grid, seed: int, amplitude: float,
     a = 2.0 * math.pi * mx[:, None] * x / grid.lx
     b = 2.0 * math.pi * my[:, None] * y / grid.ly
     table_x = np.concatenate([np.cos(a), np.sin(a)])
-    fields = []
-    for coeff, phase in draws.transpose(0, 2, 1):
+    for field, (coeff, phase) in zip(fields, draws.transpose(0, 2, 1)):
         shifted = b + phase[:, None]
         coeff = coeff[:, None]
         table_y = np.concatenate([coeff * np.cos(shifted),
                                   -coeff * np.sin(shifted)])
         # einsum, not matmul: its sums do not depend on the BLAS threads.
-        field = np.einsum("mi,mj->ij", table_x, table_y)
+        np.einsum("mi,mj->ij", table_x, table_y, out=field)
         field *= amplitude
         field /= len(mx)
-        fields.append(field)
     return FieldState(grid=grid, **dict(zip(FieldState.FIELD_NAMES, fields)))

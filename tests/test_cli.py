@@ -306,6 +306,21 @@ def test_a_grid_merely_too_big_for_the_machine_is_out_of_memory(tmp_path,
     assert capsys.readouterr().err.startswith("error: out of memory: ")
 
 
+def test_a_random_start_too_big_for_the_machine_is_out_of_memory(
+        tmp_path, monkeypatch, capsys):
+    # verify's random start allocates its six fields, and fails there,
+    # before any per-axis table: at 2**24 nodes a side the tables alone
+    # would take gigabytes, so building one first fails this test instead.
+    def no_table_before_the_fields(grid):
+        raise AssertionError("a per-axis table came before the fields")
+
+    monkeypatch.setattr(Grid, "axes", no_table_before_the_fields)
+    cfg = write_config(tmp_path, {"grid": {"nx": 2**24, "ny": 2**24}})
+    assert main(["verify", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: out of memory: ")
+
+
 def test_verify_defaults_pass(tmp_path, capsys):
     out = tmp_path / "v"
     assert main(["verify", "--out", str(out)]) == 0
@@ -1235,3 +1250,117 @@ def test_simulate_without_fork_writes_inline(tmp_path, monkeypatch):
     assert names == sorted(p.name for p in inline.iterdir())
     for name in names:
         assert (forked / name).read_bytes() == (inline / name).read_bytes()
+
+
+#: A run on a grid of two bands' worth of nodes (dynamics.row_bands).
+BAND_SIM = {
+    "grid": {"nx": 256, "ny": 256},
+    "sim": {"dt": 0.0002, "steps": 4, "output_every": 2},
+    "initial": {"kind": "random_smooth", "seed": 3, "amplitude": 0.01},
+}
+
+
+def test_a_banded_run_writes_the_bytes_of_a_one_cpu_run(
+        tmp_path, monkeypatch, deadline):
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("needs os.fork and os.sched_getaffinity")
+    cfg = write_config(tmp_path, BAND_SIM)
+    forked = counting_forks(monkeypatch)
+    cpus = len(os.sched_getaffinity(0))
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "all")]) == 0
+    # A writer per CPU for the 3 snapshots, and a band worker per CPU
+    # after the first for the 2 bands.
+    assert len(forked) == min(cpus, 3) + min(cpus, 2) - 1
+    forked.clear()
+    # One usable CPU: one writer and the serial kernel (the same_cpus
+    # fixture gives the others back).
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "one")]) == 0
+    assert len(forked) == 1
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in names:
+        assert ((tmp_path / "all" / name).read_bytes()
+                == (tmp_path / "one" / name).read_bytes())
+
+
+def test_a_band_worker_killed_mid_run_exits_2_and_leaves_nothing(
+        tmp_path, monkeypatch, capsys, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    set_usable_cpus(monkeypatch, 2)
+    parent, calls = os.getpid(), []
+    rows = dynamics._rhs_rows
+
+    def dying_rows(*args):
+        # Runs in the worker as well: it dies in its third band, the end of
+        # step 2.
+        if os.getpid() != parent:
+            calls.append(1)
+            if len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return rows(*args)
+
+    monkeypatch.setattr(dynamics, "_rhs_rows", dying_rows)
+    cfg = write_config(tmp_path, BAND_SIM)
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical error: step 2 (t = 0.0004): the band worker of rows 128 "
+        f"to 255 exited with -{int(signal.SIGKILL)}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("way_out", [
+    "end", "io", "degenerate", "non-finite", "interrupt"])
+def test_no_process_outlives_a_banded_run(tmp_path, monkeypatch, capsys,
+                                          deadline, way_out):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    set_usable_cpus(monkeypatch, 2)
+    forked = counting_forks(monkeypatch)
+    out = tmp_path / "out"
+    if way_out == "io":
+        (out / "snapshot_000002.csv").mkdir(parents=True)
+    steps = []
+    step = cli.step_leapfrog
+
+    def failing_step(state, dt, rhs, p, acc):
+        # Step 2 changes the shared positions or a velocity (which the
+        # drift carries into u1) before it steps, or it is interrupted.
+        steps.append(1)
+        if len(steps) == 2:
+            if way_out == "degenerate":  # d_x u1 = -3 at node (200, 17)
+                state.u1[201, 17] = state.u1[199, 17] - 6.0 / 256
+            elif way_out == "non-finite":
+                state.v1[3, 3] = math.nan
+            elif way_out == "interrupt":
+                raise KeyboardInterrupt
+        return step(state, dt, rhs, p, acc)
+
+    monkeypatch.setattr(cli, "step_leapfrog", failing_step)
+    cfg = write_config(tmp_path, BAND_SIM)
+    argv = ["simulate", "--config", cfg, "--out", str(out)]
+    if way_out == "interrupt":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        code, message = {
+            "end": (0, ""),
+            "io": (1, "error: cannot write"),
+            "degenerate": (2, "numerical error: step 2 (t = 0.0004): "
+                              "det(F) <= 1e-12 at node (200, 17)"),
+            "non-finite": (2, "numerical error: step 2 (t = 0.0004): state "
+                              "became non-finite during leapfrog step: u1 at "
+                              "node (3, 3)"),
+        }[way_out]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(message)
+    # A band worker and the writers were forked, and all are gone.
+    assert len(forked) == 3
+    assert unreaped(forked) == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

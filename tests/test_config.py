@@ -3,10 +3,16 @@ unknown keys and wrong scalar types, and typed file errors."""
 
 import json
 import math
+import time
 
 import pytest
 
-from cosserat2d.config import ScenarioConfig, load_config, save_config
+from cosserat2d.config import (
+    ScenarioConfig,
+    SimSettings,
+    load_config,
+    save_config,
+)
 from cosserat2d.errors import ConfigError, IoError
 from cosserat2d.materials import MaterialParams, ModelSelector
 
@@ -135,3 +141,17 @@ def test_partial_grid_takes_the_other_size_from_the_default():
     assert (cfg.grid.nx, cfg.grid.ny) == (8, 32)
     with pytest.raises(ConfigError, match="got 2x32"):
         ScenarioConfig.from_dict({"grid": {"nx": 2}})
+
+
+def test_snapshot_count_is_the_number_of_steps_that_write_one():
+    for steps in range(51):
+        for output_every in range(1, 8):
+            sim = SimSettings(steps=steps, output_every=output_every)
+            assert sim.snapshot_count() == sum(
+                map(sim.writes_snapshot, range(steps + 1))), (steps,
+                                                                output_every)
+    # In closed form: no loop over the steps, however many there are.
+    start = time.perf_counter()
+    assert SimSettings(steps=10**20, output_every=3).snapshot_count() == (
+        10**20 // 3 + 2)
+    assert time.perf_counter() - start < 0.1

@@ -9,6 +9,7 @@ closed forms assembled independently inside the tests.
 
 import dataclasses
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -1057,3 +1058,96 @@ def test_kernels_commute_with_a_quarter_turn(kernel, p, bound, n, length):
     assert np.abs(turned.acc_theta - expected_theta).max() <= bound * scale
     # The turn moves the state, so the check is not vacuous.
     assert not np.array_equal(quarter_turned(state).u1, state.u1)
+
+
+_BAND_MODELS = {
+    "polar-chi0.3": (MaterialParams(chi=0.3), ModelSelector.nonchiral()),
+    "polar-chi0": (MaterialParams(chi=0.0), ModelSelector.nonchiral()),
+    "skew": (MaterialParams(chi=0.3), ModelSelector.nonchiral("skew")),
+    "chiral": (_CHIRAL_MATERIAL, ModelSelector.chiral()),
+}
+
+
+@pytest.mark.parametrize("model", _BAND_MODELS)
+@pytest.mark.parametrize("grid, bands", [
+    (Grid(256, 256), [(0, 128), (128, 256)]),
+    (Grid(40, 36, lx=1.3), [(0, 13), (13, 27), (27, 40)]),
+    # Bands of 12, 12 and 13 rows, each with a halo wrapping past both ends
+    # of a 2-row band's grid.
+    (Grid(37, 20), [(0, 12), (12, 24), (24, 37)]),
+    (Grid(5, 16), [(0, 2), (2, 5)]),
+], ids=["256x256", "40x36-lx1.3", "37x20", "5x16"])
+def test_banded_kernel_is_bitwise_the_serial_kernel(model, grid, bands):
+    p, sel = _BAND_MODELS[model]
+    terms = sel.active_terms()
+    state = random_smooth_state(grid, seed=5, amplitude=0.05)
+    with dynamics.banded_rhs(state, p, terms, 1e-8, bands) as rhs:
+        results = []
+        for _ in range(3):
+            results.append((rhs(state, p), state.copy()))
+            state.u1 += 1e-3 * state.v1  # the positions move in place
+            state.theta += 1e-3 * state.omega
+        # A result stays valid through the next call: the last two.
+        for acc, at in results[1:]:
+            expected = dynamics._rhs(at, p, terms, 1e-8)
+            assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
+            assert acc.acc_theta.tobytes() == expected.acc_theta.tobytes()
+            assert list(acc.potential.items()) == list(
+                expected.potential.items())
+
+
+def test_a_degenerate_node_in_a_worker_band_raises_the_serial_message():
+    grid = Grid(40, 36, lx=1.3)
+    p, terms = MaterialParams(chi=0.3), ModelSelector.nonchiral().active_terms()
+    state = random_smooth_state(grid, seed=5, amplitude=0.05)
+    bands = [(0, 13), (13, 27), (27, 40)]
+    with dynamics.banded_rhs(state, p, terms, 1e-8, bands) as rhs:
+        kept = state.u1[31, 7]
+        # d_x u1 = -1.3 at node (30, 7), in the last band and no other's
+        # halo.
+        state.u1[31, 7] = state.u1[29, 7] - 1.3 * 2.0 * grid.hx
+        with pytest.raises(DegenerateDeformation) as serial:
+            dynamics._rhs(state.copy(), p, terms, 1e-8)
+        assert "at node (30, 7)" in str(serial.value)
+        with pytest.raises(DegenerateDeformation) as banded:
+            rhs(state, p)
+        assert str(banded.value) == str(serial.value)
+        # Every band answered, so the next call has the serial bits again.
+        state.u1[31, 7] = kept
+        acc = rhs(state, p)
+        expected = dynamics._rhs(state.copy(), p, terms, 1e-8)
+        assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
+        assert acc.acc_theta.tobytes() == expected.acc_theta.tobytes()
+
+
+def test_another_state_or_material_takes_the_serial_kernel():
+    grid = Grid(16, 16)
+    p, terms = MaterialParams(chi=0.3), ModelSelector.nonchiral().active_terms()
+    state = random_smooth_state(grid, seed=5, amplitude=0.05)
+    other = random_smooth_state(grid, seed=6, amplitude=0.05)
+    with dynamics.banded_rhs(state, p, terms, 1e-8, [(0, 8), (8, 16)]) as rhs:
+        for s, q in ((other, p), (state, dataclasses.replace(p, chi=0.5))):
+            acc = rhs(s, q)
+            expected = dynamics._rhs(s, q, terms, 1e-8)
+            assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
+            assert acc.potential == expected.potential
+
+
+@pytest.mark.parametrize("grid, cpus, bands", [
+    # Two bands from 2 * 2**15 nodes on, one per usable CPU.
+    (Grid(256, 256), 2, [(0, 128), (128, 256)]),
+    (Grid(512, 128), 2, [(0, 256), (256, 512)]),
+    (Grid(256, 255), 2, [(0, 256)]),
+    (Grid(256, 256), 1, [(0, 256)]),
+    (Grid(256, 256), 4, [(0, 128), (128, 256)]),
+    (Grid(385, 512), 4, [(0, 96), (96, 192), (192, 288), (288, 385)]),
+    # No band is empty.
+    (Grid(4, 2**20), 8, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+])
+def test_row_bands_follow_the_usable_cpus_and_the_grid_size(
+        monkeypatch, grid, cpus, bands):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    assert dynamics.row_bands(grid) == bands
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert dynamics.row_bands(grid) == [(0, grid.nx)]
