@@ -209,9 +209,10 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
                 DEFAULT_EPS_REG)
 
 
-#: The fewest grid nodes a band of :func:`row_bands` has: a grid of fewer
-#: than two bands' worth runs the serial kernel, as the time of forking,
-#: signalling and the halo rows is not won back there.
+#: The fewest grid nodes a band of :func:`row_bands` has.  A grid of fewer
+#: than two bands' worth runs the serial kernel: there a second band saves
+#: a fraction of a millisecond a step, which a snapshot writer sharing the
+#: band worker's CPU takes back (measured in the README).
 BAND_NODES = 2**15
 
 
@@ -259,13 +260,18 @@ def banded_rhs(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     has the serial kernel's bits.  If any band fails, the serial kernel
     runs instead, and raises what it raises; a worker that died is raised
     as :class:`WorkerExited`.  Another state or material is left to the
-    serial kernel.  Leaving the block ends the workers; a fork that fails
-    is raised as an :class:`cosserat2d.errors.IoError` there.
+    serial kernel.  Leaving the block ends the workers.  A mapping the
+    system refuses is raised as a :class:`MemoryError`, and a fork that
+    fails as an :class:`cosserat2d.errors.IoError`, when the block opens.
     """
     grid = state.grid
     names = [t for t in ALL_TERMS if t in _live_terms(terms, p)]
-    shared = np.frombuffer(mmap.mmap(-1, (9 + len(names)) * grid.nx * grid.ny
-                                     * 8)).reshape((-1,) + grid.shape)
+    try:
+        mapping = mmap.mmap(-1, (9 + len(names)) * grid.nx * grid.ny * 8)
+    except OSError as exc:  # more than the system will map
+        raise MemoryError(f"cannot map the fields the row bands share: "
+                          f"{exc}") from exc
+    shared = np.frombuffer(mapping).reshape((-1,) + grid.shape)
     positions, densities = shared[:3], shared[9:]
     results = shared[3:9].reshape((2, 3) + grid.shape)
     positions[...] = state.u1, state.u2, state.theta

@@ -3,8 +3,10 @@ the error paths promised by the tool."""
 
 import contextlib
 import ctypes
+import errno
 import json
 import math
+import mmap
 import os
 import platform
 import signal
@@ -1284,6 +1286,25 @@ def test_a_banded_run_writes_the_bytes_of_a_one_cpu_run(
     for name in names:
         assert ((tmp_path / "all" / name).read_bytes()
                 == (tmp_path / "one" / name).read_bytes())
+
+
+def test_a_shared_mapping_the_system_refuses_is_out_of_memory(
+        tmp_path, monkeypatch, capsys):
+    set_usable_cpus(monkeypatch, 2)
+    forked = counting_forks(monkeypatch)
+
+    def refused(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(mmap, "mmap", refused)
+    cfg = write_config(tmp_path, BAND_SIM)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory: cannot map the fields the row bands share: "
+        "[Errno 12] Cannot allocate memory\n")
+    assert forked == []
+    assert list(out.iterdir()) == []
 
 
 def test_a_band_worker_killed_mid_run_exits_2_and_leaves_nothing(
