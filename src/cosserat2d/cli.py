@@ -37,7 +37,6 @@ from .dynamics import (
     quarter_turn_flag_report,
     rhs_chiral,
     rhs_nonlinear,
-    row_bands,
     step_leapfrog,
     verify_variational_consistency,
 )
@@ -51,7 +50,7 @@ from .errors import (
     NoRealBranch,
     WorkerExited,
 )
-from .fields import FieldState, snapshot_writer
+from .fields import FieldState, row_bands, snapshot_writer
 from .materials import CHIRAL
 from .reduction3d import full_reduction_report
 from .report import BLOCK_ROWS, VerificationReport, append_csv, write_csv
@@ -140,11 +139,10 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
 # --------------------------------------------------------------------------
 
 @contextlib.contextmanager
-def _rhs_for(cfg: ScenarioConfig, state: FieldState):
-    """Yield the right-hand side of a run from ``state``: in the row bands
-    of :func:`row_bands` where there are two or more, else the serial
-    kernel of the model."""
-    bands = row_bands(cfg.grid)
+def _rhs_for(cfg: ScenarioConfig, state: FieldState, bands):
+    """Yield the right-hand side of a run from ``state``: in the row
+    ``bands`` (:func:`row_bands`) where there are two or more, else the
+    serial kernel of the model."""
     if len(bands) > 1:
         # The chiral model has no interaction term, the only one that
         # reads eps_reg.
@@ -206,10 +204,12 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
     # A state that grows without bound overflows in the kernels before its
     # energy row or its fields stop being finite; that typed error is the
     # report.
-    # Snapshots are written by forked children while the stepping goes on.
+    # Snapshots are written by forked children while the stepping goes on,
+    # in the row bands of the right-hand side.
+    bands = row_bands(cfg.grid)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            _rhs_for(cfg, state) as rhs, \
-            snapshot_writer(sim.snapshot_count()) as write:
+            _rhs_for(cfg, state, bands) as rhs, \
+            snapshot_writer(sim.snapshot_count(), bands) as write:
         acc = rhs(state, p)
         # The time series is written as the run goes, so a run that dies
         # keeps every row it computed.

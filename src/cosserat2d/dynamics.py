@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 import mmap
-import os
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -209,25 +208,6 @@ def rhs_chiral(state: FieldState, p: MaterialParams) -> RhsFields:
                 DEFAULT_EPS_REG)
 
 
-#: The fewest grid nodes a band of :func:`row_bands` has.  A grid of fewer
-#: than two bands' worth runs the serial kernel: there a second band saves
-#: a fraction of a millisecond a step, which a snapshot writer sharing the
-#: band worker's CPU takes back (measured in the README).
-BAND_NODES = 2**15
-
-
-def row_bands(grid: Grid) -> list[tuple[int, int]]:
-    """The bands of grid rows ``(i0, i1)`` a run on ``grid`` evaluates its
-    right-hand side in (:func:`banded_rhs`): one per usable CPU, but at most
-    one per :data:`BAND_NODES` nodes, their heights at most one row apart.
-    Without ``os.fork`` there is one band, the whole grid."""
-    count = min(len(_usable_cpus()), grid.nx * grid.ny // BAND_NODES, grid.nx)
-    if count < 2 or not hasattr(os, "fork"):
-        count = 1
-    bounds = [grid.nx * k // count for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def _rhs_rows(positions: np.ndarray, grid: Grid, p: MaterialParams, terms,
               eps_reg: float, rows: tuple[int, int], acc: np.ndarray,
               densities: np.ndarray) -> None:
@@ -245,7 +225,8 @@ def _rhs_rows(positions: np.ndarray, grid: Grid, p: MaterialParams, terms,
 def banded_rhs(state: FieldState, p: MaterialParams, terms, eps_reg: float,
                bands):
     """Yield ``rhs(state, p)``, the right-hand side of :func:`_rhs` at
-    ``state``, evaluated in the row ``bands`` (:func:`row_bands`): the first
+    ``state``, evaluated in the row ``bands``
+    (:func:`cosserat2d.fields.row_bands`): the first
     by this process and each other by a worker forked when the block opens,
     pinned to the usable CPU with its position, wrapping round.
 

@@ -4,9 +4,11 @@ verification checks that are written with them.
 Every CSV file of the package is written here, so the number format is
 defined here once: a string column prints as is, an integer column as
 integers (``%d``), and any other column as floats with the bytes of
-``"%.17g" % v``, negative zero printing as ``0``.  Every file goes through
-:func:`write_csv` (the snapshots by way of :func:`write_grid_csv`), and
-:func:`append_csv` adds rows to a file :func:`write_csv` started.
+``"%.17g" % v``, negative zero printing as ``0``.  Every file is started by
+:func:`write_csv` (a snapshot by way of :func:`write_grid_csv`);
+:func:`append_csv` adds rows to its end, and :func:`write_at` writes lines
+(a later band of a snapshot's rows, from :func:`grid_csv_lines`) at an
+offset in it.
 
 Floats are formatted a block at a time with numpy (:func:`_float_cells`):
 each value is scaled by a power of ten as an exact double-double product
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -289,18 +292,22 @@ def _csv_blocks(columns):
         yield _lines(cells)
 
 
-def _write(path, mode: str, chunks) -> None:
+def _write(path, mode: str, chunks) -> int:
+    """Write ``chunks`` to ``path`` opened in ``mode``; return the offset
+    the file then ends at."""
     try:
         with open(path, mode) as fh:
             fh.writelines(chunks)
+            return fh.tell()
     except OSError as exc:
         raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write equal-length ``columns`` as CSV rows under the ``header`` line."""
-    _write(path, "wb", itertools.chain([header.encode("utf-8") + b"\n"],
-                                       _csv_blocks(columns)))
+def write_csv(path, header: str, columns) -> int:
+    """Write equal-length ``columns`` as CSV rows under the ``header`` line;
+    return the size of the file."""
+    return _write(path, "wb", itertools.chain(
+        [header.encode("utf-8") + b"\n"], _csv_blocks(columns)))
 
 
 def append_csv(path, columns) -> None:
@@ -309,22 +316,55 @@ def append_csv(path, columns) -> None:
     _write(path, "ab", _csv_blocks(columns))
 
 
-def write_grid_csv(path, header: str, x, y, fields) -> None:
-    """Write one row ``i,j,x[i],y[j]`` followed by ``f[i, j]`` for each of
-    ``fields`` per grid node, ``i``-major, under the ``header`` line, with
-    :func:`write_csv`.
+def write_at(path, offset: int, lines) -> int:
+    """Write the byte strings ``lines`` into the existing file ``path`` from
+    byte ``offset`` on; return the offset after them."""
+    try:
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            for line in lines:
+                view = memoryview(line)
+                while view:
+                    written = os.pwrite(fd, view, offset)
+                    view, offset = view[written:], offset + written
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise IoError(f"cannot write {path!r}: {exc}") from exc
+    return offset
+
+
+def _grid_columns(x, y, fields, first: int = 0):
+    """The columns ``i,j,x[i],y[j]`` and ``f[i, j]`` for each of ``fields``,
+    one row per node, ``i``-major, for the grid rows ``i = first, ...,
+    first + len(x) - 1``: ``x`` holds their coordinates, ``y`` those of the
+    grid columns and ``fields`` those rows.
 
     The cells of ``i``, ``j``, ``x`` and ``y`` are formatted once per call
     and repeated for every node (two float and two integer cells a node),
     so a block of nodes formats only its field values.
     """
     nx, ny = len(x), len(y)
-    write_csv(path, header, [
-        np.repeat(_text_cells([b"%d" % i for i in range(nx)]), ny, axis=0),
+    return [
+        np.repeat(_text_cells([b"%d" % i for i in range(first, first + nx)]),
+                  ny, axis=0),
         np.tile(_text_cells([b"%d" % j for j in range(ny)]), (nx, 1)),
         np.repeat(_float_cells(x), ny, axis=0),
         np.tile(_float_cells(y), (nx, 1)),
-        *(np.ravel(f) for f in fields)])
+        *(np.ravel(f) for f in fields)]
+
+
+def grid_csv_lines(x, y, fields, first: int = 0):
+    """The CSV lines of the grid rows from ``first`` on, a block of nodes
+    at a time, with no header: rows of :func:`write_grid_csv`."""
+    return _csv_blocks(_grid_columns(x, y, fields, first))
+
+
+def write_grid_csv(path, header: str, x, y, fields) -> int:
+    """Write one row ``i,j,x[i],y[j]`` followed by ``f[i, j]`` for each of
+    ``fields`` per grid node, ``i``-major, under the ``header`` line, with
+    :func:`write_csv`; return the size of the file."""
+    return write_csv(path, header, _grid_columns(x, y, fields))
 
 
 @dataclass(frozen=True)

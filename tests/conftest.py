@@ -68,6 +68,13 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+def set_usable_cpus(monkeypatch, cpus):
+    """Make the test process see the CPUs ``0`` to ``cpus - 1`` as usable."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 def reference_snapshot(state, path):
     """A snapshot as ten columns, one value per node in each:
     ``i,j,x,y,u1,u2,theta,v1,v2,omega``, formatted one value at a time with

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import cosserat2d
-from conftest import reference_branches
+from conftest import reference_branches, set_usable_cpus
 from cosserat2d import cli, dynamics, fields
 from cosserat2d.cli import main
 from cosserat2d.config import ScenarioConfig, load_config
@@ -927,20 +927,14 @@ def counting_forks(monkeypatch):
     return forked
 
 
-def set_usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-
-
 def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
         tmp_path, monkeypatch, deadline):
     handed = []  # (state as handed to write, path)
     writer = cli.snapshot_writer
 
     @contextlib.contextmanager
-    def recording_writer(count):
-        with writer(count) as write:
+    def recording_writer(count, bands):
+        with writer(count, bands) as write:
             def recording(state, path):
                 handed.append((state.copy(), path))
                 write(state, path)
@@ -977,9 +971,9 @@ def test_the_pool_is_told_how_many_snapshots_the_run_writes(
     counts = []
     writer = cli.snapshot_writer
 
-    def counting_writer(count):
+    def counting_writer(count, bands):
         counts.append(count)
-        return writer(count)
+        return writer(count, bands)
 
     monkeypatch.setattr(cli, "snapshot_writer", counting_writer)
     cfg = write_config(tmp_path, {**SMALL_SIM, "sim": {
@@ -1002,7 +996,7 @@ def test_the_pool_forks_its_writers_when_it_opens(tmp_path, monkeypatch,
         set_usable_cpus(monkeypatch, cpus)
         for count in (1, 21):
             forked.clear()
-            with fields.snapshot_writer(count) as write:
+            with fields.snapshot_writer(count, [(0, 4)]) as write:
                 assert len(forked) == min(cpus, count)
                 for k in range(count):
                     write(state, tmp_path / f"snapshot_{k}.csv")
@@ -1016,7 +1010,7 @@ def write_snapshots_and_wait(tmp_path, count, until_written):
     check that each file has the bytes of an inline write."""
     state = random_smooth_state(Grid(nx=4, ny=4), 3, 0.1, 1)
     paths = [tmp_path / f"snapshot_{k}.csv" for k in range(count)]
-    with fields.snapshot_writer(count) as write:
+    with fields.snapshot_writer(count, [(0, 4)]) as write:
         for path in paths:
             write(state, path)
         while not all(path.exists() for path in paths):
@@ -1058,11 +1052,11 @@ def test_the_stepping_process_gets_its_cpus_back(monkeypatch, deadline):
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         pytest.skip("needs os.fork and os.sched_getaffinity")
     before = os.sched_getaffinity(0)
-    with fields.snapshot_writer(2):
+    with fields.snapshot_writer(2, [(0, 4)]):
         pass
     assert os.sched_getaffinity(0) == before
     with pytest.raises(KeyboardInterrupt):
-        with fields.snapshot_writer(2):
+        with fields.snapshot_writer(2, [(0, 4)]):
             raise KeyboardInterrupt
     assert os.sched_getaffinity(0) == before
 
@@ -1159,17 +1153,17 @@ def test_writer_killed_mid_snapshot_exits_1_naming_the_path(
     reference, out = tmp_path / "reference", tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
     set_usable_cpus(monkeypatch, 2)
-    save = fields.save_snapshot
+    save_band = fields._save_band
 
-    def dying_save(state, path):
-        # Runs in the writer: die with snapshot 2 half written.
+    def dying_save_band(grid, values, rows, path, previous, following):
+        # Runs in the writer: die with snapshot 2 (one band) half written.
         if path.endswith("snapshot_000002.csv"):
             with open(path, "w") as fh:
                 fh.write("i,j,x,y\n")
             os.kill(os.getpid(), signal.SIGKILL)
-        save(state, path)
+        save_band(grid, values, rows, path, previous, following)
 
-    monkeypatch.setattr(fields, "save_snapshot", dying_save)
+    monkeypatch.setattr(fields, "_save_band", dying_save_band)
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     assert_run_died_at_snapshot_2(out, reference, capsys.readouterr().err)
 
@@ -1271,9 +1265,9 @@ def test_a_banded_run_writes_the_bytes_of_a_one_cpu_run(
     cpus = len(os.sched_getaffinity(0))
     assert main(["simulate", "--config", cfg, "--out",
                  str(tmp_path / "all")]) == 0
-    # A writer per CPU for the 3 snapshots, and a band worker per CPU
-    # after the first for the 2 bands.
-    assert len(forked) == min(cpus, 3) + min(cpus, 2) - 1
+    # A writer per CPU for the 2 bands of each of the 3 snapshots, and a
+    # band worker per CPU after the first for the 2 bands.
+    assert len(forked) == min(cpus, 3 * 2) + min(cpus, 2) - 1
     forked.clear()
     # One usable CPU: one writer and the serial kernel (the same_cpus
     # fixture gives the others back).
@@ -1286,6 +1280,137 @@ def test_a_banded_run_writes_the_bytes_of_a_one_cpu_run(
     for name in names:
         assert ((tmp_path / "all" / name).read_bytes()
                 == (tmp_path / "one" / name).read_bytes())
+
+
+def band_sim_outputs(tmp_path, monkeypatch, name):
+    """Run BAND_SIM into ``tmp_path / name`` with the band rule of two usable
+    CPUs; return the output directory."""
+    set_usable_cpus(monkeypatch, 2)
+    out = tmp_path / name
+    assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_each_band_of_a_snapshot_goes_to_a_different_writer(
+        tmp_path, monkeypatch, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    log = tmp_path / "bands.log"
+    save_band = fields._save_band
+
+    def logging_save_band(grid, values, rows, path, previous, following):
+        # Runs in the writers.
+        with open(log, "a") as fh:
+            fh.write(f"{os.path.basename(path)} {rows[0]} {rows[1]} "
+                     f"{os.getpid()}\n")
+        save_band(grid, values, rows, path, previous, following)
+
+    monkeypatch.setattr(fields, "_save_band", logging_save_band)
+    banded = band_sim_outputs(tmp_path, monkeypatch, "banded")
+    writers = {}
+    for line in log.read_text().splitlines():
+        name, i0, i1, pid = line.split()
+        writers.setdefault(name, {})[int(i0), int(i1)] = pid
+    names = ["snapshot_00000%d.csv" % step for step in (0, 2, 4)]
+    assert sorted(writers) == names
+    for name in names:
+        assert sorted(writers[name]) == [(0, 128), (128, 256)]
+        assert len(set(writers[name].values())) == 2
+    # The bytes of the serial kernel and inline writes.
+    monkeypatch.delattr(os, "fork")
+    inline = band_sim_outputs(tmp_path, monkeypatch, "inline")
+    for path in inline.iterdir():
+        assert (banded / path.name).read_bytes() == path.read_bytes()
+
+
+def test_a_later_band_writer_killed_mid_snapshot_exits_1_naming_the_path(
+        tmp_path, monkeypatch, capsys, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    reference = band_sim_outputs(tmp_path, monkeypatch, "reference")
+    write_at = fields.write_at
+
+    def dying_write_at(path, offset, lines):
+        # Runs in the writer of band 1: die with its rows half written.
+        if path.endswith("snapshot_000002.csv"):
+            write_at(path, offset, lines[:1])
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write_at(path, offset, lines)
+
+    monkeypatch.setattr(fields, "write_at", dying_write_at)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {str(out / 'snapshot_000002.csv')!r}: "
+        f"writer exited with -{int(signal.SIGKILL)}\n")
+    name = "snapshot_000000.csv"
+    assert (out / name).read_bytes() == (reference / name).read_bytes()
+    # Band 0 and the first block of band 1; snapshot 4 never began.
+    written = (out / "snapshot_000002.csv").read_bytes()
+    whole = (reference / "snapshot_000002.csv").read_bytes()
+    assert whole.index(b"\n128,0,") < len(written) < len(whole)
+    assert whole.startswith(written)
+    assert not (out / "snapshot_000004.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_first_band_writer_killed_leaves_the_next_neither_hung_nor_writing(
+        tmp_path, monkeypatch, capsys, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    save_band = fields._save_band
+    alarm = 20
+
+    def dying_save_band(grid, values, rows, path, previous, following):
+        # Runs in the writers: band 0 of snapshot 2 dies after a header
+        # line, and the writer of band 1, had it waited for ever, is ended
+        # by its own alarm.
+        if path.endswith("snapshot_000002.csv"):
+            if not rows[0]:
+                with open(path, "w") as fh:
+                    fh.write("i,j,x,y\n")
+                os.kill(os.getpid(), signal.SIGKILL)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(alarm)
+        save_band(grid, values, rows, path, previous, following)
+
+    monkeypatch.setattr(fields, "_save_band", dying_save_band)
+    set_usable_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    start = time.monotonic()
+    assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
+                 "--out", str(out)]) == 1
+    assert time.monotonic() - start < alarm
+    assert capsys.readouterr().err == (
+        f"error: cannot write {str(out / 'snapshot_000002.csv')!r}: "
+        f"writer exited with -{int(signal.SIGKILL)}\n")
+    assert (out / "snapshot_000002.csv").read_text() == "i,j,x,y\n"
+    assert not (out / "snapshot_000004.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_unwritable_band_path_names_the_first_bands_failure(
+        tmp_path, monkeypatch, capsys, deadline):
+    cfg = write_config(tmp_path, BAND_SIM)
+    set_usable_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    blocked = out / "snapshot_000002.csv"
+    blocked.mkdir(parents=True)
+    errors = []
+    for fork in (True, False):
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        errors.append(capsys.readouterr().err)
+        assert not (out / "snapshot_000004.csv").exists()
+    # The error of the first band, as an inline write raises it.
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: cannot write {str(blocked)!r}: ")
+    assert errors[0].count("\n") == 1
 
 
 def test_a_shared_mapping_the_system_refuses_is_out_of_memory(
@@ -1336,7 +1461,7 @@ def test_a_band_worker_killed_mid_run_exits_2_and_leaves_nothing(
 
 
 @pytest.mark.parametrize("way_out", [
-    "end", "io", "degenerate", "non-finite", "interrupt"])
+    "end", "io", "degenerate", "non-finite", "interrupt", "interrupt-send"])
 def test_no_process_outlives_a_banded_run(tmp_path, monkeypatch, capsys,
                                           deadline, way_out):
     if not hasattr(os, "fork"):
@@ -1363,9 +1488,23 @@ def test_no_process_outlives_a_banded_run(tmp_path, monkeypatch, capsys,
         return step(state, dt, rhs, p, acc)
 
     monkeypatch.setattr(cli, "step_leapfrog", failing_step)
+    parent, sends = os.getpid(), []
+    send = fields._send
+
+    def interrupted_send(fd, data):
+        # A band is a head and six fields: stop the parent half way
+        # through the second field of band 1 of snapshot 2, the fourth band.
+        if os.getpid() == parent and way_out == "interrupt-send":
+            sends.append(1)
+            if len(sends) == 3 * 7 + 3:
+                send(fd, memoryview(data).cast("B")[:100])
+                raise KeyboardInterrupt
+        send(fd, data)
+
+    monkeypatch.setattr(fields, "_send", interrupted_send)
     cfg = write_config(tmp_path, BAND_SIM)
     argv = ["simulate", "--config", cfg, "--out", str(out)]
-    if way_out == "interrupt":
+    if way_out.startswith("interrupt"):
         with pytest.raises(KeyboardInterrupt):
             main(argv)
     else:

@@ -9,7 +9,6 @@ closed forms assembled independently inside the tests.
 
 import dataclasses
 import math
-import os
 import tracemalloc
 import warnings
 
@@ -1141,23 +1140,3 @@ def test_another_state_or_material_takes_the_serial_kernel():
             expected = dynamics._rhs(s, q, terms, 1e-8)
             assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
             assert acc.potential == expected.potential
-
-
-@pytest.mark.parametrize("grid, cpus, bands", [
-    # Two bands from 2 * 2**15 nodes on, one per usable CPU.
-    (Grid(256, 256), 2, [(0, 128), (128, 256)]),
-    (Grid(512, 128), 2, [(0, 256), (256, 512)]),
-    (Grid(256, 255), 2, [(0, 256)]),
-    (Grid(256, 256), 1, [(0, 256)]),
-    (Grid(256, 256), 4, [(0, 128), (128, 256)]),
-    (Grid(385, 512), 4, [(0, 96), (96, 192), (192, 288), (288, 385)]),
-    # No band is empty.
-    (Grid(4, 2**20), 8, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-])
-def test_row_bands_follow_the_usable_cpus_and_the_grid_size(
-        monkeypatch, grid, cpus, bands):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
-    assert dynamics.row_bands(grid) == bands
-    monkeypatch.delattr(os, "fork", raising=False)
-    assert dynamics.row_bands(grid) == [(0, grid.nx)]

@@ -6,11 +6,13 @@ exact discrete identities: summation-by-parts adjointness, translation
 equivariance, and commutation of the shifts.
 """
 
+import os
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import reference_snapshot
+from conftest import reference_snapshot, set_usable_cpus
 from cosserat2d import fields, report
 from cosserat2d.algebra import mat_mul, rot2, transpose2
 from cosserat2d.errors import ConfigError, NonFiniteState
@@ -304,8 +306,9 @@ def test_snapshot_round_trip(tmp_path):
     assert rows[1 * grid.ny + 2][6] == "0"
 
 
-@pytest.mark.parametrize("nx, ny", [(4, 4), (4, 5), (33, 36), (128, 128)])
-def test_snapshot_matches_the_ten_column_reference(tmp_path, nx, ny):
+def state_with_specials(nx, ny):
+    """A smooth state on an ``nx`` by ``ny`` grid with ``-0.0``, ``nan``,
+    ``inf``, ``-inf`` and ``±1e±300`` spread over its first nodes."""
     grid = Grid(nx=nx, ny=ny, lx=2.5, ly=0.7)
     state = random_smooth_state(grid, seed=nx + ny, amplitude=0.3, modes=1)
     specials = (-0.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, -1e-300,
@@ -313,10 +316,64 @@ def test_snapshot_matches_the_ten_column_reference(tmp_path, nx, ny):
     for k, field in enumerate(state.field_arrays()):
         for m, value in enumerate(specials):
             field.flat[(k + 2 * m) % field.size] = value
+    return state
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (4, 5), (33, 36), (128, 128)])
+def test_snapshot_matches_the_ten_column_reference(tmp_path, nx, ny):
+    state = state_with_specials(nx, ny)
     save_snapshot(state, tmp_path / "snapshot.csv")
     reference_snapshot(state, tmp_path / "reference.csv")
     assert ((tmp_path / "snapshot.csv").read_bytes()
             == (tmp_path / "reference.csv").read_bytes())
+
+
+@pytest.mark.parametrize("nx, ny, heights", [
+    (37, 20, (12, 12, 13)),
+    (5, 16, (1, 1, 1, 1, 1)),
+    (4, 5, (2, 2)),  # the specials fill most of the grid
+])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_banded_snapshots_match_the_reference_and_an_inline_write(
+        tmp_path, monkeypatch, deadline, nx, ny, heights, cpus):
+    # Fewer writers than bands (one writer passes offsets to itself), as
+    # many, and more: three snapshots, so the bands go round the ring.
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    state = state_with_specials(nx, ny)
+    bounds = np.cumsum((0,) + heights).tolist()
+    bands = list(zip(bounds, bounds[1:]))
+    set_usable_cpus(monkeypatch, cpus)
+    paths = [tmp_path / f"snapshot_{k}.csv" for k in range(3)]
+    with fields.snapshot_writer(len(paths), bands) as write:
+        for path in paths:
+            write(state, path)
+    reference_snapshot(state, tmp_path / "reference.csv")
+    save_snapshot(state, tmp_path / "inline.csv")
+    reference = (tmp_path / "reference.csv").read_bytes()
+    assert (tmp_path / "inline.csv").read_bytes() == reference
+    for path in paths:
+        assert path.read_bytes() == reference
+
+
+@pytest.mark.parametrize("grid, cpus, bands", [
+    # Two bands from 2 * 2**15 nodes on, one per usable CPU.
+    (Grid(256, 256), 2, [(0, 128), (128, 256)]),
+    (Grid(512, 128), 2, [(0, 256), (256, 512)]),
+    (Grid(256, 255), 2, [(0, 256)]),
+    (Grid(256, 256), 1, [(0, 256)]),
+    (Grid(256, 256), 4, [(0, 128), (128, 256)]),
+    (Grid(385, 512), 4, [(0, 96), (96, 192), (192, 288), (288, 385)]),
+    # No band is empty.
+    (Grid(4, 2**20), 8, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+])
+def test_row_bands_follow_the_usable_cpus_and_the_grid_size(
+        monkeypatch, grid, cpus, bands):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    assert fields.row_bands(grid) == bands
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert fields.row_bands(grid) == [(0, grid.nx)]
 
 
 def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
