@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, IoError
-from .report import grid_csv_lines, write_at, write_grid_csv
+from .report import _tables, grid_csv_lines, write_at, write_grid_csv
 
 
 @dataclass(frozen=True)
@@ -455,7 +455,9 @@ def snapshot_writer(count: int, bands):
 
     ``min(usable CPUs, count * len(bands))`` writers are forked when the
     block opens, before the caller's heap grows, and live until it ends; a
-    fork that fails is raised as an :class:`IoError` there.  This process
+    fork that fails is raised as an :class:`IoError` there.  The tables of
+    the float formatter are built before the forks, so every writer shares
+    them instead of building its own.  This process
     keeps to the lowest usable CPU until the block ends, and writer ``k``
     pins itself to the ``k``-th usable CPU after it, wrapping round, so only
     a ring of one writer per CPU has a writer beside the stepping.  Left to
@@ -479,6 +481,7 @@ def snapshot_writer(count: int, bands):
     if not hasattr(os, "fork"):
         yield lambda state, path: save_snapshot(state, os.path.abspath(path))
         return
+    _tables()
     usable = _usable_cpus()
     writers = []  # in turn: the next to write first, with the oldest in flight
     links = []  # links[k]: the offset pipe from writer k to writer k + 1

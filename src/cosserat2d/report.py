@@ -10,13 +10,19 @@ integers (``%d``), and any other column as floats with the bytes of
 (a later band of a snapshot's rows, from :func:`grid_csv_lines`) at an
 offset in it.
 
-Floats are formatted a block at a time with numpy (:func:`_float_cells`):
-each value is scaled by a power of ten as an exact double-double product
-(Dekker, 1971) and rounded to a 17-digit integer.  A value whose rounding
-that product cannot decide (an exact or near tie, such as ``2**-25``), or
-whose decimal exponent lies outside the table of powers of ten, is
-formatted by Python's correctly rounded ``"%.17g" %`` instead, so every byte
-is that of ``"%.17g" % v``.
+Floats are formatted a block of :data:`BLOCK_VALUES` values at a time with
+numpy (:func:`_float_cells`): each value is scaled by a power of ten as an
+exact double-double product (Dekker, 1971) and rounded to a 17-digit
+integer.  A value whose rounding that product cannot decide (an exact or
+near tie, such as ``2**-25``), or whose decimal exponent lies outside the
+table of powers of ten, is formatted by Python's correctly rounded
+``"%.17g" %`` instead, so every byte is that of ``"%.17g" % v``.
+
+A cell is its text, NUL-padded, with its separator in its last byte: a
+comma, or a newline at the end of a row.  Adjacent float columns are
+formatted together, row-major, so each row's cells of a run come out
+contiguous, and a block's lines are its pieces side by side with the NUL
+bytes dropped (:func:`_csv_blocks`).
 """
 
 from __future__ import annotations
@@ -32,12 +38,19 @@ import numpy as np
 
 from .errors import IoError
 
-#: Rows formatted per block; bounds the memory a write holds.
+#: Rows per block of the callers that stream a table or solve a sweep a
+#: block at a time (``cli``'s time series, ``waves``' dispersion sweep).
 BLOCK_ROWS = 1024
 
-#: Bytes a formatted float takes, NUL-padded: the longest ``%.17g`` text,
+#: Float values formatted per block (a block has at least one row); bounds
+#: the memory a write holds.
+BLOCK_VALUES = 2**14
+
+#: Text bytes of a float cell, NUL-padded: the longest ``%.17g`` text,
 #: such as ``-2.2250738585072014e-308``.
 _WIDTH = 24
+#: Bytes of a float cell: its text, then the separator after it.
+_CELL = _WIDTH + 1
 
 #: Decimal exponents of the power-of-ten table.  A value takes the array
 #: path when ``floor(log10 |v|)`` lies strictly inside, so that its exponent,
@@ -115,13 +128,13 @@ def _scaled(a, e, t: _Tables):
     ``a`` and the table's leading double is exact (Dekker's two-product,
     ``a`` split by Veltkamp), only the tail's product rounds."""
     index = e - _E_MIN
-    head, mid = t.head[index], t.mid[index]
+    head, mid = np.take(t.head, index), np.take(t.mid, index)
     c = 134217729.0 * a  # 2**27 + 1
     a_head = c - (c - a)
     a_mid = a - a_head
     p = a * (head + mid)
     error = ((a_head * head - p) + a_head * mid + a_mid * head) + a_mid * mid
-    rest = error + a * t.tail[index]
+    rest = error + a * np.take(t.tail, index)
     hi = p + rest
     return hi, (p - hi) + rest
 
@@ -170,8 +183,9 @@ def _rounded(v):
 
 
 def _float_cells(values) -> np.ndarray:
-    """The ``"%.17g" % v`` text of each of ``values`` as a row of
-    ``_WIDTH`` bytes, NUL-padded, negative zero printing as ``0``."""
+    """The ``"%.17g" % v`` text of each of ``values``, NUL-padded to
+    ``_WIDTH`` bytes and followed by a comma, as a row of ``_CELL`` bytes;
+    negative zero prints as ``0``."""
     v = np.asarray(values, dtype=np.float64).ravel()
     t = _tables()
     n = len(v)
@@ -196,31 +210,35 @@ def _float_cells(values) -> np.ndarray:
     # Lay out [sign, "0." and zeros][first digit][point][16 digits], the
     # text for -4 <= e <= 0; the other exponents are moved below.
     index = e - _E_MIN
-    cells = np.empty((n, _WIDTH), np.uint8)
-    cells.view(np.uint64)[:, 0] = t.lead[2 * index + (v < 0)]
+    cells = np.empty((n, _CELL), np.uint8)
+    cells[:, :8].view(np.uint64)[:, 0] = np.take(t.lead,
+                                                 2 * index + (v < 0))
     cells[:, 6] = first + ord("0")
     cells[:, 7] = np.where((trim[0] & zero[0]) | ((e < 0) & (e >= -4)),
                            0, ord("."))
-    groups = t.groups[quads + trim * np.int32(10**4)]
+    groups = np.take(t.groups, quads + trim * np.int32(10**4))
     for k, column in enumerate(groups):
         cells[:, 8 + 4 * k:12 + 4 * k].view(np.uint32)[:, 0] = column
+    cells[:, _WIDTH] = ord(",")
     scientific = np.flatnonzero((e < -4) | (e >= 17))
     if scientific.size:
         rows = cells[scientific]
-        cells[scientific] = np.concatenate(
-            [rows[:, :1], rows[:, 6:], t.suffix[index[scientific]]], axis=1)
+        cells[scientific, :_WIDTH] = np.concatenate(
+            [rows[:, :1], rows[:, 6:_WIDTH],
+             np.take(t.suffix, index[scientific], axis=0)], axis=1)
     wide = np.flatnonzero((e >= 1) & (e < 17))
     if wide.size:
-        cells[wide] = _fixed_cells(cells[wide, 0], first[wide],
-                                   t.groups[quads[:, wide]], e[wide])
+        cells[wide, :_WIDTH] = _fixed_cells(
+            cells[wide, 0], first[wide], np.take(t.groups, quads[:, wide]),
+            e[wide])
 
     if not decided.all():
         for text, special in ((b"0", v == 0.0), (b"nan", np.isnan(v)),
                               (b"inf", v == np.inf), (b"-inf", v == -np.inf)):
-            cells[special] = _padded(text)
+            cells[special, :_WIDTH] = _padded(text)
         undecided = ~decided & np.isfinite(v) & (v != 0.0)
         for i in np.flatnonzero(undecided).tolist():
-            cells[i] = _padded(b"%.17g" % v[i])
+            cells[i, :_WIDTH] = _padded(b"%.17g" % v[i])
     return cells
 
 
@@ -248,9 +266,13 @@ def _fixed_cells(sign, first, groups, e) -> np.ndarray:
 
 
 def _text_cells(texts) -> np.ndarray:
-    """Each of the byte strings ``texts`` as a NUL-padded row."""
+    """Each of the byte strings ``texts``, NUL-padded to the longest and
+    followed by a comma, as a row."""
     array = np.array(texts, dtype=bytes)
-    return array.view(np.uint8).reshape(len(array), array.itemsize)
+    cells = np.empty((len(array), array.itemsize + 1), np.uint8)
+    cells[:, :-1] = array.view(np.uint8).reshape(len(array), -1)
+    cells[:, -1] = ord(",")
+    return cells
 
 
 def _text_column_cells(column: np.ndarray) -> np.ndarray:
@@ -260,36 +282,35 @@ def _text_column_cells(column: np.ndarray) -> np.ndarray:
     return _text_cells([b"%d" % i for i in column.tolist()])
 
 
-def _lines(cells) -> bytes:
-    """CSV lines from one cell array per column, equal in rows: the cells
-    joined by commas, NUL bytes dropped."""
-    n = len(cells[0])
-    comma = np.full((n, 1), ord(","), np.uint8)
-    parts = [part for column in cells for part in (column, comma)]
-    parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
-    text = np.concatenate(parts, axis=1)
-    return text[text != 0].tobytes()
+def _is_float(column: np.ndarray) -> bool:
+    return column.ndim == 1 and column.dtype.kind not in "Uiu"
 
 
 def _csv_blocks(columns):
     """The CSV lines of equal-length ``columns``, a block of rows at a
-    time; the float columns of a block are formatted together, and a
-    two-dimensional column is taken as its rows' cells, already formatted."""
+    time.  Each cell ends in its separator, so a row is its cells side by
+    side with the NUL padding dropped: adjacent float columns are formatted
+    together, row-major, and so come out as one piece per run.  A
+    two-dimensional column, never the last, is taken as its rows' cells,
+    already formatted and each ending in its comma."""
     arrays = [np.asarray(column) for column in columns]
-    floats = [k for k, a in enumerate(arrays)
-              if a.ndim == 1 and a.dtype.kind not in "Uiu"]
+    runs = [(floats, list(run))
+            for floats, run in itertools.groupby(arrays, _is_float)]
     n_rows = len(arrays[0]) if arrays else 0
-    for start in range(0, n_rows, BLOCK_ROWS):
-        block = [a[start:start + BLOCK_ROWS] for a in arrays]
-        cells = [column if column.ndim == 2 else None if k in floats
-                 else _text_column_cells(column)
-                 for k, column in enumerate(block)]
-        if floats:
-            values = np.stack([block[k] for k in floats], axis=-1)
-            formatted = _float_cells(values).reshape(*values.shape, _WIDTH)
-            for m, k in enumerate(floats):
-                cells[k] = formatted[:, m]
-        yield _lines(cells)
+    rows = max(1, BLOCK_VALUES // max(1, sum(map(_is_float, arrays))))
+    for start in range(0, n_rows, rows):
+        pieces = []
+        for floats, run in runs:
+            block = [a[start:start + rows] for a in run]
+            if floats:
+                pieces.append(_float_cells(np.stack(block, axis=-1))
+                              .reshape(len(block[0]), -1))
+            else:
+                pieces += [column if column.ndim == 2
+                           else _text_column_cells(column)
+                           for column in block]
+        pieces[-1][:, -1] = ord("\n")  # the last cell's comma ends the line
+        yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
 
 
 def _write(path, mode: str, chunks) -> int:
@@ -334,23 +355,31 @@ def write_at(path, offset: int, lines) -> int:
     return offset
 
 
-def _grid_columns(x, y, fields, first: int = 0):
-    """The columns ``i,j,x[i],y[j]`` and ``f[i, j]`` for each of ``fields``,
-    one row per node, ``i``-major, for the grid rows ``i = first, ...,
-    first + len(x) - 1``: ``x`` holds their coordinates, ``y`` those of the
-    grid columns and ``fields`` those rows.
+def _trimmed(cells: np.ndarray) -> np.ndarray:
+    """``cells`` without the bytes that are NUL in every row."""
+    return cells[:, cells.any(axis=0)]
 
-    The cells of ``i``, ``j``, ``x`` and ``y`` are formatted once per call
-    and repeated for every node (two float and two integer cells a node),
-    so a block of nodes formats only its field values.
+
+def _grid_columns(x, y, fields, first: int = 0):
+    """The columns of the rows ``i,j,x[i],y[j]`` and ``f[i, j]`` for each
+    of ``fields``, one row per node, ``i``-major, for the grid rows ``i =
+    first, ..., first + len(x) - 1``: ``x`` holds their coordinates, ``y``
+    those of the grid columns and ``fields`` those rows.
+
+    The cells of ``i``, ``j``, ``x`` and ``y`` are formatted once per call,
+    trimmed to their widest entry and repeated for every node as one
+    two-dimensional column, so a block of nodes formats only its field
+    values.
     """
     nx, ny = len(x), len(y)
     return [
-        np.repeat(_text_cells([b"%d" % i for i in range(first, first + nx)]),
-                  ny, axis=0),
-        np.tile(_text_cells([b"%d" % j for j in range(ny)]), (nx, 1)),
-        np.repeat(_float_cells(x), ny, axis=0),
-        np.tile(_float_cells(y), (nx, 1)),
+        np.concatenate([
+            np.repeat(_text_cells([b"%d" % i
+                                   for i in range(first, first + nx)]),
+                      ny, axis=0),
+            np.tile(_text_cells([b"%d" % j for j in range(ny)]), (nx, 1)),
+            np.repeat(_trimmed(_float_cells(x)), ny, axis=0),
+            np.tile(_trimmed(_float_cells(y)), (nx, 1))], axis=1),
         *(np.ravel(f) for f in fields)]
 
 

@@ -356,6 +356,20 @@ def test_banded_snapshots_match_the_reference_and_an_inline_write(
         assert path.read_bytes() == reference
 
 
+def test_the_writers_share_the_formatter_tables_built_before_they_fork(
+        tmp_path, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    state = state_with_specials(5, 16)
+    report._tables.cache_clear()
+    with fields.snapshot_writer(2, [(0, 2), (2, 5)]) as write:
+        assert report._tables.cache_info().currsize == 1
+        write(state, tmp_path / "snapshot.csv")
+    reference_snapshot(state, tmp_path / "reference.csv")
+    assert ((tmp_path / "snapshot.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
 @pytest.mark.parametrize("grid, cpus, bands", [
     # Two bands from 2 * 2**15 nodes on, one per usable CPU.
     (Grid(256, 256), 2, [(0, 128), (128, 256)]),
@@ -377,13 +391,14 @@ def test_row_bands_follow_the_usable_cpus_and_the_grid_size(
 
 
 def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
-    # 20 rows over blocks of 7: the last block is a partial one
+    # 20 rows over blocks of 7 (one float value a row): the last block is a
+    # partial one
     rng = np.random.default_rng(11)
     floats = rng.standard_normal(20)
     floats[[3, 15]] = -0.0, np.nan
     columns = [np.arange(20), floats, [f"r{n}" for n in range(20)]]
     write_csv(tmp_path / "whole.csv", "n,value,name", columns)
-    monkeypatch.setattr(report, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(report, "BLOCK_VALUES", 7)
     write_csv(tmp_path / "blocks.csv", "n,value,name", columns)
     whole = (tmp_path / "whole.csv").read_bytes()
     assert (tmp_path / "blocks.csv").read_bytes() == whole
@@ -392,13 +407,13 @@ def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
 
 
 def test_write_grid_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
-    # 4 x 5 nodes over blocks of 7: blocks end inside a line of constant i,
-    # and the last block is a partial one
+    # 4 x 5 nodes over blocks of 7 (six float values a node): blocks end
+    # inside a line of constant i, and the last block is a partial one
     grid = Grid(nx=4, ny=5, lx=1.0, ly=3.0)
     state = random_smooth_state(grid, seed=12, amplitude=0.3, modes=1)
     state.u1[1, 3], state.omega[2, 0] = -0.0, np.nan
     save_snapshot(state, tmp_path / "whole.csv")
-    monkeypatch.setattr(report, "BLOCK_ROWS", 7)
+    monkeypatch.setattr(report, "BLOCK_VALUES", 7 * 6)
     save_snapshot(state, tmp_path / "blocks.csv")
     whole = (tmp_path / "whole.csv").read_bytes()
     assert (tmp_path / "blocks.csv").read_bytes() == whole

@@ -88,3 +88,40 @@ def test_float_blocks_with_specials_only(tmp_path):
     # takes no rounding at all.
     values = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf] * 300)
     assert_formats_like_python(tmp_path, values)
+
+
+def test_cells_carry_their_separators_in_every_column_position(tmp_path):
+    # Float columns first, in a run of two in the middle and last, around an
+    # integer and a text column; each draws values from every formatter
+    # path, and the rows leave a partial last block.
+    paths = [
+        0.5, -0.001234, 1e-4, -9.999999999999999e-05,  # fixed, -4 <= e <= 0
+        12.5, -123456789.01234567, 1e16, 9007199254740993.0,  # 1 <= e < 17
+        1.5e-7, -3e20, 1e17,  # scientific, two-digit exponents
+        1.234e-150, -6.02e200,  # three-digit exponents
+        -2.2250738585072014e-308, 5e-324, 1.7976931348623157e308,
+        2.0**-25, -3 * 2.0**-26,  # exact ties
+        0.0, -0.0, np.nan, np.inf, -np.inf]
+    floats_per_row = 4
+    n = 2 * (report.BLOCK_VALUES // floats_per_row) + 37
+    pool = np.array(paths)
+    floats = [np.resize(np.roll(pool, 5 * k), n)
+              for k in range(floats_per_row)]
+    integers = np.arange(n) - n // 2
+    texts = [("", "a", "é,b", "längerer text")[m % 4] for m in range(n)]
+    columns = [(floats[0], "%.17g"), (integers, "%d"), (floats[1], "%.17g"),
+               (floats[2], "%.17g"), (texts, "%s"), (floats[3], "%.17g")]
+    # As listed, and turned round by one so that the text column ends the
+    # line.
+    for name, order in (("listed", columns),
+                        ("turned", columns[-1:] + columns[:-1])):
+        write_csv(tmp_path / f"{name}.csv", "h", [c for c, _ in order])
+        lines = ["h\n"]
+        for row in zip(*(np.asarray(c).tolist() for c, _ in order)):
+            lines.append(",".join(
+                f % (v + 0.0 if f == "%.17g" else v)
+                for (_, f), v in zip(order, row)) + "\n")
+        assert ((tmp_path / f"{name}.csv").read_bytes()
+                == "".join(lines).encode())
+    assert n % (report.BLOCK_VALUES // floats_per_row)
+    assert max(len("%.17g" % v) for v in paths) == report._WIDTH
