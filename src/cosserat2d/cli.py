@@ -19,24 +19,20 @@ Exit codes: 0 success, 1 configuration, I/O or out-of-memory problem,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
-import functools
 import math
 import os
 import sys
 
 import numpy as np
 
+from . import workers
 from .config import ScenarioConfig, load_config
 from .dynamics import (
-    banded_rhs,
     homogeneous_residual,
     homogeneous_root_report,
     homogeneous_roots,
     quarter_turn_flag_report,
-    rhs_chiral,
-    rhs_nonlinear,
     step_leapfrog,
     verify_variational_consistency,
 )
@@ -50,8 +46,7 @@ from .errors import (
     NoRealBranch,
     WorkerExited,
 )
-from .fields import FieldState, row_bands, snapshot_writer
-from .materials import CHIRAL
+from .fields import FieldState
 from .reduction3d import full_reduction_report
 from .report import BLOCK_ROWS, VerificationReport, append_csv, write_csv
 from .rng import random_smooth_state
@@ -138,24 +133,6 @@ def _plane_wave_state(cfg: ScenarioConfig) -> FieldState:
 # simulate
 # --------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _rhs_for(cfg: ScenarioConfig, state: FieldState, bands):
-    """Yield the right-hand side of a run from ``state``: in the row
-    ``bands`` (:func:`row_bands`) where there are two or more, else the
-    serial kernel of the model."""
-    if len(bands) > 1:
-        # The chiral model has no interaction term, the only one that
-        # reads eps_reg.
-        with banded_rhs(state, cfg.material, cfg.model.active_terms(),
-                        cfg.sim.eps_reg, bands) as rhs:
-            yield rhs
-    elif cfg.model.kind == CHIRAL:
-        yield rhs_chiral
-    else:
-        yield functools.partial(rhs_nonlinear, coupling=cfg.model.coupling,
-                                eps_reg=cfg.sim.eps_reg)
-
-
 #: glibc's ``mallopt`` parameters and the values set for the stepping loop:
 #: the largest mmap threshold on 64-bit hosts, and a trim threshold above it.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -204,21 +181,19 @@ def cmd_simulate(cfg: ScenarioConfig, outdir: str) -> int:
     # A state that grows without bound overflows in the kernels before its
     # energy row or its fields stop being finite; that typed error is the
     # report.
-    # Snapshots are written by forked children while the stepping goes on,
-    # in the row bands of the right-hand side.
-    bands = row_bands(cfg.grid)
+    # Snapshots are written by forked children while the stepping goes on.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
-            _rhs_for(cfg, state, bands) as rhs, \
-            snapshot_writer(sim.snapshot_count(), bands) as write:
-        acc = rhs(state, p)
+            workers.run(cfg, state) as (rhs, write):
         # The time series is written as the run goes, so a run that dies
         # keeps every row it computed.
         write_csv(timeseries, "step,time," + EnergyBreakdown.CSV_HEADER, [])
         try:
             for step in range(sim.steps + 1):
                 try:
-                    if step:  # step 0 is the initial state
+                    if step:
                         state, acc = step_leapfrog(state, sim.dt, rhs, p, acc)
+                    else:  # step 0 is the initial state
+                        acc = rhs(state, p)
                     record(step, state, acc)
                 except (NonFiniteState, DegenerateDeformation,
                         WorkerExited) as exc:

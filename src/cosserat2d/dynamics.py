@@ -18,18 +18,14 @@ the verification report.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import mmap
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energy import (
-    ALL_TERMS,
     DEFAULT_EPS_REG,
     _band_rows,
     _invariants,
@@ -39,15 +35,10 @@ from .energy import (
     term_densities,
     term_totals,
 )
-from .errors import NonFiniteState, WorkerExited, ZeroDenominator
+from .errors import NonFiniteState, ZeroDenominator
 from .fields import (
     FieldState,
     Grid,
-    _fork_child,
-    _reap,
-    _receive_into,
-    _send,
-    _usable_cpus,
     ddx,
     ddxx,
     ddy,
@@ -214,106 +205,12 @@ def _rhs_rows(positions: np.ndarray, grid: Grid, p: MaterialParams, terms,
     """Evaluate the grid rows ``rows = (i0, i1)`` of :func:`_rhs` at the
     stacked ``positions`` (``u1``, ``u2``, ``theta``), writing them into the
     stacked accelerations ``acc`` (``acc_u`` then ``acc_theta``) and the
-    live terms' ``densities``."""
+    live terms' ``densities``: what each band of
+    :func:`cosserat2d.workers.banded_rhs` runs."""
     i0, i1 = rows
     block = positions.take(range(i0 - 2, i1 + 2), axis=1, mode="wrap")
     _rhs(FieldState(grid, *block, None, None, None), p, terms, eps_reg,
          out=(acc[:2, i0:i1], acc[2, i0:i1], densities[:, i0:i1]))
-
-
-@contextmanager
-def banded_rhs(state: FieldState, p: MaterialParams, terms, eps_reg: float,
-               bands):
-    """Yield ``rhs(state, p)``, the right-hand side of :func:`_rhs` at
-    ``state``, evaluated in the row ``bands``
-    (:func:`cosserat2d.fields.row_bands`): the first
-    by this process and each other by a worker forked when the block opens,
-    pinned to the usable CPU with its position, wrapping round.
-
-    The block opens by moving the positions of ``state`` into one shared
-    mapping made before the fork, where it steps them in place.  Each call
-    signals the workers, evaluates the first band itself and waits for the
-    others: each band reads its rows and two rows either side from the
-    mapping and writes its accelerations and each live term's density
-    into it, and this process then sums each density over the grid once.
-    The results alternate between two sets of accelerations in the
-    mapping, so a result stays valid through the next call.  Every value
-    has the serial kernel's bits.  If any band fails, the serial kernel
-    runs instead, and raises what it raises; a worker that died is raised
-    as :class:`WorkerExited`.  Another state or material is left to the
-    serial kernel.  Leaving the block ends the workers.  A mapping the
-    system refuses is raised as a :class:`MemoryError`, and a fork that
-    fails as an :class:`cosserat2d.errors.IoError`, when the block opens.
-    """
-    grid = state.grid
-    names = [t for t in ALL_TERMS if t in _live_terms(terms, p)]
-    try:
-        mapping = mmap.mmap(-1, (9 + len(names)) * grid.nx * grid.ny * 8)
-    except OSError as exc:  # more than the system will map
-        raise MemoryError(f"cannot map the fields the row bands share: "
-                          f"{exc}") from exc
-    shared = np.frombuffer(mapping).reshape((-1,) + grid.shape)
-    positions, densities = shared[:3], shared[9:]
-    results = shared[3:9].reshape((2, 3) + grid.shape)
-    positions[...] = state.u1, state.u2, state.theta
-    state.u1, state.u2, state.theta = held = tuple(positions)
-
-    def serve(rows, requests, replies) -> None:
-        slot = bytearray(1)
-        while _receive_into(requests, slot):
-            try:
-                _rhs_rows(positions, grid, p, terms, eps_reg, rows,
-                          results[slot[0]], densities)
-                failed = False
-            except Exception:  # the parent's serial kernel raises it again
-                failed = True
-            _send(replies, bytes([failed]))
-
-    usable = _usable_cpus()
-    workers = []
-    turns = itertools.cycle(range(2))
-
-    def rhs(current: FieldState, params: MaterialParams) -> RhsFields:
-        if params is not p or any(a is not b for a, b in zip(
-                (current.u1, current.u2, current.theta), held)):
-            return _rhs(current, params, terms, eps_reg)
-        slot = next(turns)
-        for worker in workers:
-            try:
-                _send(worker.requests, bytes([slot]))
-            except BrokenPipeError:
-                pass  # the worker died; waiting for its reply reports it
-        failed = False
-        try:
-            _rhs_rows(positions, grid, p, terms, eps_reg, bands[0],
-                      results[slot], densities)
-        except Exception:  # the serial kernel below raises it again
-            failed = True
-        finally:
-            for worker, (i0, i1) in zip(list(workers), bands[1:]):
-                reply = bytearray(1)
-                if not _receive_into(worker.replies, reply):
-                    workers.remove(worker)
-                    raise WorkerExited(
-                        f"the band worker of rows {i0} to {i1 - 1} exited "
-                        f"with {_reap(worker)}")
-                failed |= reply[0]
-        if failed:
-            return _rhs(current, p, terms, eps_reg)
-        acc = results[slot]
-        return RhsFields(acc_u=acc[:2], acc_theta=acc[2],
-                         potential=term_totals(zip(names, densities),
-                                               grid.cell_area))
-
-    try:
-        for k, rows in enumerate(bands[1:], 1):
-            workers.append(_fork_child(functools.partial(serve, rows),
-                                       usable[k % len(usable)],
-                                       "band worker"))
-        yield rhs
-    finally:
-        while workers:
-            _reap(workers.pop())
 
 
 def linear_chiral_forces(u1, u2, phi, dx, dy, dxx, dyy, p: MaterialParams):

@@ -14,17 +14,12 @@ exact to rounding — the variational checks in :mod:`cosserat2d.energy` and
 
 from __future__ import annotations
 
-import functools
-import os
-import signal
-import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, IoError
-from .report import _tables, grid_csv_lines, write_at, write_grid_csv
+from .errors import ConfigError
+from .report import write_grid_csv
 
 
 @dataclass(frozen=True)
@@ -254,323 +249,3 @@ def save_snapshot(state: FieldState, path) -> None:
     """Write one CSV row per node: ``i,j,x,y,u1,u2,theta,v1,v2,omega``."""
     write_grid_csv(path, _SNAPSHOT_HEADER, *state.grid.axes(),
                    state.field_arrays())
-
-
-#: The fixed head of a band of a snapshot sent to a writer: ``nx, ny, lx,
-#: ly``, the band's grid rows ``i0, i1`` and the length of the path in
-#: bytes; the path and the band's rows of the six fields follow.
-_REQUEST = struct.Struct("<qqddqqq")
-#: The head of a writer's reply, the length of its error message (0:
-#: written), and the offset one band's writer passes the next band's (-1:
-#: not written).
-_INT64 = struct.Struct("<q")
-
-
-@dataclass
-class _Child:
-    """A forked child process, the parent's ends of its two pipes and, for a
-    snapshot writer, the absolute path of the snapshot it is writing."""
-
-    pid: int
-    requests: int
-    replies: int
-    path: str | None = None
-
-
-#: Every child :func:`_fork_child` made and :func:`_reap` has not.  A fork
-#: copies all of this process's file descriptors, whichever pool opened
-#: them, so the list is kept for the process: each new child closes the
-#: pipe ends of the others, or a child would not see its own request pipe
-#: close while a sibling held it open.
-_children: list[_Child] = []
-
-
-def _send(fd: int, data) -> None:
-    """Write all of the buffer ``data`` to ``fd``."""
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive_into(fd: int, buffer) -> bool:
-    """Fill ``buffer`` from ``fd``; ``False`` if the pipe closed first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        count = os.readv(fd, [view])
-        if not count:
-            return False
-        view = view[count:]
-    return True
-
-
-def _save_band(grid: Grid, fields, rows: tuple[int, int], path: str,
-               previous: int, following: int) -> None:
-    """Write the grid ``rows = (i0, i1)`` of a snapshot to ``path``;
-    ``fields`` holds those rows of the six fields.
-
-    The first band (a whole snapshot, if it is the only one) starts the
-    file with the header and streams its rows, as :func:`save_snapshot`
-    does.  A
-    later band formats its rows in memory, reads from ``previous`` the
-    offset where they start, which the previous band's writer sends, and
-    writes them there.  Each band but the last sends the offset it ends at,
-    or -1 if it wrote nothing, down ``following``.  A band whose previous
-    band wrote nothing, or whose writer died first (``previous`` closes),
-    writes nothing and raises an :class:`IoError`.
-    """
-    i0, i1 = rows
-    x, y = grid.axes()
-    end = -1
-    try:
-        if not i0:
-            end = write_grid_csv(path, _SNAPSHOT_HEADER, x[:i1], y, fields)
-        else:
-            lines = list(grid_csv_lines(x[i0:i1], y, fields, first=i0))
-            offset = bytearray(_INT64.size)
-            start = (_INT64.unpack(offset)[0]
-                     if _receive_into(previous, offset) else -1)
-            if start < 0:
-                raise IoError(f"cannot write {path!r}: rows {i0} to {i1 - 1} "
-                              f"follow rows that were not written")
-            end = write_at(path, start, lines)
-    finally:
-        if i1 < grid.nx:
-            try:
-                _send(following, _INT64.pack(end))
-            except BrokenPipeError:
-                pass  # the next band's writer died; the parent reports it
-
-
-def _serve(previous: int, following: int, requests: int,
-           replies: int) -> None:
-    """A writer's loop: save each band of a snapshot read from ``requests``
-    (:func:`_save_band`, with the offset pipes ``previous`` and
-    ``following``) and reply on ``replies`` with nothing or the
-    :class:`IoError` message; return once the parent closes ``requests``."""
-    head = bytearray(_REQUEST.size)
-    while _receive_into(requests, head):
-        nx, ny, lx, ly, i0, i1, path_size = _REQUEST.unpack(head)
-        path = bytearray(path_size)
-        fields = np.empty((6, i1 - i0, ny))
-        if not (_receive_into(requests, path)
-                and _receive_into(requests, fields)):
-            raise EOFError("the snapshot request was cut short")
-        try:
-            _save_band(Grid(nx, ny, lx, ly), fields, (i0, i1),
-                       os.fsdecode(bytes(path)), previous, following)
-            message = b""
-        except IoError as exc:
-            message = str(exc).encode("utf-8")
-        _send(replies, _INT64.pack(len(message)) + message)
-
-
-def _pin(cpus) -> None:
-    """Keep this process to ``cpus`` where the system lets it."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except (AttributeError, OSError):
-        pass  # no affinity API, or refused: run unpinned
-
-
-def _usable_cpus() -> list[int]:
-    """The CPUs this process may run on, lowest first; without an affinity
-    API, ``os.cpu_count()`` of them (one if unknown)."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        return list(range(os.cpu_count() or 1))
-
-
-#: The fewest grid nodes a band of :func:`row_bands` has.  A grid of fewer
-#: than two bands' worth runs the serial kernel and writes each snapshot
-#: whole: there a second band saves a fraction of a millisecond a step,
-#: which a snapshot writer sharing the band worker's CPU takes back
-#: (measured in the README).
-BAND_NODES = 2**15
-
-
-def row_bands(grid: Grid) -> list[tuple[int, int]]:
-    """The bands of grid rows ``(i0, i1)`` a run on ``grid`` evaluates its
-    right-hand side in (:func:`cosserat2d.dynamics.banded_rhs`) and writes
-    its snapshots in (:func:`snapshot_writer`): one per usable CPU, but at
-    most one per :data:`BAND_NODES` nodes, their heights at most one row
-    apart.  Without ``os.fork`` there is one band, the whole grid."""
-    count = min(len(_usable_cpus()), grid.nx * grid.ny // BAND_NODES, grid.nx)
-    if count < 2 or not hasattr(os, "fork"):
-        count = 1
-    bounds = [grid.nx * k // count for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _fork_child(serve, cpu: int, role: str) -> _Child:
-    """Fork a child pinned to ``cpu`` that runs ``serve(requests,
-    replies)`` on the read end of a request pipe and the write end of a
-    reply pipe, and exits with 0 once it returns (1 if it raised).  A
-    failed fork is raised as an :class:`IoError` naming ``role``."""
-    request_read, request_write = os.pipe()
-    reply_read, reply_write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError as exc:
-        for fd in (request_read, request_write, reply_read, reply_write):
-            os.close(fd)
-        raise IoError(f"cannot start a {role}: {exc}") from exc
-    if pid == 0:
-        status = 1
-        try:
-            # An interrupt stops the parent, which then ends its children:
-            # a writer does not leave a half-written file.
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for fd in (request_write, reply_read,
-                       *(fd for c in _children for fd in (c.requests,
-                                                          c.replies))):
-                os.close(fd)
-            _pin({cpu})
-            serve(request_read, reply_write)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(request_read)
-    os.close(reply_write)
-    child = _Child(pid, request_write, reply_read)
-    _children.append(child)
-    return child
-
-
-def _reap(child: _Child) -> int:
-    """Close the pipes to ``child``, wait for it to exit and return its exit
-    code."""
-    _children.remove(child)
-    os.close(child.requests)
-    os.close(child.replies)
-    return os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
-
-
-@contextmanager
-def snapshot_writer(count: int, bands):
-    """Yield ``write(state, path)``, which hands a snapshot to writer
-    processes and returns while they save it; ``count`` is how many
-    snapshots the block will write, and each is written in the row
-    ``bands`` (:func:`row_bands`), ``(i0, i1)`` each.
-
-    ``min(usable CPUs, count * len(bands))`` writers are forked when the
-    block opens, before the caller's heap grows, and live until it ends; a
-    fork that fails is raised as an :class:`IoError` there.  The tables of
-    the float formatter are built before the forks, so every writer shares
-    them instead of building its own.  This process
-    keeps to the lowest usable CPU until the block ends, and writer ``k``
-    pins itself to the ``k``-th usable CPU after it, wrapping round, so only
-    a ring of one writer per CPU has a writer beside the stepping.  Left to
-    the scheduler, a writer woken by the pipe runs on the waking process's
-    CPU and can stay there.  Without an affinity API the usable CPUs are
-    ``os.cpu_count()``, and nothing is pinned.
-    The bands go to the writers in turn, each sent down a pipe straight from
-    the state's rows, so the writer of the next band is always the next
-    writer of the ring: writer ``k`` sends it the offset its band starts at
-    through a pipe of which it holds the only write end
-    (:func:`_save_band`).  Before a writer takes a band, ``write`` waits
-    for its last, which is the oldest in flight, and before the first band
-    of a snapshot goes out, for all of the writers its first bands go to.
-    The first band that failed, in write order, is raised as the
-    :class:`IoError` of its write (or, for a writer that died, as ``cannot
-    write '<path>': writer exited with <code>``).  Leaving the block waits
-    for every snapshot and every writer, and gives this process back the
-    CPUs it had.  Paths are made absolute, also without ``os.fork``, where
-    ``write`` calls ``save_snapshot`` inline.
-    """
-    if not hasattr(os, "fork"):
-        yield lambda state, path: save_snapshot(state, os.path.abspath(path))
-        return
-    _tables()
-    usable = _usable_cpus()
-    writers = []  # in turn: the next to write first, with the oldest in flight
-    links = []  # links[k]: the offset pipe from writer k to writer k + 1
-
-    def retire(writer) -> int:
-        writers.remove(writer)
-        return _reap(writer)
-
-    def wait(writer) -> str:
-        """Wait for the band ``writer`` has in flight, if any; return its
-        error message, or ``""``."""
-        path, writer.path = writer.path, None
-        if path is None:
-            return ""
-        head = bytearray(_INT64.size)
-        if _receive_into(writer.replies, head):
-            message = bytearray(_INT64.unpack(head)[0])
-            if _receive_into(writer.replies, message):
-                return message.decode("utf-8", "replace")
-        return f"cannot write {path!r}: writer exited with {retire(writer)}"
-
-    def first_failure() -> str:
-        messages = [wait(writer) for writer in list(writers)]
-        return next(filter(None, messages), "")
-
-    def check(ring) -> None:
-        """Wait for the bands the writers of ``ring`` have in flight, and
-        raise the first that failed."""
-        for writer in ring:
-            message = wait(writer)
-            if message:
-                first_failure()  # later writes cannot outrank this failure
-                raise IoError(message)
-
-    def write(state, path) -> None:
-        # A failure found here leaves no band of this snapshot written.
-        check(writers[:len(bands)])
-        path = os.path.abspath(path)
-        grid, encoded = state.grid, os.fsencode(path)
-        for i0, i1 in bands:
-            writer = writers[0]
-            check([writer])  # with more bands than writers, its last one
-            writer.path = path
-            try:
-                _send(writer.requests, _REQUEST.pack(
-                    grid.nx, grid.ny, grid.lx, grid.ly, i0, i1,
-                    len(encoded)) + encoded)
-                for field in state.field_arrays():
-                    _send(writer.requests, np.ascontiguousarray(
-                        field[i0:i1], dtype=np.float64))
-            except BrokenPipeError:
-                pass  # the writer died; waiting for its reply reports it
-            except BaseException:
-                # Cut short (by an interrupt, say): the writer sees its
-                # request end early and exits, and the band is not in
-                # flight.
-                writer.path = None
-                retire(writer)
-                raise
-            writers.append(writers.pop(0))
-
-    def serve(k, requests, replies) -> None:
-        previous, following = links[k - 1][0], links[k][1]
-        for fd in {fd for link in links for fd in link} - {previous,
-                                                           following}:
-            os.close(fd)
-        _serve(previous, following, requests, replies)
-
-    _pin(usable[:1])
-    try:
-        try:
-            for _ in range(min(len(usable), count * len(bands))):
-                links.append(os.pipe())
-            for k in range(len(links)):
-                writers.append(_fork_child(functools.partial(serve, k),
-                                           usable[(k + 1) % len(usable)],
-                                           "snapshot writer"))
-        finally:
-            # Each end is now held by the one writer that uses it.
-            for fd in (fd for link in links for fd in link):
-                os.close(fd)
-        yield write
-    finally:
-        _pin(usable)  # the CPUs this process had
-        # A failed write still in flight came before whatever ended the block.
-        try:
-            message = first_failure()
-        finally:
-            while writers:
-                retire(writers[-1])
-        if message:
-            raise IoError(message)

@@ -21,9 +21,10 @@ import pytest
 
 import cosserat2d
 from conftest import reference_branches, set_usable_cpus
-from cosserat2d import cli, dynamics, fields
+from cosserat2d import cli, dynamics, workers
 from cosserat2d.cli import main
 from cosserat2d.config import ScenarioConfig, load_config
+from cosserat2d.energy import EnergyBreakdown
 from cosserat2d.errors import IoError, NoRealBranch, ZeroDenominator
 from cosserat2d.fields import FieldState, Grid, save_snapshot
 from cosserat2d.report import VerificationReport, write_csv
@@ -642,7 +643,12 @@ def test_overflowing_modulus_exits_2(tmp_path, capsys, command, material):
     err = capsys.readouterr().err
     assert err == ("numerical error: a value overflows a double: "
                    "Numerical result out of range\n"), err
-    assert not list(out.glob("*.csv"))
+    # simulate fails in its first right-hand side, after it has begun its
+    # time series with the header.
+    written = {p.name: p.read_text() for p in out.glob("*.csv")}
+    assert written == ({"timeseries.csv": "step,time,"
+                        + EnergyBreakdown.CSV_HEADER + "\n"}
+                       if command == "simulate" else {})
 
 
 def test_homogeneous_nonchiral_infeasible_root(tmp_path):
@@ -827,18 +833,16 @@ def test_csv_write_into_missing_directory_is_an_io_error(
         write(missing / "out.csv")
 
 
-@pytest.mark.parametrize("kind, name", [("nonchiral", "rhs_nonlinear"),
-                                        ("chiral", "rhs_chiral")])
-def test_simulate_evaluates_rhs_once_per_step(tmp_path, monkeypatch, kind,
-                                              name):
+@pytest.mark.parametrize("kind", ["nonchiral", "chiral"])
+def test_simulate_evaluates_rhs_once_per_step(tmp_path, monkeypatch, kind):
     calls = []
-    kernel = getattr(cli, name)
+    kernel = dynamics._rhs
 
     def counting(*args, **kwargs):
         calls.append(1)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(dynamics, "_rhs", counting)
     cfg = write_config(tmp_path, dict(SMALL_SIM, model={"kind": kind}))
     assert main(["simulate", "--config", cfg, "--out",
                  str(tmp_path / "sim")]) == 0
@@ -852,7 +856,7 @@ def test_simulate_failure_names_the_step(tmp_path, monkeypatch, capsys):
     reference = tmp_path / "reference"
     assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
     calls = []
-    kernel = cli.rhs_nonlinear
+    kernel = dynamics._rhs
 
     def blowing_up(*args, **kwargs):
         calls.append(1)
@@ -861,7 +865,7 @@ def test_simulate_failure_names_the_step(tmp_path, monkeypatch, capsys):
             acc.acc_theta[0, 0] = math.inf
         return acc
 
-    monkeypatch.setattr(cli, "rhs_nonlinear", blowing_up)
+    monkeypatch.setattr(dynamics, "_rhs", blowing_up)
     assert main(["simulate", "--config", cfg, "--out",
                  str(tmp_path / "boom")]) == 2
     err = capsys.readouterr().err
@@ -870,6 +874,22 @@ def test_simulate_failure_names_the_step(tmp_path, monkeypatch, capsys):
     for name in ("snapshot_000000.csv", "snapshot_000002.csv"):
         assert ((tmp_path / "boom" / name).read_bytes()
                 == (reference / name).read_bytes())
+
+
+def test_simulate_failure_at_step_0_names_it_and_keeps_the_header(
+        tmp_path, capsys):
+    # A start too large for the polar coupling: det F < 0 at the first
+    # right-hand side.
+    cfg = write_config(tmp_path, {
+        "initial": {"kind": "random_smooth", "amplitude": 0.5},
+        "sim": {"steps": 2}})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert ("numerical error: step 0 (t = 0): det(F)"
+            in capsys.readouterr().err)
+    assert [path.name for path in out.iterdir()] == ["timeseries.csv"]
+    assert ((out / "timeseries.csv").read_text()
+            == "step,time," + EnergyBreakdown.CSV_HEADER + "\n")
 
 
 def test_simulate_failed_snapshot_write_exits_1(tmp_path, capsys):
@@ -930,17 +950,17 @@ def counting_forks(monkeypatch):
 def test_forked_snapshots_match_inline_writes_one_writer_per_cpu(
         tmp_path, monkeypatch, deadline):
     handed = []  # (state as handed to write, path)
-    writer = cli.snapshot_writer
+    writer = workers.snapshot_writer
 
     @contextlib.contextmanager
-    def recording_writer(count, bands):
-        with writer(count, bands) as write:
+    def recording_writer(*args):
+        with writer(*args) as write:
             def recording(state, path):
                 handed.append((state.copy(), path))
                 write(state, path)
             yield recording
 
-    monkeypatch.setattr(cli, "snapshot_writer", recording_writer)
+    monkeypatch.setattr(workers, "snapshot_writer", recording_writer)
     forked = counting_forks(monkeypatch)
     cfg = write_config(tmp_path, CHIRAL_SIM)
     inline = tmp_path / "inline"
@@ -969,18 +989,29 @@ def test_the_pool_is_told_how_many_snapshots_the_run_writes(
         tmp_path, monkeypatch, deadline, steps, output_every, snapshots):
     # Every output_every-th step from step 0, and the last.
     counts = []
-    writer = cli.snapshot_writer
+    writer = workers.snapshot_writer
 
-    def counting_writer(count, bands):
+    def counting_writer(grid, count, bands, cpus):
         counts.append(count)
-        return writer(count, bands)
+        return writer(grid, count, bands, cpus)
 
-    monkeypatch.setattr(cli, "snapshot_writer", counting_writer)
+    monkeypatch.setattr(workers, "snapshot_writer", counting_writer)
     cfg = write_config(tmp_path, {**SMALL_SIM, "sim": {
         "dt": 0.002, "steps": steps, "output_every": output_every}})
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert counts == [len(list(out.glob("snapshot_*.csv")))] == [snapshots]
+
+
+@contextlib.contextmanager
+def writer_pool(count):
+    """The ``write`` of :func:`workers.run` for a run on a 4x4 grid that
+    writes ``count`` snapshots."""
+    default = ScenarioConfig.default()
+    cfg = replace(default, grid=Grid(nx=4, ny=4),
+                  sim=replace(default.sim, steps=count - 1, output_every=1))
+    with workers.run(cfg, FieldState.zero(cfg.grid)) as (_, write):
+        yield write
 
 
 def test_the_pool_forks_its_writers_when_it_opens(tmp_path, monkeypatch,
@@ -996,7 +1027,7 @@ def test_the_pool_forks_its_writers_when_it_opens(tmp_path, monkeypatch,
         set_usable_cpus(monkeypatch, cpus)
         for count in (1, 21):
             forked.clear()
-            with fields.snapshot_writer(count, [(0, 4)]) as write:
+            with writer_pool(count) as write:
                 assert len(forked) == min(cpus, count)
                 for k in range(count):
                     write(state, tmp_path / f"snapshot_{k}.csv")
@@ -1010,7 +1041,7 @@ def write_snapshots_and_wait(tmp_path, count, until_written):
     check that each file has the bytes of an inline write."""
     state = random_smooth_state(Grid(nx=4, ny=4), 3, 0.1, 1)
     paths = [tmp_path / f"snapshot_{k}.csv" for k in range(count)]
-    with fields.snapshot_writer(count, [(0, 4)]) as write:
+    with writer_pool(count) as write:
         for path in paths:
             write(state, path)
         while not all(path.exists() for path in paths):
@@ -1052,11 +1083,11 @@ def test_the_stepping_process_gets_its_cpus_back(monkeypatch, deadline):
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         pytest.skip("needs os.fork and os.sched_getaffinity")
     before = os.sched_getaffinity(0)
-    with fields.snapshot_writer(2, [(0, 4)]):
+    with writer_pool(2):
         pass
     assert os.sched_getaffinity(0) == before
     with pytest.raises(KeyboardInterrupt):
-        with fields.snapshot_writer(2, [(0, 4)]):
+        with writer_pool(2):
             raise KeyboardInterrupt
     assert os.sched_getaffinity(0) == before
 
@@ -1153,7 +1184,7 @@ def test_writer_killed_mid_snapshot_exits_1_naming_the_path(
     reference, out = tmp_path / "reference", tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
     set_usable_cpus(monkeypatch, 2)
-    save_band = fields._save_band
+    save_band = workers._save_band
 
     def dying_save_band(grid, values, rows, path, previous, following):
         # Runs in the writer: die with snapshot 2 (one band) half written.
@@ -1163,7 +1194,7 @@ def test_writer_killed_mid_snapshot_exits_1_naming_the_path(
             os.kill(os.getpid(), signal.SIGKILL)
         save_band(grid, values, rows, path, previous, following)
 
-    monkeypatch.setattr(fields, "_save_band", dying_save_band)
+    monkeypatch.setattr(workers, "_save_band", dying_save_band)
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
     assert_run_died_at_snapshot_2(out, reference, capsys.readouterr().err)
 
@@ -1198,7 +1229,7 @@ def test_interrupted_send_leaves_no_writer_behind(
     assert main(["simulate", "--config", cfg, "--out", str(reference)]) == 0
     set_usable_cpus(monkeypatch, 1)
     parent, sends = os.getpid(), []
-    send = fields._send
+    send = workers._send
 
     def interrupted_send(fd, data):
         # A snapshot is a head and six fields: stop the parent half way
@@ -1210,7 +1241,7 @@ def test_interrupted_send_leaves_no_writer_behind(
                 raise KeyboardInterrupt
         send(fd, data)
 
-    monkeypatch.setattr(fields, "_send", interrupted_send)
+    monkeypatch.setattr(workers, "_send", interrupted_send)
     with pytest.raises(KeyboardInterrupt):
         main(["simulate", "--config", cfg, "--out", str(out)])
     for name in ("snapshot_000000.csv", "snapshot_000001.csv"):
@@ -1248,7 +1279,7 @@ def test_simulate_without_fork_writes_inline(tmp_path, monkeypatch):
         assert (forked / name).read_bytes() == (inline / name).read_bytes()
 
 
-#: A run on a grid of two bands' worth of nodes (dynamics.row_bands).
+#: A run on a grid of two bands' worth of nodes (workers.row_bands).
 BAND_SIM = {
     "grid": {"nx": 256, "ny": 256},
     "sim": {"dt": 0.0002, "steps": 4, "output_every": 2},
@@ -1292,12 +1323,38 @@ def band_sim_outputs(tmp_path, monkeypatch, name):
     return out
 
 
+def test_the_usable_cpus_are_read_once(tmp_path, monkeypatch, deadline):
+    # Two usable CPUs when the run opens and one after that: the bands,
+    # the band worker and the writers all follow the first reading.
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        pytest.skip("needs os.fork and os.sched_getaffinity")
+    reference = band_sim_outputs(tmp_path, monkeypatch, "reference")
+    reads = []
+
+    def fewer_cpus_later(pid):
+        reads.append(pid)
+        return {0, 1} if len(reads) == 1 else {0}
+
+    monkeypatch.setattr(os, "sched_getaffinity", fewer_cpus_later)
+    forked = counting_forks(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
+                 "--out", str(out)]) == 0
+    # A writer per band and one band worker.
+    assert len(forked) == 3
+    assert unreaped(forked) == 0
+    names = sorted(path.name for path in reference.iterdir())
+    assert names == sorted(path.name for path in out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
 def test_each_band_of_a_snapshot_goes_to_a_different_writer(
         tmp_path, monkeypatch, deadline):
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     log = tmp_path / "bands.log"
-    save_band = fields._save_band
+    save_band = workers._save_band
 
     def logging_save_band(grid, values, rows, path, previous, following):
         # Runs in the writers.
@@ -1306,7 +1363,7 @@ def test_each_band_of_a_snapshot_goes_to_a_different_writer(
                      f"{os.getpid()}\n")
         save_band(grid, values, rows, path, previous, following)
 
-    monkeypatch.setattr(fields, "_save_band", logging_save_band)
+    monkeypatch.setattr(workers, "_save_band", logging_save_band)
     banded = band_sim_outputs(tmp_path, monkeypatch, "banded")
     writers = {}
     for line in log.read_text().splitlines():
@@ -1329,7 +1386,7 @@ def test_a_later_band_writer_killed_mid_snapshot_exits_1_naming_the_path(
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     reference = band_sim_outputs(tmp_path, monkeypatch, "reference")
-    write_at = fields.write_at
+    write_at = workers.write_at
 
     def dying_write_at(path, offset, lines):
         # Runs in the writer of band 1: die with its rows half written.
@@ -1338,7 +1395,7 @@ def test_a_later_band_writer_killed_mid_snapshot_exits_1_naming_the_path(
             os.kill(os.getpid(), signal.SIGKILL)
         return write_at(path, offset, lines)
 
-    monkeypatch.setattr(fields, "write_at", dying_write_at)
+    monkeypatch.setattr(workers, "write_at", dying_write_at)
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
                  "--out", str(out)]) == 1
@@ -1361,7 +1418,7 @@ def test_a_first_band_writer_killed_leaves_the_next_neither_hung_nor_writing(
         tmp_path, monkeypatch, capsys, deadline):
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
-    save_band = fields._save_band
+    save_band = workers._save_band
     alarm = 20
 
     def dying_save_band(grid, values, rows, path, previous, following):
@@ -1377,7 +1434,7 @@ def test_a_first_band_writer_killed_leaves_the_next_neither_hung_nor_writing(
             signal.alarm(alarm)
         save_band(grid, values, rows, path, previous, following)
 
-    monkeypatch.setattr(fields, "_save_band", dying_save_band)
+    monkeypatch.setattr(workers, "_save_band", dying_save_band)
     set_usable_cpus(monkeypatch, 2)
     out = tmp_path / "out"
     start = time.monotonic()
@@ -1489,7 +1546,7 @@ def test_no_process_outlives_a_banded_run(tmp_path, monkeypatch, capsys,
 
     monkeypatch.setattr(cli, "step_leapfrog", failing_step)
     parent, sends = os.getpid(), []
-    send = fields._send
+    send = workers._send
 
     def interrupted_send(fd, data):
         # A band is a head and six fields: stop the parent half way
@@ -1501,7 +1558,7 @@ def test_no_process_outlives_a_banded_run(tmp_path, monkeypatch, capsys,
                 raise KeyboardInterrupt
         send(fd, data)
 
-    monkeypatch.setattr(fields, "_send", interrupted_send)
+    monkeypatch.setattr(workers, "_send", interrupted_send)
     cfg = write_config(tmp_path, BAND_SIM)
     argv = ["simulate", "--config", cfg, "--out", str(out)]
     if way_out.startswith("interrupt"):

@@ -16,7 +16,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from cosserat2d import dynamics, energy
+from cosserat2d import dynamics, energy, workers
 from cosserat2d.dynamics import (
     _fd_nodes,
     _fd_step,
@@ -1090,19 +1090,18 @@ def test_banded_kernel_is_bitwise_the_serial_kernel(monkeypatch, model, grid,
         return serial(*args, out=out)
 
     monkeypatch.setattr(dynamics, "_rhs", bands_only)
-    with dynamics.banded_rhs(state, p, terms, 1e-8, bands) as rhs:
-        results = []
+    with workers.banded_rhs(state, p, terms, 1e-8, bands,
+                            workers._usable_cpus()) as rhs:
         for _ in range(3):
-            results.append((rhs(state, p), state.copy()))
-            state.u1 += 1e-3 * state.v1  # the positions move in place
-            state.theta += 1e-3 * state.omega
-        # A result stays valid through the next call: the last two.
-        for acc, at in results[1:]:
-            expected = serial(at, p, terms, 1e-8)
+            # A result stays valid until the next call.
+            acc = rhs(state, p)
+            expected = serial(state.copy(), p, terms, 1e-8)
             assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
             assert acc.acc_theta.tobytes() == expected.acc_theta.tobytes()
             assert list(acc.potential.items()) == list(
                 expected.potential.items())
+            state.u1 += 1e-3 * state.v1  # the positions move in place
+            state.theta += 1e-3 * state.omega
 
 
 def test_a_degenerate_node_in_a_worker_band_raises_the_serial_message():
@@ -1110,7 +1109,8 @@ def test_a_degenerate_node_in_a_worker_band_raises_the_serial_message():
     p, terms = MaterialParams(chi=0.3), ModelSelector.nonchiral().active_terms()
     state = random_smooth_state(grid, seed=5, amplitude=0.05)
     bands = [(0, 13), (13, 27), (27, 40)]
-    with dynamics.banded_rhs(state, p, terms, 1e-8, bands) as rhs:
+    with workers.banded_rhs(state, p, terms, 1e-8, bands,
+                            workers._usable_cpus()) as rhs:
         kept = state.u1[31, 7]
         # d_x u1 = -1.3 at node (30, 7), in the last band and no other's
         # halo.
@@ -1127,16 +1127,3 @@ def test_a_degenerate_node_in_a_worker_band_raises_the_serial_message():
         expected = dynamics._rhs(state.copy(), p, terms, 1e-8)
         assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
         assert acc.acc_theta.tobytes() == expected.acc_theta.tobytes()
-
-
-def test_another_state_or_material_takes_the_serial_kernel():
-    grid = Grid(16, 16)
-    p, terms = MaterialParams(chi=0.3), ModelSelector.nonchiral().active_terms()
-    state = random_smooth_state(grid, seed=5, amplitude=0.05)
-    other = random_smooth_state(grid, seed=6, amplitude=0.05)
-    with dynamics.banded_rhs(state, p, terms, 1e-8, [(0, 8), (8, 16)]) as rhs:
-        for s, q in ((other, p), (state, dataclasses.replace(p, chi=0.5))):
-            acc = rhs(s, q)
-            expected = dynamics._rhs(s, q, terms, 1e-8)
-            assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
-            assert acc.potential == expected.potential

@@ -12,8 +12,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import reference_snapshot, set_usable_cpus
-from cosserat2d import fields, report
+from conftest import reference_snapshot
+from cosserat2d import fields, report, workers
 from cosserat2d.algebra import mat_mul, rot2, transpose2
 from cosserat2d.errors import ConfigError, NonFiniteState
 from cosserat2d.fields import (
@@ -335,17 +335,19 @@ def test_snapshot_matches_the_ten_column_reference(tmp_path, nx, ny):
 ])
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_banded_snapshots_match_the_reference_and_an_inline_write(
-        tmp_path, monkeypatch, deadline, nx, ny, heights, cpus):
-    # Fewer writers than bands (one writer passes offsets to itself), as
-    # many, and more: three snapshots, so the bands go round the ring.
+        tmp_path, deadline, nx, ny, heights, cpus):
+    # As many writers as bands and more, but never fewer: a run has at most
+    # one band per usable CPU.  Three snapshots, so the bands go round the
+    # ring.
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     state = state_with_specials(nx, ny)
     bounds = np.cumsum((0,) + heights).tolist()
     bands = list(zip(bounds, bounds[1:]))
-    set_usable_cpus(monkeypatch, cpus)
+    usable = list(range(max(cpus, len(bands))))
     paths = [tmp_path / f"snapshot_{k}.csv" for k in range(3)]
-    with fields.snapshot_writer(len(paths), bands) as write:
+    with workers.snapshot_writer(state.grid, len(paths), bands,
+                                 usable) as write:
         for path in paths:
             write(state, path)
     reference_snapshot(state, tmp_path / "reference.csv")
@@ -362,7 +364,8 @@ def test_the_writers_share_the_formatter_tables_built_before_they_fork(
         pytest.skip("needs os.fork")
     state = state_with_specials(5, 16)
     report._tables.cache_clear()
-    with fields.snapshot_writer(2, [(0, 2), (2, 5)]) as write:
+    with workers.snapshot_writer(state.grid, 2, [(0, 2), (2, 5)],
+                                 [0, 1]) as write:
         assert report._tables.cache_info().currsize == 1
         write(state, tmp_path / "snapshot.csv")
     reference_snapshot(state, tmp_path / "reference.csv")
@@ -381,13 +384,9 @@ def test_the_writers_share_the_formatter_tables_built_before_they_fork(
     # No band is empty.
     (Grid(4, 2**20), 8, [(0, 1), (1, 2), (2, 3), (3, 4)]),
 ])
-def test_row_bands_follow_the_usable_cpus_and_the_grid_size(
-        monkeypatch, grid, cpus, bands):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cpus)), raising=False)
-    assert fields.row_bands(grid) == bands
-    monkeypatch.delattr(os, "fork", raising=False)
-    assert fields.row_bands(grid) == [(0, grid.nx)]
+def test_row_bands_follow_the_usable_cpus_and_the_grid_size(grid, cpus,
+                                                            bands):
+    assert workers.row_bands(grid, cpus) == bands
 
 
 def test_write_csv_blocks_join_seamlessly(tmp_path, monkeypatch):
