@@ -92,7 +92,9 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     them with ``band``), and nothing is returned: the band's accelerations
     go into ``acc_u`` and ``acc_theta``, and each live term's density on
     the band, in :func:`cosserat2d.energy.term_densities` order, into
-    ``densities``.  Every value has the full-grid bits.
+    ``densities``.  Every value has the full-grid bits.  As the invariants,
+    the ``det F`` check and the densities cover the band and one row
+    either side of it; only the band's own rows are kept.
     """
     grid = state.grid
     band = out is not None
@@ -101,8 +103,8 @@ def _rhs(state: FieldState, p: MaterialParams, terms: tuple[str, ...],
     # The densities first, so that each invariant can go at its last read.
     if band:
         acc_u, acc_theta, densities = out
-        for target, (_, d) in zip(densities, term_densities(k, p, band)):
-            target[...] = d
+        for target, (_, d) in zip(densities, term_densities(k, p)):
+            target[...] = own(d)
             del d
     else:
         acc_u = acc_theta = None

@@ -171,19 +171,16 @@ _DENSITIES = {
 ALL_TERMS = tuple(_DENSITIES)
 
 
-def term_densities(k: _Invariants, p: MaterialParams, band=False):
+def term_densities(k: _Invariants, p: MaterialParams):
     """Yield ``(term, density)`` for each of ``k.terms`` from the invariants
-    ``k`` (:func:`_invariants`); with ``band``, on the band's own rows of
-    invariants built with ``band``.
+    ``k`` (:func:`_invariants`), at every node they were built on.
 
     Densities come one at a time, in :data:`ALL_TERMS` order, so a caller
     that sums each keeps one alive.
     """
     for term, (density, reads) in _DENSITIES.items():
         if term in k.terms:
-            args = (getattr(k, name) for name in reads)
-            yield term, density(*(map(_band_rows, args) if band else args),
-                                p)
+            yield term, density(*(getattr(k, name) for name in reads), p)
 
 
 def term_totals(densities, cell_area: float) -> dict[str, float]:
@@ -245,8 +242,8 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     With ``band``, ``u1``, ``u2`` and ``theta`` are instead a band of grid
     rows with the two rows either side of it, wrapped periodically.  The
     invariants are built on the band and one row either side (the block
-    without its outer rows), with the full-grid bits for the same reason,
-    and the ``det F`` check sees the band's own rows only.
+    without its outer rows), with the full-grid bits for the same reason.
+    Either way, the ``det F`` check covers every node built.
     """
     live = _live_terms(terms, p)
     grid = state.grid
@@ -273,7 +270,7 @@ def _invariants(state: FieldState, p: MaterialParams, terms, eps_reg: float,
     # its last read; w is built once per axis for that.
     return _planar_invariants(live, inner(_w_derivative(ddx, u1, u2, grid)),
                               inner(_w_derivative(ddy, u1, u2, grid)),
-                              inner(theta), g, eps_reg, nodes, band)
+                              inner(theta), g, eps_reg, nodes)
 
 
 def _w_derivative(derivative, u1, u2, grid):
@@ -285,19 +282,18 @@ def _w_derivative(derivative, u1, u2, grid):
 
 def _planar_invariants(terms, wx, wy, theta, g=None,
                       eps_reg: float = DEFAULT_EPS_REG,
-                      nodes=None, band=False) -> _Invariants:
+                      nodes=None) -> _Invariants:
     """The :data:`_Invariants` of ``terms`` (all live) from the pointwise
     derivatives ``wx``, ``wy`` of ``w = u1 + i u2``, the angle ``theta`` and,
     for the curvature and the interaction, its gradient ``g``.
 
     The polar coupling first checks ``det F`` (:func:`check_polar_det`,
     which names the grid node ``nodes`` gives a value, if given), taken
-    from the entries of ``F`` as ``det2`` takes it; with ``band``, on the
-    band's own rows only.
+    from the entries of ``F`` as ``det2`` takes it.
     """
     if "coupling" in terms:
         det = (1.0 + wx.real) * (1.0 + wy.imag) - wy.real * wx.imag
-        check_polar_det(_band_rows(det) if band else det, nodes)
+        check_polar_det(det, nodes)
         del det
     fa = 1j * wy
     xi = wx - fa  # fc - 2

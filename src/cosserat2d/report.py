@@ -5,10 +5,8 @@ Every CSV file of the package is written here, so the number format is
 defined here once: a string column prints as is, an integer column as
 integers (``%d``), and any other column as floats with the bytes of
 ``"%.17g" % v``, negative zero printing as ``0``.  Every file is started by
-:func:`write_csv` (a snapshot by way of :func:`write_grid_csv`);
-:func:`append_csv` adds rows to its end, and :func:`write_at` writes lines
-(a later band of a snapshot's rows, from :func:`grid_csv_lines`) at an
-offset in it.
+:func:`write_csv` (a snapshot by way of :func:`write_grid_csv`), and
+:func:`append_csv` adds rows to its end.
 
 Floats are formatted a block of :data:`BLOCK_VALUES` values at a time with
 numpy (:func:`_float_cells`): each value is scaled by a power of ten as an
@@ -30,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -313,21 +310,19 @@ def _csv_blocks(columns):
         yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
 
 
-def _write(path, mode: str, chunks) -> int:
-    """Write ``chunks`` to ``path`` opened in ``mode``; return the offset
-    the file then ends at."""
+def _write(path, mode: str, chunks) -> None:
+    """Write ``chunks`` to ``path`` opened in ``mode``."""
     try:
         with open(path, mode) as fh:
             fh.writelines(chunks)
-            return fh.tell()
     except OSError as exc:
         raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 
-def write_csv(path, header: str, columns) -> int:
-    """Write equal-length ``columns`` as CSV rows under the ``header`` line;
-    return the size of the file."""
-    return _write(path, "wb", itertools.chain(
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-length ``columns`` as CSV rows under the ``header``
+    line."""
+    _write(path, "wb", itertools.chain(
         [header.encode("utf-8") + b"\n"], _csv_blocks(columns)))
 
 
@@ -335,24 +330,6 @@ def append_csv(path, columns) -> None:
     """Append equal-length ``columns`` as CSV rows to a file that
     :func:`write_csv` started."""
     _write(path, "ab", _csv_blocks(columns))
-
-
-def write_at(path, offset: int, lines) -> int:
-    """Write the byte strings ``lines`` into the existing file ``path`` from
-    byte ``offset`` on; return the offset after them."""
-    try:
-        fd = os.open(path, os.O_WRONLY)
-        try:
-            for line in lines:
-                view = memoryview(line)
-                while view:
-                    written = os.pwrite(fd, view, offset)
-                    view, offset = view[written:], offset + written
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
-    return offset
 
 
 def _trimmed(cells: np.ndarray) -> np.ndarray:
@@ -389,11 +366,11 @@ def grid_csv_lines(x, y, fields, first: int = 0):
     return _csv_blocks(_grid_columns(x, y, fields, first))
 
 
-def write_grid_csv(path, header: str, x, y, fields) -> int:
+def write_grid_csv(path, header: str, x, y, fields) -> None:
     """Write one row ``i,j,x[i],y[j]`` followed by ``f[i, j]`` for each of
     ``fields`` per grid node, ``i``-major, under the ``header`` line, with
-    :func:`write_csv`; return the size of the file."""
-    return write_csv(path, header, _grid_columns(x, y, fields))
+    :func:`write_csv`."""
+    write_csv(path, header, _grid_columns(x, y, fields))
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,14 @@ from .dynamics import RhsFields
 from .energy import ALL_TERMS, _live_terms, term_totals
 from .errors import IoError, WorkerExited
 from .fields import _SNAPSHOT_HEADER, Grid, save_snapshot
-from .report import _tables, grid_csv_lines, write_at, write_grid_csv
+from .report import _tables, grid_csv_lines, write_grid_csv
 
 #: The fixed head of a band of a snapshot sent to a writer: the band's grid
 #: rows ``i0, i1`` and the length of the path in bytes; the path and the
 #: band's rows of the six fields follow.
 _REQUEST = struct.Struct("<qqq")
-#: The head of a writer's reply, the length of its error message (0:
-#: written), and the offset one band's writer passes the next band's (-1:
-#: not written).
+#: The head of a writer's reply: the length of its error message (0:
+#: written).
 _INT64 = struct.Struct("<q")
 
 
@@ -57,6 +56,20 @@ def _send(fd: int, data) -> None:
     view = memoryview(data).cast("B")
     while view:
         view = view[os.write(fd, view):]
+
+
+def _append(path: str, lines) -> None:
+    """Append the byte strings ``lines`` to the existing file ``path``; a
+    failure, a missing file included, is raised as an :class:`IoError`."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+        try:
+            for line in lines:
+                _send(fd, line)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _receive_into(fd: int, buffer) -> bool:
@@ -240,32 +253,31 @@ def _save_band(grid: Grid, fields, rows: tuple[int, int], path: str,
     The first band (a whole snapshot, if it is the only one) starts the
     file with the header and streams its rows, as
     :func:`cosserat2d.fields.save_snapshot` does.  A later band formats its
-    rows in memory, reads from ``previous`` the offset where they start,
-    which the previous band's writer sends, and writes them there.  Each
-    band but the last sends the offset it ends at, or -1 if it wrote
-    nothing, down ``following``.  A band whose previous band wrote nothing,
-    or whose writer died first (``previous`` closes), writes nothing and
-    raises an :class:`IoError`.
+    rows in memory, waits for the previous band's writer to say down
+    ``previous`` that its rows are written, and appends them
+    (:func:`_append`).  Each band but the last sends one byte down
+    ``following``: 1 if it wrote its rows, 0 if not.  A band whose previous
+    band wrote nothing, or whose writer died first (``previous`` closes),
+    writes nothing and raises an :class:`IoError`.
     """
     i0, i1 = rows
     x, y = grid.axes()
-    end = -1
+    written = False
     try:
         if not i0:
-            end = write_grid_csv(path, _SNAPSHOT_HEADER, x[:i1], y, fields)
+            write_grid_csv(path, _SNAPSHOT_HEADER, x[:i1], y, fields)
         else:
             lines = list(grid_csv_lines(x[i0:i1], y, fields, first=i0))
-            offset = bytearray(_INT64.size)
-            start = (_INT64.unpack(offset)[0]
-                     if _receive_into(previous, offset) else -1)
-            if start < 0:
+            ready = bytearray(1)
+            if not (_receive_into(previous, ready) and ready[0]):
                 raise IoError(f"cannot write {path!r}: rows {i0} to {i1 - 1} "
                               f"follow rows that were not written")
-            end = write_at(path, start, lines)
+            _append(path, lines)
+        written = True
     finally:
         if i1 < grid.nx:
             try:
-                _send(following, _INT64.pack(end))
+                _send(following, bytes([written]))
             except BrokenPipeError:
                 pass  # the next band's writer died; the parent reports it
 
@@ -287,7 +299,7 @@ def snapshot_writer(grid: Grid, count: int, bands, cpus):
     pipe runs on the waking process's CPU and can stay there.
     The bands go to the writers in turn, each sent down a pipe straight from
     the state's rows, so the writer of the next band is always the next
-    writer of the ring: writer ``k`` sends it the offset its band starts at
+    writer of the ring: writer ``k`` tells it when its band is written
     through a pipe of which it holds the only write end
     (:func:`_save_band`).  Before a snapshot goes out, ``write`` waits for
     the band in flight on each writer its bands go to, the oldest.  The
@@ -298,7 +310,7 @@ def snapshot_writer(grid: Grid, count: int, bands, cpus):
     """
     _tables()
     writers = []  # in turn: the next to write first, with the oldest in flight
-    links = []  # links[k]: the offset pipe from writer k to writer k + 1
+    links = []  # links[k]: the go-ahead pipe from writer k to writer k + 1
 
     def retire(writer) -> int:
         writers.remove(writer)

@@ -1386,16 +1386,16 @@ def test_a_later_band_writer_killed_mid_snapshot_exits_1_naming_the_path(
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     reference = band_sim_outputs(tmp_path, monkeypatch, "reference")
-    write_at = workers.write_at
+    append = workers._append
 
-    def dying_write_at(path, offset, lines):
+    def dying_append(path, lines):
         # Runs in the writer of band 1: die with its rows half written.
         if path.endswith("snapshot_000002.csv"):
-            write_at(path, offset, lines[:1])
+            append(path, lines[:1])
             os.kill(os.getpid(), signal.SIGKILL)
-        return write_at(path, offset, lines)
+        return append(path, lines)
 
-    monkeypatch.setattr(workers, "write_at", dying_write_at)
+    monkeypatch.setattr(workers, "_append", dying_append)
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
                  "--out", str(out)]) == 1
@@ -1410,6 +1410,24 @@ def test_a_later_band_writer_killed_mid_snapshot_exits_1_naming_the_path(
     assert whole.index(b"\n128,0,") < len(written) < len(whole)
     assert whole.startswith(written)
     assert not (out / "snapshot_000004.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_later_band_appends_only_to_a_file_that_exists(
+        tmp_path, monkeypatch, capsys, deadline):
+    if not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    # Runs in the writer of band 0: writes nothing, yet succeeds.
+    monkeypatch.setattr(workers, "write_grid_csv", lambda *args: None)
+    set_usable_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
+                 "--out", str(out)]) == 1
+    path = str(out / "snapshot_000000.csv")
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {path!r}: [Errno 2] No such file or directory: ")
+    assert not list(out.glob("snapshot_*"))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -1104,26 +1104,38 @@ def test_banded_kernel_is_bitwise_the_serial_kernel(monkeypatch, model, grid,
             state.theta += 1e-3 * state.omega
 
 
-def test_a_degenerate_node_in_a_worker_band_raises_the_serial_message():
+def _degenerate_node_raises_the_serial_message(row: int) -> None:
+    """Make ``d_x u1 = -1.3`` at node ``(row, 7)`` of three bands of a
+    40x36 grid: the banded ``rhs`` raises the serial kernel's message, and
+    once the value is restored the next call has the serial bits again."""
     grid = Grid(40, 36, lx=1.3)
     p, terms = MaterialParams(chi=0.3), ModelSelector.nonchiral().active_terms()
     state = random_smooth_state(grid, seed=5, amplitude=0.05)
     bands = [(0, 13), (13, 27), (27, 40)]
     with workers.banded_rhs(state, p, terms, 1e-8, bands,
                             workers._usable_cpus()) as rhs:
-        kept = state.u1[31, 7]
-        # d_x u1 = -1.3 at node (30, 7), in the last band and no other's
-        # halo.
-        state.u1[31, 7] = state.u1[29, 7] - 1.3 * 2.0 * grid.hx
+        kept = state.u1[row + 1, 7]
+        state.u1[row + 1, 7] = state.u1[row - 1, 7] - 1.3 * 2.0 * grid.hx
         with pytest.raises(DegenerateDeformation) as serial:
             dynamics._rhs(state.copy(), p, terms, 1e-8)
-        assert "at node (30, 7)" in str(serial.value)
+        assert f"at node ({row}, 7)" in str(serial.value)
         with pytest.raises(DegenerateDeformation) as banded:
             rhs(state, p)
         assert str(banded.value) == str(serial.value)
         # Every band answered, so the next call has the serial bits again.
-        state.u1[31, 7] = kept
+        state.u1[row + 1, 7] = kept
         acc = rhs(state, p)
         expected = dynamics._rhs(state.copy(), p, terms, 1e-8)
         assert acc.acc_u.tobytes() == expected.acc_u.tobytes()
         assert acc.acc_theta.tobytes() == expected.acc_theta.tobytes()
+
+
+def test_a_degenerate_node_in_a_worker_band_raises_the_serial_message():
+    # Row 30 is in the last band and no other's halo.
+    _degenerate_node_raises_the_serial_message(30)
+
+
+def test_a_degenerate_node_on_a_bands_edge_row_raises_the_serial_message():
+    # Row 26 is the last row of band (13, 27) and a halo row of band
+    # (27, 40), so both bands fail.
+    _degenerate_node_raises_the_serial_message(26)
