@@ -34,14 +34,15 @@ total energy by an independent, matrix route: each term contributes
 Because the difference operators are exactly antisymmetric on the periodic
 grid, those expressions are the machine-precision gradient of
 :func:`total_energy`, not merely a discretization of one.  The tables are
-built in place: each conjugate to ``R^T F`` in one field, with its identity
-shifts on the diagonal, each of ``P``, ``Y`` and ``q`` from its first
-term's contribution, and each kinematic field let go at its last read.
+built one term at a time and in place: each conjugate to ``R^T F`` in one
+field, with its identity shifts on the diagonal, and each kinematic field
+let go at its last read.  The gradient of several terms is the sum of
+theirs.
 """
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -397,154 +398,118 @@ def _stretch_conjugate(x, shear, bulk, skew=0.0):
     return w
 
 
-def _accumulate(total, part):
-    """``total + part``, in ``total``; ``part`` itself while there is no
-    total.
-
-    A sum from zeros would turn each ``-0`` of the first part into ``+0``.
-    A matrix product (:func:`mat_mul`) gives no ``-0``; the other parts
-    give one only at exact zeros of their factors.  The gradient reads
-    ``Y`` through a Frobenius product, which sums from ``+0``, and ``P``
-    and ``q`` through central differences, where a ``-0`` keeps its sign
-    only beside a ``+0``.
-    """
-    if total is None:
-        return part
-    total += part
-    return total
-
-
-#: The kinematic fields each term's conjugates read (besides ``R``, which
-#: every term but the curvature reads), in the order the terms are summed.
-_CONJUGATE_READS = {
-    "elastic": ("x", "f"),
-    "coupling2": ("x", "f"),
-    "chiral_elastic": ("xs", "fstar"),
-    "mixing": ("xs", "f", "x", "fstar"),
-    "interaction": ("x", "g", "f"),
-    "curvature": ("g",),
-    "coupling": ("f",),
-}
-
-
-def _variation_conjugates(state: FieldState, p: MaterialParams, terms,
+def _variation_conjugates(state: FieldState, p: MaterialParams, term,
                           eps_reg: float):
-    """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of ``terms``,
-    and the ``R`` they were built with.
+    """Conjugates ``(P, Y, q)`` (to F, to R, to grad theta) of the live
+    ``term``, and the ``R`` they were built with.
 
-    Each kinematic field (``F``, ``F*``, ``x = R^T F``, ``x* = R^T F*``,
-    ``grad theta``) is built only if a live term reads it, and let go at
-    its last read.  Each conjugate is the first term's contribution with
-    the later ones added in place (:func:`_accumulate`), and ``None`` when
-    no live term has one: ``P``, ``Y`` and ``R`` for the curvature alone
-    or no live term, ``q`` without the curvature and the interaction.
+    The term builds only the kinematic fields it reads (``F``, ``F*``,
+    ``x = R^T F``, ``x* = R^T F*``, ``grad theta``) and lets each go at its
+    last read.  A conjugate the term does not have is ``None``: ``P``,
+    ``Y`` and ``R`` for the curvature, ``q`` for all but the curvature and
+    the interaction.
     """
-    live = _live_terms(terms, p)
-    need = [t for t in _CONJUGATE_READS if t in live]
-    left = Counter(name for t in need for name in _CONJUGATE_READS[t])
-    kin, r = {}, None
-    if need and need != ["curvature"]:
-        kin["f"], fstar = deformation_gradients(state,
-                                                star=bool(left["fstar"]))
-        r = rot2(state.theta)
-        if left["x"]:
-            kin["x"] = mat_mul(transpose2(r), kin["f"])
-        if fstar is not None:
-            kin["xs"] = mat_mul(transpose2(r), fstar)
-            kin["fstar"] = fstar
-            del fstar
-        if not left["f"]:  # F was only the way to x* (the chiral terms)
-            del kin["f"]
-    if left["g"]:
-        kin["g"] = grad_scalar(state.theta, state.grid)
-
-    def take(name):
-        """The field ``name``, dropped from the table at its last read."""
-        left[name] -= 1
-        return kin[name] if left[name] else kin.pop(name)
-
-    p_conj = y_conj = q_conj = None
-
-    # A conjugate w to x = R^T F goes back to (R w, F w^T) against
-    # (delta F, delta R); the fields are handed over unnamed, so that each
-    # is freed at its last read.
-    if "elastic" in need:
-        w = _stretch_conjugate(take("x"), 2.0 * p.mu, p.lam)
-        y_conj = _accumulate(y_conj, mat_mul(take("f"), transpose2(w)))
-        p_conj = _accumulate(p_conj, mat_mul(r, w))
-        del w
-
-    if "coupling2" in need:
-        x = take("x")
-        w = np.subtract(x, transpose2(x))  # 2 skew(x)
-        del x
-        w *= p.mu_c
-        y_conj = _accumulate(y_conj, mat_mul(take("f"), transpose2(w)))
-        p_conj = _accumulate(p_conj, mat_mul(r, w))
-        del w
-
-    if "chiral_elastic" in need:
-        w = _stretch_conjugate(take("xs"), 2.0 * p.mu_s, p.lam_s, p.mu_c_s)
-        y_conj = _accumulate(y_conj, mat_mul(take("fstar"), transpose2(w)))
-        # delta F* = EPS2 @ delta F, so the F-conjugate picks up EPS2^T.
-        p_conj = _accumulate(p_conj, np.einsum("ji,jk...->ik...", EPS2,
-                                               mat_mul(r, w)))
-        del w
-
-    if "mixing" in need:
-        # The conjugate to x reads x*, and the one to x* reads x.
-        w = _stretch_conjugate(take("xs"), p.m1, p.m2, 0.5 * p.m3)
-        dy = mat_mul(take("f"), transpose2(w))
-        dp = mat_mul(r, w)
-        del w
-        w = _stretch_conjugate(take("x"), p.m1, p.m2, 0.5 * p.m3)
-        dy += mat_mul(take("fstar"), transpose2(w))
-        dp += np.einsum("ji,jk...->ik...", EPS2, mat_mul(r, w))
-        del w
-        y_conj = _accumulate(y_conj, dy)
-        p_conj = _accumulate(p_conj, dp)
-        del dy, dp
-
-    if "interaction" in need:
-        c = p.mu * p.L_c * p.chi
-        ct = trace2(take("x"))
-        ct *= c
-        g = take("g")
-        n, s = _reg_norm(g, eps_reg)
-        dq = np.multiply(g, ct)
-        del g, ct
-        dq /= s
-        del s
-        q_conj = _accumulate(q_conj, dq)
-        del dq
-        n *= c
-        y_conj = _accumulate(y_conj, np.multiply(take("f"), n))
-        p_conj = _accumulate(p_conj, np.multiply(r, n))
-        del n
-
-    if "curvature" in need:
-        g = take("g")
+    if term == "curvature":
+        g = grad_scalar(state.theta, state.grid)
         g *= 2.0 * p.mu * p.L_c**2
-        q_conj = _accumulate(q_conj, g)
-        del g
+        return None, None, g, None
+    f, fstar = deformation_gradients(
+        state, star=term in ("chiral_elastic", "mixing"))
+    r = rot2(state.theta)
 
-    if "coupling" in need:
+    if term == "coupling":
         k = -2.0 * p.mu_c
-        polar_r, tru = _polar_rotation(take("f"))
+        polar_r, tru = _polar_rotation(f)
+        del f
         # d polar(F)[E] = (E - P E^T P) / tr U is self-adjoint under the
         # Frobenius product, so the F-conjugate is it applied to -2 mu_c R.
-        dp = mat_mul(polar_r, mat_mul(transpose2(r), polar_r))
-        np.subtract(r, dp, out=dp)
-        dp *= k
-        dp /= tru
+        p_conj = mat_mul(polar_r, mat_mul(transpose2(r), polar_r))
+        np.subtract(r, p_conj, out=p_conj)
+        p_conj *= k
+        p_conj /= tru
         del tru
-        p_conj = _accumulate(p_conj, dp)
-        del dp
         polar_r *= k
-        y_conj = _accumulate(y_conj, polar_r)
-        del polar_r
+        return p_conj, polar_r, None, r
 
-    return p_conj, y_conj, q_conj, r
+    if term == "interaction":
+        c = p.mu * p.L_c * p.chi
+        ct = trace2(mat_mul(transpose2(r), f))
+        ct *= c
+        g = grad_scalar(state.theta, state.grid)
+        n, s = _reg_norm(g, eps_reg)
+        q_conj = np.multiply(g, ct)
+        del g, ct
+        q_conj /= s
+        del s
+        n *= c
+        y_conj = np.multiply(f, n)
+        del f
+        return np.multiply(r, n), y_conj, q_conj, r
+
+    # A conjugate w to x = R^T F goes back to (R w, F w^T) against
+    # (delta F, delta R); delta F* = EPS2 @ delta F, so a conjugate to
+    # x* = R^T F* picks up EPS2^T on its way to F.
+    if term in ("elastic", "coupling2"):
+        x = mat_mul(transpose2(r), f)
+        if term == "elastic":
+            w = _stretch_conjugate(x, 2.0 * p.mu, p.lam)
+        else:
+            w = np.subtract(x, transpose2(x))  # 2 skew(x)
+            w *= p.mu_c
+        del x
+        y_conj = mat_mul(f, transpose2(w))
+        del f
+        return mat_mul(r, w), y_conj, None, r
+
+    if term == "chiral_elastic":
+        del f  # F was only the way to F*
+        w = _stretch_conjugate(mat_mul(transpose2(r), fstar), 2.0 * p.mu_s,
+                               p.lam_s, p.mu_c_s)
+        y_conj = mat_mul(fstar, transpose2(w))
+        del fstar
+        return (np.einsum("ji,jk...->ik...", EPS2, mat_mul(r, w)), y_conj,
+                None, r)
+
+    # The mixing: the conjugate to x reads x*, and the one to x* reads x.
+    x = mat_mul(transpose2(r), f)
+    w = _stretch_conjugate(mat_mul(transpose2(r), fstar), p.m1, p.m2,
+                           0.5 * p.m3)
+    y_conj = mat_mul(f, transpose2(w))
+    del f
+    p_conj = mat_mul(r, w)
+    del w
+    w = _stretch_conjugate(x, p.m1, p.m2, 0.5 * p.m3)
+    del x
+    y_conj += mat_mul(fstar, transpose2(w))
+    del fstar
+    p_conj += np.einsum("ji,jk...->ik...", EPS2, mat_mul(r, w))
+    return p_conj, y_conj, None, r
+
+
+def _term_variation(state: FieldState, p: MaterialParams, term,
+                    eps_reg: float):
+    """``(dV_du, dV_dtheta)`` of the live ``term`` from its conjugates."""
+    grid = state.grid
+    p_conj, y_conj, q_conj, r = _variation_conjugates(state, p, term,
+                                                      eps_reg)
+    # Each conjugate goes at its last read: q, then Y (with R), then P.
+    div_q = None if q_conj is None else div_vector(q_conj, grid)
+    del q_conj
+    if r is None:  # the curvature: -div of a zero conjugate to F
+        return (np.full((2,) + grid.shape, -0.0),
+                np.negative(div_q, out=div_q))
+    # dR/dtheta = -EPS2 @ R, contracted against the delta-R conjugate.
+    minus_eps_r = np.einsum("ij,jk...->ik...", EPS2, r)
+    del r
+    np.negative(minus_eps_r, out=minus_eps_r)
+    dv_dtheta = frobenius(y_conj, minus_eps_r)
+    del y_conj, minus_eps_r
+    if div_q is not None:
+        dv_dtheta -= div_q
+    del div_q
+    dv_du = div_matrix(p_conj, grid)
+    del p_conj
+    return np.negative(dv_du, out=dv_du), dv_dtheta
 
 
 def analytic_variations(state: FieldState, p: MaterialParams, terms,
@@ -554,29 +519,20 @@ def analytic_variations(state: FieldState, p: MaterialParams, terms,
 
     ``dV_du`` has shape ``(2, nx, ny)`` and ``dV_dtheta`` ``(nx, ny)``; the
     derivative of the nodal total with respect to one nodal unknown equals the
-    returned value times the cell area.
+    returned value times the cell area.  Each live term's gradient is built
+    on its own and added in place to the sum of those before it, in the
+    order of ``terms``.
     """
-    grid = state.grid
-    p_conj, y_conj, q_conj, r = _variation_conjugates(state, p, terms,
-                                                      eps_reg)
-    # Each conjugate goes at its last read: q, then Y (with R), then P.
-    div_q = None if q_conj is None else div_vector(q_conj, grid)
-    del q_conj
-    if r is None:  # no live term reads R: the curvature alone, or none
-        dv_dtheta = (np.zeros(grid.shape) if div_q is None
-                     else np.negative(div_q, out=div_q))
-    else:
-        # dR/dtheta = -EPS2 @ R, contracted against the delta-R conjugate.
-        minus_eps_r = np.einsum("ij,jk...->ik...", EPS2, r)
-        del r
-        np.negative(minus_eps_r, out=minus_eps_r)
-        dv_dtheta = frobenius(y_conj, minus_eps_r)
-        del y_conj, minus_eps_r
-        if div_q is not None:
-            dv_dtheta -= div_q
-    del div_q
-    if p_conj is None:  # -div of a zero conjugate to F
-        return np.full((2,) + grid.shape, -0.0), dv_dtheta
-    dv_du = div_matrix(p_conj, grid)
-    del p_conj
-    return np.negative(dv_du, out=dv_du), dv_dtheta
+    dv_du = dv_dtheta = None
+    for term in _live_terms(terms, p):
+        du, dth = _term_variation(state, p, term, eps_reg)
+        if dv_du is None:
+            dv_du, dv_dtheta = du, dth
+        else:
+            dv_du += du
+            dv_dtheta += dth
+        del du, dth
+    if dv_du is None:  # no live term: the zero energy
+        shape = state.grid.shape
+        return np.full((2,) + shape, -0.0), np.zeros(shape)
+    return dv_du, dv_dtheta

@@ -359,10 +359,10 @@ def test_each_term_gradient_matches_finite_differences():
 
 
 def test_analytic_variations_builds_each_field_once(monkeypatch):
-    # One rotation build per gradient, reused for dR/dtheta, and one set of
-    # deformation gradients (F* only for the chiral terms); neither for the
-    # curvature alone, and one angle gradient only for the terms that read
-    # it.
+    # One rotation build per term's gradient, reused for dR/dtheta, and one
+    # set of deformation gradients (F* only for the chiral terms); neither
+    # for the curvature, and one angle gradient only for the terms that read
+    # it.  The gradient of all terms builds each term's own, in order.
     calls = dict.fromkeys(("rot2", "deformation_gradients", "grad_scalar"))
     stars = []
     for name in calls:
@@ -380,12 +380,13 @@ def test_analytic_variations_builds_each_field_once(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         stars.clear()
         analytic_variations(state, p, terms)
-        reads_r = 0 if terms == ("curvature",) else 1
-        reads_g = int(bool({"curvature", "interaction"} & set(terms)))
-        assert calls == {"rot2": reads_r, "deformation_gradients": reads_r,
-                         "grad_scalar": reads_g}, terms
-        star = bool({"chiral_elastic", "mixing"} & set(terms))
-        assert stars == [star] * reads_r, terms
+        reads_r = [t for t in terms if t != "curvature"]
+        reads_g = [t for t in terms if t in ("curvature", "interaction")]
+        assert calls == {"rot2": len(reads_r),
+                         "deformation_gradients": len(reads_r),
+                         "grad_scalar": len(reads_g)}, terms
+        assert stars == [t in ("chiral_elastic", "mixing")
+                         for t in reads_r], terms
 
 
 def test_coupling_gradient_takes_one_polar_factor(monkeypatch):
@@ -413,7 +414,7 @@ def test_coupling_f_conjugate_is_the_polar_derivative_of_its_r_conjugate():
                                 amplitude=0.08, modes=3)
     p = random_material(np.random.default_rng(11), chi=0.6)
     p_conj, _, _, r = energy._variation_conjugates(
-        state, p, ("coupling",), DEFAULT_EPS_REG)
+        state, p, "coupling", DEFAULT_EPS_REG)
     f, _ = deformation_gradients(state, star=False)
     assert_relatively_close(p_conj, dpolar_dir(f, -2.0 * p.mu_c * r))
 

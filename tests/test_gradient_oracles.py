@@ -6,10 +6,11 @@ one unknown at one node of a copy of the whole grid, takes the whole grid's
 densities and sums them on the 3x3 nodes around the node, one unknown, node
 and sign at a time.  Every row must equal it bit for bit.
 
-The conjugate tables of ``energy.analytic_variations`` are built in place;
-``conftest.reference_analytic_variations`` sums whole 2x2 fields from
-zeros.  Each term's gradient must equal it bit for bit, the sign of every
-zero included.
+The conjugate tables of ``energy.analytic_variations`` are built one term at
+a time and in place; ``conftest.reference_analytic_variations`` sums whole
+2x2 fields from zeros.  Each term's gradient must equal it bit for bit, the
+sign of every zero included, and the gradient of all terms must be the
+running sum of theirs.
 """
 
 import dataclasses
@@ -154,30 +155,46 @@ def _assert_same_gradient(state, p, terms, eps_reg=DEFAULT_EPS_REG):
         assert g.tobytes() == w.tobytes(), (terms, name)
 
 
+def _assert_sum_of_term_gradients(state, p, eps_reg=DEFAULT_EPS_REG):
+    # The gradient of all terms is each live term's reference gradient
+    # added in place, in order, to the first one's.
+    first, *rest = _live_terms(ALL_TERMS, p)
+    want = reference_analytic_variations(state, p, (first,), eps_reg)
+    for term in rest:
+        for w, g in zip(want, reference_analytic_variations(
+                state, p, (term,), eps_reg)):
+            w += g
+    got = analytic_variations(state, p, ALL_TERMS, eps_reg)
+    for name, g, w in zip(("dV_du", "dV_dtheta"), got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype, name
+        assert g.tobytes() == w.tobytes(), name
+
+
 @pytest.mark.parametrize("grid", GRADIENT_GRIDS.values(),
                          ids=GRADIENT_GRIDS.keys())
 def test_each_term_gradient_equals_the_whole_field_tables(grid):
     state = random_smooth_state(grid, seed=41, amplitude=0.03, modes=3)
     p = random_material(np.random.default_rng(82), chiral=True, chi=0.4)
     assert p.m3 != 0.0  # the mixing's skew part is summed too
-    for terms in [(t,) for t in ALL_TERMS] + [ALL_TERMS]:
-        _assert_same_gradient(state, p, terms)
+    for term in ALL_TERMS:
+        _assert_same_gradient(state, p, (term,))
         # The tables themselves, as values: each is None only where the
         # reference is zero everywhere.
-        got = energy._variation_conjugates(state, p, terms, DEFAULT_EPS_REG)
-        want = reference_variation_conjugates(state, p, terms,
+        got = energy._variation_conjugates(state, p, term, DEFAULT_EPS_REG)
+        want = reference_variation_conjugates(state, p, (term,),
                                               DEFAULT_EPS_REG)
         for name, g, w in zip("PYqR", got, want):
             if g is None:
-                assert w is None or not np.any(w), (terms, name)
+                assert w is None or not np.any(w), (term, name)
             else:
-                np.testing.assert_array_equal(g, w, err_msg=f"{terms} {name}")
+                np.testing.assert_array_equal(g, w, err_msg=f"{term} {name}")
+    _assert_sum_of_term_gradients(state, p)
 
 
 def test_gradients_keep_the_sign_of_every_zero():
-    # Exact zeros in R, F or grad theta give the terms' own parts signed
-    # zeros; summed from the first part instead of from zeros, every
-    # gradient still has the reference's bits.
+    # Exact zeros in R, F or grad theta give the terms' tables signed
+    # zeros; built in place instead of summed from zeros, each term's
+    # gradient still has the reference's bits, and so does their sum.
     grid = Grid(nx=16, ny=12, lx=1.3)
     base = random_smooth_state(grid, seed=43, amplitude=0.03, modes=2)
     zero = FieldState.zero(grid)
@@ -190,8 +207,9 @@ def test_gradients_keep_the_sign_of_every_zero():
               random_material(rng, chiral=True, chi=-0.4)):
         for state in states:
             for eps_reg in (DEFAULT_EPS_REG, 0.0):
-                for terms in [(t,) for t in ALL_TERMS] + [ALL_TERMS]:
-                    _assert_same_gradient(state, p, terms, eps_reg)
+                for term in ALL_TERMS:
+                    _assert_same_gradient(state, p, (term,), eps_reg)
+                _assert_sum_of_term_gradients(state, p, eps_reg)
 
 
 #: tracemalloc's peak of one 128x128 gradient pass per term, in grid fields
@@ -203,15 +221,28 @@ PEAK_FIELDS = {"elastic": 17.1, "curvature": 5.6, "interaction": 17.6,
                "mixing": 25.1}
 
 
-@pytest.mark.parametrize("term", ALL_TERMS)
-def test_one_term_gradient_pass_peak(term):
+def _gradient_pass_peak(terms):
+    """tracemalloc's peak of one 128x128 gradient pass of ``terms``, in
+    grid fields."""
     grid = Grid(nx=128, ny=128)
     state = random_smooth_state(grid, seed=31, amplitude=0.02, modes=3)
     p = random_material(np.random.default_rng(84), chiral=True, chi=0.3)
     tracemalloc.start()
     try:
-        analytic_variations(state, p, (term,))
+        analytic_variations(state, p, terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * grid.nx * grid.ny) <= PEAK_FIELDS[term]
+    return peak / (8 * grid.nx * grid.ny)
+
+
+@pytest.mark.parametrize("term", ALL_TERMS)
+def test_one_term_gradient_pass_peak(term):
+    assert _gradient_pass_peak((term,)) <= PEAK_FIELDS[term]
+
+
+def test_all_terms_gradient_pass_peak():
+    # One term's pass at a time beside the running sum (3 fields): the
+    # mixing's 25 and 3.  With the tables of all terms summed across them,
+    # the pass peaked at 42.1 fields.
+    assert _gradient_pass_peak(ALL_TERMS) <= 28.1
