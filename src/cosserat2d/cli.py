@@ -48,7 +48,13 @@ from .errors import (
 )
 from .fields import FieldState
 from .reduction3d import full_reduction_report
-from .report import BLOCK_ROWS, VerificationReport, append_csv, write_csv
+from .report import (
+    BLOCK_ROWS,
+    VerificationReport,
+    append_csv,
+    write_csv,
+    write_lines,
+)
 from .rng import random_smooth_state
 from .waves import (
     BranchTable,
@@ -271,11 +277,7 @@ def _write_dispersion_svg(path: str, table: BranchTable) -> None:
         parts.append(f'<polyline fill="none" stroke="{colors[index % 3]}" '
                      f'stroke-width="1.5" points="{coords}"/>')
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
+    write_lines(path, [("\n".join(parts) + "\n").encode("utf-8")])
 
 
 # --------------------------------------------------------------------------

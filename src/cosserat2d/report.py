@@ -6,7 +6,8 @@ defined here once: a string column prints as is, an integer column as
 integers (``%d``), and any other column as floats with the bytes of
 ``"%.17g" % v``, negative zero printing as ``0``.  Every file is started by
 :func:`write_csv` (a snapshot by way of :func:`write_grid_csv`), and
-:func:`append_csv` adds rows to its end.
+:func:`append_csv` adds rows to its end.  Every output file of a command,
+CSV or not, is opened by :func:`write_lines`.
 
 Floats are formatted a block of :data:`BLOCK_VALUES` values at a time with
 numpy (:func:`_float_cells`): each value is scaled by a power of ten as an
@@ -28,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -310,11 +312,14 @@ def _csv_blocks(columns):
         yield np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0")
 
 
-def _write(path, mode: str, chunks) -> None:
-    """Write ``chunks`` to ``path`` opened in ``mode``."""
+def write_lines(path, lines, append: bool = False) -> None:
+    """Write the byte strings ``lines`` to ``path``: a new file, or with
+    ``append`` the end of one that exists, never created.  Any failure is
+    raised as an :class:`IoError`."""
+    flags = os.O_WRONLY | (os.O_APPEND if append else os.O_CREAT | os.O_TRUNC)
     try:
-        with open(path, mode) as fh:
-            fh.writelines(chunks)
+        with open(os.open(path, flags, 0o666), "wb") as fh:
+            fh.writelines(lines)
     except OSError as exc:
         raise IoError(f"cannot write {path!r}: {exc}") from exc
 
@@ -322,14 +327,14 @@ def _write(path, mode: str, chunks) -> None:
 def write_csv(path, header: str, columns) -> None:
     """Write equal-length ``columns`` as CSV rows under the ``header``
     line."""
-    _write(path, "wb", itertools.chain(
+    write_lines(path, itertools.chain(
         [header.encode("utf-8") + b"\n"], _csv_blocks(columns)))
 
 
 def append_csv(path, columns) -> None:
     """Append equal-length ``columns`` as CSV rows to a file that
     :func:`write_csv` started."""
-    _write(path, "ab", _csv_blocks(columns))
+    write_lines(path, _csv_blocks(columns), append=True)
 
 
 def _trimmed(cells: np.ndarray) -> np.ndarray:

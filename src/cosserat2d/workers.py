@@ -21,7 +21,7 @@ from .dynamics import RhsFields
 from .energy import ALL_TERMS, _live_terms, term_totals
 from .errors import IoError, WorkerExited
 from .fields import _SNAPSHOT_HEADER, Grid, save_snapshot
-from .report import _tables, grid_csv_lines, write_grid_csv
+from .report import _tables, grid_csv_lines, write_grid_csv, write_lines
 
 #: The fixed head of a band of a snapshot sent to a writer: the band's grid
 #: rows ``i0, i1`` and the length of the path in bytes; the path and the
@@ -56,20 +56,6 @@ def _send(fd: int, data) -> None:
     view = memoryview(data).cast("B")
     while view:
         view = view[os.write(fd, view):]
-
-
-def _append(path: str, lines) -> None:
-    """Append the byte strings ``lines`` to the existing file ``path``; a
-    failure, a missing file included, is raised as an :class:`IoError`."""
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND)
-        try:
-            for line in lines:
-                _send(fd, line)
-        finally:
-            os.close(fd)
-    except OSError as exc:
-        raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _receive_into(fd: int, buffer) -> bool:
@@ -255,10 +241,10 @@ def _save_band(grid: Grid, fields, rows: tuple[int, int], path: str,
     :func:`cosserat2d.fields.save_snapshot` does.  A later band formats its
     rows in memory, waits for the previous band's writer to say down
     ``previous`` that its rows are written, and appends them
-    (:func:`_append`).  Each band but the last sends one byte down
-    ``following``: 1 if it wrote its rows, 0 if not.  A band whose previous
-    band wrote nothing, or whose writer died first (``previous`` closes),
-    writes nothing and raises an :class:`IoError`.
+    (:func:`cosserat2d.report.write_lines`).  Each band but the last sends
+    one byte down ``following``: 1 if it wrote its rows, 0 if not.  A band
+    whose previous band wrote nothing, or whose writer died first
+    (``previous`` closes), writes nothing and raises an :class:`IoError`.
     """
     i0, i1 = rows
     x, y = grid.axes()
@@ -272,7 +258,7 @@ def _save_band(grid: Grid, fields, rows: tuple[int, int], path: str,
             if not (_receive_into(previous, ready) and ready[0]):
                 raise IoError(f"cannot write {path!r}: rows {i0} to {i1 - 1} "
                               f"follow rows that were not written")
-            _append(path, lines)
+            write_lines(path, lines, append=True)
         written = True
     finally:
         if i1 < grid.nx:

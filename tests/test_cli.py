@@ -833,6 +833,16 @@ def test_csv_write_into_missing_directory_is_an_io_error(
         write(missing / "out.csv")
 
 
+def test_an_output_directory_that_cannot_be_made_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "verify_report.csv"
+    blocker.write_bytes(b"")
+    out = str(blocker / "sub")
+    assert main(["verify", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot create output directory {out!r}: "
+        f"[Errno {errno.ENOTDIR}] Not a directory: {out!r}\n")
+
+
 @pytest.mark.parametrize("kind", ["nonchiral", "chiral"])
 def test_simulate_evaluates_rhs_once_per_step(tmp_path, monkeypatch, kind):
     calls = []
@@ -1386,16 +1396,16 @@ def test_a_later_band_writer_killed_mid_snapshot_exits_1_naming_the_path(
     if not hasattr(os, "fork"):
         pytest.skip("needs os.fork")
     reference = band_sim_outputs(tmp_path, monkeypatch, "reference")
-    append = workers._append
+    write_lines = workers.write_lines
 
-    def dying_append(path, lines):
+    def dying_write_lines(path, lines, append=False):
         # Runs in the writer of band 1: die with its rows half written.
-        if path.endswith("snapshot_000002.csv"):
-            append(path, lines[:1])
+        if append and path.endswith("snapshot_000002.csv"):
+            write_lines(path, lines[:1], append=True)
             os.kill(os.getpid(), signal.SIGKILL)
-        return append(path, lines)
+        return write_lines(path, lines, append)
 
-    monkeypatch.setattr(workers, "_append", dying_append)
+    monkeypatch.setattr(workers, "write_lines", dying_write_lines)
     out = tmp_path / "out"
     assert main(["simulate", "--config", write_config(tmp_path, BAND_SIM),
                  "--out", str(out)]) == 1

@@ -212,6 +212,22 @@ def test_gradients_keep_the_sign_of_every_zero():
                 _assert_sum_of_term_gradients(state, p, eps_reg)
 
 
+def test_the_gradient_of_no_live_term_is_a_signed_zero():
+    # No term, or the interaction alone at chi = 0, is the zero energy: the
+    # sum of no tables, whose displacement gradient is a negated
+    # divergence, -0, and whose angle gradient is +0.
+    grid = Grid(nx=8, ny=6)
+    state = random_smooth_state(grid, seed=44, amplitude=0.03, modes=2)
+    p = random_material(np.random.default_rng(85), chiral=True, chi=0.0)
+    for terms in (("interaction",), ()):
+        dv_du, dv_dtheta = analytic_variations(state, p, terms)
+        assert dv_du.shape == (2,) + grid.shape, terms
+        assert dv_dtheta.shape == grid.shape, terms
+        assert not np.any(dv_du) and np.all(np.signbit(dv_du)), terms
+        assert not np.any(dv_dtheta), terms
+        assert not np.any(np.signbit(dv_dtheta)), terms
+
+
 #: tracemalloc's peak of one 128x128 gradient pass per term, in grid fields
 #: (one 128x128 array of doubles), as measured with numpy 2.4.  Summed from
 #: whole 2x2 scratch fields (the conftest tables), the passes peaked at 35,

@@ -1,9 +1,12 @@
 """The CSV float format: every float the writers print is byte for byte
-Python's ``"%.17g" % v``, negative zero printing as ``0``."""
+Python's ``"%.17g" % v``, negative zero printing as ``0``; and the file
+writer under every output, which appends only to a file that exists."""
 
 import numpy as np
+import pytest
 
 from cosserat2d import report
+from cosserat2d.errors import IoError
 from cosserat2d.report import write_csv
 
 
@@ -125,3 +128,21 @@ def test_cells_carry_their_separators_in_every_column_position(tmp_path):
                 == "".join(lines).encode())
     assert n % (report.BLOCK_VALUES // floats_per_row)
     assert max(len("%.17g" % v) for v in paths) == report._WIDTH
+
+
+def test_an_append_never_creates_a_file(tmp_path):
+    path = str(tmp_path / "timeseries.csv")
+    with pytest.raises(IoError) as info:
+        report.append_csv(path, [[1.0], [2.0]])
+    assert str(info.value).startswith(
+        f"cannot write {path!r}: [Errno 2] No such file or directory")
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_lines_replaces_a_file_and_appends_after_its_bytes(tmp_path):
+    path = str(tmp_path / "lines.txt")
+    report.write_lines(path, [b"old\n"])
+    report.write_lines(path, [b"head\n"])
+    report.write_lines(path, [b"a,", b"b\n"], append=True)
+    with open(path, "rb") as fh:
+        assert fh.read() == b"head\na,b\n"

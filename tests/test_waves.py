@@ -270,6 +270,10 @@ def test_transverse_free_error_paths():
     with pytest.raises(InfeasibleDensity, match=re.escape(
             "implied rotational density is not positive: -3.98")):
         transverse_free_solution(1.0, 1.0, WaveParams(a=-1.0))
+    # a**2 > mu_c (lam + 2 mu) makes the implied translational one so
+    with pytest.raises(InfeasibleDensity, match="^" + re.escape(
+            "implied translational density is not positive: -1.0") + "$"):
+        transverse_free_solution(1.0, 1.0, WaveParams(a=2.0))
     # omega**2 underflows to 0: a typed error, not a ZeroDivisionError
     with pytest.raises(ZeroDenominator, match="underflows to 0"):
         transverse_free_solution(1.0, 1e-200, WaveParams())
